@@ -8,9 +8,9 @@
  * requests/s plus the simulated quality counters (p99 from the
  * sketch) and the process peak RSS — the numbers behind the
  * "Million-request sweeps" table in the README. The smaller
- * paired variants measure the event cores against each other
- * (Heap vs LegacyScan) and serial vs parallel replica stepping at
- * a size the O(n)-per-round legacy core can still finish quickly.
+ * paired variant measures the event cores against each other
+ * (Heap vs LegacyScan) at a size the O(n)-per-round legacy core
+ * can still finish quickly.
  */
 
 #include <benchmark/benchmark.h>
@@ -51,7 +51,7 @@ sweepTrace(int64_t num_requests)
 }
 
 serving::FleetOptions
-sweepFleet(serving::FleetEventCore core, int64_t step_threads)
+sweepFleet(serving::FleetEventCore core)
 {
     serving::FleetOptions options;
     options.num_replicas = 4;
@@ -64,19 +64,16 @@ sweepFleet(serving::FleetEventCore core, int64_t step_threads)
     options.replica.metrics.keep_records =
         serving::MetricsOptions::KeepRecords::Never;
     options.event_core = core;
-    options.step_threads = step_threads;
     return options;
 }
 
 serving::FleetResult
-runSweep(int64_t num_requests, serving::FleetEventCore core,
-         int64_t step_threads)
+runSweep(int64_t num_requests, serving::FleetEventCore core)
 {
     serving::TraceGenerator trace(serving::TraceShape::Poisson,
                                   sweepTrace(num_requests));
     serving::AnalyticCostModel cost;
-    serving::FleetScheduler fleet(sweepFleet(core, step_threads),
-                                  cost);
+    serving::FleetScheduler fleet(sweepFleet(core), cost);
     return fleet.run(trace);
 }
 
@@ -88,7 +85,7 @@ BM_ServeMillionRequestSweep(benchmark::State &state)
     serving::FleetResult result;
     for (auto _ : state)
         result = runSweep(num_requests,
-                          serving::FleetEventCore::Heap, 1);
+                          serving::FleetEventCore::Heap);
     const serving::FleetMetrics &m = result.metrics;
     state.counters["wall_req_per_s"] = benchmark::Counter(
         static_cast<double>(num_requests) *
@@ -122,7 +119,7 @@ BM_SweepEventCore(benchmark::State &state)
     int64_t num_requests = state.range(1);
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests, core, 1);
+        result = runSweep(num_requests, core);
     state.counters["completed"] =
         static_cast<double>(result.metrics.completed);
 }
@@ -132,28 +129,6 @@ BENCHMARK(BM_SweepEventCore)
           static_cast<int64_t>(
               serving::FleetEventCore::LegacyScan)},
          {20000, 100000}})
-    ->Unit(benchmark::kMillisecond);
-
-/** Serial vs parallel replica stepping on the heap core. Results
- *  are bit-identical by contract; only the wall clock moves. On
- *  the analytic model a step costs microseconds, so this measures
- *  the pool-dispatch overhead envelope — the knob pays off only
- *  with heavyweight concurrentSafe() cost oracles. */
-void
-BM_SweepStepThreads(benchmark::State &state)
-{
-    int64_t threads = state.range(0);
-    serving::FleetResult result;
-    for (auto _ : state)
-        result = runSweep(200000,
-                          serving::FleetEventCore::Heap, threads);
-    state.counters["completed"] =
-        static_cast<double>(result.metrics.completed);
-}
-BENCHMARK(BM_SweepStepThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "serving/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
 
@@ -123,11 +124,12 @@ FaultInjector::FaultInjector(FaultPlan plan)
     : events_(std::move(plan.events))
 {
     for (const auto &e : events_) {
-        ST_CHECK(e.at_ms >= 0.0, "fault times must be "
-                                 "non-negative");
+        ST_CHECK(std::isfinite(e.at_ms) && e.at_ms >= 0.0,
+                 "fault times must be finite and non-negative");
         ST_CHECK(e.replica >= 0, "fault replica domain");
-        ST_CHECK(e.kind != FaultKind::SlowStart || e.factor > 0.0,
-                 "slowdown factor must be positive");
+        ST_CHECK(e.kind != FaultKind::SlowStart ||
+                     (std::isfinite(e.factor) && e.factor > 0.0),
+                 "slowdown factor must be finite and positive");
     }
     std::stable_sort(events_.begin(), events_.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <queue>
 #include <set>
 #include <tuple>
@@ -13,18 +12,11 @@
 
 #include "serving/trace.h"
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace serving {
 
 namespace {
-
-double
-quietNan()
-{
-    return std::numeric_limits<double>::quiet_NaN();
-}
 
 /** One request waiting in the fleet's retry buffer: a failover
  *  waiting out its backoff, a drain hand-off, or an arrival parked
@@ -80,10 +72,11 @@ struct EventAfter
     }
 };
 
-/** One fleet run: the state and round phases shared by both event
- *  cores. runLegacy() is the original O(n)-per-round loop, kept
- *  as the differential oracle; runHeap() drives the identical
- *  phases off the typed-event heap. */
+/** One fleet run: the state, the six round phases and the one
+ *  round loop shared by both event cores. The cores differ only in
+ *  next-instant selection (nextEventTime() off the typed-event heap
+ *  vs scanNextTime()), the retry-buffer deadline sweep
+ *  (expirePending()), and whether stage() feeds the heap. */
 struct FleetRun
 {
     const FleetOptions &options;
@@ -151,13 +144,6 @@ struct FleetRun
             static_cast<size_t>(n), 0.0);
     }
 
-    double swapReloadMs() const
-    {
-        return options.swap_reload_ms >= 0.0
-                   ? options.swap_reload_ms
-                   : options.recovery_reload_ms;
-    }
-
     /** Take @p idx out of service for @p window ms of weight
      *  re-streaming; it rejoins via completeReloads(). Counted
      *  and staged for the heap core here so both call sites
@@ -168,8 +154,8 @@ struct FleetRun
         reload_ready[idx] = now + window;
         ++fm.reloads;
         fm.reload_ms_total += window;
-        events.push({reload_ready[idx], EvReload,
-                     static_cast<int64_t>(idx), 0});
+        stage({reload_ready[idx], EvReload,
+               static_cast<int64_t>(idx), 0});
     }
 
     /** Bring every replica whose reload window has elapsed back
@@ -255,9 +241,9 @@ struct FleetRun
         if (deadline > 0.0)
             pending_deadlines.insert({deadline, id});
         if (ready > now)
-            events.push({ready, EvRetry, id, 0});
+            stage({ready, EvRetry, id, 0});
         if (deadline > now)
-            events.push({deadline, EvDeadline, id, 0});
+            stage({deadline, EvDeadline, id, 0});
     }
 
     using PendingIt = std::map<std::pair<double, int64_t>,
@@ -419,7 +405,9 @@ struct FleetRun
             for (auto &ev : eng.crash())
                 parkPending(now, {ev.req, ev.state,
                                   ev.state.failovers});
-            startReload(idx, swapReloadMs());
+            startReload(idx, options.swap_reload_ms >= 0.0
+                                 ? options.swap_reload_ms
+                                 : options.recovery_reload_ms);
             break;
         }
         }
@@ -523,105 +511,48 @@ struct FleetRun
         fm.makespan_ms = now;
     }
 
-    // ---- Legacy core: the original per-round scans, kept as the
-    // differential oracle for the heap core. ----
-
-    FleetResult runLegacy()
+    /** Stage a future wake-up for the heap core. A no-op under
+     *  LegacyScan, which re-derives every instant by scanning and
+     *  never pops the heap — staging there would only grow it. */
+    void stage(Event e)
     {
-        while (true) {
-            // 1. Step completions (id order). A step ending
-            // exactly at a crash instant completes first: its
-            // tokens were produced before the failure.
-            for (auto &eng : engines)
-                if (eng.busy() && eng.stepEndMs() <= now)
-                    eng.completeStep();
-
-            // 2. Fault events, in plan firing order — before
-            // arrivals, so an arrival at a crash instant sees the
-            // replica down.
-            faultsPhase();
-
-            // 3. Arrivals, in (arrival, id) order.
-            arrivalsPhase();
-
-            // 4. Deadline sweeps: replica queues, then the retry
-            // buffer (a parked request can expire mid-outage).
-            for (auto &eng : engines)
-                eng.expireDeadlines(now);
-            for (auto it = pending.begin();
-                 it != pending.end();) {
-                const Request &r = it->second.req;
-                if (r.deadline_ms > 0.0 && r.deadline_ms <= now) {
-                    rejectFleet(r, RejectReason::DeadlineExpired);
-                    it = erasePending(it);
-                } else {
-                    ++it;
-                }
-            }
-
-            // 5. Due retries.
-            redispatchDue();
-
-            // 6. Launch a step on every idle up replica (id
-            // order).
-            for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
-                if (up[static_cast<size_t>(i)] && !eng.busy()) {
-                    eng.launchStep(now);
-                    ST_ASSERT(eng.busy() || !eng.hasWork() ||
-                                  eng.draining(),
-                              "idle up replica refused its work");
-                }
-            }
-
-            auto [total_steps, work_left] = progress();
-            if (total_steps >= options.replica.max_steps &&
-                work_left) {
-                result.hit_step_limit = true;
-                break;
-            }
-            if (!work_left)
-                break; // served everything; residual faults moot
-
-            // Advance to the next event: earliest step end,
-            // fault, arrival, future retry, or parked-request
-            // deadline (parked entries with ready <= now wait on
-            // one of the others — or expire, or strand).
-            double next_t = injector.nextAtMs();
-            for (auto &eng : engines)
-                if (eng.busy())
-                    next_t = std::min(next_t, eng.stepEndMs());
-            for (int i = 0; i < n; ++i)
-                if (reload_ready[static_cast<size_t>(i)] > now)
-                    next_t = std::min(
-                        next_t,
-                        reload_ready[static_cast<size_t>(i)]);
-            if (!arrivals.exhausted())
-                next_t =
-                    std::min(next_t, arrivals.nextArrivalMs());
-            for (const auto &[key, p] : pending) {
-                if (key.first > now)
-                    next_t = std::min(next_t, key.first);
-                if (p.req.deadline_ms > now)
-                    next_t = std::min(next_t, p.req.deadline_ms);
-            }
-            if (next_t == inf) {
-                strandPending();
-                break;
-            }
-            ST_ASSERT(next_t > now,
-                      "fleet clock failed to advance");
-            now = next_t;
-        }
-        finalizeRun();
-        return std::move(result);
+        if (options.event_core == FleetEventCore::Heap)
+            events.push(e);
     }
 
-    // ---- Heap core -------------------------------------------
+    // ---- Next-instant selection --------------------------------
 
-    /** Earliest valid future wake-up, discarding consumed
-     *  (t <= now) and stale entries as they surface. +infinity
-     *  when nothing valid remains (the stranding condition). */
+    /** LegacyScan: the earliest step end, fault, reload, arrival,
+     *  future retry, or parked-request deadline, found by scanning
+     *  every engine and the whole retry buffer — O(n) per round,
+     *  kept as the differential oracle. Parked entries with
+     *  ready <= now wait on one of the others (or expire, or
+     *  strand). */
+    double scanNextTime()
+    {
+        double next_t = injector.nextAtMs();
+        for (auto &eng : engines)
+            if (eng.busy())
+                next_t = std::min(next_t, eng.stepEndMs());
+        for (int i = 0; i < n; ++i)
+            if (reload_ready[static_cast<size_t>(i)] > now)
+                next_t = std::min(
+                    next_t, reload_ready[static_cast<size_t>(i)]);
+        if (!arrivals.exhausted())
+            next_t = std::min(next_t, arrivals.nextArrivalMs());
+        for (const auto &[key, p] : pending) {
+            if (key.first > now)
+                next_t = std::min(next_t, key.first);
+            if (p.req.deadline_ms > now)
+                next_t = std::min(next_t, p.req.deadline_ms);
+        }
+        return next_t;
+    }
+
+    /** Heap: the earliest valid future wake-up, discarding
+     *  consumed (t <= now) and stale entries as they surface.
+     *  +infinity when nothing valid remains (the stranding
+     *  condition). */
     double nextEventTime()
     {
         while (!events.empty()) {
@@ -667,115 +598,93 @@ struct FleetRun
         return inf;
     }
 
-    FleetResult runHeap()
+    /** Expire every retry-buffer entry whose deadline has passed.
+     *  The heap core walks the (deadline, id) index — O(1) to skip,
+     *  O(log n) per expiry; LegacyScan scans the whole buffer so it
+     *  stays an independent reference. The rejection log sorts by
+     *  (instant, id) at finalize, so the in-round order is free. */
+    void expirePending()
     {
-        // The pool is per-run and only built when asked for:
-        // serial runs must not pay thread spin-up, and a local
-        // pool keeps fleet runs independent of the process-wide
-        // shared() pool's sizing.
-        std::optional<support::ThreadPool> pool;
-        if (options.step_threads >= 2)
-            pool.emplace(options.step_threads);
-        // Parallel launches additionally need order-independent
-        // step costing; completions are always engine-local.
-        const bool launches_parallel_safe =
-            cost.concurrentSafe() &&
-            (!degraded_cost || degraded_cost->concurrentSafe());
+        if (options.event_core == FleetEventCore::LegacyScan) {
+            for (auto it = pending.begin(); it != pending.end();) {
+                const Request &r = it->second.req;
+                if (r.deadline_ms > 0.0 && r.deadline_ms <= now) {
+                    rejectFleet(r, RejectReason::DeadlineExpired);
+                    it = erasePending(it);
+                } else {
+                    ++it;
+                }
+            }
+            return;
+        }
+        while (!pending_deadlines.empty() &&
+               pending_deadlines.begin()->first <= now) {
+            auto [deadline, id] = *pending_deadlines.begin();
+            auto it = pending.find({pending_ready.at(id), id});
+            ST_ASSERT(it != pending.end(),
+                      "retry-buffer deadline index out of sync");
+            rejectFleet(it->second.req,
+                        RejectReason::DeadlineExpired);
+            erasePending(it);
+        }
+    }
 
+    // ---- The round loop ----------------------------------------
+
+    FleetResult run()
+    {
         for (const auto &e : options.faults.events)
-            events.push({e.at_ms, EvFault, 0, 0});
+            stage({e.at_ms, EvFault, 0, 0});
         double arrival_event_t = -1.0;
 
-        std::vector<int64_t> due;
         while (true) {
-            // 1. Step completions (committed in id order; the
-            // work itself is engine-local, so it may fan out).
-            due.clear();
-            for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
+            // 1. Step completions (id order). A step ending
+            // exactly at a crash instant completes first: its
+            // tokens were produced before the failure.
+            for (auto &eng : engines)
                 if (eng.busy() && eng.stepEndMs() <= now)
-                    due.push_back(i);
-            }
-            if (pool && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .completeStep();
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)]
-                        .completeStep();
+                    eng.completeStep();
 
-            // 2. Faults.
+            // 2. Fault events, in plan firing order — before
+            // arrivals, so an arrival at a crash instant sees the
+            // replica down.
             faultsPhase();
 
-            // 3. Arrivals; then stage the wake-up for the next
-            // one (deduplicated — rounds between arrivals must
-            // not re-push it).
+            // 3. Arrivals, in (arrival, id) order; then stage the
+            // wake-up for the next one (deduplicated — rounds
+            // between arrivals must not re-stage it).
             arrivalsPhase();
             if (!arrivals.exhausted() &&
                 arrivals.nextArrivalMs() != arrival_event_t) {
                 arrival_event_t = arrivals.nextArrivalMs();
-                events.push({arrival_event_t, EvArrival, 0, 0});
+                stage({arrival_event_t, EvArrival, 0, 0});
             }
 
-            // 4. Deadline sweeps. Engine queues are O(1) when
-            // deadline-free (queue.h); the retry buffer expires
-            // off its (deadline, id) index in deadline order —
-            // the rejection log sorts by (instant, id) at
-            // finalize, so the in-round order is free.
+            // 4. Deadline sweeps: replica queues (O(1) when
+            // deadline-free, queue.h), then the retry buffer (a
+            // parked request can expire mid-outage).
             for (auto &eng : engines)
                 eng.expireDeadlines(now);
-            while (!pending_deadlines.empty() &&
-                   pending_deadlines.begin()->first <= now) {
-                auto [deadline, id] = *pending_deadlines.begin();
-                auto it = pending.find({pending_ready.at(id), id});
-                ST_ASSERT(it != pending.end(),
-                          "retry-buffer deadline index out of "
-                          "sync");
-                rejectFleet(it->second.req,
-                            RejectReason::DeadlineExpired);
-                erasePending(it);
-            }
+            expirePending();
 
             // 5. Due retries.
             redispatchDue();
 
-            // 6. Launches. Costing fans out only when the cost
-            // model is order-independent; busy-state commits and
-            // completion events stay serial in id order either
-            // way.
-            due.clear();
+            // 6. Launch a step on every idle up replica (id
+            // order), staging its completion.
             for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
-                if (up[static_cast<size_t>(i)] && !eng.busy())
-                    due.push_back(i);
-            }
-            if (pool && launches_parallel_safe && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .launchStep(now);
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)].launchStep(
-                        now);
-            for (int64_t i : due) {
                 auto idx = static_cast<size_t>(i);
                 auto &eng = engines[idx];
+                if (!up[idx] || eng.busy())
+                    continue;
+                eng.launchStep(now);
                 ST_ASSERT(eng.busy() || !eng.hasWork() ||
                               eng.draining(),
                           "idle up replica refused its work");
                 if (eng.busy()) {
                     ++launch_gen[idx];
-                    events.push({eng.stepEndMs(), EvCompletion,
-                                 i, launch_gen[idx]});
+                    stage({eng.stepEndMs(), EvCompletion, i,
+                           launch_gen[idx]});
                 }
             }
 
@@ -788,7 +697,10 @@ struct FleetRun
             if (!work_left)
                 break; // served everything; residual faults moot
 
-            double next_t = nextEventTime();
+            double next_t =
+                options.event_core == FleetEventCore::Heap
+                    ? nextEventTime()
+                    : scanNextTime();
             if (next_t == inf) {
                 strandPending();
                 break;
@@ -836,21 +748,9 @@ FleetMetrics::servedRequestsPerSecond() const
 double
 FleetMetrics::latencyPercentileMs(double p) const
 {
-    if (!records_complete)
-        return latency_sketch.quantile(p).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision, static_cast<int64_t>(requests.size())};
-    if (sorted_latencies_key_ != key) {
-        sorted_latencies_.clear();
-        sorted_latencies_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_latencies_.push_back(r.latencyMs());
-        std::sort(sorted_latencies_.begin(),
-                  sorted_latencies_.end());
-        sorted_latencies_key_ = key;
-    }
-    return percentileOfSorted(sorted_latencies_, p)
-        .value_or(quietNan());
+    return latency_cache_.percentileMs(requests, record_revision,
+                                       records_complete,
+                                       latency_sketch, p);
 }
 
 FleetScheduler::FleetScheduler(FleetOptions options,
@@ -861,14 +761,17 @@ FleetScheduler::FleetScheduler(FleetOptions options,
 {
     ST_CHECK(options_.num_replicas >= 1, "fleet needs replicas");
     ST_CHECK(options_.max_retries >= 0, "retry budget domain");
-    ST_CHECK(options_.retry_backoff_ms >= 0.0,
+    ST_CHECK(std::isfinite(options_.retry_backoff_ms) &&
+                 options_.retry_backoff_ms >= 0.0,
              "retry backoff domain");
-    ST_CHECK(options_.retry_backoff_factor >= 1.0,
+    ST_CHECK(std::isfinite(options_.retry_backoff_factor) &&
+                 options_.retry_backoff_factor >= 1.0,
              "retry backoff factor domain");
-    ST_CHECK(options_.step_threads >= 1,
-             "step thread count domain");
-    ST_CHECK(options_.recovery_reload_ms >= 0.0,
+    ST_CHECK(std::isfinite(options_.recovery_reload_ms) &&
+                 options_.recovery_reload_ms >= 0.0,
              "recovery reload domain");
+    ST_CHECK(std::isfinite(options_.swap_reload_ms),
+             "swap reload domain");
     validateSchedulerOptions(options_.replica);
     for (const auto &e : options_.faults.events)
         ST_CHECK(e.replica >= 0 &&
@@ -896,10 +799,7 @@ FleetScheduler::run(TraceGenerator &trace)
 FleetResult
 FleetScheduler::runCursor(ArrivalCursor &arrivals)
 {
-    FleetRun run(options_, cost_, degraded_cost_, arrivals);
-    return options_.event_core == FleetEventCore::Heap
-               ? run.runHeap()
-               : run.runLegacy();
+    return FleetRun(options_, cost_, degraded_cost_, arrivals).run();
 }
 
 } // namespace serving

@@ -22,26 +22,30 @@
  *   5. due retries, oldest (ready, id) first;
  *   6. step launches on every idle up replica, in id order.
  *
- * **Event cores.** Two interchangeable implementations pick the
- * next instant (FleetOptions::event_core); both then run the same
- * six phases, so their results are bit-identical — pinned pairwise
- * by the differential suite over the 100-seed fault scenarios.
- * LegacyScan re-derives the minimum by scanning every engine, the
- * whole retry buffer, and the arrival cursor each round: O(n) per
- * round, fine at hundreds of requests, the bottleneck at millions.
- * Heap (the default) keeps a min-heap of typed events —
- * completion, fault, arrival, retry-due, retry-deadline — ordered
- * by (time, category, replica/request id) with the category order
- * above encoded in the comparator, and invalidates stale entries
- * lazily (a completion event carries its launch generation; retry
- * and deadline events are checked against the buffer): O(log n)
- * per event. Per-round work that scans the *fleet* (completions
- * due, launches, step totals) stays linear in num_replicas — a
- * small fixed constant, not trace length. Queued-request deadline
- * expiry is lazy in both cores: a queued request expires at the
- * next round at or after its deadline (stamped at that round's
- * instant), and its deadline alone never wakes the loop — only
- * retry-buffer deadlines do.
+ * **Event cores.** One round loop runs the six phases above under
+ * either core (FleetOptions::event_core); the cores differ only in
+ * how they pick the next instant and how they sweep the retry
+ * buffer for expired deadlines, so their results are bit-identical —
+ * pinned pairwise by the differential suite over the 100-seed fault
+ * scenarios. LegacyScan re-derives the minimum by scanning every
+ * engine, the whole retry buffer, and the arrival cursor each round,
+ * and sweeps the whole buffer for deadlines: O(n) per round, fine at
+ * hundreds of requests, the bottleneck at millions. Heap (the
+ * default) keeps a min-heap of typed events — completion, fault,
+ * arrival, retry-due, retry-deadline — ordered by (time, category,
+ * replica/request id) with the category order above encoded in the
+ * comparator, invalidates stale entries lazily (a completion event
+ * carries its launch generation; retry and deadline events are
+ * checked against the buffer), and expires parked requests off a
+ * (deadline, id) index: O(log n) per event. Per-round work that
+ * scans the *fleet* (completions due, launches, step totals) stays
+ * linear in num_replicas — a small fixed constant, not trace
+ * length — and runs serially in replica-id order (a stepping
+ * thread pool measured slower than serial at every thread count;
+ * see the README). Queued-request deadline expiry is lazy in both
+ * cores: a queued request expires at the next round at or after its
+ * deadline (stamped at that round's instant), and its deadline alone
+ * never wakes the loop — only retry-buffer deadlines do.
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests with their ResumeState (tokens already emitted
@@ -137,18 +141,6 @@ struct FleetOptions
 
     /** Next-event selection core. */
     FleetEventCore event_core = FleetEventCore::Heap;
-
-    /** Worker threads for replica stepping (Heap core only;
-     *  LegacyScan stays serial as the oracle). At >= 2, step
-     *  completions due at one instant always fan out across a
-     *  support::ThreadPool, and step *launches* fan out when the
-     *  cost model (and the degraded model, if any) reports
-     *  concurrentSafe() — both touch only engine-local state
-     *  between the fleet's interaction points, and completion
-     *  events are committed serially in replica-id order after
-     *  the barrier, so results are bit-identical with 1 or N
-     *  threads (pinned by the differential suite). */
-    int64_t step_threads = 1;
 };
 
 /** A request that exhausted its retry budget (or was stranded
@@ -264,9 +256,7 @@ struct FleetMetrics
     double latencyPercentileMs(double p) const;
 
   private:
-    mutable std::vector<double> sorted_latencies_;
-    mutable std::pair<int64_t, int64_t> sorted_latencies_key_{-1,
-                                                              -1};
+    SortedSampleCache latency_cache_{&RequestMetrics::latencyMs};
 };
 
 /** Outcome of one fleet run. */

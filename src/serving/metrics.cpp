@@ -42,6 +42,27 @@ percentileOfSorted(const std::vector<double> &sorted, double p)
     return sorted[static_cast<size_t>(rank - 1)];
 }
 
+double
+SortedSampleCache::percentileMs(
+    const std::vector<RequestMetrics> &records, int64_t revision,
+    bool records_complete, const QuantileSketch &sketch,
+    double p) const
+{
+    if (!records_complete)
+        return sketch.quantile(p).value_or(quietNan());
+    std::pair<int64_t, int64_t> key{
+        revision, static_cast<int64_t>(records.size())};
+    if (key_ != key) {
+        sorted_.clear();
+        sorted_.reserve(records.size());
+        for (const auto &r : records)
+            sorted_.push_back((r.*sample_)());
+        std::sort(sorted_.begin(), sorted_.end());
+        key_ = key;
+    }
+    return percentileOfSorted(sorted_, p).value_or(quietNan());
+}
+
 void
 ServingMetrics::recordCompletion(const RequestMetrics &done,
                                  const MetricsOptions &options)
@@ -135,20 +156,9 @@ ServingMetrics::ttftMeanMs() const
 double
 ServingMetrics::ttftP95Ms() const
 {
-    if (!records_complete)
-        return ttft_sketch.quantile(95.0).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision_, static_cast<int64_t>(requests.size())};
-    if (sorted_ttfts_key_ != key) {
-        sorted_ttfts_.clear();
-        sorted_ttfts_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_ttfts_.push_back(r.ttftMs());
-        std::sort(sorted_ttfts_.begin(), sorted_ttfts_.end());
-        sorted_ttfts_key_ = key;
-    }
-    return percentileOfSorted(sorted_ttfts_, 95.0)
-        .value_or(quietNan());
+    return ttft_cache_.percentileMs(requests, record_revision_,
+                                    records_complete, ttft_sketch,
+                                    95.0);
 }
 
 double
@@ -198,21 +208,9 @@ ServingMetrics::tbtMeanMs() const
 double
 ServingMetrics::latencyPercentileMs(double p) const
 {
-    if (!records_complete)
-        return latency_sketch.quantile(p).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision_, static_cast<int64_t>(requests.size())};
-    if (sorted_latencies_key_ != key) {
-        sorted_latencies_.clear();
-        sorted_latencies_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_latencies_.push_back(r.latencyMs());
-        std::sort(sorted_latencies_.begin(),
-                  sorted_latencies_.end());
-        sorted_latencies_key_ = key;
-    }
-    return percentileOfSorted(sorted_latencies_, p)
-        .value_or(quietNan());
+    return latency_cache_.percentileMs(requests, record_revision_,
+                                       records_complete,
+                                       latency_sketch, p);
 }
 
 double

@@ -150,6 +150,35 @@ std::optional<double> percentile(std::vector<double> values,
 std::optional<double>
 percentileOfSorted(const std::vector<double> &sorted, double p);
 
+/** Sort-once cache of one per-request sample (latency, TTFT)
+ *  behind the percentile accessors of ServingMetrics and
+ *  FleetMetrics. The sorted view is rebuilt only when the
+ *  (revision, records.size()) key moves: owners bump the revision
+ *  on every mutation of their records, so a query followed by more
+ *  completions always re-answers from the updated window — keying
+ *  on size alone would miss any size-preserving mutation
+ *  (regression-tested query-record-query). */
+class SortedSampleCache
+{
+  public:
+    using Sample = double (RequestMetrics::*)() const;
+
+    explicit SortedSampleCache(Sample sample) : sample_(sample) {}
+
+    /** Nearest-rank percentile @p p of the sample: exact over
+     *  @p records while @p records_complete, @p sketch's estimate
+     *  otherwise; NaN on an empty window. */
+    double percentileMs(const std::vector<RequestMetrics> &records,
+                        int64_t revision, bool records_complete,
+                        const QuantileSketch &sketch,
+                        double p) const;
+
+  private:
+    Sample sample_;
+    mutable std::vector<double> sorted_;
+    mutable std::pair<int64_t, int64_t> key_{-1, -1};
+};
+
 /** Aggregated result of one serving run. */
 struct ServingMetrics
 {
@@ -299,12 +328,9 @@ struct ServingMetrics
      *  request completed. Exact — O(1) after a one-time
      *  O(n log n) sort cached across queries — while
      *  records_complete; a sketch estimate within the documented
-     *  rank error otherwise. The cache keys on
-     *  (record revision, requests.size()): recordCompletion bumps
-     *  the revision on every completion, so a query followed by
-     *  more completions always re-answers from the updated window
-     *  — keying on size alone would miss any size-preserving
-     *  mutation (regression-tested query-record-query). */
+     *  rank error otherwise. recordCompletion bumps the record
+     *  revision on every completion, so the cache
+     *  (SortedSampleCache) never answers from a stale window. */
     double latencyPercentileMs(double p) const;
 
   private:
@@ -312,13 +338,9 @@ struct ServingMetrics
      *  recordCompletion(); half of the percentile-cache key. */
     int64_t record_revision_ = 0;
 
-    /** Sorted-sample caches behind the exact percentile path,
-     *  rebuilt whenever the (revision, size) key moves. */
-    mutable std::vector<double> sorted_latencies_;
-    mutable std::vector<double> sorted_ttfts_;
-    mutable std::pair<int64_t, int64_t> sorted_latencies_key_{-1,
-                                                              -1};
-    mutable std::pair<int64_t, int64_t> sorted_ttfts_key_{-1, -1};
+    /** Sorted-sample caches behind the exact percentile path. */
+    SortedSampleCache latency_cache_{&RequestMetrics::latencyMs};
+    SortedSampleCache ttft_cache_{&RequestMetrics::ttftMs};
 };
 
 } // namespace serving

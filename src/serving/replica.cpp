@@ -1,6 +1,7 @@
 #include "serving/replica.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <utility>
 
@@ -34,20 +35,15 @@ poolOptionsFor(const SchedulerOptions &options, bool paged)
 void
 sortAndValidateTrace(std::vector<Request> &trace)
 {
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival_ms < b.arrival_ms ||
-                                (a.arrival_ms == b.arrival_ms &&
-                                 a.id < b.id);
-                     });
     std::set<int64_t> ids;
     for (const auto &r : trace) {
         ST_CHECK(r.input_len >= 1 && r.output_len >= 1,
                  "request lengths must be positive");
-        ST_CHECK(r.arrival_ms >= 0.0,
-                 "arrivals must be non-negative");
-        ST_CHECK(r.deadline_ms >= 0.0,
-                 "deadlines must be non-negative");
+        ST_CHECK(std::isfinite(r.arrival_ms) && r.arrival_ms >= 0.0,
+                 "arrivals must be finite and non-negative");
+        ST_CHECK(std::isfinite(r.deadline_ms) &&
+                     r.deadline_ms >= 0.0,
+                 "deadlines must be finite and non-negative");
         ST_CHECK(r.prefix_id >= 0 && r.prefix_len >= 0 &&
                      r.prefix_len <= r.input_len &&
                      (r.prefix_id != 0 || r.prefix_len == 0),
@@ -55,6 +51,14 @@ sortAndValidateTrace(std::vector<Request> &trace)
         ST_CHECK(ids.insert(r.id).second,
                  "trace ids must be unique");
     }
+    // Validated first: a NaN arrival would break the sort's strict
+    // weak order.
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ms < b.arrival_ms ||
+                                (a.arrival_ms == b.arrival_ms &&
+                                 a.id < b.id);
+                     });
 }
 
 void
@@ -66,6 +70,8 @@ validateSchedulerOptions(const SchedulerOptions &options)
     ST_CHECK(options.max_steps >= 1, "step limit domain");
     ST_CHECK(options.metrics.auto_record_limit >= 0,
              "record limit domain");
+    ST_CHECK(std::isfinite(options.drain_at_ms),
+             "drain instant must be finite (negative = never)");
     if (options.admission == KvAdmission::Paged) {
         ST_CHECK(options.page_tokens >= 1, "page size domain");
         ST_CHECK(options.kv_budget_tokens >= options.page_tokens,

@@ -88,16 +88,6 @@ class StepCostModel
      *  shape groups. */
     virtual double
     stepMs(const std::vector<runtime::StepGroup> &groups) = 0;
-
-    /** True when concurrent stepMs() calls are safe AND
-     *  order-independent — a pure function of the groups, with no
-     *  mutable state whose update order could leak into results.
-     *  Gates the fleet's parallel step launching
-     *  (FleetOptions::step_threads): a model accumulating
-     *  floating-point state (e.g. ExecutorCostModel's crossing
-     *  stall sum) must keep the default false, or reordered
-     *  accumulation would break bit-identical replay. */
-    virtual bool concurrentSafe() const { return false; }
 };
 
 /** How the scheduler charges requests against the KV budget. */

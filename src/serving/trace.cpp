@@ -40,6 +40,12 @@ void
 checkOptions(const TraceOptions &o)
 {
     ST_CHECK(o.num_requests >= 1, "trace needs requests");
+    ST_CHECK(std::isfinite(o.mean_interarrival_ms) &&
+                 std::isfinite(o.deadline_slack_ms) &&
+                 std::isfinite(o.burst_period_ms) &&
+                 std::isfinite(o.burst_duty) &&
+                 std::isfinite(o.burst_factor),
+             "trace options must be finite");
     ST_CHECK(o.mean_interarrival_ms > 0.0,
              "mean inter-arrival must be positive");
     ST_CHECK(o.min_input_len >= 1 &&

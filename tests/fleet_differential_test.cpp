@@ -1,8 +1,8 @@
-/** @file Differential suite for the fleet's event cores and
- *  parallel stepping: over 100 seeded (trace, fleet-config,
- *  fault-plan) scenarios, the Heap core must reproduce the
- *  LegacyScan oracle bit-for-bit, stepping with 2 or 8 threads
- *  must reproduce serial stepping bit-for-bit, and serving a
+/** @file Differential suite for the fleet's event cores: over 100
+ *  seeded (trace, fleet-config, fault-plan) scenarios, the Heap
+ *  core must reproduce the LegacyScan oracle bit-for-bit (the two
+ *  share one round loop and differ only in next-instant selection
+ *  and the retry-buffer deadline sweep), and serving a
  *  TraceGenerator must reproduce serving the materialized vector
  *  of the same generator. "Bit-for-bit" is checked on every
  *  observable: merged request records, per-replica step records,
@@ -102,11 +102,10 @@ makeScenario(uint64_t seed, bool with_faults)
 
 serving::FleetResult
 runScenario(const Scenario &s, serving::FleetEventCore core,
-            int64_t step_threads, bool via_generator)
+            bool via_generator)
 {
     serving::FleetOptions options = s.fleet;
     options.event_core = core;
-    options.step_threads = step_threads;
     serving::AnalyticCostModel cost;
     serving::FleetScheduler fleet(options, cost);
     if (via_generator) {
@@ -212,39 +211,24 @@ TEST_P(FleetDifferential, HeapMatchesLegacyUnderFaults)
 {
     Scenario s = makeScenario(GetParam(), true);
     expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, 1, false),
-        runScenario(s, serving::FleetEventCore::LegacyScan, 1,
-                    false));
+        runScenario(s, serving::FleetEventCore::Heap, false),
+        runScenario(s, serving::FleetEventCore::LegacyScan, false));
 }
 
 TEST_P(FleetDifferential, HeapMatchesLegacyCalm)
 {
     Scenario s = makeScenario(GetParam(), false);
     expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, 1, false),
-        runScenario(s, serving::FleetEventCore::LegacyScan, 1,
-                    false));
-}
-
-TEST_P(FleetDifferential, ParallelSteppingMatchesSerial)
-{
-    Scenario s = makeScenario(GetParam(), true);
-    serving::FleetResult serial =
-        runScenario(s, serving::FleetEventCore::Heap, 1, false);
-    expectSameResult(serial,
-                     runScenario(s, serving::FleetEventCore::Heap,
-                                 2, false));
-    expectSameResult(serial,
-                     runScenario(s, serving::FleetEventCore::Heap,
-                                 8, false));
+        runScenario(s, serving::FleetEventCore::Heap, false),
+        runScenario(s, serving::FleetEventCore::LegacyScan, false));
 }
 
 TEST_P(FleetDifferential, GeneratorMatchesVector)
 {
     Scenario s = makeScenario(GetParam(), true);
     expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, 1, false),
-        runScenario(s, serving::FleetEventCore::Heap, 1, true));
+        runScenario(s, serving::FleetEventCore::Heap, false),
+        runScenario(s, serving::FleetEventCore::Heap, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,

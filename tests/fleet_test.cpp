@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -119,6 +120,20 @@ TEST(FaultInjector, RejectsMalformedEvents)
         serving::FaultPlan plan;
         plan.events.push_back(
             {1.0, 0, FaultKind::SlowStart, 0.0});
+        EXPECT_THROW(serving::FaultInjector{std::move(plan)},
+                     FatalError);
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double at : {inf, std::nan("")}) {
+        serving::FaultPlan plan;
+        plan.events.push_back({at, 0, FaultKind::Crash, 1.0});
+        EXPECT_THROW(serving::FaultInjector{std::move(plan)},
+                     FatalError);
+    }
+    for (double factor : {inf, std::nan("")}) {
+        serving::FaultPlan plan;
+        plan.events.push_back(
+            {1.0, 0, FaultKind::SlowStart, factor});
         EXPECT_THROW(serving::FaultInjector{std::move(plan)},
                      FatalError);
     }
@@ -527,6 +542,50 @@ TEST(Fleet, RejectsFaultPlanNamingUnknownReplica)
     serving::AnalyticCostModel cost(unitCost());
     EXPECT_THROW(serving::FleetScheduler(options, cost),
                  FatalError);
+}
+
+TEST(Fleet, RejectsNonFiniteOptions)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::nan("");
+    serving::AnalyticCostModel cost(unitCost());
+    auto expectRejected = [&](auto mutate) {
+        auto options = fleetOptions(2);
+        mutate(options);
+        EXPECT_THROW(serving::FleetScheduler(options, cost),
+                     FatalError);
+    };
+    for (double bad : {inf, nan}) {
+        expectRejected([&](auto &o) { o.retry_backoff_ms = bad; });
+        expectRejected(
+            [&](auto &o) { o.retry_backoff_factor = bad; });
+        expectRejected(
+            [&](auto &o) { o.recovery_reload_ms = bad; });
+        expectRejected([&](auto &o) { o.swap_reload_ms = bad; });
+        expectRejected(
+            [&](auto &o) { o.replica.drain_at_ms = bad; });
+    }
+    // A negative swap window selects the recovery window, but
+    // -inf is no more valid a sentinel than +inf.
+    expectRejected([&](auto &o) { o.swap_reload_ms = -inf; });
+}
+
+TEST(Fleet, RejectsNonFiniteArrivalInsteadOfDroppingIt)
+{
+    // Regression: request 2 arriving at +inf passed the >= 0
+    // check and silently vanished from the accounting
+    // (completed 1, rejected 0, lost 0).
+    serving::AnalyticCostModel cost(unitCost());
+    serving::FleetScheduler fleet(fleetOptions(2), cost);
+    std::vector<Request> trace = {
+        makeRequest(1, 0.0, 4, 2),
+        makeRequest(2, std::numeric_limits<double>::infinity(), 4,
+                    2)};
+    EXPECT_THROW(fleet.run(trace), FatalError);
+    Request late_deadline = makeRequest(3, 0.0, 4, 2);
+    late_deadline.deadline_ms =
+        std::numeric_limits<double>::infinity();
+    EXPECT_THROW(fleet.run({late_deadline}), FatalError);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "models/bucketing.h"
 #include "serving/cost_model.h"
@@ -253,6 +254,21 @@ TEST(Trace, RejectsMalformedOptions)
     EXPECT_THROW(serving::poissonTrace(options), FatalError);
     options = {};
     options.burst_duty = 1.5;
+    EXPECT_THROW(serving::burstyTrace(options), FatalError);
+
+    // Non-finite doubles never pass the domain checks.
+    const double inf = std::numeric_limits<double>::infinity();
+    options = {};
+    options.mean_interarrival_ms = inf;
+    EXPECT_THROW(serving::poissonTrace(options), FatalError);
+    options = {};
+    options.deadline_slack_ms = inf;
+    EXPECT_THROW(serving::poissonTrace(options), FatalError);
+    options = {};
+    options.burst_period_ms = inf;
+    EXPECT_THROW(serving::burstyTrace(options), FatalError);
+    options = {};
+    options.burst_factor = inf;
     EXPECT_THROW(serving::burstyTrace(options), FatalError);
 }
 
@@ -617,6 +633,23 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
     serving::SchedulerOptions bad;
     bad.max_batch = 0;
     EXPECT_THROW(serving::Scheduler(bad, cost), FatalError);
+
+    // Non-finite instants: +inf used to pass the >= 0 checks and
+    // serve the request at t = inf (makespan inf).
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(scheduler.run({makeRequest(1, 0.0, 8, 1),
+                                makeRequest(2, inf, 8, 1)}),
+                 FatalError);
+    EXPECT_THROW(scheduler.run({makeRequest(0, std::nan(""), 8, 1)}),
+                 FatalError);
+    Request endless = makeRequest(0, 0.0, 8, 1);
+    endless.deadline_ms = inf;
+    EXPECT_THROW(scheduler.run({endless}), FatalError);
+    serving::SchedulerOptions drain_never = recordingOptions(2, 4096);
+    drain_never.drain_at_ms = inf;
+    EXPECT_THROW(serving::Scheduler(drain_never, cost), FatalError);
+    drain_never.drain_at_ms = -inf;
+    EXPECT_THROW(serving::Scheduler(drain_never, cost), FatalError);
 }
 
 TEST(Scheduler, EmptyTraceYieldsEmptyMetrics)
