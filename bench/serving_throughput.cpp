@@ -45,14 +45,11 @@ trafficOptions()
 void
 serveTrace(benchmark::State &state,
            const std::vector<serving::Request> &trace,
-           serving::KvAdmission admission =
-               serving::KvAdmission::Paged,
            int64_t kv_budget_tokens = 4096)
 {
     serving::SchedulerOptions options;
     options.max_batch = state.range(0);
     options.kv_budget_tokens = kv_budget_tokens;
-    options.admission = admission;
 
     serving::ServingMetrics metrics;
     for (auto _ : state) {
@@ -83,9 +80,8 @@ serveTrace(benchmark::State &state,
 // Chat-style saturated traffic at a tight KV budget: a shared
 // 48-token system prompt (4 groups), short user turns, short
 // generations. This is the regime where block-granular admission
-// pays — the reserved policy's headroom for worst-case contexts
-// becomes live batch slots. Same trace and budget for both
-// policies; compare served_req_per_s across the pair.
+// pays: headroom that a worst-case reservation would hold idle
+// becomes live batch slots, at the cost of a few preemptions.
 serving::TraceOptions
 saturatedPrefixTraffic()
 {
@@ -132,24 +128,11 @@ BENCHMARK(BM_ServeBurstyTrace)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_ServeSaturatedReserved(benchmark::State &state)
-{
-    auto trace =
-        serving::poissonTrace(saturatedPrefixTraffic());
-    serveTrace(state, trace, serving::KvAdmission::Reserve,
-               kTightKvBudget);
-}
-BENCHMARK(BM_ServeSaturatedReserved)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_ServeSaturatedPaged(benchmark::State &state)
 {
     auto trace =
         serving::poissonTrace(saturatedPrefixTraffic());
-    serveTrace(state, trace, serving::KvAdmission::Paged,
-               kTightKvBudget);
+    serveTrace(state, trace, kTightKvBudget);
 }
 BENCHMARK(BM_ServeSaturatedPaged)
     ->Arg(6)

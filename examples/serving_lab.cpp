@@ -2,13 +2,10 @@
  * @file
  * Serving lab: sweep offered traffic through the
  * continuous-batching scheduler with real compiled + simulated
- * GPT-2 block costs — and at every sweep point serve the *same*
- * trace under both KV admission policies with the *same* KV
- * budget. Reserved admission holds each request's final bucketed
- * context from admission to completion; the paged pool admits on
- * current need, shares prompt-prefix pages, and preempts under
- * pressure. The gap between the two "served req/s" columns is the
- * capacity the conservative reservation was wasting.
+ * GPT-2 block costs at a fixed, tight KV budget. The paged pool
+ * admits on current need, shares prompt-prefix pages, and
+ * preempts under pressure; each row shows served throughput,
+ * mean batch, p99 latency, preemptions and the prefix hit rate.
  *
  * The second half is the fault sweep: the same traffic against a
  * replicated fleet of four, once fault-free and once with one
@@ -230,18 +227,17 @@ main(int argc, char **argv)
     runtime::LlmExecutor executor(models::gpt2Config(),
                                   hls::u55c());
     std::printf("Serving lab: GPT-2 on %s, max batch %lld, "
-                "KV budget %lld tokens (both policies), "
+                "KV budget %lld tokens, "
                 "%lld requests per sweep point\n\n",
                 executor.platform().name.c_str(),
                 static_cast<long long>(max_batch),
                 static_cast<long long>(kv_budget),
                 static_cast<long long>(num_requests));
-    std::printf("%-12s %8s | %8s %8s %8s | %8s %8s %8s %8s %8s\n",
-                "trace", "offered", "reserved", "batch", "p99",
-                "paged", "batch", "p99", "preempt", "prefix");
-    std::printf("%-12s %8s | %8s %8s %8s | %8s %8s %8s %8s %8s\n",
-                "", "req/s", "req/s", "", "ms", "req/s", "",
-                "ms", "", "hit");
+    std::printf("%-12s %8s | %8s %8s %8s %8s %8s\n", "trace",
+                "offered", "served", "batch", "p99", "preempt",
+                "prefix");
+    std::printf("%-12s %8s | %8s %8s %8s %8s %8s\n", "", "req/s",
+                "req/s", "", "ms", "", "hit");
 
     auto sweepPoint = [&](const char *name, bool bursty,
                           double mean_interarrival_ms) {
@@ -264,29 +260,19 @@ main(int argc, char **argv)
         auto trace = bursty ? serving::burstyTrace(trace_options)
                             : serving::poissonTrace(trace_options);
 
-        auto serve = [&](serving::KvAdmission admission) {
-            serving::SchedulerOptions options;
-            options.max_batch = max_batch;
-            options.kv_budget_tokens = kv_budget;
-            options.admission = admission;
-            serving::ExecutorCostModel cost(executor);
-            serving::Scheduler scheduler(options, cost);
-            auto result = scheduler.run(trace);
-            if (cost.sawDeadlock())
-                std::printf(
-                    "  WARNING: a costed block deadlocked\n");
-            return result.metrics;
-        };
-        auto reserved = serve(serving::KvAdmission::Reserve);
-        auto paged = serve(serving::KvAdmission::Paged);
+        serving::SchedulerOptions options;
+        options.max_batch = max_batch;
+        options.kv_budget_tokens = kv_budget;
+        serving::ExecutorCostModel cost(executor);
+        serving::Scheduler scheduler(options, cost);
+        auto paged = scheduler.run(trace).metrics;
+        if (cost.sawDeadlock())
+            std::printf("  WARNING: a costed block deadlocked\n");
 
         double offered = 1e3 / mean_interarrival_ms;
-        std::printf("%-12s %8.2f | %8.2f %8.2f %8.1f | %8.2f "
-                    "%8.2f %8.1f %8lld %7.0f%%\n",
-                    name, offered, reserved.requestsPerSecond(),
-                    reserved.meanBatchSize(),
-                    reserved.latencyPercentileMs(99.0),
-                    paged.requestsPerSecond(),
+        std::printf("%-12s %8.2f | %8.2f %8.2f %8.1f %8lld "
+                    "%7.0f%%\n",
+                    name, offered, paged.requestsPerSecond(),
                     paged.meanBatchSize(),
                     paged.latencyPercentileMs(99.0),
                     static_cast<long long>(paged.preemptions),
@@ -300,8 +286,8 @@ main(int argc, char **argv)
     sweepPoint("bursty/40", true, 40.0);
     sweepPoint("bursty/20", true, 20.0);
 
-    std::printf("\nSame KV budget, same traces: the paged pool "
-                "turns reserved-but-unused KV into batch slots.\n"
+    std::printf("\nPast saturation the pool holds only current "
+                "contexts, so free pages become batch slots.\n"
                 "Bucketed shapes compiled once and reused across "
                 "the sweep: %lld compiles total.\n",
                 static_cast<long long>(executor.compileCount()));

@@ -151,8 +151,6 @@ stageHlsOpt(StageContext &ctx)
 void
 stageDiePartition(StageContext &ctx)
 {
-    if (!ctx.options.partition_dies)
-        return;
     dataflow::ComponentGraph &cg = ctx.result.design.components;
     for (int64_t group = 0; group < cg.numGroups(); ++group) {
         ctx.result.partitions.push_back(partition::partitionGroup(
@@ -226,7 +224,6 @@ stageFifoSizing(StageContext &ctx)
         }
         token::FifoSizingOptions sizing_options;
         sizing_options.equalization = eq;
-        sizing_options.exact_occupancy = options.exact_occupancy;
         token::FifoSizingResult sized =
             token::sizeFifos(problem, sizing_options);
         for (size_t e = 0; e < edge_channels.size(); ++e) {
@@ -253,8 +250,12 @@ stageFifoSizing(StageContext &ctx)
 void
 stageMemoryAlloc(StageContext &ctx)
 {
+    // Initial cap on generated FIFO depths. Deep FIFOs are
+    // intentional: weight streams prefetch into URAM while
+    // upstream kernels compute.
+    constexpr int64_t kMaxFifoDepth = 65536;
     dataflow::ComponentGraph &cg = ctx.result.design.components;
-    int64_t depth_cap = ctx.options.max_fifo_depth;
+    int64_t depth_cap = kMaxFifoDepth;
     while (true) {
         ctx.result.clamped_fifos =
             dataflow::reduceStreamDepth(cg, depth_cap);

@@ -58,21 +58,8 @@ struct CompileOptions
     bool auto_conservative = true;
     double conservative_threshold = 0.40;
 
-    /** Initial cap on generated FIFO depths; the compiler lowers
-     *  it further (reduce_stream_depth) whenever the memory
-     *  allocator reports an over-budget design. Deep FIFOs are
-     *  intentional: weight streams prefetch into URAM while
-     *  upstream kernels compute. */
-    int64_t max_fifo_depth = 65536;
-
-    /** Use the exact occupancy recurrence for FIFO depths. */
-    bool exact_occupancy = false;
-
-    /** Skip die partitioning (single-SLR targets). */
-    bool partition_dies = true;
-
-    /** Die-partitioner knobs (strategy, ILP guards, imbalance
-     *  weight). */
+    /** Die-partitioner knobs (strategy, ILP size guard, capacity
+     *  rows). */
     partition::PartitionOptions partition;
 };
 

@@ -208,8 +208,10 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
     for (int64_t e = 0; e < m; ++e)
         for (int64_t d = 0; d < dies; ++d)
             ilp.lp().setObjective(yvar(e, d), 0.5);
-    double z_scale = options.imbalance_weight /
-                     std::max(total_luts / dies, 1.0);
+    // Weight of the resource-imbalance term vs crossings.
+    constexpr double kImbalanceWeight = 0.25;
+    double z_scale =
+        kImbalanceWeight / std::max(total_luts / dies, 1.0);
     ilp.lp().setObjective(zvar, z_scale);
 
     // The greedy assignment's objective value, in the ILP's own
@@ -223,8 +225,9 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
         greedy.die_luts.begin(), greedy.die_luts.end());
     bool greedy_fits =
         !enforce_capacity || max_die_luts <= die_capacity;
+    constexpr int64_t kMaxIlpNodes = 20000; // branch-and-bound budget
     solver::IlpOptions ilp_options;
-    ilp_options.max_nodes = options.max_ilp_nodes;
+    ilp_options.max_nodes = kMaxIlpNodes;
     if (greedy_fits) {
         ilp_options.cutoff =
             static_cast<double>(greedy.crossings) +

@@ -66,12 +66,6 @@ struct PartitionOptions
      *  greedy fallback (ILP size guard). */
     int64_t max_ilp_components = 24;
 
-    /** Branch-and-bound node budget. */
-    int64_t max_ilp_nodes = 20000;
-
-    /** Weight of the resource-imbalance term vs crossings. */
-    double imbalance_weight = 0.25;
-
     /** Add hard per-die LUT capacity rows
      *  (FpgaPlatform::dieResources) to the ILP. Off by default:
      *  capacity rows make the relaxation much weaker (the

@@ -9,8 +9,7 @@ namespace partition {
 
 MemoryAllocation
 allocateMemory(const dataflow::ComponentGraph &g,
-               const hls::FpgaPlatform &platform,
-               const MemoryAllocOptions &options)
+               const hls::FpgaPlatform &platform)
 {
     // Collect all buffers.
     std::vector<BufferPlacement> buffers;
@@ -72,13 +71,16 @@ allocateMemory(const dataflow::ComponentGraph &g,
         return true;
     };
 
+    // Size thresholds steering placement.
+    constexpr int64_t kLutramThresholdBytes = 1024;
+    constexpr int64_t kUramThresholdBytes = 18 * 1024;
     for (auto &b : buffers) {
         bool placed = false;
-        if (b.bytes <= options.lutram_threshold_bytes) {
+        if (b.bytes <= kLutramThresholdBytes) {
             placed = try_place(b, ir::MemoryKind::LUTRAM) ||
                      try_place(b, ir::MemoryKind::BRAM) ||
                      try_place(b, ir::MemoryKind::URAM);
-        } else if (b.bytes <= options.uram_threshold_bytes) {
+        } else if (b.bytes <= kUramThresholdBytes) {
             placed = try_place(b, ir::MemoryKind::BRAM) ||
                      try_place(b, ir::MemoryKind::URAM) ||
                      try_place(b, ir::MemoryKind::LUTRAM);

@@ -46,25 +46,16 @@ struct MemoryAllocation
     }
 };
 
-/** Thresholds steering placement. */
-struct MemoryAllocOptions
-{
-    /** Buffers at or below this size prefer LUTRAM. */
-    int64_t lutram_threshold_bytes = 1024;
-
-    /** Buffers above this size prefer URAM. */
-    int64_t uram_threshold_bytes = 18 * 1024;
-};
-
 /**
  * Allocate every buffer of @p g (kernel/DMA local buffers,
  * converter ping-pongs, FIFOs) on @p platform. Larger buffers are
- * placed first so URAM is not fragmented by small ones.
+ * placed first so URAM is not fragmented by small ones. Buffers of
+ * at most 1 KiB prefer LUTRAM, buffers above 18 KiB prefer URAM,
+ * and the rest prefer BRAM.
  */
 MemoryAllocation
 allocateMemory(const dataflow::ComponentGraph &g,
-               const hls::FpgaPlatform &platform,
-               const MemoryAllocOptions &options = {});
+               const hls::FpgaPlatform &platform);
 
 } // namespace partition
 } // namespace streamtensor

@@ -247,22 +247,12 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
         merged[g.shapes] += g.count;
         total_seqs += g.count;
     }
-    std::vector<models::BlockShapes> shapes;
-    shapes.reserve(merged.size());
-    for (const auto &[s, count] : merged)
-        shapes.push_back(s);
-
-    // Warm every shape of this step concurrently on the shared
-    // pool (each block() below is then a cache hit).
-    support::ThreadPool::shared().run(
-        static_cast<int64_t>(shapes.size()),
-        [&](int64_t i) { (void)block(shapes[i]); });
-
     // Per layer, each group is one trigger: its batch streams
     // through the block pipeline back-to-back with the layer's
     // weights resident, so members past the first cost only the
     // steady-state interval. Overhead amortises with the whole
-    // step's sequences in flight.
+    // step's sequences in flight. block() compiles a cache miss
+    // on first use.
     StepResult result;
     double freq_hz = platform_.freq_mhz * 1e6;
     for (const auto &[s, count] : merged) {

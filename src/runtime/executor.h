@@ -158,8 +158,10 @@ class LlmExecutor
      *  trigger whose batch members stream back-to-back with
      *  weights resident (CompiledBlock::batchedCycles), so the
      *  weight-streaming cost that dominates decode amortises over
-     *  the batch. Warms all distinct shapes concurrently on the
-     *  shared pool before costing. */
+     *  the batch. Each distinct shape is fetched through block()
+     *  on the calling thread, which compiles a cache miss there;
+     *  callers that want misses compiled in parallel warm through
+     *  block() first. */
     StepResult step(const std::vector<StepGroup> &groups);
 
     /** Compiles performed so far (cache misses). Serving-bucket

@@ -4,8 +4,9 @@
  * vLLM's PagedAttention block manager and TensorRT-LLM's
  * kvCacheManager: physical KV memory is a pool of fixed-size pages
  * (page_tokens KV slots each) that sequences acquire on demand as
- * their context grows, instead of reserving the final context at
- * admission.
+ * their context grows, instead of reserving each request's final
+ * context at admission. It is the only KV admission policy of the
+ * serving scheduler.
  *
  * Three mechanisms on top of the plain pool:
  *

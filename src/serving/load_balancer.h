@@ -44,10 +44,9 @@ struct ReplicaStatus
     int64_t queue_depth = 0;
     int64_t active_seqs = 0;
 
-    /** KV tokens currently held (active pages × page_tokens under
-     *  Paged admission; reserved tokens under Reserve) plus the
-     *  queued requests' prefill demand — commitment and backlog in
-     *  one signal. */
+    /** KV tokens currently held (active pages × page_tokens) plus
+     *  the queued requests' prefill demand — commitment and
+     *  backlog in one signal. */
     int64_t kv_load_tokens = 0;
 
     bool eligible() const { return up && !draining; }

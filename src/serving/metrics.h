@@ -3,9 +3,8 @@
  * Serving metrics: per-request records (arrival, first token,
  * finish) plus aggregates the scheduler accumulates step by step
  * — throughput, TTFT, time-between-tokens, latency percentiles,
- * queue depth, accelerator utilization, and (under paged KV
- * admission) page occupancy, preemption, and prefix-reuse
- * counters. Everything derives from simulated time, so repeated
+ * queue depth, accelerator utilization, and the paged KV pool's
+ * page occupancy, preemption, and prefix-reuse counters. Everything derives from simulated time, so repeated
  * runs aggregate identically.
  *
  * **Record retention.** Historically every completed request left
@@ -227,9 +226,9 @@ struct ServingMetrics
     int64_t total_batched_seqs = 0; ///< Σ per-step batch size
     int64_t max_queue_depth = 0;
 
-    // --- Paged-admission counters (all zero under Reserve). ---
+    // --- Paged KV pool counters. ---
 
-    /** Physical pages of the KV pool (0 under Reserve). */
+    /** Physical pages of the KV pool. */
     int64_t pool_pages = 0;
 
     /** Sequences preempted back to the queue (a request preempted
@@ -303,8 +302,8 @@ struct ServingMetrics
      *  step-limited run). */
     double meanBatchSize() const;
 
-    /** Mean fraction of pool pages active across steps; 0 under
-     *  Reserve admission. */
+    /** Mean fraction of pool pages active across steps; 0 for a
+     *  run without steps. */
     double pageUtilization() const;
 
     /** Prefix pages shared over all prefix pages touched; 0 when

@@ -21,13 +21,22 @@ maxContext(const Request &r)
 }
 
 KvPoolOptions
-poolOptionsFor(const SchedulerOptions &options, bool paged)
+poolOptionsFor(const SchedulerOptions &options)
 {
     KvPoolOptions pool_options;
     pool_options.page_tokens = options.page_tokens;
     pool_options.total_pages =
-        paged ? options.kv_budget_tokens / options.page_tokens : 1;
+        options.kv_budget_tokens / options.page_tokens;
     return pool_options;
+}
+
+/** @p options, domain-checked: runs in the member initializers,
+ *  ahead of the pool geometry that divides by page_tokens. */
+const SchedulerOptions &
+validated(const SchedulerOptions &options)
+{
+    validateSchedulerOptions(options);
+    return options;
 }
 
 } // namespace
@@ -72,23 +81,18 @@ validateSchedulerOptions(const SchedulerOptions &options)
              "record limit domain");
     ST_CHECK(std::isfinite(options.drain_at_ms),
              "drain instant must be finite (negative = never)");
-    if (options.admission == KvAdmission::Paged) {
-        ST_CHECK(options.page_tokens >= 1, "page size domain");
-        ST_CHECK(options.kv_budget_tokens >= options.page_tokens,
-                 "KV budget smaller than one page");
-    }
+    ST_CHECK(options.page_tokens >= 1, "page size domain");
+    ST_CHECK(options.kv_budget_tokens >= options.page_tokens,
+             "KV budget smaller than one page");
 }
 
 ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
                              StepCostModel &cost, int replica_id)
-    : options_(options), cost_(&cost), replica_id_(replica_id),
-      paged_(options.admission == KvAdmission::Paged),
-      queue_(options.max_queue_depth),
-      pool_(poolOptionsFor(options_, paged_))
+    : options_(validated(options)), cost_(&cost),
+      replica_id_(replica_id), queue_(options.max_queue_depth),
+      pool_(poolOptionsFor(options_))
 {
-    validateSchedulerOptions(options_);
-    if (paged_)
-        result_.metrics.pool_pages = pool_.totalPages();
+    result_.metrics.pool_pages = pool_.totalPages();
 }
 
 double
@@ -101,38 +105,19 @@ ReplicaEngine::stepEndMs() const
 int64_t
 ReplicaEngine::kvLoadTokens() const
 {
-    int64_t resident = paged_
-                           ? pool_.activePages() * pool_.pageTokens()
-                           : kv_in_use_;
-    return resident + queue_.queuedInputTokens();
-}
-
-int64_t
-ReplicaEngine::reservedKv(const Request &r) const
-{
-    // Reserved KV under Reserve admission: the final bucketed
-    // context, held from admission to completion (conservative —
-    // no preemption). -1 = can never be served.
-    if (maxContext(r) > options_.buckets.max_len)
-        return -1;
-    int64_t reserve =
-        models::bucketLen(maxContext(r), options_.buckets);
-    return reserve <= options_.kv_budget_tokens ? reserve : -1;
+    return pool_.activePages() * pool_.pageTokens() +
+           queue_.queuedInputTokens();
 }
 
 bool
 ReplicaEngine::servable(const Request &r) const
 {
-    if (paged_) {
-        // Servable under Paged admission when the final decode
-        // step's shape exists on the bucket ladder and its page
-        // demand fits the whole pool (the guarantee that a lone
-        // resident sequence can always grow, so preemption
-        // terminates).
-        return maxContext(r) <= options_.buckets.max_len &&
-               pool_.pagesFor(maxContext(r)) <= pool_.totalPages();
-    }
-    return reservedKv(r) >= 0;
+    // Servable when the final decode step's shape exists on the
+    // bucket ladder and its page demand fits the whole pool (the
+    // guarantee that a lone resident sequence can always grow, so
+    // preemption terminates).
+    return maxContext(r) <= options_.buckets.max_len &&
+           pool_.pagesFor(maxContext(r)) <= pool_.totalPages();
 }
 
 void
@@ -225,14 +210,14 @@ ReplicaEngine::launchStep(double now)
     if (!hasWork())
         return false;
 
-    // --- Paged growth: every resident sequence acquires the
+    // --- Growth: every resident sequence acquires the
     // pages its next step needs. Under pressure, preempt the
     // lowest-priority-class, most-recently-admitted other
     // sequence back to the queue (front of its class) and
     // retry; termination is guaranteed because a lone
     // sequence's demand always fits the pool (servable()).
     std::vector<int64_t> preempted_now;
-    if (paged_ && !active_.empty()) {
+    if (!active_.empty()) {
         std::vector<bool> gone(active_.size(), false);
         auto preempt = [&](size_t victim) {
             ActiveSeq &seq = active_[victim];
@@ -282,12 +267,11 @@ ReplicaEngine::launchStep(double now)
     }
 
     // --- Admission from the queue head while the batch has
-    // room and the head's *current* need (Paged) or final
-    // reservation (Reserve) fits. Strictly head-of-line: a
-    // blocked head is never jumped by a later request. A
-    // sequence preempted this very iteration is not readmitted
-    // in the same breath — the pressure that evicted it is
-    // still standing. A draining engine admits nothing.
+    // room and the head's *current* need fits. Strictly
+    // head-of-line: a blocked head is never jumped by a later
+    // request. A sequence preempted this very iteration is not
+    // readmitted in the same breath — the pressure that evicted
+    // it is still standing. A draining engine admits nothing.
     while (!draining_ &&
            static_cast<int64_t>(active_.size()) <
                options_.max_batch &&
@@ -296,40 +280,22 @@ ReplicaEngine::launchStep(double now)
         if (std::find(preempted_now.begin(), preempted_now.end(),
                       head.id) != preempted_now.end())
             break;
+        auto rs = resume_state_.find(head.id);
+        int64_t generated =
+            rs != resume_state_.end() ? rs->second.generated : 0;
+        pool_.bind(head.id, head.prefix_id, head.prefix_len);
+        if (!pool_.grow(head.id, head.input_len + generated)) {
+            pool_.release(head.id);
+            break;
+        }
         ActiveSeq seq;
-        if (paged_) {
-            auto rs = resume_state_.find(head.id);
-            int64_t generated = rs != resume_state_.end()
-                                    ? rs->second.generated
-                                    : 0;
-            pool_.bind(head.id, head.prefix_id, head.prefix_len);
-            if (!pool_.grow(head.id, head.input_len + generated)) {
-                pool_.release(head.id);
-                break;
-            }
-            if (rs != resume_state_.end()) {
-                seq.generated = rs->second.generated;
-                seq.ever_prefilled = rs->second.ever_prefilled;
-                seq.first_token_ms = rs->second.first_token_ms;
-                seq.preemptions = rs->second.preemptions;
-                seq.failovers = rs->second.failovers;
-                resume_state_.erase(rs);
-            }
-        } else {
-            int64_t reserve = reservedKv(head);
-            ST_ASSERT(reserve >= 0, "unservable request queued");
-            if (kv_in_use_ + reserve > options_.kv_budget_tokens)
-                break;
-            // Reserve admission never preempts, but a failover
-            // can still hand this engine a part-done sequence.
-            ResumeState state = takeResumeState(head);
-            seq.generated = state.generated;
-            seq.ever_prefilled = state.ever_prefilled;
-            seq.first_token_ms = state.first_token_ms;
-            seq.preemptions = state.preemptions;
-            seq.failovers = state.failovers;
-            seq.kv_reserved = reserve;
-            kv_in_use_ += reserve;
+        if (rs != resume_state_.end()) {
+            seq.generated = rs->second.generated;
+            seq.ever_prefilled = rs->second.ever_prefilled;
+            seq.first_token_ms = rs->second.first_token_ms;
+            seq.preemptions = rs->second.preemptions;
+            seq.failovers = rs->second.failovers;
+            resume_state_.erase(rs);
         }
         seq.req = queue_.pop();
         seq.admit_tick = admit_ticks_++;
@@ -337,9 +303,9 @@ ReplicaEngine::launchStep(double now)
     }
     if (active_.empty() && draining_)
         return false; // residents done; queued work is not ours
-    // active is non-empty: when it was empty, the pool (or
-    // budget) was entirely free and every queued request's
-    // current need fits it by the servability check.
+    // active is non-empty: when it was empty, the pool was
+    // entirely free and every queued request's current need fits
+    // it by the servability check.
     ST_ASSERT(!active_.empty(), "admission stalled");
 
     // Group the batch by bucketed shapes (map order keeps the
@@ -385,7 +351,7 @@ ReplicaEngine::launchStep(double now)
     }
 
     pending_batch_ = static_cast<int64_t>(active_.size());
-    pending_pages_active_ = paged_ ? pool_.activePages() : 0;
+    pending_pages_active_ = pool_.activePages();
     if (options_.record_steps) {
         StepRecord record;
         record.start_ms = now;
@@ -396,15 +362,11 @@ ReplicaEngine::launchStep(double now)
                            : record.prefill_ids)
                 .push_back(seq.req.id);
         record.preempted_ids = preempted_now;
-        if (paged_) {
-            record.kv_reserved =
-                pool_.activePages() * pool_.pageTokens();
-            record.pages_active = pool_.activePages();
-            record.pages_cached = pool_.cachedPages();
-            record.pages_free = pool_.freePages();
-        } else {
-            record.kv_reserved = kv_in_use_;
-        }
+        record.kv_reserved =
+            pool_.activePages() * pool_.pageTokens();
+        record.pages_active = pool_.activePages();
+        record.pages_cached = pool_.cachedPages();
+        record.pages_free = pool_.freePages();
         record.queue_depth = queue_.size();
         pending_record_ = std::move(record);
     }
@@ -429,15 +391,14 @@ ReplicaEngine::completeStep()
     metrics.busy_ms += step_ms_;
     ++metrics.steps;
     metrics.total_batched_seqs += pending_batch_;
-    if (paged_)
-        metrics.page_step_sum += pending_pages_active_;
+    metrics.page_step_sum += pending_pages_active_;
 
     // Token accounting: every step a sequence runs advances it
     // by one output token — the first prefill emits the first
     // token, a recompute prefill emits the next token its
     // preemption (or failover) interrupted, and each decode
     // emits one more. Finished sequences retire at this step's
-    // end, releasing their pages / reservation.
+    // end, releasing their pages.
     for (auto &seq : active_) {
         if (!seq.prefilled) {
             seq.prefilled = true;
@@ -461,10 +422,7 @@ ReplicaEngine::completeStep()
             done.replica = replica_id_;
             done.deadline_ms = seq.req.deadline_ms;
             metrics.recordCompletion(done, options_.metrics);
-            if (paged_)
-                pool_.release(seq.req.id);
-            else
-                kv_in_use_ -= seq.kv_reserved;
+            pool_.release(seq.req.id);
         }
     }
     active_.erase(
@@ -518,8 +476,7 @@ ReplicaEngine::crash()
     peak_pages_active_base_ =
         std::max(peak_pages_active_base_,
                  pool_.stats().peak_active_pages);
-    pool_ = KvPool(poolOptionsFor(options_, paged_));
-    kv_in_use_ = 0;
+    pool_ = KvPool(poolOptionsFor(options_));
     return out;
 }
 
@@ -551,17 +508,13 @@ ReplicaEngine::finalize(double makespan_ms)
         metrics.weight_bytes_streamed =
             options_.cold_start.plan.bytes_total;
     }
-    if (paged_) {
-        metrics.prefix_hit_pages =
-            pool_stats_base_.prefix_hit_pages +
-            pool_.stats().prefix_hit_pages;
-        metrics.prefix_miss_pages =
-            pool_stats_base_.prefix_miss_pages +
-            pool_.stats().prefix_miss_pages;
-        metrics.peak_pages_active =
-            std::max(peak_pages_active_base_,
-                     pool_.stats().peak_active_pages);
-    }
+    metrics.prefix_hit_pages = pool_stats_base_.prefix_hit_pages +
+                               pool_.stats().prefix_hit_pages;
+    metrics.prefix_miss_pages = pool_stats_base_.prefix_miss_pages +
+                                pool_.stats().prefix_miss_pages;
+    metrics.peak_pages_active =
+        std::max(peak_pages_active_base_,
+                 pool_.stats().peak_active_pages);
 }
 
 } // namespace serving

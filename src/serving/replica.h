@@ -15,7 +15,7 @@
  *    degraded.
  *
  * The engine is a state machine over one replica's queue, paged KV
- * pool (or reserved budget), and resident batch:
+ * pool, and resident batch:
  *
  *     offer/readmit -> [queue] -> launchStep -> busy -> completeStep
  *                        ^  |                    |
@@ -116,16 +116,15 @@ class ReplicaEngine
     int64_t queueDepth() const { return queue_.size(); }
 
     /** KV load signal for load balancing: resident occupancy
-     *  (active pages × page_tokens under Paged admission, reserved
-     *  tokens under Reserve) plus the queued requests' prefill
-     *  demand. Counting backlog demand matters — resident KV alone
+     *  (active pages × page_tokens) plus the queued requests'
+     *  prefill demand. Counting backlog demand matters — resident KV alone
      *  rewards the replica whose batch holds small contexts with
      *  every new arrival while its queue grows without bound. */
     int64_t kvLoadTokens() const;
 
     bool draining() const { return draining_; }
 
-    /** The engine's KV pool (tests; Paged admission only). */
+    /** The engine's KV pool (tests). */
     const KvPool &pool() const { return pool_; }
 
     // ---- Request intake ----------------------------------------
@@ -152,7 +151,7 @@ class ReplicaEngine
 
     // ---- Step loop ---------------------------------------------
 
-    /** Grow/preempt (Paged), admit from the queue head (unless
+    /** Grow/preempt, admit from the queue head (unless
      *  draining), group by bucketed shapes and cost one step
      *  starting at @p now. Returns false when there is nothing to
      *  run (no work, or draining with an empty batch). The engine
@@ -214,7 +213,6 @@ class ReplicaEngine
     struct ActiveSeq
     {
         Request req;
-        int64_t kv_reserved = 0; ///< Reserve admission only
         int64_t generated = 0;
 
         /** False while the next step must run a prefill-shaped
@@ -234,7 +232,6 @@ class ReplicaEngine
         int64_t admit_tick = 0;
     };
 
-    int64_t reservedKv(const Request &r) const;
     void reject(const Request &r, RejectReason reason,
                 double at_ms);
     ResumeState takeResumeState(const Request &r);
@@ -242,13 +239,11 @@ class ReplicaEngine
     SchedulerOptions options_;
     StepCostModel *cost_;
     int replica_id_;
-    bool paged_;
 
     RequestQueue queue_;
     std::vector<ActiveSeq> active_; // admission order
     std::map<int64_t, ResumeState> resume_state_;
     KvPool pool_;
-    int64_t kv_in_use_ = 0; // Reserve admission only
     int64_t admit_ticks_ = 0;
 
     bool draining_ = false;

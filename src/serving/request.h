@@ -58,8 +58,8 @@ enum class RejectReason
 
     /** The request's maximum context (input_len + output_len - 1,
      *  the context of its last decode step) exceeds the bucket
-     *  ladder or the total KV capacity — it could never run to
-     *  completion under either admission policy. */
+     *  ladder or the KV pool's page count — it could never run
+     *  to completion. */
     TooLong,
 
     /** The request's deadline passed while it was still queued

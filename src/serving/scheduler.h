@@ -14,19 +14,14 @@
  *    BlockShapes (models::BucketPolicy) so the compile cache stays
  *    small; each group is one accelerator trigger per layer whose
  *    members stream back-to-back with weights resident.
- *  - KV admission, two policies (KvAdmission):
- *      * Paged (default): the KV budget is a serving::KvPool of
- *        fixed-size pages. A request is admitted when its
- *        *current* context fits, acquires pages on demand as it
- *        decodes, and shares prefix pages with other requests
- *        naming the same prompt prefix. On allocation pressure a
- *        resident sequence is preempted back to the queue
- *        (lowest priority class first, then most recently
- *        admitted) and recomputes its KV when readmitted.
- *      * Reserve: the PR-4 conservative baseline — a request
- *        reserves its *final* bucketed context at admission and
- *        holds it to completion; no preemption ever. Kept as the
- *        measurable before/after comparison point.
+ *  - Paged KV admission: the KV budget is a serving::KvPool of
+ *    fixed-size pages. A request is admitted when its *current*
+ *    context fits, acquires pages on demand as it decodes, and
+ *    shares prefix pages with other requests naming the same
+ *    prompt prefix. On allocation pressure a resident sequence is
+ *    preempted back to the queue (lowest priority class first,
+ *    then most recently admitted) and recomputes its KV when
+ *    readmitted.
  *  - Strict head-of-line admission: the queue's best request (by
  *    priority class, FIFO within class) is admitted or nothing is
  *    — later smaller requests never jump a blocked head, which
@@ -90,18 +85,6 @@ class StepCostModel
     stepMs(const std::vector<runtime::StepGroup> &groups) = 0;
 };
 
-/** How the scheduler charges requests against the KV budget. */
-enum class KvAdmission
-{
-    /** Block-granular paged pool: admit on current need, grow on
-     *  demand, preempt under pressure, share prefixes. */
-    Paged,
-
-    /** Conservative full reservation of the final bucketed
-     *  context; never preempts (the PR-4 baseline). */
-    Reserve,
-};
-
 /** Cold-start weight streaming (weights.h). With a non-empty
  *  plan, the engine's weights are still in flight from storage
  *  when serving begins: every step launched before the plan's
@@ -131,17 +114,11 @@ struct SchedulerOptions
     /** Max sequences resident in one step. */
     int64_t max_batch = 8;
 
-    /** Total KV tokens the accelerator can hold. Under Paged
-     *  admission this is carved into kv_budget_tokens /
-     *  page_tokens physical pages; under Reserve each admitted
-     *  request holds bucketLen(max context) of it to
-     *  completion. */
+    /** Total KV tokens the accelerator can hold, carved into
+     *  kv_budget_tokens / page_tokens physical pages. */
     int64_t kv_budget_tokens = 4096;
 
-    /** KV admission policy. */
-    KvAdmission admission = KvAdmission::Paged;
-
-    /** Page size of the paged pool (Paged only). */
+    /** Page size of the paged pool. */
     int64_t page_tokens = 16;
 
     /** Request-queue capacity; arrivals beyond it are rejected
@@ -223,17 +200,16 @@ struct StepRecord
     std::vector<int64_t> decode_ids;
 
     /** Sequences preempted while making room for this step, in
-     *  preemption order (Paged only). */
+     *  preemption order. */
     std::vector<int64_t> preempted_ids;
 
-    /** KV tokens the batch holds during this step: the sum of
-     *  bucketed reservations (Reserve) or active pages ×
-     *  page_tokens (Paged). */
+    /** KV tokens the batch holds during this step: active pages ×
+     *  page_tokens. */
     int64_t kv_reserved = 0;
 
-    /** Pool occupancy when the step launched (Paged only;
-     *  pages_active + pages_cached + pages_free == pool pages,
-     *  recomputed by the property suite). */
+    /** Pool occupancy when the step launched (pages_active +
+     *  pages_cached + pages_free == pool pages, recomputed by the
+     *  property suite). */
     int64_t pages_active = 0;
     int64_t pages_cached = 0;
     int64_t pages_free = 0;

@@ -15,6 +15,10 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr double kPivotTol = 1e-7;
 
+/** Pivots without objective improvement before pricing drops from
+ *  Dantzig to Bland's rule (anti-cycling guarantee). */
+constexpr int64_t kStallPivots = 64;
+
 /**
  * Sparse simplex tableau.
  *
@@ -33,7 +37,7 @@ constexpr double kPivotTol = 1e-7;
  * pivot row's nonzero columns instead of the full row.
  *
  * Pricing is Dantzig (most negative reduced cost); after
- * stall_pivots consecutive pivots without objective improvement it
+ * kStallPivots consecutive pivots without objective improvement it
  * falls back to Bland's rule (lowest eligible index, min-ratio
  * ties broken by lowest basis index), which cannot cycle. Any
  * strict improvement switches back to Dantzig.
@@ -52,10 +56,9 @@ class Tableau
      * inequality-only problems whose phase-2 cost row starts dual
      * feasible (objective >= 0); the caller checks that.
      */
-    Tableau(const LpProblem &problem, int64_t stall_pivots,
-            bool dual_start = false)
-        : n_(problem.numVars()), m_(problem.numConstraints()),
-          stall_pivots_(std::max<int64_t>(stall_pivots, 1))
+    explicit Tableau(const LpProblem &problem,
+                     bool dual_start = false)
+        : n_(problem.numVars()), m_(problem.numConstraints())
     {
         // Count slacks (one per inequality) and artificials: a row
         // needs an artificial unless its slack can serve as the
@@ -465,7 +468,7 @@ class Tableau
             bland_mode_ = false;
             return;
         }
-        if (++since_improve_ >= stall_pivots_)
+        if (++since_improve_ >= kStallPivots)
             bland_mode_ = true;
     }
 
@@ -569,7 +572,6 @@ class Tableau
     int64_t n_, m_;
     int64_t num_slack_ = 0, num_art_ = 0, total_ = 0, stride_ = 0;
     int64_t blocked_from_ = 0;
-    int64_t stall_pivots_;
     std::vector<double> a_; ///< m_ rows x stride_ (last col = rhs)
     std::vector<double> cost_;
     double cost_rhs_ = 0.0;
@@ -728,7 +730,7 @@ solveLp(const LpProblem &problem, const LpOptions &options)
 {
     LpSolution solution;
     if (options.warm_start && !options.warm_start->empty()) {
-        Tableau tab(problem, options.stall_pivots);
+        Tableau tab(problem);
         if (tab.installWarmBasis(*options.warm_start)) {
             switch (tab.phase2(problem.objective())) {
               case Tableau::Phase2Result::Optimal:
@@ -770,8 +772,7 @@ solveLp(const LpProblem &problem, const LpOptions &options)
         }
     }
     if (dual_start) {
-        Tableau tab(problem, options.stall_pivots,
-                    /*dual_start=*/true);
+        Tableau tab(problem, /*dual_start=*/true);
         switch (tab.phase2(problem.objective())) {
           case Tableau::Phase2Result::Optimal:
             return finishOptimal(problem, tab);
@@ -788,7 +789,7 @@ solveLp(const LpProblem &problem, const LpOptions &options)
         }
     }
 
-    Tableau tab(problem, options.stall_pivots);
+    Tableau tab(problem);
     if (!tab.phase1()) {
         solution.status = LpStatus::Infeasible;
         solution.pivots = tab.pivots();

@@ -152,17 +152,12 @@ struct LpOptions
      *  dual simplex pivots. Falls back to a cold solve whenever the
      *  basis cannot be installed cleanly. */
     const SimplexBasis *warm_start = nullptr;
-
-    /** Pivots without objective improvement before pricing drops
-     *  from Dantzig to Bland's rule (anti-cycling guarantee). */
-    int64_t stall_pivots = 64;
 };
 
 /**
  * Solve with two-phase sparse simplex. Dantzig pricing with a
- * Bland fallback after stall_pivots degenerate pivots, so it
- * cannot cycle. Suitable for the small/medium instances
- * StreamTensor generates.
+ * Bland fallback after 64 degenerate pivots, so it cannot cycle.
+ * Suitable for the small/medium instances StreamTensor generates.
  */
 LpSolution solveLp(const LpProblem &problem,
                    const LpOptions &options = {});

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "baselines/fpga_baselines.h"
 #include "compiler/compiler.h"
 #include "linalg/builders.h"
 #include "models/block_builder.h"
@@ -250,59 +253,43 @@ TEST(EndToEnd, DecodeBucketBoundaryCompilesNoExtraShape)
     EXPECT_EQ(executor.compileCount(), 2);
 }
 
-TEST(EndToEnd, GoldenPagedVsReservedSaturation)
+TEST(EndToEnd, GoldenPagedSaturation)
 {
-    // The tentpole's before/after, pinned through the full
+    // The paged pool at saturation, pinned through the full
     // compile -> simulate -> serve stack: six prefix-sharing
-    // requests (input 40 of which 32 shared, output 24) against
-    // the same 192-token KV budget. Reserve holds bucketLen(63) =
-    // 80 tokens each and serializes two-wide; the paged pool (12
-    // pages) fits five concurrently — each needs at most 4 pages
-    // and the two prefix pages are one physical copy — so the
-    // same hardware serves ~12% more requests per second.
-    auto run = [](serving::KvAdmission admission) {
-        runtime::LlmExecutor executor(models::gpt2Config(),
-                                      hls::u55c());
-        serving::ExecutorCostModel cost(executor);
-        serving::SchedulerOptions options;
-        options.max_batch = 5;
-        options.kv_budget_tokens = 192;
-        options.admission = admission;
-        options.record_steps = true;
-        serving::Scheduler scheduler(options, cost);
-        std::vector<serving::Request> trace;
-        for (int64_t i = 0; i < 6; ++i) {
-            serving::Request r;
-            r.id = i;
-            r.arrival_ms = 0.0;
-            r.input_len = 40;
-            r.output_len = 24;
-            r.prefix_id = 1;
-            r.prefix_len = 32;
-            trace.push_back(r);
-        }
-        return scheduler.run(trace);
-    };
-    auto paged = run(serving::KvAdmission::Paged);
-    auto reserve = run(serving::KvAdmission::Reserve);
+    // requests (input 40 of which 32 shared, output 24) against a
+    // 192-token KV budget. Reserving each request's final
+    // context, bucketLen(63) = 80 tokens, would serialize them
+    // two-wide; the paged pool (12 pages) fits five concurrently
+    // — each needs at most 4 pages and the two prefix pages are
+    // one physical copy.
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    serving::ExecutorCostModel cost(executor);
+    serving::SchedulerOptions options;
+    options.max_batch = 5;
+    options.kv_budget_tokens = 192;
+    options.record_steps = true;
+    serving::Scheduler scheduler(options, cost);
+    std::vector<serving::Request> trace;
+    for (int64_t i = 0; i < 6; ++i) {
+        serving::Request r;
+        r.id = i;
+        r.arrival_ms = 0.0;
+        r.input_len = 40;
+        r.output_len = 24;
+        r.prefix_id = 1;
+        r.prefix_len = 32;
+        trace.push_back(r);
+    }
+    auto paged = scheduler.run(trace);
 
 #define EXPECT_REL_NEAR(actual, expected)                          \
     EXPECT_NEAR(actual, expected, (expected) * 1e-3 + 1e-9)
-    // Both drain the whole trace — the policies trade time, not
-    // completions.
     EXPECT_EQ(paged.metrics.completed, 6);
-    EXPECT_EQ(reserve.metrics.completed, 6);
 
-    // Reserve: two-wide (80 + 80 <= 192 < 240), 72 steps.
-    EXPECT_EQ(reserve.steps[0].prefill_ids,
-              (std::vector<int64_t>{0, 1}));
-    EXPECT_EQ(reserve.metrics.steps, 72);
-    EXPECT_REL_NEAR(reserve.metrics.makespan_ms, 723.993501956);
-    EXPECT_REL_NEAR(reserve.metrics.requestsPerSecond(),
-                    8.287367198);
-
-    // Paged: five-wide on the same budget, no preemption (demand
-    // tops out at exactly the 12-page pool), 48 steps.
+    // Five-wide, no preemption (demand tops out at exactly the
+    // 12-page pool), 48 steps.
     EXPECT_EQ(paged.steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1, 2, 3, 4}));
     EXPECT_EQ(paged.metrics.steps, 48);
@@ -316,11 +303,6 @@ TEST(EndToEnd, GoldenPagedVsReservedSaturation)
     EXPECT_DOUBLE_EQ(paged.metrics.prefixHitRate(), 10.0 / 12.0);
     EXPECT_REL_NEAR(paged.metrics.pageUtilization(),
                     0.572916667);
-
-    // The headline delta, pinned: paged serves strictly more
-    // requests per second from the same KV budget.
-    EXPECT_GT(paged.metrics.requestsPerSecond(),
-              1.11 * reserve.metrics.requestsPerSecond());
 #undef EXPECT_REL_NEAR
 }
 
@@ -336,6 +318,50 @@ TEST(EndToEnd, PaperHeadline_WholeBlockFusesOnU55c)
         EXPECT_EQ(result.design.plan.groups.size(), 1u)
             << cfg.name;
         EXPECT_TRUE(result.memory.feasible) << cfg.name;
+    }
+}
+
+TEST(EndToEnd, PaperTable4GeomeanRatiosPinned)
+{
+    // Paper Table 4: GPT-2 on the U55C against the Allo and DFX
+    // analytic models over the [in:out] diagonal {32, 64, 128,
+    // 256}. The six Ours/baseline geometric-mean ratios that
+    // bench/table4_gpt2_fpga prints are pinned at 0.1% relative
+    // tolerance, so a compiler, simulator or executor change that
+    // moves the reproduced table fails here. Paper reference:
+    // Ours/Allo 0.76x latency, 0.40x TTFT, 1.06x speed; Ours/DFX
+    // 0.52x, 0.19x, 1.17x.
+    models::LlmConfig config = models::gpt2Config();
+    runtime::LlmExecutor ours(config, hls::u55c());
+    const baselines::FpgaBaselineSpec specs[2] = {
+        baselines::alloSpec(), baselines::dfxSpec()};
+    // [baseline][latency, ttft, speed]: sums of log ratios.
+    double log_sum[2][3] = {};
+    const int64_t lengths[] = {32, 64, 128, 256};
+    for (int64_t len : lengths) {
+        auto r = ours.run(len, len);
+        EXPECT_FALSE(r.deadlock) << len;
+        for (int b = 0; b < 2; ++b) {
+            auto base = baselines::evaluateFpgaBaseline(
+                specs[b], config, len, len);
+            log_sum[b][0] +=
+                std::log(r.total_latency_ms / base.total_latency_ms);
+            log_sum[b][1] += std::log(r.ttft_ms / base.ttft_ms);
+            log_sum[b][2] +=
+                std::log(r.tokens_per_s / base.tokens_per_s);
+        }
+    }
+    const double expected[2][3] = {
+        {0.692516198, 0.345864754, 1.145712086},  // Ours/Allo
+        {0.481371654, 0.164666035, 1.253362061}}; // Ours/DFX
+    const char *names[3] = {"latency", "ttft", "speed"};
+    for (int b = 0; b < 2; ++b) {
+        for (int m = 0; m < 3; ++m) {
+            double geomean = std::exp(log_sum[b][m] / 4.0);
+            EXPECT_NEAR(geomean, expected[b][m],
+                        1e-3 * expected[b][m])
+                << (b == 0 ? "Allo " : "DFX ") << names[m];
+        }
     }
 }
 

@@ -1,12 +1,10 @@
 /** @file Property/invariant suite for RequestQueue + Scheduler:
  *  each seed derives a distinct (trace, scheduler-config) pair and
- *  runs it under BOTH KV admission policies, checking structural
- *  invariants that must hold for *every* run — conservation, FIFO
- *  fairness within a priority class, batch and KV bounds, metrics
- *  consistency against per-request sums — plus the policy-specific
- *  ones: contiguous no-preemption execution under Reserve, and
- *  page conservation / preemption bookkeeping / prefix-sharing
- *  occupancy recomputation under Paged. */
+ *  runs it, checking structural invariants that must hold for
+ *  *every* run — conservation, FIFO fairness within a priority
+ *  class, batch and KV bounds, metrics consistency against
+ *  per-request sums, page conservation, preemption bookkeeping and
+ *  prefix-sharing occupancy recomputation. */
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,6 @@
 #include <random>
 #include <set>
 
-#include "models/bucketing.h"
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
 #include "serving/scheduler.h"
@@ -34,10 +31,9 @@ struct SeededRun
     serving::ServingResult result;
 };
 
-/** Derive a varied but fully seed-determined scenario. Paged and
- *  Reserve runs share the trace and every other knob. */
+/** Derive a varied but fully seed-determined scenario. */
 SeededRun
-runSeed(uint64_t seed, serving::KvAdmission admission)
+runSeed(uint64_t seed)
 {
     serving::TraceOptions trace_options;
     trace_options.seed = seed;
@@ -62,7 +58,6 @@ runSeed(uint64_t seed, serving::KvAdmission admission)
     run.trace = seed % 2 == 0 ? serving::poissonTrace(trace_options)
                               : serving::burstyTrace(trace_options);
 
-    run.options.admission = admission;
     run.options.max_batch = 1 + static_cast<int64_t>(seed % 7);
     run.options.kv_budget_tokens =
         192 + 64 * static_cast<int64_t>(seed % 13);
@@ -74,15 +69,6 @@ runSeed(uint64_t seed, serving::KvAdmission admission)
     serving::Scheduler scheduler(run.options, cost);
     run.result = scheduler.run(run.trace);
     return run;
-}
-
-/** Reserve-mode reservation: the final bucketed context (the last
- *  decode step attends input + output - 1 tokens). */
-int64_t
-reservedKv(const Request &r, const models::BucketPolicy &policy)
-{
-    return models::bucketLen(r.input_len + r.output_len - 1,
-                             policy);
 }
 
 int64_t
@@ -106,8 +92,6 @@ class SchedulerProperty : public ::testing::TestWithParam<uint64_t>
 void
 checkInvariants(const SeededRun &run)
 {
-    const bool paged =
-        run.options.admission == serving::KvAdmission::Paged;
     const auto &result = run.result;
     const auto &metrics = result.metrics;
     ASSERT_FALSE(result.hit_step_limit);
@@ -149,7 +133,7 @@ checkInvariants(const SeededRun &run)
     // --- Per-step bounds and bookkeeping.
     const int64_t page_tokens = run.options.page_tokens;
     const int64_t pool_pages =
-        paged ? run.options.kv_budget_tokens / page_tokens : 0;
+        run.options.kv_budget_tokens / page_tokens;
     std::map<int64_t, std::vector<size_t>> appearances;
     std::map<int64_t, size_t> first_prefill_step;
     std::set<int64_t> ever_preempted;
@@ -176,9 +160,6 @@ checkInvariants(const SeededRun &run)
         // Preemption bookkeeping: a victim ran the previous step,
         // does not run this one, and only preempted sequences may
         // ever re-run a prefill.
-        if (!paged) {
-            EXPECT_TRUE(s.preempted_ids.empty());
-        }
         for (int64_t id : s.preempted_ids) {
             ever_preempted.insert(id);
             ++recomputed_preemptions;
@@ -207,53 +188,40 @@ checkInvariants(const SeededRun &run)
         // KV occupancy, recomputed from the recorded membership
         // and each member's progress (appearances so far =
         // generated tokens).
-        if (paged) {
-            // Physical pages: each member holds pagesFor(ctx)
-            // pages of which floor(prefix_len / page) are shared
-            // prefix pages, counted once per prefix group.
-            int64_t priv = 0;
-            std::map<int64_t, int64_t> group_shared;
-            for (int64_t id : stepMembers(s)) {
-                const Request &r = by_id.at(id);
-                int64_t g = static_cast<int64_t>(
-                    appearances[id].size());
-                int64_t ctx = r.input_len + g;
-                int64_t held = pagesFor(ctx, page_tokens);
-                int64_t shared =
-                    r.prefix_id
-                        ? r.prefix_len / page_tokens
-                        : 0;
-                priv += held - shared;
-                if (r.prefix_id) {
-                    auto &best = group_shared[r.prefix_id];
-                    best = std::max(best, shared);
-                }
+        // Physical pages: each member holds pagesFor(ctx) pages of
+        // which floor(prefix_len / page) are shared prefix pages,
+        // counted once per prefix group.
+        int64_t priv = 0;
+        std::map<int64_t, int64_t> group_shared;
+        for (int64_t id : stepMembers(s)) {
+            const Request &r = by_id.at(id);
+            int64_t g = static_cast<int64_t>(
+                appearances[id].size());
+            int64_t ctx = r.input_len + g;
+            int64_t held = pagesFor(ctx, page_tokens);
+            int64_t shared =
+                r.prefix_id ? r.prefix_len / page_tokens : 0;
+            priv += held - shared;
+            if (r.prefix_id) {
+                auto &best = group_shared[r.prefix_id];
+                best = std::max(best, shared);
             }
-            int64_t shared_total = 0;
-            for (const auto &[gid, pages] : group_shared) {
-                (void)gid;
-                shared_total += pages;
-            }
-            EXPECT_EQ(s.pages_active, priv + shared_total)
-                << "active pages drifted at step " << i;
-            EXPECT_EQ(s.kv_reserved,
-                      s.pages_active * page_tokens);
-            EXPECT_EQ(s.pages_active + s.pages_cached +
-                          s.pages_free,
-                      pool_pages)
-                << "page conservation violated at step " << i;
-            EXPECT_LE(s.pages_active, pool_pages);
-            recomputed_page_sum += s.pages_active;
-            max_pages_active =
-                std::max(max_pages_active, s.pages_active);
-        } else {
-            int64_t kv = 0;
-            for (int64_t id : stepMembers(s))
-                kv += reservedKv(by_id.at(id),
-                                 run.options.buckets);
-            EXPECT_EQ(kv, s.kv_reserved);
-            EXPECT_LE(kv, run.options.kv_budget_tokens);
         }
+        int64_t shared_total = 0;
+        for (const auto &[gid, pages] : group_shared) {
+            (void)gid;
+            shared_total += pages;
+        }
+        EXPECT_EQ(s.pages_active, priv + shared_total)
+            << "active pages drifted at step " << i;
+        EXPECT_EQ(s.kv_reserved, s.pages_active * page_tokens);
+        EXPECT_EQ(s.pages_active + s.pages_cached + s.pages_free,
+                  pool_pages)
+            << "page conservation violated at step " << i;
+        EXPECT_LE(s.pages_active, pool_pages);
+        recomputed_page_sum += s.pages_active;
+        max_pages_active =
+            std::max(max_pages_active, s.pages_active);
 
         for (int64_t id : stepMembers(s))
             appearances[id].push_back(i);
@@ -284,19 +252,13 @@ checkInvariants(const SeededRun &run)
 
     // --- Every completed request runs exactly output_len steps
     // (each resident step advances one token, recompute prefills
-    // included — preemption costs time, never tokens). Under
-    // Reserve those steps are consecutive: no preemption.
+    // included — preemption costs time, never tokens).
     for (int64_t id : completed_ids) {
         const Request &r = by_id.at(id);
         const auto &steps = appearances.at(id);
         ASSERT_EQ(steps.size(),
                   static_cast<size_t>(r.output_len))
             << "token count drifted for request " << id;
-        if (!paged) {
-            for (size_t i = 1; i < steps.size(); ++i)
-                EXPECT_EQ(steps[i], steps[i - 1] + 1)
-                    << "request " << id << " paused mid-flight";
-        }
     }
     // Rejected requests never ran.
     for (int64_t id : rejected_ids)
@@ -329,27 +291,20 @@ checkInvariants(const SeededRun &run)
     // Drained run: every preemption belongs to a completed
     // request.
     EXPECT_EQ(metrics.preemptions, preemption_sum);
-    if (paged) {
-        EXPECT_EQ(metrics.pool_pages, pool_pages);
-        EXPECT_EQ(metrics.page_step_sum, recomputed_page_sum);
-        EXPECT_GE(metrics.peak_pages_active, max_pages_active);
-        EXPECT_LE(metrics.peak_pages_active, pool_pages);
-        EXPECT_GE(metrics.pageUtilization(), 0.0);
-        EXPECT_LE(metrics.pageUtilization(), 1.0);
-        EXPECT_GE(metrics.prefixHitRate(), 0.0);
-        EXPECT_LE(metrics.prefixHitRate(), 1.0);
-        bool has_prefixes = false;
-        for (const auto &r : run.trace)
-            has_prefixes |= r.prefix_id != 0;
-        if (!has_prefixes) {
-            EXPECT_EQ(metrics.prefix_hit_pages, 0);
-            EXPECT_EQ(metrics.prefix_miss_pages, 0);
-        }
-    } else {
-        EXPECT_EQ(metrics.preemptions, 0);
-        EXPECT_EQ(metrics.pool_pages, 0);
+    EXPECT_EQ(metrics.pool_pages, pool_pages);
+    EXPECT_EQ(metrics.page_step_sum, recomputed_page_sum);
+    EXPECT_GE(metrics.peak_pages_active, max_pages_active);
+    EXPECT_LE(metrics.peak_pages_active, pool_pages);
+    EXPECT_GE(metrics.pageUtilization(), 0.0);
+    EXPECT_LE(metrics.pageUtilization(), 1.0);
+    EXPECT_GE(metrics.prefixHitRate(), 0.0);
+    EXPECT_LE(metrics.prefixHitRate(), 1.0);
+    bool has_prefixes = false;
+    for (const auto &r : run.trace)
+        has_prefixes |= r.prefix_id != 0;
+    if (!has_prefixes) {
         EXPECT_EQ(metrics.prefix_hit_pages, 0);
-        EXPECT_EQ(metrics.page_step_sum, 0);
+        EXPECT_EQ(metrics.prefix_miss_pages, 0);
     }
     if (!result.steps.empty()) {
         const auto &last = result.steps.back();
@@ -374,13 +329,11 @@ checkInvariants(const SeededRun &run)
 
 TEST_P(SchedulerProperty, InvariantsHoldPaged)
 {
-    SeededRun run =
-        runSeed(GetParam(), serving::KvAdmission::Paged);
+    SeededRun run = runSeed(GetParam());
     checkInvariants(run);
 
     // The paged schedule replays bit-identically.
-    SeededRun again =
-        runSeed(GetParam(), serving::KvAdmission::Paged);
+    SeededRun again = runSeed(GetParam());
     ASSERT_EQ(again.result.steps.size(),
               run.result.steps.size());
     for (size_t i = 0; i < run.result.steps.size(); ++i) {
@@ -395,13 +348,6 @@ TEST_P(SchedulerProperty, InvariantsHoldPaged)
         EXPECT_DOUBLE_EQ(again.result.steps[i].start_ms,
                          run.result.steps[i].start_ms);
     }
-}
-
-TEST_P(SchedulerProperty, InvariantsHoldReserve)
-{
-    SeededRun run =
-        runSeed(GetParam(), serving::KvAdmission::Reserve);
-    checkInvariants(run);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerProperty,
@@ -742,8 +688,7 @@ TEST(SchedulerPropertyCoverage, SeedsExercisePreemptionAndSharing)
     int64_t preemptions = 0;
     int64_t prefix_hits = 0;
     for (uint64_t seed = 0; seed < 100; ++seed) {
-        SeededRun run =
-            runSeed(seed, serving::KvAdmission::Paged);
+        SeededRun run = runSeed(seed);
         preemptions += run.result.metrics.preemptions;
         prefix_hits += run.result.metrics.prefix_hit_pages;
     }

@@ -652,6 +652,27 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
     EXPECT_THROW(serving::Scheduler(drain_never, cost), FatalError);
 }
 
+TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
+{
+    // The page checks run before the pool is sized from
+    // kv_budget_tokens / page_tokens, so a zero page size throws
+    // instead of dividing by zero — also when a ReplicaEngine is
+    // built directly, without a Scheduler or fleet validating
+    // first.
+    serving::AnalyticCostModel cost;
+    serving::SchedulerOptions zero_page = recordingOptions(2, 4096);
+    zero_page.page_tokens = 0;
+    serving::SchedulerOptions sub_page = recordingOptions(2, 8);
+    for (const auto &bad : {zero_page, sub_page}) {
+        EXPECT_THROW(serving::Scheduler(bad, cost), FatalError);
+        EXPECT_THROW(serving::ReplicaEngine(bad, cost), FatalError);
+        serving::FleetOptions fleet;
+        fleet.replica = bad;
+        EXPECT_THROW(serving::FleetScheduler(fleet, cost),
+                     FatalError);
+    }
+}
+
 TEST(Scheduler, EmptyTraceYieldsEmptyMetrics)
 {
     serving::AnalyticCostModel cost;
@@ -797,34 +818,21 @@ TEST(SchedulerReplay, PagedPrefixSharingScript)
 
 TEST(SchedulerReplay, PagedAdmitsWhatReserveBlocks)
 {
-    // Reserve admission holds bucketLen(input + output - 1) from
-    // admission, so a 4-page pool serializes two (30, 40)
-    // requests (each reserves 80 > 64/2). Paged admission runs
-    // them concurrently until actual pressure builds.
-    auto run = [](serving::KvAdmission admission) {
-        serving::AnalyticCostModel cost;
-        serving::SchedulerOptions options =
-            recordingOptions(2, 128);
-        options.admission = admission;
-        serving::Scheduler scheduler(options, cost);
-        return scheduler.run({
-            makeRequest(0, 0.0, 30, 40),
-            makeRequest(1, 0.0, 30, 40),
-        });
-    };
-    auto paged = run(serving::KvAdmission::Paged);
-    auto reserve = run(serving::KvAdmission::Reserve);
+    // Reserving bucketLen(input + output - 1) at admission would
+    // serialize two (30, 40) requests on a 128-token budget (each
+    // would hold 80 > 128/2). The paged pool admits on current
+    // need and runs them concurrently until actual pressure
+    // builds.
+    serving::AnalyticCostModel cost;
+    serving::Scheduler scheduler(recordingOptions(2, 128), cost);
+    auto paged = scheduler.run({
+        makeRequest(0, 0.0, 30, 40),
+        makeRequest(1, 0.0, 30, 40),
+    });
     EXPECT_EQ(paged.metrics.completed, 2);
-    EXPECT_EQ(reserve.metrics.completed, 2);
-    // Reserve: strictly serial (80 + 80 > 128).
-    EXPECT_EQ(reserve.steps[0].prefill_ids,
-              (std::vector<int64_t>{0}));
-    EXPECT_EQ(reserve.steps[0].queue_depth, 1);
-    // Paged: both prefill together.
+    // Both prefill together.
     EXPECT_EQ(paged.steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
-    EXPECT_LT(paged.metrics.makespan_ms,
-              reserve.metrics.makespan_ms);
 }
 
 TEST(SchedulerReplay, RejectionOrderInterleavesReasonsAtOneInstant)
