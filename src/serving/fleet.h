@@ -3,8 +3,9 @@
  * Fault-tolerant replicated serving: N ReplicaEngine instances
  * (each with its own paged KV pool and resident batch) behind a
  * pluggable LoadBalancer, driven on one simulated clock by a
- * FaultInjector. The fleet-level counterpart of the single-replica
- * Scheduler.
+ * FaultInjector. This is the one serving event loop: the
+ * single-replica Scheduler (scheduler.h) runs as a one-replica
+ * fleet with an empty fault plan.
  *
  * **Event loop.** The fleet advances simulated time to the next
  * event and processes everything due in a fixed category order —
@@ -88,6 +89,8 @@
 namespace streamtensor {
 namespace serving {
 
+class ArrivalCursor;
+
 /** Next-event selection strategy (see the event-cores note in the
  *  file header). Results are bit-identical between the two;
  *  LegacyScan survives as the differential oracle the heap core
@@ -105,8 +108,7 @@ struct FleetOptions
 
     /** Per-replica scheduler configuration, shared by every
      *  replica (homogeneous fleet). replica.max_steps bounds the
-     *  *total* steps across the fleet. replica.drain_at_ms is
-     *  ignored — draining is a FaultPlan event here. */
+     *  *total* steps across the fleet. */
     SchedulerOptions replica;
 
     LbPolicy balancer = LbPolicy::LeastKvLoad;

@@ -79,8 +79,6 @@ validateSchedulerOptions(const SchedulerOptions &options)
     ST_CHECK(options.max_steps >= 1, "step limit domain");
     ST_CHECK(options.metrics.auto_record_limit >= 0,
              "record limit domain");
-    ST_CHECK(std::isfinite(options.drain_at_ms),
-             "drain instant must be finite (negative = never)");
     ST_CHECK(options.page_tokens >= 1, "page size domain");
     ST_CHECK(options.kv_budget_tokens >= options.page_tokens,
              "KV budget smaller than one page");
@@ -184,15 +182,6 @@ ReplicaEngine::expireDeadlines(double now)
         // with it.
         resume_state_.erase(r.id);
         reject(r, RejectReason::DeadlineExpired, now);
-    }
-}
-
-void
-ReplicaEngine::shedQueueAsDrained(double now)
-{
-    for (const Request &r : queue_.drainAll()) {
-        resume_state_.erase(r.id);
-        reject(r, RejectReason::Drained, now);
     }
 }
 

@@ -1,18 +1,11 @@
 /**
  * @file
- * ReplicaEngine: the per-replica core of the serving scheduler,
- * factored out of Scheduler::run so one executor-backed engine can
- * serve two masters —
- *
- *  - the single-replica Scheduler, which drives it run-to-
- *    completion over a trace (behaviour bit-identical to the
- *    pre-refactor monolithic loop; the replay and golden suites
- *    pin this), and
- *  - the fleet tier (fleet.h), which interleaves N engines on one
- *    simulated clock and needs incremental control: launch a step,
- *    complete it later, crash a replica mid-step, evacuate its
- *    work, slow it down, swap its cost model while a link is
- *    degraded.
+ * ReplicaEngine: the per-replica core of the serving scheduler.
+ * The fleet tier (fleet.h) interleaves N engines on one simulated
+ * clock — the single-replica Scheduler is the N = 1 case — and
+ * needs incremental control: launch a step, complete it later,
+ * crash a replica mid-step, evacuate its work, slow it down, swap
+ * its cost model while a link is degraded.
  *
  * The engine is a state machine over one replica's queue, paged KV
  * pool, and resident batch:
@@ -75,7 +68,7 @@ struct EvacuatedSeq
 
 /** Sort @p trace into (arrival, id) service order and validate it
  *  (positive lengths, non-negative arrivals/deadlines, well-formed
- *  prefixes, unique ids). Shared by Scheduler and FleetScheduler. */
+ *  prefixes, unique ids). Called by FleetScheduler::run. */
 void sortAndValidateTrace(std::vector<Request> &trace);
 
 /** Domain-check @p options (batch room, KV budget, page geometry,
@@ -183,10 +176,6 @@ class ReplicaEngine
      *  nothing from the queue and offer() rejects arrivals as
      *  Drained; residents run to completion. */
     void setDraining(bool draining) { draining_ = draining; }
-
-    /** Record every queued request as a Drained rejection (the
-     *  single-replica drain path; the fleet evacuates instead). */
-    void shedQueueAsDrained(double now);
 
     /** Step-cost multiplier for a degraded (slowed) replica; must
      *  be positive. 1.0 = nominal. */

@@ -2,12 +2,40 @@
 
 #include <utility>
 
+#include "serving/fleet.h"
 #include "serving/replica.h"
-#include "serving/trace.h"
-#include "support/error.h"
 
 namespace streamtensor {
 namespace serving {
+
+namespace {
+
+/** The one-replica fleet a Scheduler runs as: no faults, so the
+ *  retry, balancer and reload machinery never engages. */
+FleetOptions
+oneReplicaFleet(const SchedulerOptions &options)
+{
+    FleetOptions fleet;
+    fleet.num_replicas = 1;
+    fleet.replica = options;
+    return fleet;
+}
+
+/** The replica's result with the fleet-level data folded in: the
+ *  fleet rejects TooLong and already-expired arrivals before they
+ *  reach the engine, and owns the step limit. */
+ServingResult
+replicaView(FleetResult fleet)
+{
+    ServingResult result = std::move(fleet.replicas[0]);
+    result.rejected = std::move(fleet.rejected);
+    result.metrics.rejected_too_long = fleet.metrics.rejected_too_long;
+    result.metrics.expired_deadline = fleet.metrics.expired_deadline;
+    result.hit_step_limit = fleet.hit_step_limit;
+    return result;
+}
+
+} // namespace
 
 Scheduler::Scheduler(SchedulerOptions options, StepCostModel &cost)
     : options_(std::move(options)), cost_(cost)
@@ -18,73 +46,15 @@ Scheduler::Scheduler(SchedulerOptions options, StepCostModel &cost)
 ServingResult
 Scheduler::run(std::vector<Request> trace)
 {
-    sortAndValidateTrace(trace);
-    ArrivalCursor arrivals(trace);
-    return runCursor(arrivals);
+    FleetScheduler fleet(oneReplicaFleet(options_), cost_);
+    return replicaView(fleet.run(std::move(trace)));
 }
 
 ServingResult
 Scheduler::run(TraceGenerator &trace)
 {
-    // The generator's stream is already in (arrival, id) order
-    // and domain-valid by construction — see trace.h.
-    ArrivalCursor arrivals(trace);
-    return runCursor(arrivals);
-}
-
-ServingResult
-Scheduler::runCursor(ArrivalCursor &arrivals)
-{
-    // The event loop proper lives in ReplicaEngine; this driver
-    // owns only the clock, the arrival cursor, and the drain
-    // trigger. Loop order (drain check, ingest, deadline sweep,
-    // idle-jump, step) is pinned by the replay and golden suites.
-    ReplicaEngine engine(options_, cost_);
-    double now = 0.0;
-
-    while (true) {
-        // Drain activates at the first iteration at or after
-        // drain_at_ms, *before* ingest: arrivals at the drain
-        // instant are already rejected Drained.
-        if (options_.drain_at_ms >= 0.0 && !engine.draining() &&
-            now >= options_.drain_at_ms) {
-            engine.setDraining(true);
-            engine.shedQueueAsDrained(now);
-        }
-
-        // Ingest everything that has arrived by now.
-        while (!arrivals.exhausted() &&
-               arrivals.nextArrivalMs() <= now)
-            engine.offer(arrivals.take(), now);
-
-        // Shed queued requests whose deadline has passed before
-        // any admission decision sees them.
-        engine.expireDeadlines(now);
-
-        if (!engine.hasWork()) {
-            if (arrivals.exhausted())
-                break; // drained
-            now = arrivals.nextArrivalMs();
-            continue; // idle-jump to the next arrival
-        }
-
-        bool launched = engine.launchStep(now);
-        ST_ASSERT(launched,
-                  "engine refused a step with work pending");
-        now = engine.stepEndMs();
-        engine.completeStep();
-
-        if (engine.result().metrics.steps >= options_.max_steps &&
-            !(engine.activeCount() == 0 &&
-              engine.queueDepth() == 0 &&
-              arrivals.exhausted())) {
-            engine.result().hit_step_limit = true;
-            break;
-        }
-    }
-
-    engine.finalize(now);
-    return std::move(engine.result());
+    FleetScheduler fleet(oneReplicaFleet(options_), cost_);
+    return replicaView(fleet.run(trace));
 }
 
 } // namespace serving

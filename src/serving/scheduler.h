@@ -3,7 +3,13 @@
  * Continuous-batching serving scheduler: a discrete-event
  * simulator that drives an accelerator cost model with batched
  * engine steps, the serving-side counterpart of the paper's
- * single-request re-triggered block (§6.1).
+ * single-request re-triggered block (§6.1). A Scheduler is the
+ * one-replica view of the fleet (fleet.h): run() serves the trace
+ * on a FleetScheduler with num_replicas = 1 and no faults, and
+ * returns that replica's result with the fleet-level rejections,
+ * counters and step-limit flag folded in. There is one serving
+ * event loop; this header owns the options and result types it
+ * shares with the fleet.
  *
  * Model, in vLLM/Orca terms with dataflow-accelerator constraints:
  *  - Iteration-level (continuous) batching: every step runs all
@@ -45,6 +51,29 @@
  * early at exact bucket boundaries, splitting their step group and
  * costing a spurious compile (regression-tested at a boundary).
  *
+ * **Timing rule.** The loop wakes at every step completion and
+ * every arrival instant, not only at step boundaries, and runs the
+ * fleet's phase order there (completions, arrivals, deadline
+ * sweep, launch). Three consequences are pinned by the replay
+ * suite (SchedulerReplay.MidStepDeadlineFreesQueueSlot):
+ *
+ *  1. *Rejection time.* An arrival rejected mid-step (TooLong,
+ *     QueueFull, an already-passed deadline) is stamped at its
+ *     own arrival instant, not at the next step boundary.
+ *  2. *Deadlines with a bounded queue.* Queued deadlines are swept
+ *     at every arrival instant too, so a request that expires
+ *     mid-step frees its queue slot for a later arrival in the
+ *     same step, which is then queued instead of rejected
+ *     QueueFull. A deadline alone never wakes the loop: the sweep
+ *     runs at the next instant at or after it.
+ *  3. *Step limit.* The round that reaches max_steps still ingests
+ *     the arrivals due at its instant (and admits them into the
+ *     step it launches) before the run stops.
+ *
+ * Draining is not a Scheduler option: it is a FaultPlan event of
+ * the fleet (FaultKind::DrainStart), which re-routes the drained
+ * replica's queue.
+ *
  * All time is simulated milliseconds; the scheduler contains no
  * wall-clock, randomness, or pointer-order dependence, so a trace
  * replays to bit-identical step compositions and metrics.
@@ -67,7 +96,6 @@
 namespace streamtensor {
 namespace serving {
 
-class ArrivalCursor;
 class TraceGenerator;
 
 /** Cost oracle for one engine step. Implementations must be
@@ -141,41 +169,6 @@ struct SchedulerOptions
      *  loop; a run hitting it reports hit_step_limit. */
     int64_t max_steps = 1 << 22;
 
-    /** Simulated time at which the scheduler enters drain mode;
-     *  negative = never. From the first event-loop iteration at or
-     *  after this instant, every queued request is shed as
-     *  RejectReason::Drained, later arrivals are rejected Drained
-     *  on ingest, and resident sequences run to completion.
-     *
-     *  **Interaction of drain, deadlines, and hit_step_limit.**
-     *  The three stopping mechanisms are ordered and independent:
-     *
-     *   - *Deadlines* (Request::deadline_ms) shed individual
-     *     *queued* requests whose deadline has passed — swept at
-     *     every loop iteration *before* admission, and checked at
-     *     ingest. Resident sequences are never expired; one that
-     *     finishes late counts a deadline_miss instead. Deadline
-     *     expiry keeps firing while draining (a request can be
-     *     Drained or DeadlineExpired, whichever trips first; each
-     *     is counted exactly once).
-     *
-     *   - *Drain* is a scheduler-wide admission freeze: residents
-     *     finish, nothing new is admitted, the queue empties
-     *     immediately. A drained run therefore terminates after at
-     *     most the residents' remaining steps — drain can never
-     *     wedge the loop.
-     *
-     *   - *hit_step_limit* (max_steps) is the safety valve above
-     *     both: it bounds executed steps regardless of drain or
-     *     deadlines. A run that drains cleanly ends with
-     *     hit_step_limit == false even when draining shed every
-     *     queued request; hit_step_limit == true means the cost
-     *     model or workload kept residents alive past the budget —
-     *     in_flight may then be nonzero even while draining.
-     *
-     *  Pinned by Scheduler.DrainDeadlineStepLimitInteraction. */
-    double drain_at_ms = -1.0;
-
     /** Cold-start weight streaming (empty plan = warm start). */
     ColdStartOptions cold_start;
 };
@@ -218,18 +211,17 @@ struct StepRecord
     int64_t queue_depth = 0;
 };
 
-/** A rejected request and why. Rejections land in (arrival, id)
- *  order regardless of how arrivals were batched into ingest
- *  rounds. */
+/** A rejected request and why. Scheduler::run and
+ *  FleetResult::rejected list rejections in (at_ms, id) order. */
 struct RejectedRequest
 {
     int64_t id = 0;
     double arrival_ms = 0.0;
     RejectReason reason = RejectReason::QueueFull;
 
-    /** Simulated time the rejection was decided: ingest time for
-     *  TooLong/QueueFull/Drained arrivals, the expiry sweep for
-     *  DeadlineExpired, drain entry for a shed queue. */
+    /** Simulated time the rejection was decided: the arrival
+     *  instant for TooLong/QueueFull/Drained arrivals, the expiry
+     *  sweep for DeadlineExpired. */
     double at_ms = 0.0;
 };
 
@@ -262,8 +254,6 @@ class Scheduler
     ServingResult run(TraceGenerator &trace);
 
   private:
-    ServingResult runCursor(ArrivalCursor &arrivals);
-
     SchedulerOptions options_;
     StepCostModel &cost_;
 };

@@ -149,7 +149,7 @@ class TraceGenerator
     Request staged_request_;
 };
 
-/** Uniform arrival source for the scheduler event loops: either a
+/** Uniform arrival source for the serving event loop: either a
  *  (sorted, validated) materialized trace or a TraceGenerator,
  *  consumed strictly in (arrival, id) order. The referenced trace
  *  or generator must outlive the cursor. */

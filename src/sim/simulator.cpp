@@ -2,7 +2,8 @@
  * @file
  * Leap-ahead batched discrete-event simulator.
  *
- * The classic loop (kept as sim/reference_simulator.cpp) pops one
+ * The classic loop (kept as the test-only oracle
+ * tests/oracles/sim/reference_simulator.cpp) pops one
  * heap event per firing per component: prefill-scale graphs pay
  * O(total tokens * log n). This implementation advances by *batch
  * commitment* instead. When a component is processed at time t it

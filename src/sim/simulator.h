@@ -27,8 +27,9 @@
  * itself at t + k*II. Steady-state streaming (the paper's dominant
  * regime) therefore costs events proportional to the number of
  * *blocking episodes*, not the number of firings. The retired
- * per-firing implementation is kept verbatim as
- * sim/reference_simulator.h and pitted against this one in a
+ * per-firing implementation is kept verbatim as the test-only
+ * oracle tests/oracles/sim/reference_simulator.h and pitted against
+ * this one in a
  * randomized differential suite; both derive firing times from the
  * same window-anchored expression, so cycles, finish times, firings
  * and channel push/pop counts agree bit-for-bit.

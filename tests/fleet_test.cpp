@@ -562,8 +562,6 @@ TEST(Fleet, RejectsNonFiniteOptions)
         expectRejected(
             [&](auto &o) { o.recovery_reload_ms = bad; });
         expectRejected([&](auto &o) { o.swap_reload_ms = bad; });
-        expectRejected(
-            [&](auto &o) { o.replica.drain_at_ms = bad; });
     }
     // A negative swap window selects the recovery window, but
     // -inf is no more valid a sentinel than +inf.

@@ -497,6 +497,63 @@ TEST(SchedulerReplay, QueueFullRejectsArrivals)
     EXPECT_EQ(result.metrics.rejected_too_long, 0);
 }
 
+TEST(SchedulerReplay, MidStepDeadlineFreesQueueSlot)
+{
+    // The loop wakes at every arrival instant, not only at step
+    // boundaries (the timing rule in scheduler.h). Unit step
+    // cost, max_batch = 1 and a one-slot queue: R0 runs steps
+    // [0,1) .. [3,4); R1 arrives at 0.5 and holds the queue slot
+    // with a deadline of 1.2. R2 arrives mid-step at 1.5 and is too
+    // long to ever serve; its arrival instant also sweeps R1's
+    // expired deadline, so R3, arriving at 1.7 before the step
+    // ends at 2, finds the slot free and is queued — not
+    // rejected QueueFull at the step boundary.
+    serving::AnalyticCostOptions unit;
+    unit.trigger_ms = 0.0;
+    unit.per_seq_ms = 1.0;
+    unit.per_query_token_ms = 0.0;
+    unit.per_kv_token_ms = 0.0;
+    serving::AnalyticCostModel cost(unit);
+
+    serving::SchedulerOptions options = recordingOptions(1, 4096);
+    options.max_queue_depth = 1;
+
+    Request r0 = makeRequest(0, 0.0, 8, 4);
+    Request r1 = makeRequest(1, 0.5, 8, 2);
+    r1.deadline_ms = 1.2;
+    Request r2 = makeRequest(2, 1.5, 900, 200); // beyond the ladder
+    Request r3 = makeRequest(3, 1.7, 8, 1);
+
+    serving::Scheduler scheduler(options, cost);
+    auto result = scheduler.run({r0, r1, r2, r3});
+
+    const auto &m = result.metrics;
+    EXPECT_EQ(m.rejected_queue_full, 0);
+    EXPECT_EQ(m.rejected_too_long, 1);
+    EXPECT_EQ(m.expired_deadline, 1);
+    EXPECT_EQ(m.completed, 2);
+    EXPECT_EQ(m.steps, 5);
+    EXPECT_DOUBLE_EQ(m.makespan_ms, 5.0);
+
+    // Both rejections are stamped at R2's arrival instant, in
+    // (at_ms, id) order.
+    ASSERT_EQ(result.rejected.size(), 2u);
+    EXPECT_EQ(result.rejected[0].id, 1);
+    EXPECT_EQ(result.rejected[0].reason,
+              serving::RejectReason::DeadlineExpired);
+    EXPECT_DOUBLE_EQ(result.rejected[0].at_ms, 1.5);
+    EXPECT_EQ(result.rejected[1].id, 2);
+    EXPECT_EQ(result.rejected[1].reason,
+              serving::RejectReason::TooLong);
+    EXPECT_DOUBLE_EQ(result.rejected[1].at_ms, 1.5);
+
+    // R3 waited in the freed slot and ran once R0 retired.
+    ASSERT_EQ(result.steps.size(), 5u);
+    EXPECT_EQ(result.steps[4].prefill_ids,
+              (std::vector<int64_t>{3}));
+    EXPECT_DOUBLE_EQ(result.steps[4].start_ms, 4.0);
+}
+
 TEST(SchedulerReplay, OversizedRequestsRejectedUpFront)
 {
     serving::AnalyticCostModel cost;
@@ -645,11 +702,6 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
     Request endless = makeRequest(0, 0.0, 8, 1);
     endless.deadline_ms = inf;
     EXPECT_THROW(scheduler.run({endless}), FatalError);
-    serving::SchedulerOptions drain_never = recordingOptions(2, 4096);
-    drain_never.drain_at_ms = inf;
-    EXPECT_THROW(serving::Scheduler(drain_never, cost), FatalError);
-    drain_never.drain_at_ms = -inf;
-    EXPECT_THROW(serving::Scheduler(drain_never, cost), FatalError);
 }
 
 TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
@@ -988,12 +1040,11 @@ TEST(SchedulerReplay, PreemptionLandsWhileQueueAtCapacity)
     EXPECT_EQ(m.total_output_tokens, 10);
 }
 
-TEST(Scheduler, DrainDeadlineStepLimitInteraction)
+TEST(Scheduler, DeadlineStepLimitInteraction)
 {
-    // Pins the three stopping mechanisms' documented ordering
-    // (SchedulerOptions::drain_at_ms). Unit step cost: one
-    // millisecond per resident sequence, so with max_batch = 1
-    // the loop iterates at exactly t = 0, 1, 2, 3, 4.
+    // Pins the ordering of the two stopping mechanisms. Unit step
+    // cost: one millisecond per resident sequence, so with
+    // max_batch = 1 the loop iterates at exactly t = 0, 1, 2, 3, 4.
     serving::AnalyticCostOptions unit;
     unit.trigger_ms = 0.0;
     unit.per_seq_ms = 1.0;
@@ -1002,20 +1053,17 @@ TEST(Scheduler, DrainDeadlineStepLimitInteraction)
     serving::AnalyticCostModel cost(unit);
 
     serving::SchedulerOptions options = recordingOptions(1, 4096);
-    options.drain_at_ms = 2.5; // activates at the t = 3 iteration
 
     Request r0 = makeRequest(0, 0.0, 8, 4);
     r0.deadline_ms = 2.0; // resident: never expired, counts a miss
     Request r1 = makeRequest(1, 0.0, 8, 2);
-    r1.deadline_ms = 1.5; // queued: expires before drain fires
-    Request r2 = makeRequest(2, 0.0, 8, 2); // queued: drained
-    Request r3 = makeRequest(3, 2.7, 8, 2); // arrives into drain
+    r1.deadline_ms = 1.5; // queued: expires at the t = 2 sweep
 
     serving::Scheduler scheduler(options, cost);
-    auto result = scheduler.run({r0, r1, r2, r3});
+    auto result = scheduler.run({r0, r1});
 
-    // Drain terminated the run cleanly: no step-limit trip, no
-    // in-flight work, R0 ran its 4 steps to completion.
+    // No step-limit trip, no in-flight work, R0 ran its 4 steps
+    // to completion.
     EXPECT_FALSE(result.hit_step_limit);
     const auto &m = result.metrics;
     EXPECT_EQ(m.steps, 4);
@@ -1029,41 +1077,24 @@ TEST(Scheduler, DrainDeadlineStepLimitInteraction)
     ASSERT_EQ(m.requests.size(), 1u);
     EXPECT_TRUE(m.requests[0].missedDeadline());
 
-    // Each shed request is counted exactly once, under whichever
-    // mechanism tripped first: R1's deadline (swept at t = 2)
-    // precedes drain; R2 survives to drain entry at t = 3; R3 is
-    // refused at ingest. Rejections land in (arrival, id) order.
+    // R1's deadline is swept at the t = 2 iteration, the first at
+    // or after it.
     EXPECT_EQ(m.expired_deadline, 1);
-    EXPECT_EQ(m.rejected_drained, 2);
-    ASSERT_EQ(result.rejected.size(), 3u);
+    ASSERT_EQ(result.rejected.size(), 1u);
     EXPECT_EQ(result.rejected[0].id, 1);
     EXPECT_EQ(result.rejected[0].reason,
               serving::RejectReason::DeadlineExpired);
     EXPECT_DOUBLE_EQ(result.rejected[0].at_ms, 2.0);
-    EXPECT_EQ(result.rejected[1].id, 2);
-    EXPECT_EQ(result.rejected[1].reason,
-              serving::RejectReason::Drained);
-    EXPECT_DOUBLE_EQ(result.rejected[1].at_ms, 3.0);
-    EXPECT_EQ(result.rejected[2].id, 3);
-    EXPECT_EQ(result.rejected[2].reason,
-              serving::RejectReason::Drained);
-    EXPECT_DOUBLE_EQ(result.rejected[2].at_ms, 3.0);
 
-    // The step limit sits above both: capped at 2 steps the same
-    // run reports in-flight work even though it was draining.
+    // The step limit sits above deadlines: capped at 2 steps the
+    // same run reports in-flight work.
     options.max_steps = 2;
-    options.drain_at_ms = 0.5;
     serving::Scheduler capped(options, cost);
-    auto cut = capped.run({r0, r1, r2, r3});
+    auto cut = capped.run({r0, r1});
     EXPECT_TRUE(cut.hit_step_limit);
     EXPECT_EQ(cut.metrics.steps, 2);
     EXPECT_EQ(cut.metrics.completed, 0);
     EXPECT_EQ(cut.metrics.in_flight, 1);
-    // Drain beat both deadlines this time: the whole queue shed
-    // as Drained at the t = 1 iteration, before R1's t = 1.5
-    // deadline could expire.
-    EXPECT_EQ(cut.metrics.rejected_drained, 2);
-    EXPECT_EQ(cut.metrics.expired_deadline, 0);
 }
 
 // ---- Percentile-cache invalidation (metrics.h): the sorted
