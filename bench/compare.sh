@@ -5,7 +5,8 @@
 #
 # For every BENCH_*.json file present in both directories, prints
 # each benchmark's real_time in the base and the new run (normalised
-# to ns) and the relative delta. Benchmarks present on one side only
+# to ns) and the relative delta. Rows are single iterations or, as
+# run_all.sh writes them, the `_median` aggregate of repetitions. Benchmarks present on one side only
 # are listed but never gate. Exits 1 when any benchmark's real_time
 # grew by more than 5%, 0 otherwise (2 on bad usage). Needs only
 # bash and jq. The baseline set committed at the repo root was
@@ -27,7 +28,8 @@ compare() { # base-file new-file
         def ns: .real_time
             * ({"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}[.time_unit // "ns"]);
         def rows(doc): [doc[0].benchmarks[]
-                        | select((.run_type // "iteration") == "iteration")
+                        | select((.run_type // "iteration") == "iteration"
+                                 or .aggregate_name == "median")
                         | {key: .name, value: ns}] | from_entries;
         rows($base) as $b | rows($new) as $n
         | (($b | keys_unsorted) + ($n | keys_unsorted | map(select($b[.] == null))))[]

@@ -85,7 +85,7 @@ serveFleet(benchmark::State &state, serving::FleetOptions options)
     state.counters["availability"] = metrics.availability();
     state.counters["uptime_fraction"] = metrics.uptimeFraction();
     state.counters["served_req_per_s"] =
-        metrics.servedRequestsPerSecond();
+        metrics.requestsPerSecond();
     state.counters["p99_latency_ms"] =
         metrics.latencyPercentileMs(99.0);
     state.counters["failovers"] =

@@ -1,7 +1,7 @@
 /**
  * @file
- * Serving-layer micro-benchmarks (google-benchmark): the
- * continuous-batching scheduler driven by executor-backed step
+ * Serving-layer micro-benchmarks (google-benchmark): one
+ * continuous-batching replica driven by executor-backed step
  * costs over Poisson and bursty arrival traces. Counters report
  * the *simulated* serving quality — completed requests/s and p99
  * request latency — while the benchmark time measures how fast
@@ -13,7 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "serving/cost_model.h"
-#include "serving/scheduler.h"
+#include "serving/fleet.h"
 #include "serving/trace.h"
 
 using namespace streamtensor;
@@ -47,14 +47,15 @@ serveTrace(benchmark::State &state,
            const std::vector<serving::Request> &trace,
            int64_t kv_budget_tokens = 4096)
 {
-    serving::SchedulerOptions options;
-    options.max_batch = state.range(0);
-    options.kv_budget_tokens = kv_budget_tokens;
+    serving::FleetOptions options;
+    options.num_replicas = 1;
+    options.replica.max_batch = state.range(0);
+    options.replica.kv_budget_tokens = kv_budget_tokens;
 
-    serving::ServingMetrics metrics;
+    serving::FleetMetrics metrics;
     for (auto _ : state) {
         serving::ExecutorCostModel cost(gpt2Executor());
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(options, cost);
         auto result = scheduler.run(trace);
         metrics = std::move(result.metrics);
         // A local copy: DoNotOptimize's read-write asm operand

@@ -75,19 +75,20 @@ BM_WeightColdStartTtft(benchmark::State &state)
 
     auto serve = [&](bool cold) {
         serving::ExecutorCostModel cost(gpt2Executor());
-        serving::SchedulerOptions options;
-        options.max_batch = 8;
-        options.kv_budget_tokens = 2048;
+        serving::FleetOptions options;
+        options.num_replicas = 1;
+        options.replica.max_batch = 8;
+        options.replica.kv_budget_tokens = 2048;
         if (cold) {
-            options.cold_start.plan = plan;
-            options.cold_start.overlap = overlap;
+            options.replica.cold_start.plan = plan;
+            options.replica.cold_start.overlap = overlap;
         }
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(options, cost);
         return scheduler.run(trace);
     };
 
     auto warm = serve(false);
-    serving::ServingMetrics metrics;
+    serving::FleetMetrics metrics;
     for (auto _ : state) {
         auto result = serve(true);
         metrics = std::move(result.metrics);

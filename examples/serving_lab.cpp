@@ -43,7 +43,6 @@
 
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
-#include "serving/scheduler.h"
 #include "serving/trace.h"
 #include "serving/weights.h"
 
@@ -98,7 +97,7 @@ scaleSweep(int64_t num_requests)
                 wall_s,
                 static_cast<double>(num_requests) / wall_s);
     std::printf("  simulated rate   %.1f req/s over %.1f s\n",
-                m.servedRequestsPerSecond(), m.makespan_ms / 1e3);
+                m.requestsPerSecond(), m.makespan_ms / 1e3);
     std::printf("  latency p50/p99  %.1f / %.1f ms (sketch, "
                 "%lld retained items for %lld samples)\n",
                 m.latencyPercentileMs(50.0),
@@ -140,15 +139,16 @@ coldStartSweep(int64_t num_requests)
 
     auto serveCold = [&](const serving::WeightStreamPlan &plan,
                          bool overlap) {
-        serving::SchedulerOptions options;
-        options.max_batch = 8;
-        options.kv_budget_tokens = 2048;
+        serving::FleetOptions options;
+        options.num_replicas = 1;
+        options.replica.max_batch = 8;
+        options.replica.kv_budget_tokens = 2048;
         if (!plan.empty()) {
-            options.cold_start.plan = plan;
-            options.cold_start.overlap = overlap;
+            options.replica.cold_start.plan = plan;
+            options.replica.cold_start.overlap = overlap;
         }
         serving::ExecutorCostModel cost(executor);
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(options, cost);
         return scheduler.run(trace).metrics;
     };
     auto warm = serveCold({}, false);
@@ -260,11 +260,12 @@ main(int argc, char **argv)
         auto trace = bursty ? serving::burstyTrace(trace_options)
                             : serving::poissonTrace(trace_options);
 
-        serving::SchedulerOptions options;
-        options.max_batch = max_batch;
-        options.kv_budget_tokens = kv_budget;
+        serving::FleetOptions options;
+        options.num_replicas = 1;
+        options.replica.max_batch = max_batch;
+        options.replica.kv_budget_tokens = kv_budget;
         serving::ExecutorCostModel cost(executor);
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(options, cost);
         auto paged = scheduler.run(trace).metrics;
         if (cost.sawDeadlock())
             std::printf("  WARNING: a costed block deadlocked\n");
@@ -344,7 +345,7 @@ main(int argc, char **argv)
                        const serving::FleetMetrics &m) {
         std::printf("%-10s %10.2f %10.1f %11.1f%% %9.1f%% "
                     "%10lld %8lld\n",
-                    name, m.servedRequestsPerSecond(),
+                    name, m.requestsPerSecond(),
                     m.latencyPercentileMs(99.0),
                     100.0 * m.availability(),
                     100.0 * m.uptimeFraction(),

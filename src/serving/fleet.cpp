@@ -200,21 +200,7 @@ struct FleetRun
 
     void rejectFleet(const Request &r, RejectReason reason)
     {
-        FleetMetrics &fm = result.metrics;
-        switch (reason) {
-        case RejectReason::QueueFull:
-            ++fm.rejected_queue_full;
-            break;
-        case RejectReason::TooLong:
-            ++fm.rejected_too_long;
-            break;
-        case RejectReason::DeadlineExpired:
-            ++fm.expired_deadline;
-            break;
-        case RejectReason::Drained:
-            ++fm.rejected_drained;
-            break;
-        }
+        result.metrics.countRejection(reason);
         result.rejected.push_back(
             {r.id, r.arrival_ms, reason, now});
     }
@@ -468,37 +454,25 @@ struct FleetRun
                 fm.replica_up_ms[idx] += now - up_since[idx];
             ReplicaEngine &eng = engines[idx];
             eng.finalize(now);
-            const ServingMetrics &m = eng.result().metrics;
-            fm.requests.insert(fm.requests.end(),
-                               m.requests.begin(),
-                               m.requests.end());
-            fm.completed += m.completed;
-            fm.records_complete =
-                fm.records_complete && m.records_complete;
-            // Replica-id merge order keeps the fleet sketch
+            // Replica-id merge order keeps the merged sketches
             // bit-identical across runs (and event cores).
-            fm.latency_sketch.merge(m.latency_sketch);
-            fm.rejected_queue_full += m.rejected_queue_full;
-            fm.rejected_too_long += m.rejected_too_long;
-            fm.expired_deadline += m.expired_deadline;
-            fm.rejected_drained += m.rejected_drained;
-            fm.deadline_misses += m.deadline_misses;
-            fm.preemptions += m.preemptions;
-            fm.total_output_tokens += m.total_output_tokens;
-            fm.weight_stall_ms += m.weight_stall_ms;
-            fm.steps += m.steps;
+            fm.merge(eng.result().metrics);
             result.rejected.insert(result.rejected.end(),
                                    eng.result().rejected.begin(),
                                    eng.result().rejected.end());
             result.replicas.push_back(std::move(eng.result()));
         }
-        std::stable_sort(fm.requests.begin(), fm.requests.end(),
-                         [](const RequestMetrics &a,
-                            const RequestMetrics &b) {
-                             return a.finish_ms < b.finish_ms ||
-                                    (a.finish_ms == b.finish_ms &&
-                                     a.id < b.id);
-                         });
+        // One replica's records are already in finish order, and
+        // it reports same-step completions in admission order; only
+        // records interleaved from several replicas need the sort.
+        // A permutation leaves the percentile cache valid.
+        if (n > 1)
+            std::stable_sort(
+                fm.requests.begin(), fm.requests.end(),
+                [](const RequestMetrics &a, const RequestMetrics &b) {
+                    return a.finish_ms < b.finish_ms ||
+                           (a.finish_ms == b.finish_ms && a.id < b.id);
+                });
         std::stable_sort(result.rejected.begin(),
                          result.rejected.end(),
                          [](const RejectedRequest &a,
@@ -507,8 +481,6 @@ struct FleetRun
                                     (a.at_ms == b.at_ms &&
                                      a.id < b.id);
                          });
-        ++fm.record_revision;
-        fm.makespan_ms = now;
     }
 
     /** Stage a future wake-up for the heap core. A no-op under
@@ -735,22 +707,6 @@ FleetMetrics::uptimeFraction() const
         up += ms;
     return up / (makespan_ms *
                  static_cast<double>(replica_up_ms.size()));
-}
-
-double
-FleetMetrics::servedRequestsPerSecond() const
-{
-    return makespan_ms > 0.0
-               ? static_cast<double>(completed) / makespan_ms * 1e3
-               : 0.0;
-}
-
-double
-FleetMetrics::latencyPercentileMs(double p) const
-{
-    return latency_cache_.percentileMs(requests, record_revision,
-                                       records_complete,
-                                       latency_sketch, p);
 }
 
 FleetScheduler::FleetScheduler(FleetOptions options,

@@ -3,9 +3,10 @@
  * Fault-tolerant replicated serving: N ReplicaEngine instances
  * (each with its own paged KV pool and resident batch) behind a
  * pluggable LoadBalancer, driven on one simulated clock by a
- * FaultInjector. This is the one serving event loop: the
- * single-replica Scheduler (scheduler.h) runs as a one-replica
- * fleet with an empty fault plan.
+ * FaultInjector. This is the one serving event loop: a single
+ * replica is a fleet with num_replicas = 1 and an empty fault
+ * plan, which never engages the retry, balancer or reload
+ * machinery.
  *
  * **Event loop.** The fleet advances simulated time to the next
  * event and processes everything due in a fixed category order —
@@ -90,6 +91,7 @@ namespace streamtensor {
 namespace serving {
 
 class ArrivalCursor;
+class TraceGenerator;
 
 /** Next-event selection strategy (see the event-cores note in the
  *  file header). Results are bit-identical between the two;
@@ -158,33 +160,12 @@ struct LostRequest
     int64_t attempts = 0;
 };
 
-/** Fleet-wide aggregates. Per-request metrics from all replicas
- *  are merged in (finish, id) order, so "degraded p99" is a
- *  single-fleet percentile. */
-struct FleetMetrics
+/** Fleet-wide aggregates: the replicas' ServingMetrics merged in
+ *  replica-id order (ServingMetrics::merge), with the records in
+ *  (finish, id) order, so "degraded p99" is a single-fleet
+ *  percentile; plus the counters only the fleet keeps. */
+struct FleetMetrics : ServingMetrics
 {
-    /** Merged per-request records, by (finish, id) — complete only
-     *  while records_complete; see MetricsOptions (the fleet
-     *  inherits each replica's retention policy). */
-    std::vector<RequestMetrics> requests;
-
-    /** Every replica kept all its records (so `requests` is the
-     *  full fleet history). */
-    bool records_complete = true;
-
-    /** Fleet-wide latency distribution: the replicas' streaming
-     *  sketches merged in replica-id order (deterministic), always
-     *  maintained. Percentile queries route here when records are
-     *  incomplete. */
-    QuantileSketch latency_sketch;
-
-    int64_t completed = 0;
-    int64_t rejected_queue_full = 0;
-    int64_t rejected_too_long = 0;
-    int64_t expired_deadline = 0;
-    int64_t rejected_drained = 0;
-    int64_t deadline_misses = 0;
-
     /** Requests that exhausted max_retries or were stranded. */
     int64_t requests_lost = 0;
 
@@ -207,10 +188,6 @@ struct FleetMetrics
     int64_t reloads = 0;
     double reload_ms_total = 0.0;
 
-    /** Σ per-replica cold-start weight stall
-     *  (ServingMetrics::weight_stall_ms) across the fleet. */
-    double weight_stall_ms = 0.0;
-
     /** SlowStart windows applied (every SlowStart event on any
      *  replica, up or down). */
     int64_t slowdowns = 0;
@@ -218,12 +195,6 @@ struct FleetMetrics
     /** In-flight steps abandoned by crashes: simulated work that
      *  was paid for and produced nothing. */
     int64_t aborted_steps = 0;
-
-    int64_t preemptions = 0;
-    int64_t total_output_tokens = 0;
-    int64_t steps = 0; ///< committed across the fleet
-
-    double makespan_ms = 0.0;
 
     /** Simulated up-time per replica (id-indexed). */
     std::vector<double> replica_up_ms;
@@ -238,27 +209,6 @@ struct FleetMetrics
     /** Σ replica up-time over num_replicas × makespan (1.0 when
      *  makespan is zero). */
     double uptimeFraction() const;
-
-    double servedRequestsPerSecond() const;
-
-    /** Monotone mutation counter for `requests`: the fleet bumps
-     *  it whenever it appends or reorders records (the
-     *  finalize-time merge); code mutating `requests` from
-     *  outside should too. Half of the percentile-cache key —
-     *  see latencyPercentileMs(). */
-    int64_t record_revision = 0;
-
-    /** Fleet-wide latency percentile (nearest rank); NaN when no
-     *  request completed. Exact (sorted once, cached across
-     *  queries) while records_complete; a sketch estimate within
-     *  the documented rank error (quantile_sketch.h) otherwise.
-     *  The cache keys on (record_revision, requests.size()), so a
-     *  query before a later merge — the fleet merge path — always
-     *  re-answers from the updated window. */
-    double latencyPercentileMs(double p) const;
-
-  private:
-    SortedSampleCache latency_cache_{&RequestMetrics::latencyMs};
 };
 
 /** Outcome of one fleet run. */
@@ -267,7 +217,8 @@ struct FleetResult
     FleetMetrics metrics;
 
     /** Per-replica finalized results, id-indexed (step records,
-     *  per-replica metrics; makespan stamped fleet-wide). */
+     *  per-replica metrics and rejections; makespan stamped
+     *  fleet-wide). */
     std::vector<ServingResult> replicas;
 
     /** All rejections — fleet-level and per-replica — merged in

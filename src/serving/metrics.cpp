@@ -106,6 +106,71 @@ ServingMetrics::recordCompletion(const RequestMetrics &done,
     }
 }
 
+void
+ServingMetrics::countRejection(RejectReason reason)
+{
+    switch (reason) {
+    case RejectReason::QueueFull:
+        ++rejected_queue_full;
+        break;
+    case RejectReason::TooLong:
+        ++rejected_too_long;
+        break;
+    case RejectReason::DeadlineExpired:
+        ++expired_deadline;
+        break;
+    case RejectReason::Drained:
+        ++rejected_drained;
+        break;
+    }
+}
+
+void
+ServingMetrics::merge(const ServingMetrics &other)
+{
+    // One geometry per fleet keeps pageUtilization()'s denominator,
+    // steps × pool_pages, equal to Σ per-step pool pages.
+    ST_CHECK(pool_pages == 0 || other.pool_pages == 0 ||
+                 pool_pages == other.pool_pages,
+             "merged replicas differ in KV pool geometry");
+    ++record_revision_;
+    requests.insert(requests.end(), other.requests.begin(),
+                    other.requests.end());
+    records_complete = records_complete && other.records_complete;
+
+    completed += other.completed;
+    rejected_queue_full += other.rejected_queue_full;
+    rejected_too_long += other.rejected_too_long;
+    expired_deadline += other.expired_deadline;
+    rejected_drained += other.rejected_drained;
+    deadline_misses += other.deadline_misses;
+    total_output_tokens += other.total_output_tokens;
+    in_flight += other.in_flight;
+    replicas += other.replicas;
+    busy_ms += other.busy_ms;
+    steps += other.steps;
+    total_batched_seqs += other.total_batched_seqs;
+    preemptions += other.preemptions;
+    prefix_hit_pages += other.prefix_hit_pages;
+    prefix_miss_pages += other.prefix_miss_pages;
+    page_step_sum += other.page_step_sum;
+    ttft_sum_ms += other.ttft_sum_ms;
+    decode_sum_ms += other.decode_sum_ms;
+    decode_gaps += other.decode_gaps;
+    weight_stream_ms += other.weight_stream_ms;
+    weight_bytes_streamed += other.weight_bytes_streamed;
+    weight_stall_ms += other.weight_stall_ms;
+
+    makespan_ms = std::max(makespan_ms, other.makespan_ms);
+    max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
+    pool_pages = std::max(pool_pages, other.pool_pages);
+    peak_pages_active =
+        std::max(peak_pages_active, other.peak_pages_active);
+
+    latency_sketch.merge(other.latency_sketch);
+    ttft_sketch.merge(other.ttft_sketch);
+}
+
 double
 ServingMetrics::requestsPerSecond() const
 {
@@ -123,7 +188,10 @@ ServingMetrics::tokensPerSecond() const
 double
 ServingMetrics::utilization() const
 {
-    return makespan_ms > 0.0 ? busy_ms / makespan_ms : 0.0;
+    return makespan_ms > 0.0 && replicas > 0
+               ? busy_ms / (static_cast<double>(replicas) *
+                            makespan_ms)
+               : 0.0;
 }
 
 double

@@ -1,29 +1,28 @@
 /**
  * @file
  * Serving metrics: per-request records (arrival, first token,
- * finish) plus aggregates the scheduler accumulates step by step
- * — throughput, TTFT, time-between-tokens, latency percentiles,
+ * finish) plus aggregates a replica accumulates step by step —
+ * throughput, TTFT, time-between-tokens, latency percentiles,
  * queue depth, accelerator utilization, and the paged KV pool's
- * page occupancy, preemption, and prefix-reuse counters. Everything derives from simulated time, so repeated
- * runs aggregate identically.
+ * page occupancy, preemption, and prefix-reuse counters. There is
+ * one accumulator type: each replica fills its own, and the fleet
+ * merges them in replica-id order (ServingMetrics::merge) into
+ * FleetMetrics, which adds only the fleet-level counters.
+ * Everything derives from simulated time, so repeated runs
+ * aggregate identically.
  *
- * **Record retention.** Historically every completed request left
- * a RequestMetrics record in `requests`, and every percentile
- * query copied and sorted the whole vector — O(n) memory and
- * O(n log n) per query, which is what capped sweeps at ~100k
- * requests. Retention is now governed by MetricsOptions
- * (SchedulerOptions::metrics): records are kept by default up to
- * auto_record_limit completions (so every existing test and its
- * exact percentiles are untouched) and dropped beyond it, at
- * which point the accessors answer from streaming state instead —
- * a deterministic QuantileSketch per latency/TTFT plus running
- * sums — making a 10M-request run O(sketch) memory. The
- * `records_complete` flag says which regime a result is in; exact
- * queries on complete records now sort once into a cache instead
- * of once per query (see percentile()).
+ * **Record retention.** MetricsOptions (SchedulerOptions::metrics)
+ * decides whether the RequestMetrics records are kept next to the
+ * streaming state (counters, running sums, and one QuantileSketch
+ * per latency/TTFT), which is always maintained. By default
+ * records are kept up to auto_record_limit completions and dropped
+ * beyond it, so small runs answer exactly and a 10M-request run
+ * stays O(sketch) memory. `records_complete` says which regime a
+ * result is in; exact percentile queries sort the records once
+ * into a cache (see SortedSampleCache).
  *
  * **Partial-run accounting.** When a run stops at the step limit
- * (`ServingResult::hit_step_limit`), `requests` holds only the
+ * (`FleetResult::hit_step_limit`), `requests` holds only the
  * sequences that *completed*, while the step-derived aggregates —
  * `steps`, `busy_ms`, `total_batched_seqs`, and therefore
  * `meanBatchSize()` / `utilization()` / `pageUtilization()` —
@@ -98,8 +97,8 @@ struct RequestMetrics
      *  crash or drain evacuation (0 outside the fleet tier). */
     int64_t failovers = 0;
 
-    /** Replica the request *finished* on (0 in the single-replica
-     *  scheduler). */
+    /** Replica the request *finished* on (0 on a one-replica
+     *  fleet). */
     int replica = 0;
 
     /** Absolute deadline copied from the request (0 = none). */
@@ -150,13 +149,13 @@ std::optional<double>
 percentileOfSorted(const std::vector<double> &sorted, double p);
 
 /** Sort-once cache of one per-request sample (latency, TTFT)
- *  behind the percentile accessors of ServingMetrics and
- *  FleetMetrics. The sorted view is rebuilt only when the
- *  (revision, records.size()) key moves: owners bump the revision
- *  on every mutation of their records, so a query followed by more
- *  completions always re-answers from the updated window — keying
- *  on size alone would miss any size-preserving mutation
- *  (regression-tested query-record-query). */
+ *  behind the percentile accessors of ServingMetrics. The sorted
+ *  view is rebuilt only when the (revision, records.size()) key
+ *  moves: owners bump the revision on every mutation of their
+ *  records, so a query followed by more completions always
+ *  re-answers from the updated window — keying on size alone
+ *  would miss any size-preserving mutation (regression-tested
+ *  query-record-query). */
 class SortedSampleCache
 {
   public:
@@ -178,7 +177,9 @@ class SortedSampleCache
     mutable std::pair<int64_t, int64_t> key_{-1, -1};
 };
 
-/** Aggregated result of one serving run. */
+/** Aggregated result of one serving run: one replica's
+ *  accumulator, or several merged (merge()). Every accessor keeps
+ *  its per-replica meaning on a merged value. */
 struct ServingMetrics
 {
     /** Completed requests in finish order — complete only while
@@ -216,7 +217,13 @@ struct ServingMetrics
      *  accounting note in the file header). */
     int64_t in_flight = 0;
 
-    /** Simulated end of the last step (0 for an empty run). */
+    /** Replicas whose work this accumulator covers: 1 for an
+     *  engine's own metrics (stamped by ReplicaEngine), their sum
+     *  after merge(), 0 while nothing was stamped or merged. */
+    int64_t replicas = 0;
+
+    /** Simulated end of the run (0 for an empty run; every replica
+     *  of a fleet is stamped with the same instant). */
     double makespan_ms = 0.0;
 
     /** Simulated time the accelerator spent executing steps. */
@@ -224,11 +231,14 @@ struct ServingMetrics
 
     int64_t steps = 0;
     int64_t total_batched_seqs = 0; ///< Σ per-step batch size
+
+    /** High-water mark of one replica's queue. */
     int64_t max_queue_depth = 0;
 
     // --- Paged KV pool counters. ---
 
-    /** Physical pages of the KV pool. */
+    /** Physical pages of one replica's KV pool (merged replicas
+     *  share one geometry). */
     int64_t pool_pages = 0;
 
     /** Sequences preempted back to the queue (a request preempted
@@ -240,7 +250,8 @@ struct ServingMetrics
     int64_t prefix_hit_pages = 0;
     int64_t prefix_miss_pages = 0;
 
-    /** High-water mark of active (refcount > 0) pages. */
+    /** High-water mark of active (refcount > 0) pages on one
+     *  replica. */
     int64_t peak_pages_active = 0;
 
     /** Σ per-step active pages (pageUtilization numerator). */
@@ -264,7 +275,7 @@ struct ServingMetrics
     int64_t decode_gaps = 0;
 
     // --- Cold-start weight streaming (weights.h). All zero on a
-    // warm run; stamped when the scheduler ran with a cold-start
+    // warm run; stamped when the replica ran with a cold-start
     // plan (SchedulerOptions::cold_start). ---
 
     /** Simulated storage→HBM window of the cold-start stream. */
@@ -278,8 +289,9 @@ struct ServingMetrics
     double weight_stall_ms = 0.0;
 
     /** Fraction of the stream window hidden under compute:
-     *  1 − weight_stall_ms / weight_stream_ms, clamped to [0, 1].
-     *  1.0 when nothing was streamed. */
+     *  1 − weight_stall_ms / weight_stream_ms (both summed over
+     *  merged replicas), clamped to [0, 1]. 1.0 when nothing was
+     *  streamed. */
     double weightOverlapFraction() const;
 
     /** Commit one completed request: counters (completed,
@@ -290,11 +302,22 @@ struct ServingMetrics
     void recordCompletion(const RequestMetrics &done,
                           const MetricsOptions &options);
 
+    /** Count one rejection in its reason's counter. */
+    void countRejection(RejectReason reason);
+
+    /** Fold @p other (another replica of the same fleet) into this
+     *  accumulator: counters and running sums add, high-water
+     *  marks take the max, the sketches merge, records append
+     *  (`records_complete` ANDs) and the record revision moves.
+     *  Merging in a fixed order keeps the result bit-identical
+     *  across runs. */
+    void merge(const ServingMetrics &other);
+
     double requestsPerSecond() const;
     double tokensPerSecond() const;
 
-    /** busy_ms / makespan_ms — fraction of simulated time the
-     *  accelerator was executing a step (includes work for
+    /** busy_ms / (replicas × makespan_ms) — fraction of simulated
+     *  replica time spent executing a step (includes work for
      *  in-flight sequences on a step-limited run). */
     double utilization() const;
 
@@ -302,8 +325,9 @@ struct ServingMetrics
      *  step-limited run). */
     double meanBatchSize() const;
 
-    /** Mean fraction of pool pages active across steps; 0 for a
-     *  run without steps. */
+    /** Mean fraction of pool pages active across steps:
+     *  page_step_sum over Σ per-step pool pages. 0 for a run
+     *  without steps. */
     double pageUtilization() const;
 
     /** Prefix pages shared over all prefix pages touched; 0 when
@@ -327,14 +351,15 @@ struct ServingMetrics
      *  request completed. Exact — O(1) after a one-time
      *  O(n log n) sort cached across queries — while
      *  records_complete; a sketch estimate within the documented
-     *  rank error otherwise. recordCompletion bumps the record
-     *  revision on every completion, so the cache
-     *  (SortedSampleCache) never answers from a stale window. */
+     *  rank error otherwise. recordCompletion and merge bump the
+     *  record revision, so the cache (SortedSampleCache) never
+     *  answers from a stale window. */
     double latencyPercentileMs(double p) const;
 
   private:
     /** Monotone mutation counter bumped by every
-     *  recordCompletion(); half of the percentile-cache key. */
+     *  recordCompletion() and merge(); half of the
+     *  percentile-cache key. */
     int64_t record_revision_ = 0;
 
     /** Sorted-sample caches behind the exact percentile path. */

@@ -16,7 +16,7 @@
  * insert, size() - max_depth <= cumulative frontInserts().
  *
  * The queue is deliberately oblivious to KV budgets and shapes —
- * admission against accelerator resources is the Scheduler's job.
+ * admission against accelerator resources is the replica engine's job.
  */
 
 #ifndef STREAMTENSOR_SERVING_QUEUE_H

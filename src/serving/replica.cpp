@@ -90,6 +90,7 @@ ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
       replica_id_(replica_id), queue_(options.max_queue_depth),
       pool_(poolOptionsFor(options_))
 {
+    result_.metrics.replicas = 1;
     result_.metrics.pool_pages = pool_.totalPages();
 }
 
@@ -122,20 +123,7 @@ void
 ReplicaEngine::reject(const Request &r, RejectReason reason,
                       double at_ms)
 {
-    switch (reason) {
-    case RejectReason::QueueFull:
-        ++result_.metrics.rejected_queue_full;
-        break;
-    case RejectReason::TooLong:
-        ++result_.metrics.rejected_too_long;
-        break;
-    case RejectReason::DeadlineExpired:
-        ++result_.metrics.expired_deadline;
-        break;
-    case RejectReason::Drained:
-        ++result_.metrics.rejected_drained;
-        break;
-    }
+    result_.metrics.countRejection(reason);
     result_.rejected.push_back(
         {r.id, r.arrival_ms, reason, at_ms});
 }

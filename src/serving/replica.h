@@ -2,8 +2,8 @@
  * @file
  * ReplicaEngine: the per-replica core of the serving scheduler.
  * The fleet tier (fleet.h) interleaves N engines on one simulated
- * clock — the single-replica Scheduler is the N = 1 case — and
- * needs incremental control: launch a step, complete it later,
+ * clock — a single replica is the N = 1 case — and needs
+ * incremental control: launch a step, complete it later,
  * crash a replica mid-step, evacuate its work, slow it down, swap
  * its cost model while a link is degraded.
  *
@@ -72,8 +72,8 @@ struct EvacuatedSeq
 void sortAndValidateTrace(std::vector<Request> &trace);
 
 /** Domain-check @p options (batch room, KV budget, page geometry,
- *  queue depth, step limit). Shared by Scheduler, ReplicaEngine
- *  and FleetScheduler constructors. */
+ *  queue depth, step limit). Shared by the ReplicaEngine and
+ *  FleetScheduler constructors. */
 void validateSchedulerOptions(const SchedulerOptions &options);
 
 class ReplicaEngine

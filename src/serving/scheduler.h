@@ -1,15 +1,12 @@
 /**
  * @file
- * Continuous-batching serving scheduler: a discrete-event
- * simulator that drives an accelerator cost model with batched
- * engine steps, the serving-side counterpart of the paper's
- * single-request re-triggered block (§6.1). A Scheduler is the
- * one-replica view of the fleet (fleet.h): run() serves the trace
- * on a FleetScheduler with num_replicas = 1 and no faults, and
- * returns that replica's result with the fleet-level rejections,
- * counters and step-limit flag folded in. There is one serving
- * event loop; this header owns the options and result types it
- * shares with the fleet.
+ * Continuous-batching serving: a discrete-event simulator that
+ * drives an accelerator cost model with batched engine steps, the
+ * serving-side counterpart of the paper's single-request
+ * re-triggered block (§6.1). This header owns the per-replica
+ * options and result types. The one serving event loop is
+ * FleetScheduler (fleet.h); a single replica is a fleet with
+ * num_replicas = 1 and an empty fault plan.
  *
  * Model, in vLLM/Orca terms with dataflow-accelerator constraints:
  *  - Iteration-level (continuous) batching: every step runs all
@@ -45,11 +42,9 @@
  * whose KV slot is written during the step. That expression is
  * used uniformly for decode shapes, recompute-prefill shapes, and
  * page demand; the maximum context of a request's lifetime is
- * therefore `input_len + output_len - 1` (its last decode step).
- * The previous `input_len + generated + 1` convention over-counted
- * by one and pushed sequences into the next shape bucket one step
- * early at exact bucket boundaries, splitting their step group and
- * costing a spurious compile (regression-tested at a boundary).
+ * therefore `input_len + output_len - 1` (its last decode step),
+ * so a sequence moves to the next shape bucket exactly when its
+ * context crosses the boundary (regression-tested at a boundary).
  *
  * **Timing rule.** The loop wakes at every step completion and
  * every arrival instant, not only at step boundaries, and runs the
@@ -70,11 +65,11 @@
  *     the arrivals due at its instant (and admits them into the
  *     step it launches) before the run stops.
  *
- * Draining is not a Scheduler option: it is a FaultPlan event of
- * the fleet (FaultKind::DrainStart), which re-routes the drained
+ * Draining is not a SchedulerOptions knob: it is a FaultPlan event
+ * of the fleet (FaultKind::DrainStart), which re-routes the drained
  * replica's queue.
  *
- * All time is simulated milliseconds; the scheduler contains no
+ * All time is simulated milliseconds; the serving loop contains no
  * wall-clock, randomness, or pointer-order dependence, so a trace
  * replays to bit-identical step compositions and metrics.
  */
@@ -95,8 +90,6 @@
 
 namespace streamtensor {
 namespace serving {
-
-class TraceGenerator;
 
 /** Cost oracle for one engine step. Implementations must be
  *  deterministic pure functions of the shape groups (the replay
@@ -136,7 +129,7 @@ struct ColdStartOptions
     bool overlap = true;
 };
 
-/** Scheduler knobs. */
+/** Per-replica serving knobs (FleetOptions::replica). */
 struct SchedulerOptions
 {
     /** Max sequences resident in one step. */
@@ -211,8 +204,8 @@ struct StepRecord
     int64_t queue_depth = 0;
 };
 
-/** A rejected request and why. Scheduler::run and
- *  FleetResult::rejected list rejections in (at_ms, id) order. */
+/** A rejected request and why. FleetResult::rejected lists
+ *  rejections in (at_ms, id) order. */
 struct RejectedRequest
 {
     int64_t id = 0;
@@ -225,37 +218,13 @@ struct RejectedRequest
     double at_ms = 0.0;
 };
 
-/** Outcome of serving one trace. */
+/** One replica's outcome of serving a trace (FleetResult::
+ *  replicas). */
 struct ServingResult
 {
     ServingMetrics metrics;
     std::vector<StepRecord> steps; ///< empty unless record_steps
     std::vector<RejectedRequest> rejected;
-    bool hit_step_limit = false;
-};
-
-class Scheduler
-{
-  public:
-    /** @p cost must outlive the scheduler. */
-    Scheduler(SchedulerOptions options, StepCostModel &cost);
-
-    const SchedulerOptions &options() const { return options_; }
-
-    /** Serve @p trace to completion (ids must be unique). The
-     *  trace need not be sorted; it is served in (arrival, id)
-     *  order. */
-    ServingResult run(std::vector<Request> trace);
-
-    /** Serve a lazy trace without materializing it — bit-identical
-     *  to run(vector-of-the-same-generator) but O(1) trace memory.
-     *  The generator's stream is sorted and valid by construction
-     *  (trace.h), so no sort/validate pass runs. */
-    ServingResult run(TraceGenerator &trace);
-
-  private:
-    SchedulerOptions options_;
-    StepCostModel &cost_;
 };
 
 } // namespace serving

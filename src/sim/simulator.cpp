@@ -662,15 +662,7 @@ simulateAll(const dataflow::ComponentGraph &g,
     auto simulate_one = [&](int64_t group) {
         results[group] = simulateGroup(g, group, options);
     };
-    if (groups <= 1 || options.threads == 1) {
-        for (int64_t group = 0; group < groups; ++group)
-            simulate_one(group);
-    } else if (options.threads <= 0) {
-        support::ThreadPool::shared().run(groups, simulate_one);
-    } else {
-        support::ThreadPool pool(options.threads);
-        pool.run(groups, simulate_one);
-    }
+    support::ThreadPool::shared().run(groups, simulate_one);
     return results;
 }
 

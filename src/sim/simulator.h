@@ -115,13 +115,6 @@ struct SimOptions
 {
     /** Abort (as timed_out) beyond this many cycles. */
     double max_cycles = 4.0e12;
-
-    /** Worker threads for simulateAll's per-group parallelism:
-     *  0 = the process-wide pool shared with the runtime executor,
-     *  1 = sequential, n > 1 = a dedicated pool of n threads.
-     *  Groups are independent, so results are identical (bitwise)
-     *  for every setting. */
-    int64_t threads = 0;
 };
 
 /** Simulate one fused group of @p g. */
@@ -129,8 +122,9 @@ SimResult simulateGroup(const dataflow::ComponentGraph &g,
                         int64_t group, const SimOptions &options = {});
 
 /** Simulate every group; returns per-group results. Independent
- *  groups run in parallel on the shared thread pool (see
- *  SimOptions::threads). */
+ *  groups run in parallel on the process-wide pool shared with the
+ *  runtime executor (support::ThreadPool::shared()); each group's
+ *  result is bitwise identical to simulateGroup's. */
 std::vector<SimResult>
 simulateAll(const dataflow::ComponentGraph &g,
             const SimOptions &options = {});

@@ -151,6 +151,16 @@ goldenTrace()
             make(4, 30.0, 32, 8), make(5, 200.0, 24, 2)};
 }
 
+/** A fleet of one replica running @p options, with no faults. */
+serving::FleetOptions
+oneReplica(const serving::SchedulerOptions &options)
+{
+    serving::FleetOptions fleet;
+    fleet.num_replicas = 1;
+    fleet.replica = options;
+    return fleet;
+}
+
 } // namespace
 
 TEST(EndToEnd, GoldenServingTraceThroughFullStack)
@@ -168,7 +178,7 @@ TEST(EndToEnd, GoldenServingTraceThroughFullStack)
     options.max_batch = 4;
     options.kv_budget_tokens = 512;
     options.record_steps = true;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
 
     auto result = scheduler.run(goldenTrace());
     const auto &m = result.metrics;
@@ -205,17 +215,16 @@ TEST(EndToEnd, GoldenServingTraceThroughFullStack)
     runtime::LlmExecutor executor2(models::gpt2Config(),
                                    hls::u55c());
     serving::ExecutorCostModel cost2(executor2);
-    serving::Scheduler scheduler2(options, cost2);
+    serving::FleetScheduler scheduler2(oneReplica(options), cost2);
     auto result2 = scheduler2.run(goldenTrace());
     EXPECT_DOUBLE_EQ(result2.metrics.makespan_ms, m.makespan_ms);
-    ASSERT_EQ(result2.steps.size(), result.steps.size());
-    for (size_t i = 0; i < result.steps.size(); ++i) {
-        EXPECT_EQ(result2.steps[i].prefill_ids,
-                  result.steps[i].prefill_ids);
-        EXPECT_EQ(result2.steps[i].decode_ids,
-                  result.steps[i].decode_ids);
-        EXPECT_DOUBLE_EQ(result2.steps[i].step_ms,
-                         result.steps[i].step_ms);
+    const auto &steps = result.replicas[0].steps;
+    const auto &steps2 = result2.replicas[0].steps;
+    ASSERT_EQ(steps2.size(), steps.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(steps2[i].prefill_ids, steps[i].prefill_ids);
+        EXPECT_EQ(steps2[i].decode_ids, steps[i].decode_ids);
+        EXPECT_DOUBLE_EQ(steps2[i].step_ms, steps[i].step_ms);
     }
 }
 
@@ -235,7 +244,7 @@ TEST(EndToEnd, DecodeBucketBoundaryCompilesNoExtraShape)
     options.max_batch = 2;
     options.kv_budget_tokens = 512;
     options.record_steps = true;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
 
     serving::Request a;
     a.id = 0;
@@ -248,8 +257,8 @@ TEST(EndToEnd, DecodeBucketBoundaryCompilesNoExtraShape)
     auto result = scheduler.run({a, b});
 
     EXPECT_EQ(result.metrics.completed, 2);
-    ASSERT_EQ(result.steps.size(), 2u);
-    EXPECT_EQ(result.steps[1].decode_ids,
+    ASSERT_EQ(result.replicas[0].steps.size(), 2u);
+    EXPECT_EQ(result.replicas[0].steps[1].decode_ids,
               (std::vector<int64_t>{0, 1}));
     // Exactly two shapes ever compile: prefill@16 and decode@16.
     EXPECT_EQ(executor.compileCount(), 2);
@@ -272,7 +281,7 @@ TEST(EndToEnd, GoldenPagedSaturation)
     options.max_batch = 5;
     options.kv_budget_tokens = 192;
     options.record_steps = true;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     std::vector<serving::Request> trace;
     for (int64_t i = 0; i < 6; ++i) {
         serving::Request r;
@@ -292,7 +301,7 @@ TEST(EndToEnd, GoldenPagedSaturation)
 
     // Five-wide, no preemption (demand tops out at exactly the
     // 12-page pool), 48 steps.
-    EXPECT_EQ(paged.steps[0].prefill_ids,
+    EXPECT_EQ(paged.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1, 2, 3, 4}));
     EXPECT_EQ(paged.metrics.steps, 48);
     EXPECT_EQ(paged.metrics.preemptions, 0);
@@ -619,7 +628,7 @@ TEST(EndToEnd, GoldenFaultedFleetTrace)
     EXPECT_REL_NEAR(fm.latencyPercentileMs(99.0), 329.760211362);
     EXPECT_REL_NEAR(fm.latencyPercentileMs(50.0), 254.238256868);
     EXPECT_REL_NEAR(fm.uptimeFraction(), 0.825934158);
-    EXPECT_REL_NEAR(fm.servedRequestsPerSecond(), 17.406584242);
+    EXPECT_REL_NEAR(fm.requestsPerSecond(), 17.406584242);
 #undef EXPECT_REL_NEAR
 
     // Bit-identical replay of the faulted fleet, down to every
@@ -669,7 +678,7 @@ TEST(EndToEnd, GoldenColdStartTrace)
             options.cold_start.plan = plan;
             options.cold_start.overlap = overlap;
         }
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(oneReplica(options), cost);
         return scheduler.run(goldenTrace());
     };
 
@@ -715,18 +724,15 @@ TEST(EndToEnd, GoldenColdStartTrace)
     auto again = run(true, true);
     EXPECT_DOUBLE_EQ(again.metrics.makespan_ms,
                      on.metrics.makespan_ms);
-    ASSERT_EQ(again.steps.size(), on.steps.size());
-    for (size_t i = 0; i < on.steps.size(); ++i) {
-        EXPECT_DOUBLE_EQ(again.steps[i].start_ms,
-                         on.steps[i].start_ms);
-        EXPECT_DOUBLE_EQ(again.steps[i].step_ms,
-                         on.steps[i].step_ms);
-        EXPECT_DOUBLE_EQ(again.steps[i].weights_wait_ms,
-                         on.steps[i].weights_wait_ms);
-        EXPECT_EQ(again.steps[i].prefill_ids,
-                  on.steps[i].prefill_ids);
-        EXPECT_EQ(again.steps[i].decode_ids,
-                  on.steps[i].decode_ids);
+    const auto &sa = again.replicas[0].steps;
+    const auto &so = on.replicas[0].steps;
+    ASSERT_EQ(sa.size(), so.size());
+    for (size_t i = 0; i < so.size(); ++i) {
+        EXPECT_DOUBLE_EQ(sa[i].start_ms, so[i].start_ms);
+        EXPECT_DOUBLE_EQ(sa[i].step_ms, so[i].step_ms);
+        EXPECT_DOUBLE_EQ(sa[i].weights_wait_ms, so[i].weights_wait_ms);
+        EXPECT_EQ(sa[i].prefill_ids, so[i].prefill_ids);
+        EXPECT_EQ(sa[i].decode_ids, so[i].decode_ids);
     }
 }
 

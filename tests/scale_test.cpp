@@ -94,7 +94,7 @@ TEST(Scale, StreamingSweepConservesAndBoundsMemory)
     EXPECT_GT(p50, 0.0);
     EXPECT_LE(p50, p99);
     EXPECT_LE(p99, m.latency_sketch.maxValue());
-    EXPECT_GT(m.servedRequestsPerSecond(), 0.0);
+    EXPECT_GT(m.requestsPerSecond(), 0.0);
 }
 
 TEST(Scale, SketchMatchesExactWithinRankError)

@@ -1,6 +1,7 @@
-/** @file Property/invariant suite for RequestQueue + Scheduler:
- *  each seed derives a distinct (trace, scheduler-config) pair and
- *  runs it, checking structural invariants that must hold for
+/** @file Property/invariant suite for RequestQueue and the
+ *  one-replica serving loop: each seed derives a distinct
+ *  (trace, scheduler-config) pair and runs it on a one-replica
+ *  fleet, checking structural invariants that must hold for
  *  *every* run — conservation, FIFO fairness within a priority
  *  class, batch and KV bounds, metrics consistency against
  *  per-request sums, page conservation, preemption bookkeeping and
@@ -28,7 +29,7 @@ struct SeededRun
 {
     std::vector<Request> trace;
     serving::SchedulerOptions options;
-    serving::ServingResult result;
+    serving::FleetResult result;
 };
 
 /** Derive a varied but fully seed-determined scenario. */
@@ -65,9 +66,11 @@ runSeed(uint64_t seed)
         seed % 4 == 0 ? 6 + static_cast<int64_t>(seed % 9) : 0;
     run.options.record_steps = true;
 
+    serving::FleetOptions fleet;
+    fleet.num_replicas = 1;
+    fleet.replica = run.options;
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(run.options, cost);
-    run.result = scheduler.run(run.trace);
+    run.result = serving::FleetScheduler(fleet, cost).run(run.trace);
     return run;
 }
 
@@ -94,6 +97,7 @@ checkInvariants(const SeededRun &run)
 {
     const auto &result = run.result;
     const auto &metrics = result.metrics;
+    const auto &steps = result.replicas[0].steps;
     ASSERT_FALSE(result.hit_step_limit);
     ASSERT_EQ(metrics.in_flight, 0);
 
@@ -142,8 +146,8 @@ checkInvariants(const SeededRun &run)
     int64_t recomputed_preemptions = 0;
     int64_t recomputed_page_sum = 0;
     int64_t max_pages_active = 0;
-    for (size_t i = 0; i < result.steps.size(); ++i) {
-        const auto &s = result.steps[i];
+    for (size_t i = 0; i < steps.size(); ++i) {
+        const auto &s = steps[i];
         int64_t batch =
             static_cast<int64_t>(s.prefill_ids.size()) +
             static_cast<int64_t>(s.decode_ids.size());
@@ -152,8 +156,8 @@ checkInvariants(const SeededRun &run)
         EXPECT_GT(s.step_ms, 0.0);
         EXPECT_LE(s.queue_depth, metrics.max_queue_depth);
         if (i > 0) {
-            EXPECT_GE(s.start_ms, result.steps[i - 1].start_ms +
-                                      result.steps[i - 1].step_ms -
+            EXPECT_GE(s.start_ms, steps[i - 1].start_ms +
+                                      steps[i - 1].step_ms -
                                       1e-12);
         }
 
@@ -164,7 +168,7 @@ checkInvariants(const SeededRun &run)
             ever_preempted.insert(id);
             ++recomputed_preemptions;
             ASSERT_GT(i, 0u);
-            auto prev = stepMembers(result.steps[i - 1]);
+            auto prev = stepMembers(steps[i - 1]);
             EXPECT_NE(std::find(prev.begin(), prev.end(), id),
                       prev.end())
                 << "victim " << id << " was not resident";
@@ -284,7 +288,7 @@ checkInvariants(const SeededRun &run)
     }
     EXPECT_EQ(metrics.total_output_tokens, token_sum);
     EXPECT_EQ(metrics.steps,
-              static_cast<int64_t>(result.steps.size()));
+              static_cast<int64_t>(steps.size()));
     EXPECT_DOUBLE_EQ(metrics.busy_ms, recomputed_busy);
     EXPECT_EQ(metrics.total_batched_seqs, recomputed_batched);
     EXPECT_EQ(metrics.preemptions, recomputed_preemptions);
@@ -306,8 +310,8 @@ checkInvariants(const SeededRun &run)
         EXPECT_EQ(metrics.prefix_hit_pages, 0);
         EXPECT_EQ(metrics.prefix_miss_pages, 0);
     }
-    if (!result.steps.empty()) {
-        const auto &last = result.steps.back();
+    if (!steps.empty()) {
+        const auto &last = steps.back();
         EXPECT_DOUBLE_EQ(metrics.makespan_ms,
                          last.start_ms + last.step_ms);
     }
@@ -317,7 +321,7 @@ checkInvariants(const SeededRun &run)
                   metrics.requests[i - 1].finish_ms);
     // Every finish/first-token lands exactly on a step boundary.
     std::set<double> boundaries;
-    for (const auto &s : result.steps)
+    for (const auto &s : steps)
         boundaries.insert(s.start_ms + s.step_ms);
     for (const auto &r : metrics.requests) {
         EXPECT_EQ(boundaries.count(r.first_token_ms), 1u);
@@ -334,19 +338,15 @@ TEST_P(SchedulerProperty, InvariantsHoldPaged)
 
     // The paged schedule replays bit-identically.
     SeededRun again = runSeed(GetParam());
-    ASSERT_EQ(again.result.steps.size(),
-              run.result.steps.size());
-    for (size_t i = 0; i < run.result.steps.size(); ++i) {
-        EXPECT_EQ(again.result.steps[i].prefill_ids,
-                  run.result.steps[i].prefill_ids);
-        EXPECT_EQ(again.result.steps[i].decode_ids,
-                  run.result.steps[i].decode_ids);
-        EXPECT_EQ(again.result.steps[i].preempted_ids,
-                  run.result.steps[i].preempted_ids);
-        EXPECT_EQ(again.result.steps[i].pages_active,
-                  run.result.steps[i].pages_active);
-        EXPECT_DOUBLE_EQ(again.result.steps[i].start_ms,
-                         run.result.steps[i].start_ms);
+    const auto &sa = again.result.replicas[0].steps;
+    const auto &sr = run.result.replicas[0].steps;
+    ASSERT_EQ(sa.size(), sr.size());
+    for (size_t i = 0; i < sr.size(); ++i) {
+        EXPECT_EQ(sa[i].prefill_ids, sr[i].prefill_ids);
+        EXPECT_EQ(sa[i].decode_ids, sr[i].decode_ids);
+        EXPECT_EQ(sa[i].preempted_ids, sr[i].preempted_ids);
+        EXPECT_EQ(sa[i].pages_active, sr[i].pages_active);
+        EXPECT_DOUBLE_EQ(sa[i].start_ms, sr[i].start_ms);
     }
 }
 

@@ -69,6 +69,16 @@ recordingOptions(int64_t max_batch, int64_t kv_budget)
     return options;
 }
 
+/** A fleet of one replica running @p options, with no faults. */
+serving::FleetOptions
+oneReplica(const serving::SchedulerOptions &options)
+{
+    serving::FleetOptions fleet;
+    fleet.num_replicas = 1;
+    fleet.replica = options;
+    return fleet;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -343,19 +353,20 @@ TEST(SchedulerReplay, ContinuousBatchingScript)
     // R0, R1 arrive together and batch; R2 arrives mid-step and
     // joins as soon as a slot frees (continuous batching).
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 4096), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 4096)), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 10, 2),
         makeRequest(1, 0.0, 20, 2),
         makeRequest(2, 1.0, 10, 1),
     });
 
-    ASSERT_EQ(result.steps.size(), 3u);
+    ASSERT_EQ(result.replicas[0].steps.size(), 3u);
     EXPECT_FALSE(result.hit_step_limit);
     EXPECT_TRUE(result.rejected.empty());
 
     // Step 1: both prefill. Buckets: 10+2 -> 16, 20+2 -> 32.
-    const auto &s0 = result.steps[0];
+    const auto &s0 = result.replicas[0].steps[0];
     EXPECT_DOUBLE_EQ(s0.start_ms, 0.0);
     EXPECT_EQ(s0.prefill_ids, (std::vector<int64_t>{0, 1}));
     EXPECT_TRUE(s0.decode_ids.empty());
@@ -366,7 +377,7 @@ TEST(SchedulerReplay, ContinuousBatchingScript)
 
     // Step 2: both decode (contexts 12 and 22 -> kv buckets 16 and
     // 32); R2 arrived at 1.0 and waits (batch full).
-    const auto &s1 = result.steps[1];
+    const auto &s1 = result.replicas[0].steps[1];
     EXPECT_DOUBLE_EQ(s1.start_ms, step1);
     EXPECT_TRUE(s1.prefill_ids.empty());
     EXPECT_EQ(s1.decode_ids, (std::vector<int64_t>{0, 1}));
@@ -376,7 +387,7 @@ TEST(SchedulerReplay, ContinuousBatchingScript)
 
     // Step 3: R0/R1 finished; R2 prefills alone and, with
     // output_len 1, completes at its prefill.
-    const auto &s2 = result.steps[2];
+    const auto &s2 = result.replicas[0].steps[2];
     EXPECT_DOUBLE_EQ(s2.start_ms, step1 + step2);
     EXPECT_EQ(s2.prefill_ids, (std::vector<int64_t>{2}));
     EXPECT_TRUE(s2.decode_ids.empty());
@@ -411,7 +422,8 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
     // the full budget; R2 (reserve 16) must not jump the blocked
     // head — strict FIFO admission.
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(4, 32), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(4, 32)), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 10, 2), // bucket(12)  = 16
         makeRequest(1, 0.0, 20, 4), // bucket(24)  = 32
@@ -419,27 +431,27 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
     });
 
     EXPECT_TRUE(result.rejected.empty());
-    ASSERT_GE(result.steps.size(), 3u);
+    ASSERT_GE(result.replicas[0].steps.size(), 3u);
 
     // R0 prefills alone; both others queued behind the blocked
     // head.
-    EXPECT_EQ(result.steps[0].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0}));
-    EXPECT_EQ(result.steps[0].queue_depth, 2);
-    EXPECT_EQ(result.steps[0].kv_reserved, 16);
+    EXPECT_EQ(result.replicas[0].steps[0].queue_depth, 2);
+    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 16);
 
     // R0 decodes alone (R1 still does not fit: 16 + 32 > 32).
-    EXPECT_EQ(result.steps[1].decode_ids,
+    EXPECT_EQ(result.replicas[0].steps[1].decode_ids,
               (std::vector<int64_t>{0}));
-    EXPECT_TRUE(result.steps[1].prefill_ids.empty());
+    EXPECT_TRUE(result.replicas[0].steps[1].prefill_ids.empty());
 
     // R0 retired; R1 admitted alone (32 fills the budget).
-    EXPECT_EQ(result.steps[2].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[2].prefill_ids,
               (std::vector<int64_t>{1}));
-    EXPECT_EQ(result.steps[2].kv_reserved, 32);
+    EXPECT_EQ(result.replicas[0].steps[2].kv_reserved, 32);
 
     // R2 only enters once R1 has fully finished.
-    for (const auto &s : result.steps) {
+    for (const auto &s : result.replicas[0].steps) {
         EXPECT_LE(s.kv_reserved, 32);
         bool has1 = false, has2 = false;
         for (int64_t id : s.prefill_ids) {
@@ -461,18 +473,19 @@ TEST(SchedulerReplay, PriorityClassesJumpTheQueue)
     // before the earlier-arrived class-1 requests, FIFO inside
     // each class.
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(1, 4096), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(1, 4096)), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 8, 1, /*priority=*/1),
         makeRequest(1, 0.0, 8, 1, /*priority=*/1),
         makeRequest(2, 0.0, 8, 1, /*priority=*/0),
     });
-    ASSERT_EQ(result.steps.size(), 3u);
-    EXPECT_EQ(result.steps[0].prefill_ids,
+    ASSERT_EQ(result.replicas[0].steps.size(), 3u);
+    EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{2}));
-    EXPECT_EQ(result.steps[1].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[1].prefill_ids,
               (std::vector<int64_t>{0}));
-    EXPECT_EQ(result.steps[2].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[2].prefill_ids,
               (std::vector<int64_t>{1}));
 }
 
@@ -481,7 +494,7 @@ TEST(SchedulerReplay, QueueFullRejectsArrivals)
     serving::AnalyticCostModel cost;
     serving::SchedulerOptions options = recordingOptions(1, 4096);
     options.max_queue_depth = 1;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 8, 1),
         makeRequest(1, 0.0, 8, 1),
@@ -524,7 +537,7 @@ TEST(SchedulerReplay, MidStepDeadlineFreesQueueSlot)
     Request r2 = makeRequest(2, 1.5, 900, 200); // beyond the ladder
     Request r3 = makeRequest(3, 1.7, 8, 1);
 
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({r0, r1, r2, r3});
 
     const auto &m = result.metrics;
@@ -548,10 +561,10 @@ TEST(SchedulerReplay, MidStepDeadlineFreesQueueSlot)
     EXPECT_DOUBLE_EQ(result.rejected[1].at_ms, 1.5);
 
     // R3 waited in the freed slot and ran once R0 retired.
-    ASSERT_EQ(result.steps.size(), 5u);
-    EXPECT_EQ(result.steps[4].prefill_ids,
+    ASSERT_EQ(result.replicas[0].steps.size(), 5u);
+    EXPECT_EQ(result.replicas[0].steps[4].prefill_ids,
               (std::vector<int64_t>{3}));
-    EXPECT_DOUBLE_EQ(result.steps[4].start_ms, 4.0);
+    EXPECT_DOUBLE_EQ(result.replicas[0].steps[4].start_ms, 4.0);
 }
 
 TEST(SchedulerReplay, OversizedRequestsRejectedUpFront)
@@ -559,7 +572,8 @@ TEST(SchedulerReplay, OversizedRequestsRejectedUpFront)
     serving::AnalyticCostModel cost;
     // Budget 64 tokens: a 50+50 request buckets to 128 and can
     // never be admitted; a 900+200 one exceeds the bucket ladder.
-    serving::Scheduler scheduler(recordingOptions(4, 64), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(4, 64)), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 10, 2),
         makeRequest(1, 0.0, 50, 50),
@@ -579,12 +593,13 @@ TEST(SchedulerReplay, OversizedRequestsRejectedUpFront)
 TEST(SchedulerReplay, IdleGapJumpsToNextArrival)
 {
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 4096), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 4096)), cost);
     auto result = scheduler.run({
         makeRequest(0, 100.0, 8, 1),
     });
-    ASSERT_EQ(result.steps.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.steps[0].start_ms, 100.0);
+    ASSERT_EQ(result.replicas[0].steps.size(), 1u);
+    EXPECT_DOUBLE_EQ(result.replicas[0].steps[0].start_ms, 100.0);
     double step = analyticStepMs({{16, 16, 1}});
     EXPECT_DOUBLE_EQ(result.metrics.makespan_ms, 100.0 + step);
     EXPECT_DOUBLE_EQ(result.metrics.busy_ms, step);
@@ -598,8 +613,10 @@ TEST(SchedulerReplay, IdleGapJumpsToNextArrival)
 TEST(SchedulerReplay, UnsortedTraceIsServedInArrivalOrder)
 {
     serving::AnalyticCostModel cost;
-    serving::Scheduler a(recordingOptions(1, 4096), cost);
-    serving::Scheduler b(recordingOptions(1, 4096), cost);
+    serving::FleetScheduler a(
+        oneReplica(recordingOptions(1, 4096)), cost);
+    serving::FleetScheduler b(
+        oneReplica(recordingOptions(1, 4096)), cost);
     std::vector<Request> sorted = {
         makeRequest(0, 0.0, 8, 1),
         makeRequest(1, 5.0, 8, 1),
@@ -607,14 +624,12 @@ TEST(SchedulerReplay, UnsortedTraceIsServedInArrivalOrder)
     };
     std::vector<Request> shuffled = {sorted[2], sorted[0],
                                      sorted[1]};
-    auto ra = a.run(sorted);
-    auto rb = b.run(shuffled);
-    ASSERT_EQ(ra.steps.size(), rb.steps.size());
-    for (size_t i = 0; i < ra.steps.size(); ++i) {
-        EXPECT_EQ(ra.steps[i].prefill_ids,
-                  rb.steps[i].prefill_ids);
-        EXPECT_DOUBLE_EQ(ra.steps[i].start_ms,
-                         rb.steps[i].start_ms);
+    auto ra = a.run(sorted).replicas[0].steps;
+    auto rb = b.run(shuffled).replicas[0].steps;
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].prefill_ids, rb[i].prefill_ids);
+        EXPECT_DOUBLE_EQ(ra[i].start_ms, rb[i].start_ms);
     }
 }
 
@@ -631,20 +646,21 @@ TEST(SchedulerReplay, SeededTraceReplaysBitIdentically)
         serving::AnalyticCostModel cost;
         serving::SchedulerOptions options =
             recordingOptions(4, 1024);
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(oneReplica(options), cost);
         return scheduler.run(trace);
     };
     auto a = runOnce();
     auto b = runOnce();
 
-    ASSERT_EQ(a.steps.size(), b.steps.size());
-    for (size_t i = 0; i < a.steps.size(); ++i) {
-        EXPECT_EQ(a.steps[i].prefill_ids, b.steps[i].prefill_ids);
-        EXPECT_EQ(a.steps[i].decode_ids, b.steps[i].decode_ids);
-        EXPECT_DOUBLE_EQ(a.steps[i].start_ms,
-                         b.steps[i].start_ms);
-        EXPECT_DOUBLE_EQ(a.steps[i].step_ms, b.steps[i].step_ms);
-        EXPECT_EQ(a.steps[i].kv_reserved, b.steps[i].kv_reserved);
+    const auto &sa = a.replicas[0].steps;
+    const auto &sb = b.replicas[0].steps;
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t i = 0; i < sa.size(); ++i) {
+        EXPECT_EQ(sa[i].prefill_ids, sb[i].prefill_ids);
+        EXPECT_EQ(sa[i].decode_ids, sb[i].decode_ids);
+        EXPECT_DOUBLE_EQ(sa[i].start_ms, sb[i].start_ms);
+        EXPECT_DOUBLE_EQ(sa[i].step_ms, sb[i].step_ms);
+        EXPECT_EQ(sa[i].kv_reserved, sb[i].kv_reserved);
     }
     EXPECT_DOUBLE_EQ(a.metrics.makespan_ms, b.metrics.makespan_ms);
     EXPECT_DOUBLE_EQ(a.metrics.latencyPercentileMs(99.0),
@@ -668,7 +684,7 @@ TEST(SchedulerReplay, BatchingBeatsSerialServingOnMakespan)
         serving::SchedulerOptions options;
         options.max_batch = max_batch;
         options.kv_budget_tokens = 1 << 20;
-        serving::Scheduler scheduler(options, cost);
+        serving::FleetScheduler scheduler(oneReplica(options), cost);
         return scheduler.run(trace).metrics.makespan_ms;
     };
     double serial = makespan(1);
@@ -679,7 +695,8 @@ TEST(SchedulerReplay, BatchingBeatsSerialServingOnMakespan)
 TEST(Scheduler, RejectsMalformedTracesAndOptions)
 {
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 4096), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 4096)), cost);
     EXPECT_THROW(scheduler.run({makeRequest(0, 0.0, 0, 1)}),
                  FatalError);
     EXPECT_THROW(scheduler.run({makeRequest(0, -1.0, 8, 1)}),
@@ -689,7 +706,7 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
                  FatalError);
     serving::SchedulerOptions bad;
     bad.max_batch = 0;
-    EXPECT_THROW(serving::Scheduler(bad, cost), FatalError);
+    EXPECT_THROW(serving::FleetScheduler(oneReplica(bad), cost), FatalError);
 
     // Non-finite instants: +inf used to pass the >= 0 checks and
     // serve the request at t = inf (makespan inf).
@@ -709,14 +726,12 @@ TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
     // The page checks run before the pool is sized from
     // kv_budget_tokens / page_tokens, so a zero page size throws
     // instead of dividing by zero — also when a ReplicaEngine is
-    // built directly, without a Scheduler or fleet validating
-    // first.
+    // built directly, without a fleet validating first.
     serving::AnalyticCostModel cost;
     serving::SchedulerOptions zero_page = recordingOptions(2, 4096);
     zero_page.page_tokens = 0;
     serving::SchedulerOptions sub_page = recordingOptions(2, 8);
     for (const auto &bad : {zero_page, sub_page}) {
-        EXPECT_THROW(serving::Scheduler(bad, cost), FatalError);
         EXPECT_THROW(serving::ReplicaEngine(bad, cost), FatalError);
         serving::FleetOptions fleet;
         fleet.replica = bad;
@@ -728,7 +743,8 @@ TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
 TEST(Scheduler, EmptyTraceYieldsEmptyMetrics)
 {
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 4096), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 4096)), cost);
     auto result = scheduler.run({});
     EXPECT_EQ(result.metrics.completed, 0);
     EXPECT_EQ(result.metrics.steps, 0);
@@ -766,33 +782,34 @@ TEST(SchedulerReplay, PagedPreemptionScript)
     // prefill over its full 33-token context that emits its final
     // token — same token count, preemption cost paid in time.
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 64), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 64)), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 30, 4),
         makeRequest(1, 0.0, 30, 4),
     });
 
-    ASSERT_EQ(result.steps.size(), 5u);
+    ASSERT_EQ(result.replicas[0].steps.size(), 5u);
     EXPECT_TRUE(result.rejected.empty());
 
     // Steps 1-3: both resident, 2 pages each (contexts 30..32).
-    EXPECT_EQ(result.steps[0].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
-    EXPECT_EQ(result.steps[0].pages_active, 4);
-    EXPECT_EQ(result.steps[0].kv_reserved, 64);
+    EXPECT_EQ(result.replicas[0].steps[0].pages_active, 4);
+    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 64);
     double s0 = analyticStepMs({{32, 32, 2}});
-    EXPECT_DOUBLE_EQ(result.steps[0].step_ms, s0);
+    EXPECT_DOUBLE_EQ(result.replicas[0].steps[0].step_ms, s0);
     double s1 = analyticStepMs({{1, 32, 2}});
     for (size_t i : {1u, 2u}) {
-        EXPECT_EQ(result.steps[i].decode_ids,
+        EXPECT_EQ(result.replicas[0].steps[i].decode_ids,
                   (std::vector<int64_t>{0, 1}));
-        EXPECT_TRUE(result.steps[i].preempted_ids.empty());
-        EXPECT_DOUBLE_EQ(result.steps[i].step_ms, s1);
+        EXPECT_TRUE(result.replicas[0].steps[i].preempted_ids.empty());
+        EXPECT_DOUBLE_EQ(result.replicas[0].steps[i].step_ms, s1);
     }
 
     // Step 4: R0's growth to 3 pages evicts R1 (most recently
     // admitted); R1 is not readmitted in the same iteration.
-    const auto &s3 = result.steps[3];
+    const auto &s3 = result.replicas[0].steps[3];
     EXPECT_EQ(s3.preempted_ids, (std::vector<int64_t>{1}));
     EXPECT_EQ(s3.decode_ids, (std::vector<int64_t>{0}));
     EXPECT_TRUE(s3.prefill_ids.empty());
@@ -804,7 +821,7 @@ TEST(SchedulerReplay, PagedPreemptionScript)
     // Step 5: R1 readmits and recomputes — a prefill-shaped pass
     // over input + 3 generated = 33 tokens (bucket 48) that also
     // emits its last token.
-    const auto &s4 = result.steps[4];
+    const auto &s4 = result.replicas[0].steps[4];
     EXPECT_EQ(s4.prefill_ids, (std::vector<int64_t>{1}));
     EXPECT_TRUE(s4.decode_ids.empty());
     EXPECT_EQ(s4.pages_active, 3);
@@ -835,7 +852,8 @@ TEST(SchedulerReplay, PagedPrefixSharingScript)
     // the same prefix arrives after both finished and revives the
     // retained prefix pages from cache.
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 256), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 256)), cost);
     auto result = scheduler.run({
         makePrefixRequest(0, 0.0, 40, 2, /*prefix_id=*/1,
                           /*prefix_len=*/32),
@@ -843,17 +861,17 @@ TEST(SchedulerReplay, PagedPrefixSharingScript)
         makePrefixRequest(2, 100.0, 40, 1, 1, 32),
     });
 
-    ASSERT_EQ(result.steps.size(), 3u);
+    ASSERT_EQ(result.replicas[0].steps.size(), 3u);
     // Shared prefill: 3 pages each, 2 of them one physical copy.
-    EXPECT_EQ(result.steps[0].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
-    EXPECT_EQ(result.steps[0].pages_active, 4);
-    EXPECT_EQ(result.steps[0].kv_reserved, 64);
+    EXPECT_EQ(result.replicas[0].steps[0].pages_active, 4);
+    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 64);
 
     // After both retire the prefix pages are retained, not freed:
     // R2's prefill revives them and allocates only its private
     // page.
-    const auto &s2 = result.steps[2];
+    const auto &s2 = result.replicas[0].steps[2];
     EXPECT_DOUBLE_EQ(s2.start_ms, 100.0);
     EXPECT_EQ(s2.prefill_ids, (std::vector<int64_t>{2}));
     EXPECT_EQ(s2.pages_active, 3);
@@ -876,14 +894,15 @@ TEST(SchedulerReplay, PagedAdmitsWhatReserveBlocks)
     // need and runs them concurrently until actual pressure
     // builds.
     serving::AnalyticCostModel cost;
-    serving::Scheduler scheduler(recordingOptions(2, 128), cost);
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 128)), cost);
     auto paged = scheduler.run({
         makeRequest(0, 0.0, 30, 40),
         makeRequest(1, 0.0, 30, 40),
     });
     EXPECT_EQ(paged.metrics.completed, 2);
     // Both prefill together.
-    EXPECT_EQ(paged.steps[0].prefill_ids,
+    EXPECT_EQ(paged.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
 }
 
@@ -896,7 +915,7 @@ TEST(SchedulerReplay, RejectionOrderInterleavesReasonsAtOneInstant)
     serving::AnalyticCostModel cost;
     serving::SchedulerOptions options = recordingOptions(1, 64);
     options.max_queue_depth = 1;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 8, 1),    // admitted
         makeRequest(1, 0.0, 100, 60), // TooLong (10 pages > 4)
@@ -966,7 +985,7 @@ TEST(Scheduler, StepLimitSplitsAccountingViews)
     serving::AnalyticCostModel cost;
     serving::SchedulerOptions options = recordingOptions(4, 4096);
     options.max_steps = 3;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     std::vector<Request> trace;
     for (int64_t i = 0; i < 10; ++i)
         trace.push_back(makeRequest(i, 0.0, 8, 8));
@@ -982,14 +1001,14 @@ TEST(Scheduler, StepLimitSplitsAccountingViews)
     EXPECT_EQ(m.total_batched_seqs, 12);
     EXPECT_DOUBLE_EQ(m.meanBatchSize(), 4.0);
     double busy = 0.0;
-    for (const auto &s : result.steps)
+    for (const auto &s : result.replicas[0].steps)
         busy += s.step_ms;
     EXPECT_DOUBLE_EQ(m.busy_ms, busy);
     EXPECT_DOUBLE_EQ(m.utilization(), 1.0);
     // A drained rerun of the same trace reports no in-flight
     // work.
     options.max_steps = 1 << 20;
-    serving::Scheduler drained(options, cost);
+    serving::FleetScheduler drained(oneReplica(options), cost);
     EXPECT_EQ(drained.run(trace).metrics.in_flight, 0);
 }
 
@@ -1009,7 +1028,7 @@ TEST(SchedulerReplay, PreemptionLandsWhileQueueAtCapacity)
     serving::AnalyticCostModel cost;
     serving::SchedulerOptions options = recordingOptions(2, 64);
     options.max_queue_depth = 2;
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
         makeRequest(0, 0.0, 30, 4),
         makeRequest(1, 0.0, 30, 4),
@@ -1021,17 +1040,17 @@ TEST(SchedulerReplay, PreemptionLandsWhileQueueAtCapacity)
     });
 
     EXPECT_TRUE(result.rejected.empty());
-    ASSERT_EQ(result.steps.size(), 6u);
-    const auto &s3 = result.steps[3];
+    ASSERT_EQ(result.replicas[0].steps.size(), 6u);
+    const auto &s3 = result.replicas[0].steps[3];
     EXPECT_EQ(s3.preempted_ids, (std::vector<int64_t>{1}));
     // Queue depth at launch exceeds the bound: R2 and R3 at
     // capacity plus the exempt preemption re-entry.
     EXPECT_EQ(s3.queue_depth, 3);
     // R1 re-entered at the front of its class (earlier arrival),
     // so readmission order is R1, then R2, then R3.
-    EXPECT_EQ(result.steps[4].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[4].prefill_ids,
               (std::vector<int64_t>{1, 2}));
-    EXPECT_EQ(result.steps[5].prefill_ids,
+    EXPECT_EQ(result.replicas[0].steps[5].prefill_ids,
               (std::vector<int64_t>{3}));
 
     const auto &m = result.metrics;
@@ -1059,7 +1078,7 @@ TEST(Scheduler, DeadlineStepLimitInteraction)
     Request r1 = makeRequest(1, 0.0, 8, 2);
     r1.deadline_ms = 1.5; // queued: expires at the t = 2 sweep
 
-    serving::Scheduler scheduler(options, cost);
+    serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({r0, r1});
 
     // No step-limit trip, no in-flight work, R0 ran its 4 steps
@@ -1089,7 +1108,7 @@ TEST(Scheduler, DeadlineStepLimitInteraction)
     // The step limit sits above deadlines: capped at 2 steps the
     // same run reports in-flight work.
     options.max_steps = 2;
-    serving::Scheduler capped(options, cost);
+    serving::FleetScheduler capped(oneReplica(options), cost);
     auto cut = capped.run({r0, r1});
     EXPECT_TRUE(cut.hit_step_limit);
     EXPECT_EQ(cut.metrics.steps, 2);
@@ -1144,26 +1163,213 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
     EXPECT_DOUBLE_EQ(m.latencyPercentileMs(50.0), 20.0);
 }
 
-TEST(FleetMetricsTest, PercentileCacheKeysOnRevisionNotJustSize)
+TEST(FleetMetricsTest, PercentileCacheKeysOnMergeRevision)
 {
-    // The fleet merge path mutates `requests` wholesale; the
-    // documented contract is that any such mutation bumps
-    // record_revision. A same-size content change must re-answer
-    // from the updated window — a size-keyed cache would serve
-    // the stale sort.
+    // Every merge() moves the record revision, half of the
+    // percentile-cache key. A same-size content change followed by
+    // a merge must re-answer from the updated window — a
+    // size-keyed cache would serve the stale sort.
+    serving::MetricsOptions keep;
+    keep.keep_records = serving::MetricsOptions::KeepRecords::Always;
+    serving::ServingMetrics replica;
+    replica.recordCompletion(completedRecord(0, 0.0, 10.0, 10.0, 1),
+                             keep);
+    replica.recordCompletion(completedRecord(1, 0.0, 30.0, 30.0, 1),
+                             keep);
     serving::FleetMetrics fm;
-    fm.requests.push_back(
-        completedRecord(0, 0.0, 10.0, 10.0, 1));
-    fm.requests.push_back(
-        completedRecord(1, 0.0, 30.0, 30.0, 1));
-    ++fm.record_revision;
+    fm.merge(replica);
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(100.0), 30.0);
 
     fm.requests[1].finish_ms = 500.0; // same size, new content
     fm.requests[1].first_token_ms = 500.0;
-    ++fm.record_revision;
+    fm.merge(serving::ServingMetrics{}); // adds no records
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(100.0), 500.0);
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(0.0), 10.0);
+}
+
+// ---- ServingMetrics::merge: two replicas' accumulators merged
+// ---- equal one accumulator fed the union of their work. ----
+
+namespace {
+
+/** The step accounting ReplicaEngine::completeStep commits. */
+void
+feedStep(serving::ServingMetrics &m, double busy_ms, int64_t batch,
+         int64_t pages_active)
+{
+    m.busy_ms += busy_ms;
+    ++m.steps;
+    m.total_batched_seqs += batch;
+    m.page_step_sum += pages_active;
+}
+
+/** Every field and accessor, compared exactly. All sums in the
+ *  merge test are dyadic, so summation order cannot round. */
+void
+expectSameAggregates(const serving::ServingMetrics &a,
+                     const serving::ServingMetrics &b)
+{
+    ASSERT_EQ(a.requests.size(), b.requests.size());
+    for (size_t i = 0; i < a.requests.size(); ++i) {
+        EXPECT_EQ(a.requests[i].id, b.requests[i].id);
+        EXPECT_EQ(a.requests[i].finish_ms, b.requests[i].finish_ms);
+    }
+    EXPECT_EQ(a.records_complete, b.records_complete);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.rejected_queue_full, b.rejected_queue_full);
+    EXPECT_EQ(a.rejected_too_long, b.rejected_too_long);
+    EXPECT_EQ(a.expired_deadline, b.expired_deadline);
+    EXPECT_EQ(a.rejected_drained, b.rejected_drained);
+    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+    EXPECT_EQ(a.total_output_tokens, b.total_output_tokens);
+    EXPECT_EQ(a.in_flight, b.in_flight);
+    EXPECT_EQ(a.replicas, b.replicas);
+    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+    EXPECT_EQ(a.busy_ms, b.busy_ms);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.total_batched_seqs, b.total_batched_seqs);
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+    EXPECT_EQ(a.pool_pages, b.pool_pages);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.prefix_hit_pages, b.prefix_hit_pages);
+    EXPECT_EQ(a.prefix_miss_pages, b.prefix_miss_pages);
+    EXPECT_EQ(a.peak_pages_active, b.peak_pages_active);
+    EXPECT_EQ(a.page_step_sum, b.page_step_sum);
+    EXPECT_EQ(a.latency_sketch.count(), b.latency_sketch.count());
+    EXPECT_EQ(a.ttft_sketch.count(), b.ttft_sketch.count());
+    EXPECT_EQ(a.ttft_sum_ms, b.ttft_sum_ms);
+    EXPECT_EQ(a.decode_sum_ms, b.decode_sum_ms);
+    EXPECT_EQ(a.decode_gaps, b.decode_gaps);
+    EXPECT_EQ(a.weight_stream_ms, b.weight_stream_ms);
+    EXPECT_EQ(a.weight_bytes_streamed, b.weight_bytes_streamed);
+    EXPECT_EQ(a.weight_stall_ms, b.weight_stall_ms);
+
+    EXPECT_EQ(a.requestsPerSecond(), b.requestsPerSecond());
+    EXPECT_EQ(a.tokensPerSecond(), b.tokensPerSecond());
+    EXPECT_EQ(a.utilization(), b.utilization());
+    EXPECT_EQ(a.meanBatchSize(), b.meanBatchSize());
+    EXPECT_EQ(a.pageUtilization(), b.pageUtilization());
+    EXPECT_EQ(a.prefixHitRate(), b.prefixHitRate());
+    EXPECT_EQ(a.ttftMeanMs(), b.ttftMeanMs());
+    EXPECT_EQ(a.ttftP95Ms(), b.ttftP95Ms());
+    EXPECT_EQ(a.tbtMeanMs(), b.tbtMeanMs());
+    for (double p : {0.0, 50.0, 90.0, 99.0, 100.0})
+        EXPECT_EQ(a.latencyPercentileMs(p),
+                  b.latencyPercentileMs(p));
+    EXPECT_EQ(a.weightOverlapFraction(), b.weightOverlapFraction());
+}
+
+} // namespace
+
+TEST(ServingMetricsTest, MergeEqualsOneAccumulatorFedTheUnion)
+{
+    serving::MetricsOptions keep;
+    keep.keep_records = serving::MetricsOptions::KeepRecords::Always;
+    auto replica = [] {
+        serving::ServingMetrics m;
+        m.replicas = 1;
+        m.pool_pages = 8;
+        m.makespan_ms = 40.0;
+        return m;
+    };
+    serving::RequestMetrics late = completedRecord(0, 0.0, 2.0, 6.0, 3);
+    late.deadline_ms = 5.0; // a deadline miss
+    serving::RequestMetrics single = completedRecord(1, 1.0, 4.0, 4.0, 1);
+    serving::RequestMetrics other = completedRecord(2, 2.0, 3.0, 11.0, 5);
+
+    serving::ServingMetrics a = replica();
+    feedStep(a, 4.0, 2, 3);
+    feedStep(a, 8.0, 1, 5);
+    a.recordCompletion(late, keep);
+    a.recordCompletion(single, keep);
+    a.countRejection(serving::RejectReason::QueueFull);
+    a.countRejection(serving::RejectReason::TooLong);
+    a.in_flight = 1;
+    a.max_queue_depth = 3;
+    a.peak_pages_active = 5;
+    a.preemptions = 1;
+    a.prefix_hit_pages = 2;
+    a.prefix_miss_pages = 4;
+    a.weight_stream_ms = 16.0;
+    a.weight_stall_ms = 4.0;
+    a.weight_bytes_streamed = 1024;
+
+    serving::ServingMetrics b = replica();
+    feedStep(b, 2.0, 3, 6);
+    b.recordCompletion(other, keep);
+    b.countRejection(serving::RejectReason::DeadlineExpired);
+    b.countRejection(serving::RejectReason::Drained);
+    b.countRejection(serving::RejectReason::QueueFull);
+    b.max_queue_depth = 5;
+    b.peak_pages_active = 6;
+    b.preemptions = 2;
+    b.prefix_hit_pages = 1;
+    b.prefix_miss_pages = 1;
+    b.weight_stream_ms = 16.0;
+    b.weight_stall_ms = 8.0;
+    b.weight_bytes_streamed = 1024;
+
+    // The union: the same work, in replica order, accounted as two
+    // replicas sharing one makespan.
+    serving::ServingMetrics u = replica();
+    u.replicas = 2;
+    feedStep(u, 4.0, 2, 3);
+    feedStep(u, 8.0, 1, 5);
+    feedStep(u, 2.0, 3, 6);
+    for (const auto &r : {late, single, other})
+        u.recordCompletion(r, keep);
+    for (auto reason : {serving::RejectReason::QueueFull,
+                        serving::RejectReason::TooLong,
+                        serving::RejectReason::DeadlineExpired,
+                        serving::RejectReason::Drained,
+                        serving::RejectReason::QueueFull})
+        u.countRejection(reason);
+    u.in_flight = 1;
+    u.max_queue_depth = 5;
+    u.peak_pages_active = 6;
+    u.preemptions = 3;
+    u.prefix_hit_pages = 3;
+    u.prefix_miss_pages = 5;
+    u.weight_stream_ms = 32.0;
+    u.weight_stall_ms = 12.0;
+    u.weight_bytes_streamed = 2048;
+
+    // One replica merged into an empty fleet accumulator is that
+    // replica, field for field.
+    serving::FleetMetrics one;
+    one.merge(a);
+    expectSameAggregates(one, a);
+
+    serving::FleetMetrics merged;
+    merged.merge(a);
+    merged.merge(b);
+    expectSameAggregates(merged, u);
+    // Accessors keep their per-replica meaning: busy time over
+    // 2 × 40 ms of replica time, active pages over 3 steps × 8.
+    EXPECT_DOUBLE_EQ(merged.utilization(), 14.0 / 80.0);
+    EXPECT_DOUBLE_EQ(merged.pageUtilization(), 14.0 / 24.0);
+    EXPECT_DOUBLE_EQ(merged.weightOverlapFraction(), 1.0 - 12.0 / 32.0);
+    EXPECT_EQ(merged.deadline_misses, 1);
+
+    // One replica that dropped its records makes the merge
+    // incomplete, and the percentiles answer from the sketch.
+    serving::MetricsOptions never;
+    never.keep_records = serving::MetricsOptions::KeepRecords::Never;
+    serving::ServingMetrics c = replica();
+    c.recordCompletion(completedRecord(3, 0.0, 1.0, 12.0, 2), never);
+    merged.merge(c);
+    EXPECT_FALSE(merged.records_complete);
+    EXPECT_EQ(merged.completed, 4);
+    EXPECT_EQ(merged.latency_sketch.count(), 4);
+    EXPECT_DOUBLE_EQ(merged.latencyPercentileMs(100.0), 12.0);
+}
+
+TEST(ServingMetricsTest, MergeRejectsMismatchedPoolGeometry)
+{
+    serving::ServingMetrics a, b;
+    a.pool_pages = 8;
+    b.pool_pages = 16;
+    EXPECT_THROW(a.merge(b), FatalError);
 }
 
 // ---- Cold-start weight gating (scheduler.h ColdStartOptions):
@@ -1184,14 +1390,14 @@ TEST(ServingSchedulerTest, ColdStartGatingExactAgainstWarm)
     std::vector<Request> trace = {makeRequest(0, 0.0, 8, 3),
                                   makeRequest(1, 0.0, 8, 3)};
 
-    serving::Scheduler warm(base(), cost);
+    serving::FleetScheduler warm(oneReplica(base()), cost);
     auto warm_result = warm.run(trace);
-    ASSERT_FALSE(warm_result.steps.empty());
+    ASSERT_FALSE(warm_result.replicas[0].steps.empty());
     EXPECT_DOUBLE_EQ(warm_result.metrics.weight_stream_ms, 0.0);
     EXPECT_DOUBLE_EQ(warm_result.metrics.weight_stall_ms, 0.0);
     EXPECT_DOUBLE_EQ(
         warm_result.metrics.weightOverlapFraction(), 1.0);
-    for (const auto &s : warm_result.steps)
+    for (const auto &s : warm_result.replicas[0].steps)
         EXPECT_DOUBLE_EQ(s.weights_wait_ms, 0.0);
 
     // A handcrafted two-layer plan finishing at t=20: layer 0
@@ -1209,7 +1415,7 @@ TEST(ServingSchedulerTest, ColdStartGatingExactAgainstWarm)
         auto o = base();
         o.cold_start.plan = plan;
         o.cold_start.overlap = overlap;
-        serving::Scheduler cold(o, cost);
+        serving::FleetScheduler cold(oneReplica(o), cost);
         return cold.run(trace);
     };
     auto off = runCold(false);
@@ -1218,14 +1424,16 @@ TEST(ServingSchedulerTest, ColdStartGatingExactAgainstWarm)
     // Every step's wait is exactly what the plan's gate derives
     // from the warm step's start and duration — replayed here
     // with the same double arithmetic.
-    auto checkWaits = [&](const serving::ServingResult &cold,
+    auto checkWaits = [&](const serving::FleetResult &cold,
                           bool overlap) {
-        ASSERT_EQ(cold.steps.size(), warm_result.steps.size());
+        const auto &warm_steps = warm_result.replicas[0].steps;
+        const auto &cold_steps = cold.replicas[0].steps;
+        ASSERT_EQ(cold_steps.size(), warm_steps.size());
         double drift = 0.0; // cold start so far delays launches
         double stall = 0.0;
-        for (size_t i = 0; i < cold.steps.size(); ++i) {
-            const auto &w = warm_result.steps[i];
-            const auto &c = cold.steps[i];
+        for (size_t i = 0; i < cold_steps.size(); ++i) {
+            const auto &w = warm_steps[i];
+            const auto &c = cold_steps[i];
             double start = w.start_ms + drift;
             EXPECT_DOUBLE_EQ(c.start_ms, start);
             double wait = 0.0;
@@ -1260,13 +1468,12 @@ TEST(ServingSchedulerTest, ColdStartGatingExactAgainstWarm)
 
     // Cold-start runs replay bit-identically.
     auto again = runCold(true);
-    ASSERT_EQ(again.steps.size(), on.steps.size());
-    for (size_t i = 0; i < on.steps.size(); ++i) {
-        EXPECT_DOUBLE_EQ(again.steps[i].start_ms,
-                         on.steps[i].start_ms);
-        EXPECT_DOUBLE_EQ(again.steps[i].step_ms,
-                         on.steps[i].step_ms);
-        EXPECT_DOUBLE_EQ(again.steps[i].weights_wait_ms,
-                         on.steps[i].weights_wait_ms);
+    const auto &sa = again.replicas[0].steps;
+    const auto &so = on.replicas[0].steps;
+    ASSERT_EQ(sa.size(), so.size());
+    for (size_t i = 0; i < so.size(); ++i) {
+        EXPECT_DOUBLE_EQ(sa[i].start_ms, so[i].start_ms);
+        EXPECT_DOUBLE_EQ(sa[i].step_ms, so[i].step_ms);
+        EXPECT_DOUBLE_EQ(sa[i].weights_wait_ms, so[i].weights_wait_ms);
     }
 }

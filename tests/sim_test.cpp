@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "sim/simulator.h"
 
 using namespace streamtensor;
@@ -138,8 +140,8 @@ TEST(Sim, TimeoutIsNotDeadlock)
 TEST(Sim, SimulateAllThreadedMatchesSequential)
 {
     // Three independent single-group pipelines; per-group
-    // simulation is pure, so the threaded fan-out must be bitwise
-    // identical to the sequential path.
+    // simulation is pure, so simulateAll's threaded fan-out must be
+    // bitwise identical to simulating each group in turn.
     ComponentGraph g;
     for (int64_t grp = 0; grp < 3; ++grp) {
         Component a;
@@ -156,19 +158,25 @@ TEST(Sim, SimulateAllThreadedMatchesSequential)
         int64_t ib = g.addComponent(b);
         addChannel(g, ia, ib, 64, 4);
     }
-    sim::SimOptions sequential;
-    sequential.threads = 1;
-    sim::SimOptions threaded;
-    threaded.threads = 3;
-    auto seq = sim::simulateAll(g, sequential);
-    auto par = sim::simulateAll(g, threaded);
-    ASSERT_EQ(seq.size(), par.size());
-    for (size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(seq[i].deadlock, par[i].deadlock);
-        EXPECT_EQ(seq[i].cycles, par[i].cycles);
-        EXPECT_EQ(seq[i].first_output_cycle,
-                  par[i].first_output_cycle);
-        EXPECT_EQ(seq[i].events, par[i].events);
+    std::vector<sim::SimResult> seq;
+    for (int64_t grp = 0; grp < g.numGroups(); ++grp)
+        seq.push_back(sim::simulateGroup(g, grp));
+    // Two callers at once: the groups of each fan out over the
+    // shared pool, and the callers race each other even when the
+    // pool has no workers.
+    std::vector<sim::SimResult> par[2];
+    std::thread other([&] { par[1] = sim::simulateAll(g); });
+    par[0] = sim::simulateAll(g);
+    other.join();
+    for (const auto &run : par) {
+        ASSERT_EQ(seq.size(), run.size());
+        for (size_t i = 0; i < seq.size(); ++i) {
+            EXPECT_EQ(seq[i].deadlock, run[i].deadlock);
+            EXPECT_EQ(seq[i].cycles, run[i].cycles);
+            EXPECT_EQ(seq[i].first_output_cycle,
+                      run[i].first_output_cycle);
+            EXPECT_EQ(seq[i].events, run[i].events);
+        }
     }
 }
 
