@@ -60,6 +60,9 @@ buildTransformerBlock(const LlmConfig &config,
 {
     ST_CHECK(shapes.seq_len >= 1 && shapes.kv_len >= 1,
              "block shapes must be positive");
+    ST_CHECK(shapes.kv_len >= shapes.seq_len,
+             "attention context (kv_len) must hold every query "
+             "token (seq_len)");
     int64_t s = shapes.seq_len;
     int64_t l = shapes.kv_len;
     int64_t h = config.hidden;

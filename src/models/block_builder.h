@@ -27,14 +27,15 @@ namespace models {
 enum class Phase { Prefill, Decode };
 
 /** Shapes for one block instantiation. Totally ordered so shapes
- *  can key compile caches and deterministic batch-group maps. */
+ *  can key compile caches and sort a step's batch groups. */
 struct BlockShapes
 {
     /** Query tokens processed per execution (input length for
      *  prefill, 1 for decode). */
     int64_t seq_len = 1;
 
-    /** Attention context length (cache + current tokens). */
+    /** Attention context length (cache + current tokens); never
+     *  below seq_len, since the context holds every query token. */
     int64_t kv_len = 32;
 };
 

@@ -23,48 +23,36 @@ invocationOverheadMs(const hls::FpgaPlatform &platform,
 
 } // namespace
 
+CompiledBlock::CompiledBlock(compiler::CompileResult compile_result,
+                             std::vector<sim::SimResult> group_sims)
+    : compile(std::move(compile_result)), sims(std::move(group_sims))
+{
+    groups_.reserve(sims.size());
+    for (const auto &s : sims) {
+        groups_.push_back({s.cycles, sim::steadyIntervalCycles(s)});
+        deadlocked_ = deadlocked_ || s.deadlock || s.timed_out;
+        crossings_ += s.crossing_channels;
+        crossing_stall_cycles_ += s.crossing_stall_cycles;
+    }
+}
+
 double
 CompiledBlock::totalCycles() const
 {
     double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += s.cycles;
+    for (const auto &g : groups_)
+        cycles += g.cycles;
     return cycles;
 }
 
 double
 CompiledBlock::batchedCycles(int64_t batch) const
 {
+    ST_CHECK(batch >= 1, "batch must be positive");
     double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += sim::batchedCycles(s, batch);
-    return cycles;
-}
-
-bool
-CompiledBlock::deadlocked() const
-{
-    for (const auto &s : sims)
-        if (s.deadlock || s.timed_out)
-            return true;
-    return false;
-}
-
-int64_t
-CompiledBlock::crossings() const
-{
-    int64_t crossings = 0;
-    for (const auto &s : sims)
-        crossings += s.crossing_channels;
-    return crossings;
-}
-
-double
-CompiledBlock::crossingStallCycles() const
-{
-    double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += s.crossing_stall_cycles;
+    for (const auto &g : groups_)
+        cycles += g.cycles +
+                  static_cast<double>(batch - 1) * g.interval;
     return cycles;
 }
 
@@ -99,14 +87,16 @@ LlmExecutor::block(const models::BlockShapes &shapes)
     // Compile + simulate outside the lock so concurrent *distinct*
     // shapes overlap (run() warms prefill and decode together).
     ++compile_count_;
-    auto compiled = std::make_unique<CompiledBlock>();
+    std::unique_ptr<CompiledBlock> compiled;
     try {
         linalg::Graph graph =
             models::buildTransformerBlock(config_, shapes);
-        compiled->compile = compiler::compile(std::move(graph),
-                                              platform_, options_);
-        compiled->sims = sim::simulateAll(
-            compiled->compile.design.components);
+        compiler::CompileResult compile = compiler::compile(
+            std::move(graph), platform_, options_);
+        std::vector<sim::SimResult> sims =
+            sim::simulateAll(compile.design.components);
+        compiled = std::make_unique<CompiledBlock>(
+            std::move(compile), std::move(sims));
     } catch (...) {
         // Unblock waiters before propagating; they will retry the
         // compile themselves.
@@ -236,15 +226,9 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
 {
     ST_CHECK(!groups.empty(), "step needs at least one group");
 
-    // Merge duplicate shapes so {{S,1},{S,1}} costs like {{S,2}}:
-    // one pipeline fill plus steady intervals, one trigger, one
-    // compile. Map order also makes the cost independent of the
-    // caller's group order.
-    std::map<models::BlockShapes, int64_t> merged;
     int64_t total_seqs = 0;
     for (const auto &g : groups) {
         ST_CHECK(g.count >= 1, "group count must be positive");
-        merged[g.shapes] += g.count;
         total_seqs += g.count;
     }
     // Per layer, each group is one trigger: its batch streams
@@ -253,9 +237,34 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
     // steady-state interval. Overhead amortises with the whole
     // step's sequences in flight. block() compiles a cache miss
     // on first use.
+    //
+    // Each pass of the selection loop picks the smallest shape
+    // above the previous one and merges every group carrying it,
+    // so {{S,1},{S,1}} costs like {{S,2}} (one pipeline fill plus
+    // steady intervals, one trigger, one compile) and shapes are
+    // costed in ascending order whatever the caller's order — all
+    // without allocating, at distinct shapes × groups comparisons
+    // (a step's groups number at most its batch).
     StepResult result;
     double freq_hz = platform_.freq_mhz * 1e6;
-    for (const auto &[s, count] : merged) {
+    const models::BlockShapes *prev = nullptr;
+    while (true) {
+        const models::BlockShapes *next = nullptr;
+        int64_t count = 0;
+        for (const auto &g : groups) {
+            if (prev != nullptr && !(*prev < g.shapes))
+                continue;
+            if (next == nullptr || g.shapes < *next) {
+                next = &g.shapes;
+                count = g.count;
+            } else if (g.shapes == *next) {
+                count += g.count;
+            }
+        }
+        if (next == nullptr)
+            break;
+        prev = next;
+        const models::BlockShapes &s = *next;
         const CompiledBlock &blk = block(s);
         result.deadlock = result.deadlock || blk.deadlocked();
         result.kv_tokens += count * s.kv_len;

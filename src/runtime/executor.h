@@ -61,29 +61,56 @@ struct LlmRunResult
     double crossing_stall_ms = 0.0;
 };
 
-/** One compiled + simulated block shape. */
-struct CompiledBlock
+/** One compiled + simulated block shape. Construction derives the
+ *  terms every serving step reads — each group's fill latency and
+ *  steady interval, the crossing totals, the deadlock flag — once,
+ *  so a warm step is arithmetic over stored values rather than a
+ *  rescan of every simulated component. @ref compile and
+ *  @ref sims are const so the stored terms cannot go stale. */
+class CompiledBlock
 {
-    compiler::CompileResult compile;
-    std::vector<sim::SimResult> sims;
+  public:
+    CompiledBlock(compiler::CompileResult compile,
+                  std::vector<sim::SimResult> sims);
+
+    const compiler::CompileResult compile;
+    const std::vector<sim::SimResult> sims;
 
     /** Sequential-group makespan in cycles. */
     double totalCycles() const;
 
     /** Makespan of @p batch back-to-back triggers of this block
-     *  with weights resident (sim::batchedCycles per group). */
+     *  with weights resident: Σ over groups in index order of
+     *  sim::batchedCycles, from the stored intervals. */
     double batchedCycles(int64_t batch) const;
 
     /** True when any group deadlocked or timed out (either way the
      *  simulated cycles are not a completed run). */
-    bool deadlocked() const;
+    bool deadlocked() const { return deadlocked_; }
 
     /** Inter-die channel crossings across the block's groups. */
-    int64_t crossings() const;
+    int64_t crossings() const { return crossings_; }
 
     /** Stall cycles attributed to inter-die channels across the
      *  block's groups (one trigger). */
-    double crossingStallCycles() const;
+    double crossingStallCycles() const
+    {
+        return crossing_stall_cycles_;
+    }
+
+  private:
+    /** One group's fill latency (SimResult::cycles) and
+     *  sim::steadyIntervalCycles. */
+    struct GroupTerms
+    {
+        double cycles = 0.0;
+        double interval = 0.0;
+    };
+
+    std::vector<GroupTerms> groups_;
+    bool deadlocked_ = false;
+    int64_t crossings_ = 0;
+    double crossing_stall_cycles_ = 0.0;
 };
 
 /** One shape group of a serving step: @p count sequences whose
@@ -158,10 +185,13 @@ class LlmExecutor
      *  trigger whose batch members stream back-to-back with
      *  weights resident (CompiledBlock::batchedCycles), so the
      *  weight-streaming cost that dominates decode amortises over
-     *  the batch. Each distinct shape is fetched through block()
-     *  on the calling thread, which compiles a cache miss there;
-     *  callers that want misses compiled in parallel warm through
-     *  block() first. */
+     *  the batch. Groups sharing a shape merge into one trigger,
+     *  and shapes are costed in ascending shape order, so the
+     *  result does not depend on the caller's group order. A warm
+     *  step allocates nothing. Each distinct shape is fetched
+     *  through block() on the calling thread, which compiles a
+     *  cache miss there; callers that want misses compiled in
+     *  parallel warm through block() first. */
     StepResult step(const std::vector<StepGroup> &groups);
 
     /** Compiles performed so far (cache misses). Serving-bucket

@@ -195,7 +195,7 @@ ReplicaEngine::launchStep(double now)
     // sequence's demand always fits the pool (servable()).
     std::vector<int64_t> preempted_now;
     if (!active_.empty()) {
-        std::vector<bool> gone(active_.size(), false);
+        gone_.assign(active_.size(), false);
         auto preempt = [&](size_t victim) {
             ActiveSeq &seq = active_[victim];
             pool_.release(seq.req.id);
@@ -209,17 +209,17 @@ ReplicaEngine::launchStep(double now)
             queue_.pushFront(seq.req);
             preempted_now.push_back(seq.req.id);
             ++result_.metrics.preemptions;
-            gone[victim] = true;
+            gone_[victim] = true;
         };
         for (size_t i = 0; i < active_.size(); ++i) {
-            if (gone[i])
+            if (gone_[i])
                 continue;
             while (!pool_.grow(active_[i].req.id,
                                active_[i].req.input_len +
                                    active_[i].generated)) {
                 int victim = -1;
                 for (size_t j = 0; j < active_.size(); ++j) {
-                    if (j == i || gone[j])
+                    if (j == i || gone_[j])
                         continue;
                     if (victim < 0 ||
                         active_[j].req.priority >
@@ -238,7 +238,7 @@ ReplicaEngine::launchStep(double now)
         }
         size_t keep = 0;
         for (size_t i = 0; i < active_.size(); ++i)
-            if (!gone[i])
+            if (!gone_[i])
                 active_[keep++] = std::move(active_[i]);
         active_.resize(keep);
     }
@@ -285,12 +285,13 @@ ReplicaEngine::launchStep(double now)
     // it by the servability check.
     ST_ASSERT(!active_.empty(), "admission stalled");
 
-    // Group the batch by bucketed shapes (map order keeps the
-    // group sequence deterministic). An un-prefilled sequence
-    // runs a prefill-shaped pass over its full context —
+    // Group the batch by bucketed shapes, kept in ascending shape
+    // order by sorted insertion into a buffer reused across steps
+    // (no per-step allocation once it has grown). An un-prefilled
+    // sequence runs a prefill-shaped pass over its full context —
     // input_len for a fresh one, input_len + generated for a
     // readmitted one recomputing its dropped KV.
-    std::map<models::BlockShapes, int64_t> shape_counts;
+    step_groups_.clear();
     for (const auto &seq : active_) {
         int64_t ctx = seq.req.input_len + seq.generated;
         models::BlockShapes shapes =
@@ -299,14 +300,19 @@ ReplicaEngine::launchStep(double now)
                                                options_.buckets)
                 : models::bucketedPrefillShapes(ctx,
                                                 options_.buckets);
-        ++shape_counts[shapes];
+        auto pos = std::lower_bound(
+            step_groups_.begin(), step_groups_.end(), shapes,
+            [](const runtime::StepGroup &g,
+               const models::BlockShapes &s) {
+                return g.shapes < s;
+            });
+        if (pos != step_groups_.end() && pos->shapes == shapes)
+            ++pos->count;
+        else
+            step_groups_.insert(pos, {shapes, 1});
     }
-    std::vector<runtime::StepGroup> groups;
-    groups.reserve(shape_counts.size());
-    for (const auto &[shapes, count] : shape_counts)
-        groups.push_back({shapes, count});
 
-    double step_ms = cost_->stepMs(groups);
+    double step_ms = cost_->stepMs(step_groups_);
     ST_CHECK(step_ms > 0.0,
              "cost model must advance simulated time");
     step_ms *= slow_factor_;

@@ -238,6 +238,11 @@ class ReplicaEngine
     bool draining_ = false;
     double slow_factor_ = 1.0;
 
+    // Per-step scratch reused across launchStep() calls: the
+    // preemption marks and the step's shape groups.
+    std::vector<bool> gone_;
+    std::vector<runtime::StepGroup> step_groups_;
+
     // In-flight step (busy_ == true).
     bool busy_ = false;
     double step_start_ms_ = 0.0;

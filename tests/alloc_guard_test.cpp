@@ -1,0 +1,102 @@
+/** @file Allocation guard for the warm serving step. This suite
+ *  replaces the global operator new with a counting one, so it
+ *  lives in its own executable: once every shape is compiled, a
+ *  step is arithmetic over cached CompiledBlock values and must not
+ *  touch the heap. A map or vector creeping back into
+ *  LlmExecutor::step (or the ExecutorCostModel wrapper the serving
+ *  engine calls) fails here. */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "models/block_builder.h"
+#include "runtime/executor.h"
+#include "serving/cost_model.h"
+
+namespace {
+
+std::atomic<int64_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+using namespace streamtensor;
+
+namespace {
+
+/** Heap allocations made while running @p fn. */
+template <typename Fn>
+int64_t
+allocationsDuring(Fn &&fn)
+{
+    int64_t before = g_allocations.load();
+    fn();
+    return g_allocations.load() - before;
+}
+
+/** n groups over four shapes, unsorted and with duplicates from
+ *  n = 5 on, so the merge does real work. */
+std::vector<runtime::StepGroup>
+stepGroups(int n)
+{
+    const models::BlockShapes shapes[] = {
+        models::prefillShapes(64), models::decodeShapes(96),
+        models::prefillShapes(32), models::decodeShapes(48)};
+    std::vector<runtime::StepGroup> groups;
+    for (int i = 0; i < n; ++i)
+        groups.push_back({shapes[i % 4], i + 1});
+    return groups;
+}
+
+} // namespace
+
+TEST(AllocGuard, CounterSeesHeapAllocations)
+{
+    // A direct operator new call (unlike a new-expression) cannot
+    // be elided, so the counter must see exactly one allocation.
+    EXPECT_EQ(allocationsDuring([] {
+                  ::operator delete(::operator new(16));
+              }),
+              1);
+}
+
+TEST(AllocGuard, WarmStepAllocatesNothing)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    serving::ExecutorCostModel cost(executor);
+    (void)executor.step(stepGroups(8)); // compile every shape
+
+    for (int n = 1; n <= 8; ++n) {
+        const std::vector<runtime::StepGroup> groups = stepGroups(n);
+        runtime::StepResult result;
+        int64_t executor_allocs =
+            allocationsDuring([&] { result = executor.step(groups); });
+        double ms = 0.0;
+        int64_t oracle_allocs =
+            allocationsDuring([&] { ms = cost.stepMs(groups); });
+        EXPECT_EQ(executor_allocs, 0) << n << " groups";
+        EXPECT_EQ(oracle_allocs, 0) << n << " groups";
+        EXPECT_GT(result.step_ms, 0.0);
+        EXPECT_EQ(ms, result.step_ms);
+    }
+    EXPECT_EQ(executor.compileCount(), 4);
+}

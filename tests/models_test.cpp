@@ -169,6 +169,20 @@ TEST(BlockBuilder, RejectsBadShapes)
         FatalError);
 }
 
+TEST(BlockBuilder, RejectsContextShorterThanQuery)
+{
+    // More query tokens than the attention context holds is not a
+    // transformer block; every model must refuse it rather than
+    // cost it.
+    for (const auto &cfg : allConfigs())
+        EXPECT_THROW(
+            buildTransformerBlock(cfg, BlockShapes{32, 16}),
+            FatalError)
+            << cfg.name;
+    EXPECT_NO_THROW(
+        buildTransformerBlock(gpt2Config(), BlockShapes{32, 32}));
+}
+
 TEST(BlockShapes, TotalOrderForCacheKeys)
 {
     BlockShapes a{1, 48};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
 
 #include "support/error.h"
@@ -19,6 +21,29 @@ gpt2Executor()
     static runtime::LlmExecutor executor(models::gpt2Config(),
                                          hls::u55c());
     return executor;
+}
+
+/** Bit-identical step results (EXPECT_EQ on the doubles). */
+void
+expectSameStep(const runtime::StepResult &got,
+               const runtime::StepResult &want)
+{
+    EXPECT_EQ(got.step_ms, want.step_ms);
+    EXPECT_EQ(got.kv_tokens, want.kv_tokens);
+    EXPECT_EQ(got.crossings, want.crossings);
+    EXPECT_EQ(got.crossing_stall_ms, want.crossing_stall_ms);
+    EXPECT_EQ(got.deadlock, want.deadlock);
+}
+
+/** @p groups with every {S, n} split into n groups {S, 1}. */
+std::vector<runtime::StepGroup>
+splitIntoSingles(const std::vector<runtime::StepGroup> &groups)
+{
+    std::vector<runtime::StepGroup> singles;
+    for (const auto &g : groups)
+        for (int64_t i = 0; i < g.count; ++i)
+            singles.push_back({g.shapes, 1});
+    return singles;
 }
 
 } // namespace
@@ -192,6 +217,109 @@ TEST(Executor, StepMergesDuplicateShapeGroups)
     EXPECT_EQ(executor.compileCount(), 1);
 }
 
+TEST(Executor, StepDoesNotDependOnGroupOrder)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    // Ascending shape order: decodes (seq 1) before prefills.
+    const std::vector<runtime::StepGroup> sorted = {
+        {models::decodeShapes(48), 2},
+        {models::decodeShapes(96), 3},
+        {models::prefillShapes(32), 1},
+        {models::prefillShapes(64), 2}};
+    const runtime::StepResult want = executor.step(sorted);
+
+    std::vector<runtime::StepGroup> reversed(sorted.rbegin(),
+                                             sorted.rend());
+    expectSameStep(executor.step(reversed), want);
+
+    std::mt19937 rng(7);
+    std::vector<runtime::StepGroup> shuffled = sorted;
+    for (int round = 0; round < 8; ++round) {
+        std::shuffle(shuffled.begin(), shuffled.end(), rng);
+        expectSameStep(executor.step(shuffled), want);
+    }
+
+    // Duplicates merge whatever their order: {S,1}x3 is {S,3}.
+    std::vector<runtime::StepGroup> singles =
+        splitIntoSingles(sorted);
+    expectSameStep(executor.step(singles), want);
+    std::shuffle(singles.begin(), singles.end(), rng);
+    expectSameStep(executor.step(singles), want);
+    expectSameStep(
+        executor.step({{models::decodeShapes(96), 1},
+                       {models::decodeShapes(96), 1},
+                       {models::decodeShapes(96), 1}}),
+        executor.step({{models::decodeShapes(96), 3}}));
+    EXPECT_EQ(executor.compileCount(), 4);
+}
+
+TEST(Executor, StepMergesFortyGroups)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    const std::vector<runtime::StepGroup> merged = {
+        {models::decodeShapes(48), 10},
+        {models::decodeShapes(96), 10},
+        {models::prefillShapes(32), 10},
+        {models::prefillShapes(64), 10}};
+    std::vector<runtime::StepGroup> forty =
+        splitIntoSingles(merged);
+    ASSERT_EQ(forty.size(), 40u);
+    std::shuffle(forty.begin(), forty.end(), std::mt19937(11));
+    expectSameStep(executor.step(forty), executor.step(merged));
+}
+
+TEST(Executor, ConcurrentStepsMatchSerialExecutor)
+{
+    // Two threads stepping one executor at once — one group set
+    // warm, each with a shape the other may be compiling — must
+    // see exactly what a serial executor computes: step() keeps
+    // no state shared between callers beyond the block cache.
+    runtime::LlmExecutor shared(models::gpt2Config(), hls::u55c());
+    runtime::LlmExecutor serial(models::gpt2Config(), hls::u55c());
+    (void)shared.block(models::decodeShapes(48));
+    const std::vector<runtime::StepGroup> a = {
+        {models::prefillShapes(32), 1},
+        {models::decodeShapes(48), 2}};
+    const std::vector<runtime::StepGroup> b = {
+        {models::decodeShapes(96), 2},
+        {models::decodeShapes(48), 1},
+        {models::prefillShapes(32), 1}};
+    constexpr int kSteps = 64;
+    std::vector<runtime::StepResult> got_a(kSteps), got_b(kSteps);
+    std::thread ta([&] {
+        for (auto &r : got_a)
+            r = shared.step(a);
+    });
+    std::thread tb([&] {
+        for (auto &r : got_b)
+            r = shared.step(b);
+    });
+    ta.join();
+    tb.join();
+    const runtime::StepResult want_a = serial.step(a);
+    const runtime::StepResult want_b = serial.step(b);
+    for (int i = 0; i < kSteps; ++i) {
+        expectSameStep(got_a[i], want_a);
+        expectSameStep(got_b[i], want_b);
+    }
+    EXPECT_EQ(shared.compileCount(), 3);
+}
+
+TEST(Executor, StepRejectsContextShorterThanQuery)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    // More query tokens than the context holds: refused at block
+    // build, and refused again (not waited on) by a retry.
+    const models::BlockShapes bad{32, 16};
+    EXPECT_THROW(executor.step({{bad, 1}}), FatalError);
+    EXPECT_THROW(executor.step({{models::decodeShapes(48), 1},
+                                {bad, 1}}),
+                 FatalError);
+}
+
 TEST(Executor, StepRejectsMalformedGroups)
 {
     runtime::LlmExecutor executor(models::gpt2Config(),
@@ -222,6 +350,47 @@ TEST(CompiledBlock, BatchedCyclesGrowLinearlyAtSteadyInterval)
         EXPECT_LE(interval, s.cycles);
     }
     EXPECT_THROW(blk.batchedCycles(0), FatalError);
+}
+
+TEST(CompiledBlock, StoredStepTermsEqualPerComponentDerivation)
+{
+    // The terms a CompiledBlock stores at construction must equal,
+    // bit for bit, the per-component derivation over its sims.
+    auto ladder = models::bucketBoundaries(models::BucketPolicy{});
+    ASSERT_GE(ladder.size(), 3u);
+    for (const auto &cfg :
+         {models::gpt2Config(), models::llamaConfig()}) {
+        runtime::LlmExecutor executor(cfg, hls::u55c());
+        for (size_t b = 0; b < 3; ++b) {
+            for (const auto &shapes :
+                 {models::prefillShapes(ladder[b]),
+                  models::decodeShapes(ladder[b])}) {
+                SCOPED_TRACE(cfg.name + " seq " +
+                             std::to_string(shapes.seq_len) +
+                             " kv " + std::to_string(shapes.kv_len));
+                const auto &blk = executor.block(shapes);
+                ASSERT_FALSE(blk.sims.empty());
+                for (int64_t k = 1; k <= 16; ++k) {
+                    double want = 0.0;
+                    for (const auto &s : blk.sims)
+                        want += sim::batchedCycles(s, k);
+                    EXPECT_EQ(blk.batchedCycles(k), want) << k;
+                }
+                int64_t crossings = 0;
+                double stall = 0.0;
+                bool deadlocked = false;
+                for (const auto &s : blk.sims) {
+                    crossings += s.crossing_channels;
+                    stall += s.crossing_stall_cycles;
+                    deadlocked =
+                        deadlocked || s.deadlock || s.timed_out;
+                }
+                EXPECT_EQ(blk.crossings(), crossings);
+                EXPECT_EQ(blk.crossingStallCycles(), stall);
+                EXPECT_EQ(blk.deadlocked(), deadlocked);
+            }
+        }
+    }
 }
 
 TEST(CompiledBlock, AggregatesGroupCycles)

@@ -845,6 +845,132 @@ TEST(SchedulerReplay, PagedPreemptionScript)
     EXPECT_EQ(m.peak_pages_active, 4);
 }
 
+// ---------------------------------------------------------------
+// What the engine hands the step-cost oracle.
+// ---------------------------------------------------------------
+
+namespace {
+
+/** Analytic costs, plus a copy of every group list the engine
+ *  hands the oracle. */
+class RecordingCostModel : public serving::StepCostModel
+{
+  public:
+    double
+    stepMs(const std::vector<runtime::StepGroup> &groups) override
+    {
+        calls.push_back(groups);
+        return analytic_.stepMs(groups);
+    }
+
+    std::vector<std::vector<runtime::StepGroup>> calls;
+
+  private:
+    serving::AnalyticCostModel analytic_;
+};
+
+/** One oracle call per step; each call's shapes strictly ascend
+ *  (hence are distinct) and its counts sum to the step's batch. */
+void
+expectSortedDistinctGroups(
+    const RecordingCostModel &cost,
+    const std::vector<serving::StepRecord> &steps)
+{
+    ASSERT_EQ(cost.calls.size(), steps.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+        const auto &groups = cost.calls[i];
+        ASSERT_FALSE(groups.empty()) << "step " << i;
+        int64_t seqs = 0;
+        for (size_t g = 0; g < groups.size(); ++g) {
+            EXPECT_GE(groups[g].count, 1) << "step " << i;
+            seqs += groups[g].count;
+            if (g > 0) {
+                EXPECT_TRUE(groups[g - 1].shapes < groups[g].shapes)
+                    << "step " << i << " group " << g;
+            }
+        }
+        EXPECT_EQ(seqs,
+                  static_cast<int64_t>(steps[i].prefill_ids.size() +
+                                       steps[i].decode_ids.size()))
+            << "step " << i;
+    }
+}
+
+} // namespace
+
+TEST(SchedulerReplay, OracleSeesSortedGroupsInMixedBatches)
+{
+    serving::TraceOptions trace_options;
+    trace_options.num_requests = 64;
+    trace_options.seed = 5;
+    trace_options.mean_interarrival_ms = 2.0;
+    RecordingCostModel cost;
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(8, 4096)), cost);
+    auto result =
+        scheduler.run(serving::burstyTrace(trace_options));
+    const auto &steps = result.replicas[0].steps;
+    expectSortedDistinctGroups(cost, steps);
+
+    // The trace really mixes: some step carries prefills and
+    // decodes together, and some group merges several sequences.
+    bool mixed = false;
+    bool merged = false;
+    for (size_t i = 0; i < steps.size(); ++i) {
+        mixed = mixed || (!steps[i].prefill_ids.empty() &&
+                          !steps[i].decode_ids.empty());
+        for (const auto &g : cost.calls[i])
+            merged = merged || g.count > 1;
+    }
+    EXPECT_TRUE(mixed);
+    EXPECT_TRUE(merged);
+}
+
+TEST(SchedulerReplay, OracleSeesSortedGroupsAfterPreemption)
+{
+    // The PagedPreemptionScript trace: step 4 preempts R1, and
+    // step 5 readmits it for a recompute prefill.
+    RecordingCostModel cost;
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 64)), cost);
+    auto result = scheduler.run({
+        makeRequest(0, 0.0, 30, 4),
+        makeRequest(1, 0.0, 30, 4),
+    });
+    const auto &steps = result.replicas[0].steps;
+    expectSortedDistinctGroups(cost, steps);
+    ASSERT_EQ(steps.size(), 5u);
+    ASSERT_EQ(steps[3].preempted_ids, (std::vector<int64_t>{1}));
+    ASSERT_EQ(cost.calls[3].size(), 1u);
+    EXPECT_TRUE(cost.calls[3][0].shapes == models::decodeShapes(48));
+    EXPECT_EQ(cost.calls[3][0].count, 1);
+    ASSERT_EQ(cost.calls[4].size(), 1u);
+    EXPECT_TRUE(cost.calls[4][0].shapes ==
+                models::prefillShapes(48));
+
+    // A tight pool under a bursty trace preempts repeatedly, with
+    // survivors of several shapes left in the preempting steps.
+    serving::TraceOptions trace_options;
+    trace_options.num_requests = 48;
+    trace_options.seed = 9;
+    trace_options.mean_interarrival_ms = 2.0;
+    RecordingCostModel tight;
+    serving::FleetScheduler pressured(
+        oneReplica(recordingOptions(8, 512)), tight);
+    auto pressured_result =
+        pressured.run(serving::burstyTrace(trace_options));
+    const auto &tight_steps = pressured_result.replicas[0].steps;
+    expectSortedDistinctGroups(tight, tight_steps);
+    EXPECT_GT(pressured_result.metrics.preemptions, 0);
+    bool multi_group_after_preempt = false;
+    for (size_t i = 0; i < tight_steps.size(); ++i)
+        multi_group_after_preempt =
+            multi_group_after_preempt ||
+            (!tight_steps[i].preempted_ids.empty() &&
+             tight.calls[i].size() > 1);
+    EXPECT_TRUE(multi_group_after_preempt);
+}
+
 TEST(SchedulerReplay, PagedPrefixSharingScript)
 {
     // Two concurrent requests share a 32-token prefix (2 full
