@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "solver/ilp.h"
 #include "support/error.h"
 #include "support/math_util.h"
 
@@ -56,113 +55,6 @@ allocateUnrollHeap(const linalg::Graph &g,
     }
 }
 
-/**
- * Exact allocation over power-of-two levels: binaries x[i][l]
- * one-hot select kernel i's unroll level, a budget row caps the
- * total, and a continuous makespan variable z dominates every
- * kernel's latency. Minimising z makes branch-and-bound close the
- * gap the greedy doubling can leave on skewed latency mixes.
- * Returns false (leaving @p configs untouched) when the instance
- * exceeds the options' binary-variable cap or the solve fails.
- */
-bool
-allocateUnrollIlp(const linalg::Graph &g,
-                  const std::vector<int64_t> &live,
-                  std::map<int64_t, TileConfig> &configs,
-                  const TilingOptions &options)
-{
-    struct KernelLevels
-    {
-        int64_t id;
-        std::vector<int64_t> unrolls;
-        std::vector<double> latencies;
-    };
-    std::vector<KernelLevels> kernels;
-    int64_t num_binaries = 0;
-    double max_latency = 1.0;
-    for (int64_t id : live) {
-        const linalg::OpInfo &op = g.op(id);
-        KernelLevels k;
-        k.id = id;
-        for (int64_t u = 1; u <= options.max_unroll_per_kernel &&
-                            u <= op.numPoints() &&
-                            u <= options.overall_unroll_size;
-             u *= 2) {
-            k.unrolls.push_back(u);
-            double lat = estimateLatency(op, {{}, {}, u, 1});
-            k.latencies.push_back(lat);
-            max_latency = std::max(max_latency, lat);
-        }
-        num_binaries += static_cast<int64_t>(k.unrolls.size());
-        kernels.push_back(std::move(k));
-    }
-    if (kernels.empty() ||
-        num_binaries > options.max_ilp_unroll_vars)
-        return false;
-
-    // Variables: the one-hot binaries first, then makespan z.
-    int64_t zvar = num_binaries;
-    solver::IlpProblem ilp(num_binaries + 1);
-    ilp.lp().setObjective(zvar, 1.0);
-
-    int64_t base = 0;
-    std::vector<int64_t> bases;
-    for (const KernelLevels &k : kernels) {
-        bases.push_back(base);
-        int64_t levels = static_cast<int64_t>(k.unrolls.size());
-        std::vector<int64_t> vars;
-        std::vector<double> ones(levels, 1.0);
-        for (int64_t l = 0; l < levels; ++l) {
-            ilp.setBinary(base + l);
-            vars.push_back(base + l);
-        }
-        ilp.lp().addSparseConstraint(vars, ones,
-                                     solver::Relation::EQ, 1.0);
-        // z - sum_l (lat[l]/max_latency) x[l] >= 0.
-        std::vector<int64_t> zvars{zvar};
-        std::vector<double> zcoeffs{1.0};
-        for (int64_t l = 0; l < levels; ++l) {
-            zvars.push_back(base + l);
-            zcoeffs.push_back(-k.latencies[l] / max_latency);
-        }
-        ilp.lp().addSparseConstraint(zvars, zcoeffs,
-                                     solver::Relation::GE, 0.0);
-        base += levels;
-    }
-    // Budget row: sum of selected unrolls.
-    {
-        std::vector<int64_t> vars;
-        std::vector<double> coeffs;
-        for (size_t i = 0; i < kernels.size(); ++i) {
-            for (size_t l = 0; l < kernels[i].unrolls.size(); ++l) {
-                vars.push_back(bases[i] + static_cast<int64_t>(l));
-                coeffs.push_back(
-                    static_cast<double>(kernels[i].unrolls[l]));
-            }
-        }
-        ilp.lp().addSparseConstraint(
-            vars, coeffs, solver::Relation::LE,
-            static_cast<double>(options.overall_unroll_size));
-    }
-
-    solver::IlpOptions ilp_options;
-    ilp_options.max_nodes = 20000;
-    solver::IlpSolution sol = solveIlp(ilp, ilp_options);
-    if (!sol.optimal())
-        return false;
-    for (size_t i = 0; i < kernels.size(); ++i) {
-        for (size_t l = 0; l < kernels[i].unrolls.size(); ++l) {
-            if (sol.values[bases[i] + static_cast<int64_t>(l)] >
-                0.5) {
-                configs[kernels[i].id].unroll =
-                    kernels[i].unrolls[l];
-                break;
-            }
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 std::vector<int64_t>
@@ -187,6 +79,11 @@ estimateLatency(const linalg::OpInfo &op, const TileConfig &config)
 std::map<int64_t, TileConfig>
 exploreTiling(const linalg::Graph &g, const TilingOptions &options)
 {
+    ST_CHECK(options.default_tile_size >= 1, "default tile size domain");
+    ST_CHECK(options.overall_unroll_size >= 1,
+             "overall unroll size domain");
+    ST_CHECK(options.max_unroll_per_kernel >= 1,
+             "max unroll per kernel domain");
     std::map<int64_t, TileConfig> configs;
     std::vector<int64_t> live = g.topoOrder();
 
@@ -213,26 +110,8 @@ exploreTiling(const linalg::Graph &g, const TilingOptions &options)
     }
 
     // --- Intensity-driven unrolling: split the overall unroll
-    // budget across kernels, either greedily (max-heap doubling,
-    // paper §5.1) or via the makespan ILP. The ILP answer is only
-    // kept when it beats the heap's: branch-and-bound may return a
-    // node-capped incumbent that is merely feasible.
-    if (options.unroll_strategy == UnrollStrategy::Ilp) {
-        auto makespan = [&](const std::map<int64_t, TileConfig> &c) {
-            double worst = 0.0;
-            for (const auto &[id, cfg] : c)
-                worst = std::max(worst,
-                                 estimateLatency(g.op(id), cfg));
-            return worst;
-        };
-        auto heap_configs = configs;
-        allocateUnrollHeap(g, live, heap_configs, options);
-        if (!allocateUnrollIlp(g, live, configs, options) ||
-            makespan(configs) > makespan(heap_configs))
-            configs = std::move(heap_configs);
-    } else {
-        allocateUnrollHeap(g, live, configs, options);
-    }
+    // budget across kernels by max-heap doubling (paper §5.1).
+    allocateUnrollHeap(g, live, configs, options);
 
     // --- Vectorization inference: stream lanes follow the unroll
     // factor, capped by the token size (the output tile: product

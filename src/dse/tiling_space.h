@@ -1,9 +1,10 @@
 /**
  * @file
  * Linalg tiling space exploration (paper §5.1): naive tiling with
- * a global default tile size, intensity-driven unrolling through a
- * max-heap over kernel latencies, heuristic loop permutation
- * (reduction loops outward), and vectorization-factor inference.
+ * a global default tile size, intensity-driven unrolling by greedy
+ * doubling of the longest-latency kernel off a max-heap, heuristic
+ * loop permutation (reduction loops outward), and vectorization-
+ * factor inference.
  */
 
 #ifndef STREAMTENSOR_DSE_TILING_SPACE_H
@@ -39,20 +40,6 @@ struct TileConfig
     interTileTrips(const linalg::OpInfo &op) const;
 };
 
-/** How the overall unroll budget is split across kernels. */
-enum class UnrollStrategy
-{
-    /** Greedy doubling of the longest-latency kernel (paper §5.1's
-     *  max-heap formulation). */
-    Heap,
-
-    /** Exact makespan-minimising allocation over power-of-two
-     *  unroll levels, solved as an ILP (one-hot level selection,
-     *  budget row, makespan variable). Falls back to Heap when the
-     *  instance is too large for exact search. */
-    Ilp,
-};
-
 /** Hyperparameters of the tiling space (tuned by the black-box
  *  optimizer with fusion feedback, paper §5.1). */
 struct TilingOptions
@@ -63,12 +50,6 @@ struct TilingOptions
      *  platform's DSP pool (U55C: 9024 DSPs). */
     int64_t overall_unroll_size = 8192;
     int64_t max_unroll_per_kernel = 2048;
-
-    UnrollStrategy unroll_strategy = UnrollStrategy::Heap;
-
-    /** Ilp strategy bails to Heap past this many one-hot binaries
-     *  (branch-and-bound stays exact but worst-case exponential). */
-    int64_t max_ilp_unroll_vars = 64;
 };
 
 /**
@@ -81,7 +62,8 @@ double estimateLatency(const linalg::OpInfo &op,
 
 /**
  * Explore the tiling space of every live op in @p g. Returns a map
- * from op id to its chosen configuration.
+ * from op id to its chosen configuration. Throws FatalError unless
+ * every size in @p options is at least 1.
  */
 std::map<int64_t, TileConfig>
 exploreTiling(const linalg::Graph &g, const TilingOptions &options);

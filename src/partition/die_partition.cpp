@@ -6,7 +6,6 @@
 #include "solver/ilp.h"
 #include "support/error.h"
 #include "support/flat_index.h"
-#include "support/logging.h"
 
 namespace streamtensor {
 namespace partition {
@@ -157,14 +156,7 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
         }
     }
 
-    // Imbalance: z >= luts(die d) - total/dies for every die; and
-    // per-die capacity: luts(die d) must fit the die's even slice
-    // of the fabric. Capacity rows only enter the ILP when they
-    // can bind — when the whole group no longer fits one die —
-    // because every assignment of a one-die-sized group satisfies
-    // them trivially and the slack rows only stall the B&B. Also
-    // skipped when even a perfect split could not fit (the greedy
-    // fallback then at least returns an assignment).
+    // Imbalance: z >= luts(die d) - total/dies for every die.
     std::vector<double> luts(n, 0.0);
     double total_luts = 0.0;
     for (int64_t i = 0; i < n; ++i) {
@@ -173,12 +165,6 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
                       .luts;
         total_luts += luts[i];
     }
-    double die_capacity =
-        static_cast<double>(platform.dieResources().luts);
-    bool enforce_capacity =
-        options.enforce_die_capacity &&
-        total_luts > die_capacity &&
-        total_luts <= die_capacity * static_cast<double>(dies);
     for (int64_t d = 0; d < dies; ++d) {
         std::vector<int64_t> vars{zvar};
         std::vector<double> coeffs{1.0};
@@ -189,19 +175,6 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
         ilp.lp().addSparseConstraint(vars, coeffs,
                                      solver::Relation::GE,
                                      -total_luts / dies);
-        if (enforce_capacity) {
-            // Scaled to units of one die capacity so the row's
-            // coefficients stay O(1) next to the 0/1 assignment
-            // columns (raw LUT counts destabilise the pivoting).
-            std::vector<int64_t> cap_vars(vars.begin() + 1,
-                                          vars.end());
-            std::vector<double> cap_coeffs(n, 0.0);
-            for (int64_t i = 0; i < n; ++i)
-                cap_coeffs[i] = luts[i] / die_capacity;
-            ilp.lp().addSparseConstraint(cap_vars, cap_coeffs,
-                                         solver::Relation::LE,
-                                         1.0);
-        }
     }
 
     // Objective: crossings + weighted imbalance (normalised).
@@ -217,31 +190,17 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
     // The greedy assignment's objective value, in the ILP's own
     // terms (a split edge's crossing indicators sum to 2 x 0.5;
     // the optimal z is the max die load's excess over the even
-    // share). It primes the branch-and-bound as a cutoff — but
-    // only when greedy itself satisfies any enforced capacity:
-    // a capacity-violating incumbent could prune away every
-    // feasible (necessarily more-crossing) placement.
+    // share), primes the branch-and-bound as its cutoff.
     double max_die_luts = *std::max_element(
         greedy.die_luts.begin(), greedy.die_luts.end());
-    bool greedy_fits =
-        !enforce_capacity || max_die_luts <= die_capacity;
     constexpr int64_t kMaxIlpNodes = 20000; // branch-and-bound budget
     solver::IlpOptions ilp_options;
     ilp_options.max_nodes = kMaxIlpNodes;
-    if (greedy_fits) {
-        ilp_options.cutoff =
-            static_cast<double>(greedy.crossings) +
-            z_scale * (max_die_luts - total_luts / dies);
-    }
+    ilp_options.cutoff = static_cast<double>(greedy.crossings) +
+                         z_scale * (max_die_luts - total_luts / dies);
     solver::IlpSolution sol = solveIlp(ilp, ilp_options);
-    if (!sol.optimal()) {
-        if (enforce_capacity && !greedy_fits)
-            warn("die partition: capacity enforcement requested "
-                 "but the ILP found no assignment within the "
-                 "node budget; returning the capacity-unaware "
-                 "greedy placement");
+    if (!sol.optimal())
         return greedy; // nothing strictly better found
-    }
 
     PartitionResult result;
     result.used_ilp = true;

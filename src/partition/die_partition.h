@@ -2,13 +2,17 @@
  * @file
  * Multi-die graph partitioning (paper §5.3 item 2): assign each
  * task of a fused group to an SLR die, minimising inter-die
- * FIFO crossings and resource imbalance, subject to one-die-per-
- * task assignment and per-die resource capacity.
+ * FIFO crossings plus a weighted LUT-imbalance term (the largest
+ * die load's excess over the even split), subject to one-die-per-
+ * task assignment.
  *
  * Solved with ILP (binary assignment variables, crossing
- * indicators linearised, per-die LUT capacity rows) for small
- * groups; a greedy topological-wavefront fallback handles large
- * groups or ILP node-budget exhaustion.
+ * indicators linearised, one imbalance variable bounded below by
+ * every die's LUT load) for small groups; a greedy topological-
+ * wavefront fallback handles large groups or ILP node-budget
+ * exhaustion. The balance term keeps placements near the even
+ * split; PartitionResult::die_luts reports the realised per-die
+ * load for validation against the platform's die capacity.
  *
  * Placement is load-bearing: besides writing each component's
  * `die`, partitioning stamps every crossing channel with the
@@ -65,17 +69,6 @@ struct PartitionOptions
     /** Groups with more components than this go straight to the
      *  greedy fallback (ILP size guard). */
     int64_t max_ilp_components = 24;
-
-    /** Add hard per-die LUT capacity rows
-     *  (FpgaPlatform::dieResources) to the ILP. Off by default:
-     *  capacity rows make the relaxation much weaker (the
-     *  branch-and-bound routinely exhausts its node budget and
-     *  falls back to greedy), so they are reserved for floorplan
-     *  studies where the balance term alone is not enough. The
-     *  imbalance objective keeps default placements near the even
-     *  split either way, and PartitionResult::die_luts reports
-     *  the realised per-die load for validation. */
-    bool enforce_die_capacity = false;
 };
 
 /**

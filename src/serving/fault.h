@@ -78,7 +78,7 @@ enum class FaultKind
      *  are handed back to the fleet gracefully (no retry attempt
      *  consumed, no backoff — operator-initiated, nothing was
      *  lost), its KV dies with the old weights, and it leaves
-     *  service for FleetOptions swap_reload_ms while the new
+     *  service for FleetOptions recovery_reload_ms while the new
      *  artifact re-streams from storage. It rejoins automatically
      *  when the reload window elapses — no Recover event needed.
      *  No-op on a replica that is down (or mid-reload). */

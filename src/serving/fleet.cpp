@@ -18,6 +18,9 @@ namespace serving {
 
 namespace {
 
+/** Exponential backoff growth per consumed failover attempt. */
+constexpr double kRetryBackoffFactor = 2.0;
+
 /** One request waiting in the fleet's retry buffer: a failover
  *  waiting out its backoff, a drain hand-off, or an arrival parked
  *  because no replica was eligible. */
@@ -194,7 +197,7 @@ struct FleetRun
     {
         double b = options.retry_backoff_ms;
         for (int64_t k = 1; k < attempts; ++k)
-            b *= options.retry_backoff_factor;
+            b *= kRetryBackoffFactor;
         return b;
     }
 
@@ -391,9 +394,7 @@ struct FleetRun
             for (auto &ev : eng.crash())
                 parkPending(now, {ev.req, ev.state,
                                   ev.state.failovers});
-            startReload(idx, options.swap_reload_ms >= 0.0
-                                 ? options.swap_reload_ms
-                                 : options.recovery_reload_ms);
+            startReload(idx, options.recovery_reload_ms);
             break;
         }
         }
@@ -720,14 +721,9 @@ FleetScheduler::FleetScheduler(FleetOptions options,
     ST_CHECK(std::isfinite(options_.retry_backoff_ms) &&
                  options_.retry_backoff_ms >= 0.0,
              "retry backoff domain");
-    ST_CHECK(std::isfinite(options_.retry_backoff_factor) &&
-                 options_.retry_backoff_factor >= 1.0,
-             "retry backoff factor domain");
     ST_CHECK(std::isfinite(options_.recovery_reload_ms) &&
                  options_.recovery_reload_ms >= 0.0,
              "recovery reload domain");
-    ST_CHECK(std::isfinite(options_.swap_reload_ms),
-             "swap reload domain");
     validateSchedulerOptions(options_.replica);
     for (const auto &e : options_.faults.events)
         ST_CHECK(e.replica >= 0 &&

@@ -54,9 +54,9 @@
  * are kept — only KV is lost). Each evacuated request consumes one
  * retry attempt and re-enters the fleet's retry buffer with
  * exponential backoff in simulated time
- * (retry_backoff_ms × retry_backoff_factor^(attempt-1), the
- * frontend's re-dispatch cost); a request whose attempts exceed
- * max_retries is recorded lost. At its ready instant the balancer
+ * (retry_backoff_ms × 2^(attempt-1), the frontend's re-dispatch
+ * cost); a request whose attempts exceed max_retries is recorded
+ * lost. At its ready instant the balancer
  * routes it to a surviving replica, where it readmits through the
  * preemption-readmission path: one recompute prefill over
  * input_len + generated context, then decoding continues — a
@@ -120,11 +120,9 @@ struct FleetOptions
      *  evacuation costs one). */
     int64_t max_retries = 3;
 
-    /** Base re-dispatch delay after a crash evacuation. */
+    /** Base re-dispatch delay after a crash evacuation; it
+     *  doubles with every further consumed attempt. */
     double retry_backoff_ms = 5.0;
-
-    /** Exponential backoff growth per consumed attempt. */
-    double retry_backoff_factor = 2.0;
 
     /** The fault schedule to execute. */
     FaultPlan faults;
@@ -136,12 +134,9 @@ struct FleetOptions
      *  WeightStreamPlan::streamMs(), or pin any constant). 0
      *  keeps the pre-streaming instant recovery, bit-identically.
      *  Reload time counts as down time (uptimeFraction) and is
-     *  tallied in FleetMetrics::reload_ms_total. */
+     *  tallied in FleetMetrics::reload_ms_total. FaultKind::Swap
+     *  (hot model swap) charges the same window. */
     double recovery_reload_ms = 0.0;
-
-    /** Reload window charged by FaultKind::Swap (hot model swap).
-     *  Negative = use recovery_reload_ms. */
-    double swap_reload_ms = -1.0;
 
     /** Next-event selection core. */
     FleetEventCore event_core = FleetEventCore::Heap;

@@ -66,11 +66,11 @@ allTiers()
 }
 
 double
-chunkServiceMs(const StorageTierProfile &tier, int64_t chunk_bytes,
+chunkServiceMs(const StorageTierProfile &tier, int64_t bytes,
                int64_t readers)
 {
     validateStorageTier(tier);
-    ST_CHECK(chunk_bytes >= 1, "chunk bytes domain");
+    ST_CHECK(bytes >= 1, "chunk bytes domain");
     ST_CHECK(readers >= 1, "reader count domain");
 
     double fair_share =
@@ -79,7 +79,7 @@ chunkServiceMs(const StorageTierProfile &tier, int64_t chunk_bytes,
         std::min(tier.per_reader_mib_s, fair_share) * kMiB / 1e3;
     double transfer_ms =
         tier.first_byte_ms +
-        static_cast<double>(chunk_bytes) / bytes_per_ms;
+        static_cast<double>(bytes) / bytes_per_ms;
     double iops_floor_ms =
         static_cast<double>(readers) * 1e3 / tier.iops;
     return std::max(transfer_ms, iops_floor_ms);

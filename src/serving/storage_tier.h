@@ -77,16 +77,16 @@ StorageTierProfile s3Tier();
 /** The three presets in {gp3, io2, s3} order (bench/lab sweeps). */
 std::vector<StorageTierProfile> allTiers();
 
-/** Simulated service time of one chunked read when @p readers
- *  concurrent streams share the tier: the larger of the transfer
- *  time (first-byte latency plus bytes over the effective
+/** Simulated service time of one chunked read of @p bytes when
+ *  @p readers concurrent streams share the tier: the larger of the
+ *  transfer time (first-byte latency plus bytes over the effective
  *  per-reader bandwidth, which is the per-stream ceiling or the
  *  reader's fair share of the aggregate, whichever is smaller) and
  *  the IOPS floor (with every reader issuing back-to-back
  *  operations, each sustains iops / readers op/s). Deterministic;
  *  strictly positive for a non-empty chunk. */
 double chunkServiceMs(const StorageTierProfile &tier,
-                      int64_t chunk_bytes, int64_t readers);
+                      int64_t bytes, int64_t readers);
 
 } // namespace serving
 } // namespace streamtensor

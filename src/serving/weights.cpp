@@ -12,6 +12,9 @@ namespace serving {
 
 namespace {
 
+/** Bytes per storage read operation. */
+constexpr int64_t kChunkBytes = 2 * 1024 * 1024;
+
 int64_t
 packedBytes(int64_t params, ir::DataType dtype)
 {
@@ -86,7 +89,6 @@ WeightStreamer::WeightStreamer(WeightStreamOptions options)
 {
     validateStorageTier(options_.tier);
     ST_CHECK(options_.num_readers >= 1, "reader count domain");
-    ST_CHECK(options_.chunk_bytes >= 1, "chunk size domain");
 }
 
 WeightStreamPlan
@@ -96,7 +98,7 @@ WeightStreamer::plan(const ModelArtifact &artifact,
     ST_CHECK(!artifact.layers.empty(), "artifact has no layers");
     ST_CHECK(start_ms >= 0.0, "stream start domain");
 
-    // Task list: every tensor split into chunk_bytes reads, in
+    // Task list: every tensor split into kChunkBytes reads, in
     // layer order. One entry per read operation.
     struct Chunk
     {
@@ -111,7 +113,7 @@ WeightStreamer::plan(const ModelArtifact &artifact,
             int64_t left = tensor.bytes;
             while (left > 0) {
                 int64_t take =
-                    std::min(left, options_.chunk_bytes);
+                    std::min(left, kChunkBytes);
                 tasks.push_back(
                     {static_cast<int64_t>(l), take});
                 left -= take;

@@ -13,8 +13,9 @@
  * into a WeightStreamPlan on the simulated clock, with the
  * reader/assigner/task architecture of real model streamers:
  *
- *   - *tasks*: each tensor is split into fixed-size chunks, listed
- *     in layer order — the unit of one storage read;
+ *   - *tasks*: each tensor is split into fixed 2 MiB chunks (the
+ *     last chunk of a tensor may be smaller), listed in layer
+ *     order — the unit of one storage read;
  *   - *assigner*: chunk k goes to reader k mod num_readers — a
  *     fixed round-robin, so the assignment is a pure function of
  *     the manifest and the options, never of thread scheduling;
@@ -88,10 +89,6 @@ struct WeightStreamOptions
      *  ceiling and hide first-byte latency — the lever that makes
      *  S3-class tiers usable at all. */
     int64_t num_readers = 8;
-
-    /** Bytes per read operation (tensors split into chunks of
-     *  this size; the last chunk of a tensor may be smaller). */
-    int64_t chunk_bytes = 2 * 1024 * 1024;
 };
 
 /** The simulated outcome of streaming one artifact: when each

@@ -3,8 +3,7 @@
  * Integer linear programming via branch-and-bound on the simplex
  * relaxation. Used by the multi-die graph-partitioning problem
  * (paper §5.3, "Graph partitioning ... formulated and solved using
- * Integer Linear Programming") and the ILP unroll allocator in the
- * DSE layer.
+ * Integer Linear Programming").
  *
  * Node solves are warm-started: each branch-and-bound node threads
  * its parent's optimal basis into the child LP, so most node

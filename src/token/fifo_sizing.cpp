@@ -291,14 +291,8 @@ sizeFifos(const FifoSizingProblem &problem,
         // is the consumer's shifted by another link_latency:
         // derive the no-stall depth at delay + link_latency.
         double occupancy_delay = delay + ed.link_latency;
-        int64_t depth;
-        if (options.exact_occupancy) {
-            depth = maxOccupancyExact(src, dst, occupancy_delay,
-                                      ed.tokens);
-        } else {
-            depth = maxTokensClosedForm(src, dst, occupancy_delay,
-                                        ed.tokens);
-        }
+        int64_t depth = maxTokensClosedForm(src, dst, occupancy_delay,
+                                            ed.tokens);
         // Hardware FIFOs need at least depth 2 to decouple
         // producer and consumer handshakes.
         result.depths[e] = std::max<int64_t>(depth, 2);

@@ -5,7 +5,8 @@
  * Given the dataflow DAG of fused kernels with profiled initial
  * delays and total execution cycles, determine per-edge `delay`
  * values minimising Eq. 3 subject to the path constraints Eq. 4/5,
- * then derive each FIFO's depth from the token behavior model.
+ * then derive each FIFO's depth from the token behavior model's
+ * closed forms (Eq. 1 and Eq. 2, token/token_model.h).
  * Correct depths prevent both deadlock (undersized FIFOs on
  * reconvergent paths) and throughput loss from back-pressure
  * stalls.
@@ -128,10 +129,6 @@ struct FifoSizingResult
 struct FifoSizingOptions
 {
     Equalization equalization = Equalization::Normal;
-
-    /** Use the exact occupancy recurrence instead of the paper's
-     *  closed forms when deriving depths from delays. */
-    bool exact_occupancy = false;
 
     /** Cap on enumerated path constraints before falling back to
      *  the potential formulation (the dense simplex is quadratic

@@ -10,7 +10,9 @@
  * that the paper models as a piecewise linear function. The
  * maximum occupancy of the FIFO between a Source and a Target
  * follows analytically from the two curves and the `delay` between
- * their execution starts (Eq. 1 and Eq. 2).
+ * their execution starts (Eq. 1 and Eq. 2). The token-by-token
+ * recurrence those closed forms are checked against is a
+ * test-only oracle under tests/oracles/token/.
  */
 
 #ifndef STREAMTENSOR_TOKEN_TOKEN_MODEL_H
@@ -35,50 +37,6 @@ struct KernelProfile
      *  L = D + (T - 1) * II. */
     double latency(int64_t tokens) const;
 };
-
-/**
- * Cumulative token-count curve: the number of tokens that have
- * crossed a point by time t, given the producing kernel starts at
- * @p start and emits @p total tokens.
- */
-class TokenCurve
-{
-  public:
-    TokenCurve(double start, const KernelProfile &profile,
-               int64_t total);
-
-    /** Tokens produced by (inclusive) time @p t. */
-    int64_t countAt(double t) const;
-
-    /** Time at which the k-th token (1-based) is produced. */
-    double timeOfToken(int64_t k) const;
-
-    /** Time the last token is produced. */
-    double finishTime() const;
-
-    double start() const { return start_; }
-    double ii() const { return ii_; }
-    int64_t total() const { return total_; }
-
-  private:
-    double start_;
-    double delay_;
-    double ii_;
-    int64_t total_;
-};
-
-/**
- * Exact maximum FIFO occupancy between a source kernel (starting
- * at time 0) and a target kernel (starting at time @p delay),
- * connected by a FIFO carrying @p tokens tokens. The target pulls
- * its k-th token no earlier than the source pushed it and no
- * faster than its own II allows; this token-by-token recurrence
- * reproduces Fig. 8(a) exactly, including target starvation
- * (Fig. 8(e)).
- */
-int64_t maxOccupancyExact(const KernelProfile &source,
-                          const KernelProfile &target, double delay,
-                          int64_t tokens);
 
 /**
  * Paper closed forms. When the source throughput exceeds the

@@ -6,6 +6,7 @@
 #include "ir/verifier.h"
 #include "linalg/builders.h"
 #include "models/block_builder.h"
+#include "support/error.h"
 
 using namespace streamtensor;
 using ir::DataType;
@@ -224,4 +225,26 @@ TEST(Compiler, CustomCmaxSplitsDesign)
     auto result =
         compiler::compile(linalg::mlpPipeline(), hls::u55c(), options);
     EXPECT_GT(result.design.plan.groups.size(), 1u);
+}
+
+TEST(Compiler, RejectsNonPositiveTilingSizes)
+{
+    // A non-positive tile size used to panic during tiling, and a
+    // non-positive unroll budget compiled every kernel at unroll 1,
+    // over that budget. Both now fail as user errors.
+    for (int64_t bad : {0, -1}) {
+        compiler::CompileOptions tile;
+        tile.tiling.default_tile_size = bad;
+        EXPECT_THROW(compiler::compile(linalg::mlpPipeline(),
+                                       hls::u55c(), tile),
+                     FatalError)
+            << bad;
+
+        compiler::CompileOptions budget;
+        budget.tiling.overall_unroll_size = bad;
+        EXPECT_THROW(compiler::compile(linalg::mlpPipeline(),
+                                       hls::u55c(), budget),
+                     FatalError)
+            << bad;
+    }
 }

@@ -78,18 +78,6 @@ TEST(FifoSizing, ConservativeNeverDeeper)
     EXPECT_LE(rc.totalDepth(), rn.totalDepth());
 }
 
-TEST(FifoSizing, ExactOccupancyOptionWorks)
-{
-    auto problem = figure8f();
-    FifoSizingOptions opts;
-    opts.exact_occupancy = true;
-    auto result = sizeFifos(problem, opts);
-    for (int64_t d : result.depths) {
-        EXPECT_GE(d, 2);
-        EXPECT_LE(d, 64 + 2);
-    }
-}
-
 TEST(FifoSizing, PotentialFallbackWhenPathsExplode)
 {
     // A ladder graph has exponentially many paths; cap at 4 to

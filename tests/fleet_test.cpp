@@ -64,7 +64,6 @@ fleetOptions(int num_replicas)
     o.balancer = serving::LbPolicy::LeastKvLoad;
     o.max_retries = 3;
     o.retry_backoff_ms = 2.0;
-    o.retry_backoff_factor = 2.0;
     return o;
 }
 
@@ -558,14 +557,8 @@ TEST(Fleet, RejectsNonFiniteOptions)
     for (double bad : {inf, nan}) {
         expectRejected([&](auto &o) { o.retry_backoff_ms = bad; });
         expectRejected(
-            [&](auto &o) { o.retry_backoff_factor = bad; });
-        expectRejected(
             [&](auto &o) { o.recovery_reload_ms = bad; });
-        expectRejected([&](auto &o) { o.swap_reload_ms = bad; });
     }
-    // A negative swap window selects the recovery window, but
-    // -inf is no more valid a sentinel than +inf.
-    expectRejected([&](auto &o) { o.swap_reload_ms = -inf; });
 }
 
 TEST(Fleet, RejectsNonFiniteArrivalInsteadOfDroppingIt)
@@ -697,7 +690,7 @@ TEST(Fleet, HotSwapReStreamsUnderLiveTraffic)
     // throughout.
     serving::AnalyticCostModel cost(unitCost());
     auto options = fleetOptions(2);
-    options.swap_reload_ms = 25.0;
+    options.recovery_reload_ms = 25.0;
     options.faults.events.push_back(
         {10.0, 0, FaultKind::Swap, 1.0});
 
@@ -778,7 +771,7 @@ TEST(Fleet, HotSwapReStreamsUnderLiveTraffic)
 
 TEST(Fleet, SwapReloadDefaultsToRecoveryWindow)
 {
-    // swap_reload_ms < 0 falls back to recovery_reload_ms.
+    // A swap charges the recovery reload window.
     serving::AnalyticCostModel cost(unitCost());
     auto options = fleetOptions(2);
     options.recovery_reload_ms = 12.0;

@@ -202,25 +202,6 @@ TEST(DiePartition, GreedyNeverBeatsIlpOnBranchedGraphs)
     }
 }
 
-TEST(DiePartition, CapacityRowsSpreadBindingLoad)
-{
-    // On the real U55C the three fat gelu kernels of chainDesign(3)
-    // exceed one die's LUT slice; with capacity rows enabled the
-    // ILP must not pile them onto one die even when that would
-    // minimise crossings.
-    auto design = chainDesign(3);
-    partition::PartitionOptions opts;
-    opts.max_ilp_components = 64;
-    opts.enforce_die_capacity = true;
-    auto result = partition::partitionGroup(design.components, 0,
-                                            hls::u55c(), opts);
-    double capacity =
-        static_cast<double>(hls::u55c().dieResources().luts);
-    ASSERT_FALSE(result.die_luts.empty());
-    for (double luts : result.die_luts)
-        EXPECT_LE(luts, capacity);
-}
-
 TEST(DiePartition, CrossingChannelsCarryPlatformLinkCost)
 {
     auto design = branchedDesign(3, 2);

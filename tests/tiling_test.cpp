@@ -181,66 +181,30 @@ TEST(Tuner, ErrorsWithoutTrials)
     EXPECT_THROW(tuner.best(), FatalError);
 }
 
-// ---- ILP unroll allocation (solver-backed strategy) ----
-
-TEST(Tiling, IlpUnrollRespectsBudgetAndLevels)
+TEST(Tiling, RejectsNonPositiveSizes)
 {
+    // Each size must be >= 1: a zero or negative tile size used to
+    // panic inside largestDivisorUpTo, and a non-positive unroll
+    // budget returned every kernel at unroll 1, over the budget.
     auto g = twoMatmuls();
-    dse::TilingOptions opts;
-    opts.default_tile_size = 16;
-    opts.overall_unroll_size = 24;
-    opts.max_unroll_per_kernel = 16;
-    opts.unroll_strategy = dse::UnrollStrategy::Ilp;
-    auto configs = dse::exploreTiling(g, opts);
-    int64_t spent = 0;
-    for (const auto &[id, cfg] : configs) {
-        EXPECT_GE(cfg.unroll, 1);
-        EXPECT_LE(cfg.unroll, opts.max_unroll_per_kernel);
-        EXPECT_LE(cfg.unroll, g.op(id).numPoints());
-        // Power-of-two level.
-        EXPECT_EQ(cfg.unroll & (cfg.unroll - 1), 0);
-        spent += cfg.unroll;
+    for (int64_t bad : {0, -4}) {
+        dse::TilingOptions tile;
+        tile.default_tile_size = bad;
+        EXPECT_THROW(dse::exploreTiling(g, tile), FatalError) << bad;
+
+        dse::TilingOptions budget;
+        budget.overall_unroll_size = bad;
+        EXPECT_THROW(dse::exploreTiling(g, budget), FatalError)
+            << bad;
+
+        dse::TilingOptions per_kernel;
+        per_kernel.max_unroll_per_kernel = bad;
+        EXPECT_THROW(dse::exploreTiling(g, per_kernel), FatalError)
+            << bad;
     }
-    EXPECT_LE(spent, opts.overall_unroll_size);
-}
-
-TEST(Tiling, IlpUnrollNeverWorseThanHeap)
-{
-    auto g = twoMatmuls();
-    for (int64_t budget : {6, 10, 24, 48}) {
-        dse::TilingOptions opts;
-        opts.overall_unroll_size = budget;
-        opts.max_unroll_per_kernel = 32;
-
-        opts.unroll_strategy = dse::UnrollStrategy::Heap;
-        auto heap = dse::exploreTiling(g, opts);
-        opts.unroll_strategy = dse::UnrollStrategy::Ilp;
-        auto ilp = dse::exploreTiling(g, opts);
-
-        auto makespan = [&](std::map<int64_t, dse::TileConfig> &c) {
-            double worst = 0.0;
-            for (auto &[id, cfg] : c)
-                worst = std::max(
-                    worst, dse::estimateLatency(g.op(id), cfg));
-            return worst;
-        };
-        EXPECT_LE(makespan(ilp), makespan(heap) + 1e-6)
-            << "budget=" << budget;
-    }
-}
-
-TEST(Tiling, IlpUnrollFallsBackPastVarCap)
-{
-    // With the binary-variable cap forced to zero the ILP is
-    // skipped and the heap allocation must be produced instead.
-    auto g = twoMatmuls();
-    dse::TilingOptions opts;
-    opts.unroll_strategy = dse::UnrollStrategy::Ilp;
-    opts.max_ilp_unroll_vars = 0;
-    auto ilp_capped = dse::exploreTiling(g, opts);
-    opts.unroll_strategy = dse::UnrollStrategy::Heap;
-    auto heap = dse::exploreTiling(g, opts);
-    ASSERT_EQ(ilp_capped.size(), heap.size());
-    for (const auto &[id, cfg] : heap)
-        EXPECT_EQ(ilp_capped.at(id).unroll, cfg.unroll);
+    dse::TilingOptions ones;
+    ones.default_tile_size = 1;
+    ones.overall_unroll_size = 1;
+    ones.max_unroll_per_kernel = 1;
+    EXPECT_NO_THROW(dse::exploreTiling(g, ones));
 }

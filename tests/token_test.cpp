@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "token/exact_occupancy.h"
 #include "token/token_model.h"
 
 using namespace streamtensor::token;

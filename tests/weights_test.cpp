@@ -263,10 +263,6 @@ TEST(WeightStreamTest, DomainChecks)
     bad_readers.num_readers = 0;
     EXPECT_THROW(WeightStreamer{bad_readers}, streamtensor::FatalError);
 
-    WeightStreamOptions bad_chunk;
-    bad_chunk.chunk_bytes = 0;
-    EXPECT_THROW(WeightStreamer{bad_chunk}, streamtensor::FatalError);
-
     StorageTierProfile bad_tier;
     bad_tier.aggregate_mib_s = 0.0;
     EXPECT_THROW(serving::validateStorageTier(bad_tier),
