@@ -59,7 +59,6 @@ fleetOptions(int num_replicas)
     options.num_replicas = num_replicas;
     options.replica.max_batch = 8;
     options.replica.kv_budget_tokens = 2048;
-    options.balancer = serving::LbPolicy::LeastKvLoad;
     options.max_retries = 3;
     options.retry_backoff_ms = 5.0;
     return options;

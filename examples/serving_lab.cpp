@@ -310,7 +310,6 @@ main(int argc, char **argv)
     fleet_options.num_replicas = num_replicas;
     fleet_options.replica.max_batch = max_batch;
     fleet_options.replica.kv_budget_tokens = 2048;
-    fleet_options.balancer = serving::LbPolicy::LeastKvLoad;
     fleet_options.max_retries = 3;
     fleet_options.retry_backoff_ms = 5.0;
 

@@ -1,6 +1,8 @@
 #include "compiler/compiler.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "ir/verifier.h"
 #include "linalg/passes.h"
@@ -39,60 +41,25 @@ CompileResult::totalCrossings() const
     return crossings;
 }
 
-Pipeline &
-Pipeline::add(std::string name, StageFn fn)
-{
-    ST_CHECK(find(name) < 0,
-             "pipeline stage names must be unique: " + name);
-    stages_.push_back({std::move(name), std::move(fn)});
-    return *this;
-}
-
-Pipeline &
-Pipeline::insertBefore(const std::string &anchor, std::string name,
-                       StageFn fn)
-{
-    ST_CHECK(find(name) < 0,
-             "pipeline stage names must be unique: " + name);
-    int64_t pos = find(anchor);
-    ST_CHECK(pos >= 0, "no pipeline stage named " + anchor);
-    stages_.insert(stages_.begin() + pos,
-                   {std::move(name), std::move(fn)});
-    return *this;
-}
-
-bool
-Pipeline::remove(const std::string &name)
-{
-    int64_t pos = find(name);
-    if (pos < 0)
-        return false;
-    stages_.erase(stages_.begin() + pos);
-    return true;
-}
-
-int64_t
-Pipeline::find(const std::string &name) const
-{
-    for (size_t i = 0; i < stages_.size(); ++i)
-        if (stages_[i].name == name)
-            return static_cast<int64_t>(i);
-    return -1;
-}
-
-void
-Pipeline::run(StageContext &ctx) const
-{
-    Stopwatch watch;
-    for (const Stage &stage : stages_) {
-        stage.run(ctx);
-        ctx.result.times.stages.emplace_back(
-            stage.name, watch.elapsedSeconds());
-        watch.restart();
-    }
-}
-
 namespace {
+
+/** Mutable state threaded through the stages. The graph is
+ *  consumed (mutated) by the Linalg stages; tile_configs bridge
+ *  tiling and fusion; everything user-visible accumulates in
+ *  result. */
+struct StageContext
+{
+    StageContext(linalg::Graph g, const hls::FpgaPlatform &p,
+                 const CompileOptions &o)
+        : graph(std::move(g)), platform(p), options(o)
+    {}
+
+    linalg::Graph graph;
+    const hls::FpgaPlatform &platform;
+    const CompileOptions &options;
+    std::map<int64_t, dse::TileConfig> tile_configs;
+    CompileResult result;
+};
 
 // --- Linalg optimization (elementwise fusion, unit-dim folding,
 // fill fusion).
@@ -291,38 +258,31 @@ stageCodeGen(StageContext &ctx)
 
 } // namespace
 
-Pipeline
-defaultPipeline()
-{
-    Pipeline p;
-    p.add("Linalg_Opt", stageLinalgOpt)
-        .add("Linalg_Tiling", stageLinalgTiling)
-        .add("Kernel_Fusion", stageKernelFusion)
-        .add("Dataflow_Opt", stageDataflowOpt)
-        .add("HLS_Opt", stageHlsOpt)
-        .add("Die_Partition", stageDiePartition)
-        .add("Fifo_Sizing", stageFifoSizing)
-        .add("Memory_Alloc", stageMemoryAlloc)
-        .add("Bufferization", stageBufferization)
-        .add("Code_Gen", stageCodeGen);
-    return p;
-}
-
 CompileResult
 compile(linalg::Graph graph, const hls::FpgaPlatform &platform,
         const CompileOptions &options)
 {
-    return compileWith(defaultPipeline(), std::move(graph),
-                       platform, options);
-}
-
-CompileResult
-compileWith(const Pipeline &pipeline, linalg::Graph graph,
-            const hls::FpgaPlatform &platform,
-            const CompileOptions &options)
-{
+    using StageFn = void (*)(StageContext &);
+    static constexpr std::pair<const char *, StageFn> kStages[] = {
+        {"Linalg_Opt", stageLinalgOpt},
+        {"Linalg_Tiling", stageLinalgTiling},
+        {"Kernel_Fusion", stageKernelFusion},
+        {"Dataflow_Opt", stageDataflowOpt},
+        {"HLS_Opt", stageHlsOpt},
+        {"Die_Partition", stageDiePartition},
+        {"Fifo_Sizing", stageFifoSizing},
+        {"Memory_Alloc", stageMemoryAlloc},
+        {"Bufferization", stageBufferization},
+        {"Code_Gen", stageCodeGen},
+    };
     StageContext ctx(std::move(graph), platform, options);
-    pipeline.run(ctx);
+    Stopwatch watch;
+    for (const auto &[name, run] : kStages) {
+        run(ctx);
+        ctx.result.times.stages.emplace_back(name,
+                                             watch.elapsedSeconds());
+        watch.restart();
+    }
     return std::move(ctx.result);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * The StreamTensor compiler: the full pipeline of paper Fig. 4 as
- * an ordered sequence of *named stages* — Linalg optimization,
+ * one fixed sequence of *named stages* — Linalg optimization,
  * Linalg tiling, Linalg-to-dataflow + kernel fusion, dataflow
  * optimization, HLS profiling, die partitioning, FIFO sizing,
  * memory allocation, bufferization, and code generation — each
@@ -14,16 +14,11 @@
  * with the extra latency (no-stall depths absorb the link delay),
  * and the simulators execute the same link model — so ILP and
  * greedy placements produce measurably different cycles.
- *
- * The stage list is data (compiler::Pipeline), so experiments can
- * reorder, drop, or wrap stages without forking the driver.
  */
 
 #ifndef STREAMTENSOR_COMPILER_COMPILER_H
 #define STREAMTENSOR_COMPILER_COMPILER_H
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,78 +97,15 @@ struct CompileResult
     int64_t totalCrossings() const;
 };
 
-/** Mutable state threaded through the stage pipeline. The graph
- *  is consumed (mutated) by the Linalg stages; tile_configs bridge
- *  tiling and fusion; everything user-visible accumulates in
- *  result. */
-struct StageContext
-{
-    StageContext(linalg::Graph g, const hls::FpgaPlatform &p,
-                 const CompileOptions &o)
-        : graph(std::move(g)), platform(p), options(o)
-    {}
-
-    linalg::Graph graph;
-    const hls::FpgaPlatform &platform;
-    const CompileOptions &options;
-    std::map<int64_t, dse::TileConfig> tile_configs;
-    CompileResult result;
-};
-
-/** An ordered, reorderable list of named compile stages. run()
- *  executes them in order, recording per-stage wall clock under
- *  each stage's name (the StageTimes surface). */
-class Pipeline
-{
-  public:
-    using StageFn = std::function<void(StageContext &)>;
-
-    struct Stage
-    {
-        std::string name;
-        StageFn run;
-    };
-
-    /** Append a stage. Names must be unique. */
-    Pipeline &add(std::string name, StageFn fn);
-
-    /** Insert a stage immediately before @p anchor (fatal when
-     *  the anchor is absent). */
-    Pipeline &insertBefore(const std::string &anchor,
-                           std::string name, StageFn fn);
-
-    /** Drop a stage; returns false when absent. */
-    bool remove(const std::string &name);
-
-    /** Index of @p name, -1 when absent. */
-    int64_t find(const std::string &name) const;
-
-    const std::vector<Stage> &stages() const { return stages_; }
-
-    /** Run every stage in order on @p ctx. */
-    void run(StageContext &ctx) const;
-
-  private:
-    std::vector<Stage> stages_;
-};
-
-/** The default stage order: Linalg_Opt, Linalg_Tiling,
- *  Kernel_Fusion, Dataflow_Opt, HLS_Opt, Die_Partition,
- *  Fifo_Sizing, Memory_Alloc, Bufferization, Code_Gen. */
-Pipeline defaultPipeline();
-
-/** Compile @p graph for @p platform through the default pipeline.
- *  The graph is consumed (mutated by the Linalg passes). */
+/** Compile @p graph for @p platform, running the stages in order:
+ *  Linalg_Opt, Linalg_Tiling, Kernel_Fusion, Dataflow_Opt,
+ *  HLS_Opt, Die_Partition, Fifo_Sizing, Memory_Alloc,
+ *  Bufferization, Code_Gen — each timed into CompileResult::times
+ *  under that name. The graph is consumed (mutated by the Linalg
+ *  passes). */
 CompileResult compile(linalg::Graph graph,
                       const hls::FpgaPlatform &platform,
                       const CompileOptions &options = {});
-
-/** Compile through a caller-assembled pipeline (stage reorder /
- *  ablation experiments). */
-CompileResult compileWith(const Pipeline &pipeline,
-                          linalg::Graph graph,
-                          const hls::FpgaPlatform &platform,
-                          const CompileOptions &options = {});
 
 } // namespace compiler
 } // namespace streamtensor

@@ -28,32 +28,6 @@ uniformIn(std::mt19937_64 &rng, double lo, double hi)
 
 } // namespace
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::Crash:
-        return "crash";
-    case FaultKind::Recover:
-        return "recover";
-    case FaultKind::SlowStart:
-        return "slow_start";
-    case FaultKind::SlowEnd:
-        return "slow_end";
-    case FaultKind::DegradeStart:
-        return "degrade_start";
-    case FaultKind::DegradeEnd:
-        return "degrade_end";
-    case FaultKind::DrainStart:
-        return "drain_start";
-    case FaultKind::DrainEnd:
-        return "drain_end";
-    case FaultKind::Swap:
-        return "swap";
-    }
-    ST_PANIC("unknown fault kind");
-}
-
 FaultPlan
 seededFaultPlan(const SeededFaultOptions &o)
 {

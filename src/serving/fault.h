@@ -85,9 +85,6 @@ enum class FaultKind
     Swap,
 };
 
-/** Stable lower-case name (logs, bench labels, test messages). */
-const char *faultKindName(FaultKind kind);
-
 /** One scripted fault. */
 struct FaultEvent
 {

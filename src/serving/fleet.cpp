@@ -98,9 +98,8 @@ struct FleetRun
     /** Instant each replica's in-flight weight reload completes
      *  (+infinity = none pending). A replica mid-reload is down:
      *  up[] stays false until the window elapses, so it takes no
-     *  launches and the balancer skips it. */
+     *  launches and routing skips it. */
     std::vector<double> reload_ready;
-    std::unique_ptr<LoadBalancer> lb;
     FaultInjector injector;
     FleetResult result;
 
@@ -132,7 +131,6 @@ struct FleetRun
         : options(options_in), cost(cost_in),
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
           n(options_in.num_replicas),
-          lb(makeLoadBalancer(options_in.balancer)),
           injector(options_in.faults),
           launch_gen(static_cast<size_t>(options_in.num_replicas),
                      0)
@@ -177,20 +175,27 @@ struct FleetRun
         }
     }
 
-    std::vector<ReplicaStatus> statuses()
+    /** The routing rule (fleet.h): the eligible replica with the
+     *  least kvLoadTokens(), ties to the shallower queue, then the
+     *  lower id; -1 when no replica is up and not draining. */
+    int pickReplica()
     {
-        std::vector<ReplicaStatus> s(static_cast<size_t>(n));
+        int best = -1;
+        int64_t best_load = 0, best_depth = 0;
         for (int i = 0; i < n; ++i) {
-            auto &eng = engines[static_cast<size_t>(i)];
-            s[static_cast<size_t>(i)] = {
-                i,
-                up[static_cast<size_t>(i)],
-                eng.draining(),
-                eng.queueDepth(),
-                eng.activeCount(),
-                eng.kvLoadTokens()};
+            const ReplicaEngine &eng = engines[static_cast<size_t>(i)];
+            if (!up[static_cast<size_t>(i)] || eng.draining())
+                continue;
+            int64_t load = eng.kvLoadTokens();
+            int64_t depth = eng.queueDepth();
+            if (best < 0 || load < best_load ||
+                (load == best_load && depth < best_depth)) {
+                best = i;
+                best_load = load;
+                best_depth = depth;
+            }
         }
-        return s;
+        return best;
     }
 
     double backoffMs(int64_t attempts) const
@@ -259,7 +264,7 @@ struct FleetRun
             rejectFleet(r, RejectReason::DeadlineExpired);
             return;
         }
-        int target = lb->pick(r, statuses());
+        int target = pickReplica();
         if (target < 0) {
             // Total outage: park with no attempt consumed; the
             // request dispatches the instant a replica recovers.
@@ -285,7 +290,7 @@ struct FleetRun
             it = erasePending(it);
         }
         for (auto it = due.rbegin(); it != due.rend(); ++it) {
-            int target = lb->pick(it->second.req, statuses());
+            int target = pickReplica();
             if (target < 0)
                 parkPending(it->first.first,
                             std::move(it->second));

@@ -1,12 +1,18 @@
 /**
  * @file
  * Fault-tolerant replicated serving: N ReplicaEngine instances
- * (each with its own paged KV pool and resident batch) behind a
- * pluggable LoadBalancer, driven on one simulated clock by a
- * FaultInjector. This is the one serving event loop: a single
- * replica is a fleet with num_replicas = 1 and an empty fault
- * plan, which never engages the retry, balancer or reload
- * machinery.
+ * (each with its own paged KV pool and resident batch) driven on
+ * one simulated clock by a FaultInjector. This is the one serving
+ * event loop: a single replica is a fleet with num_replicas = 1
+ * and an empty fault plan, which never engages the retry or
+ * reload machinery.
+ *
+ * **Routing.** One rule: an arrival or due retry goes to the
+ * eligible replica (up and not draining) holding the least KV
+ * load — active pages × page_tokens plus the queued requests'
+ * prefill demand (ReplicaEngine::kvLoadTokens) — ties broken by
+ * the shallower queue, then the lower id. It is a deterministic
+ * function of replica state, so fleet runs replay bit-identically.
  *
  * **Event loop.** The fleet advances simulated time to the next
  * event and processes everything due in a fixed category order —
@@ -18,7 +24,7 @@
  *      exactly when its replica crashes *completes*: the tokens
  *      were produced before the failure);
  *   2. fault events, in plan firing order;
- *   3. arrivals, in (arrival, id) order, routed by the balancer;
+ *   3. arrivals, in (arrival, id) order, routed least-loaded;
  *   4. deadline expiry sweeps (per-replica queues in id order,
  *      then the fleet's own retry buffer);
  *   5. due retries, oldest (ready, id) first;
@@ -56,8 +62,8 @@
  * exponential backoff in simulated time
  * (retry_backoff_ms × 2^(attempt-1), the frontend's re-dispatch
  * cost); a request whose attempts exceed max_retries is recorded
- * lost. At its ready instant the balancer
- * routes it to a surviving replica, where it readmits through the
+ * lost. At its ready instant it is
+ * routed to a surviving replica, where it readmits through the
  * preemption-readmission path: one recompute prefill over
  * input_len + generated context, then decoding continues — a
  * completed request emits exactly output_len tokens no matter how
@@ -83,7 +89,6 @@
 #include <vector>
 
 #include "serving/fault.h"
-#include "serving/load_balancer.h"
 #include "serving/replica.h"
 #include "serving/scheduler.h"
 
@@ -103,6 +108,13 @@ enum class FleetEventCore
     LegacyScan, ///< O(n)-per-round scans (oracle)
 };
 
+/** Routing policy selector. LeastKvLoad (the routing rule in the
+ *  file header) is the only policy. */
+enum class LbPolicy
+{
+    LeastKvLoad,
+};
+
 /** Fleet knobs. */
 struct FleetOptions
 {
@@ -113,6 +125,7 @@ struct FleetOptions
      *  *total* steps across the fleet. */
     SchedulerOptions replica;
 
+    /** Has one value; kept only because e2e_stack sets it. */
     LbPolicy balancer = LbPolicy::LeastKvLoad;
 
     /** Failover attempts a request may consume before it is

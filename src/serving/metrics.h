@@ -76,7 +76,6 @@ struct MetricsOptions
 struct RequestMetrics
 {
     int64_t id = 0;
-    int priority = 0;
     int64_t input_len = 0;
     int64_t output_len = 0;
     double arrival_ms = 0.0;

@@ -21,7 +21,7 @@ RequestQueue::push(const Request &request)
 {
     if (max_depth_ > 0 && size_ >= max_depth_)
         return false;
-    classes_[request.priority].push_back(request);
+    fifo_.push_back(request);
     ++size_;
     queued_input_tokens_ += request.input_len;
     if (request.deadline_ms > 0.0)
@@ -38,7 +38,7 @@ RequestQueue::push(const Request &request)
 void
 RequestQueue::pushFront(const Request &request)
 {
-    classes_[request.priority].push_front(request);
+    fifo_.push_front(request);
     ++size_;
     ++front_inserts_;
     queued_input_tokens_ += request.input_len;
@@ -52,18 +52,15 @@ const Request &
 RequestQueue::front() const
 {
     ST_CHECK(size_ > 0, "front() on an empty queue");
-    return classes_.begin()->second.front();
+    return fifo_.front();
 }
 
 Request
 RequestQueue::pop()
 {
     ST_CHECK(size_ > 0, "pop() on an empty queue");
-    auto it = classes_.begin();
-    Request r = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty())
-        classes_.erase(it);
+    Request r = fifo_.front();
+    fifo_.pop_front();
     --size_;
     queued_input_tokens_ -= r.input_len;
     if (r.deadline_ms > 0.0)
@@ -79,20 +76,16 @@ RequestQueue::expireBefore(double now_ms)
     // unless something queued can actually expire.
     if (deadlined_ == 0)
         return expired;
-    for (auto it = classes_.begin(); it != classes_.end();) {
-        auto &fifo = it->second;
-        for (auto r = fifo.begin(); r != fifo.end();) {
-            if (r->deadline_ms > 0.0 && r->deadline_ms <= now_ms) {
-                expired.push_back(*r);
-                queued_input_tokens_ -= r->input_len;
-                --deadlined_;
-                r = fifo.erase(r);
-                --size_;
-            } else {
-                ++r;
-            }
+    for (auto r = fifo_.begin(); r != fifo_.end();) {
+        if (r->deadline_ms > 0.0 && r->deadline_ms <= now_ms) {
+            expired.push_back(*r);
+            queued_input_tokens_ -= r->input_len;
+            --deadlined_;
+            r = fifo_.erase(r);
+            --size_;
+        } else {
+            ++r;
         }
-        it = fifo.empty() ? classes_.erase(it) : std::next(it);
     }
     return expired;
 }
@@ -110,11 +103,7 @@ RequestQueue::drainAll()
 std::vector<Request>
 RequestQueue::snapshot() const
 {
-    std::vector<Request> all;
-    all.reserve(static_cast<size_t>(size_));
-    for (const auto &[priority, fifo] : classes_)
-        all.insert(all.end(), fifo.begin(), fifo.end());
-    return all;
+    return {fifo_.begin(), fifo_.end()};
 }
 
 } // namespace serving

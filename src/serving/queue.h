@@ -1,10 +1,9 @@
 /**
  * @file
- * Bounded multi-class request queue. Strict priority across
- * classes (lower class value first), FIFO within a class, and a
- * global capacity bound: a push beyond capacity is refused so the
- * caller can account the rejection (load shedding at the frontend
- * rather than unbounded queue growth).
+ * Bounded FIFO request queue with a capacity bound: a push beyond
+ * capacity is refused so the caller can account the rejection
+ * (load shedding at the frontend rather than unbounded queue
+ * growth).
  *
  * **Capacity invariant.** Only push() is bounded. pushFront() —
  * the readmission path for preempted or failed-over sequences —
@@ -24,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "serving/request.h"
@@ -35,8 +33,8 @@ namespace serving {
 class RequestQueue
 {
   public:
-    /** @p max_depth bounds the total queued requests across all
-     *  classes; 0 means unbounded. */
+    /** @p max_depth bounds the queued requests; 0 means
+     *  unbounded. */
     explicit RequestQueue(int64_t max_depth = 0)
         : max_depth_(max_depth)
     {}
@@ -45,13 +43,12 @@ class RequestQueue
      *  queue is at (or, via readmissions, beyond) capacity. */
     bool push(const Request &request);
 
-    /** Re-enqueue at the *front* of the request's priority class.
-     *  Used for preempted (and failed-over) sequences going back
-     *  to the queue: such a request was popped before everything
-     *  still queued in its class, so front insertion restores
-     *  exact (arrival, id) order within the class. Exempt from the
-     *  capacity bound — a readmitted request must never be
-     *  dropped. */
+    /** Re-enqueue at the *front*. Used for preempted (and
+     *  failed-over) sequences going back to the queue: such a
+     *  request was popped before everything still queued, so
+     *  front insertion restores exact (arrival, id) order. Exempt
+     *  from the capacity bound — a readmitted request must never
+     *  be dropped. */
     void pushFront(const Request &request);
 
     /** True when no request is queued. */
@@ -68,7 +65,7 @@ class RequestQueue
      *  alone is blind to backlog, so a replica whose batch happens
      *  to hold small contexts would otherwise attract every
      *  arrival while its queue grows without bound. Maintained
-     *  incrementally (O(1)): the fleet balancer reads it on every
+     *  incrementally (O(1)): fleet routing reads it on every
      *  pick, which at sweep scale used to be an O(queue) walk per
      *  arrival. */
     int64_t queuedInputTokens() const
@@ -84,12 +81,12 @@ class RequestQueue
      *  non-empty. */
     const Request &front() const;
 
-    /** Dequeue the highest-priority class's oldest request. */
+    /** Dequeue the oldest request. */
     Request pop();
 
     /** Remove every queued request whose deadline has passed
-     *  (deadline_ms in (0, now]) and return them in pop order
-     *  (priority class, then FIFO) — the overload-shedding sweep.
+     *  (deadline_ms in (0, now]) and return them in pop order —
+     *  the overload-shedding sweep.
      *  Requests without a deadline are untouched. O(1) when no
      *  queued request carries a deadline (the common sweep, run
      *  every event-loop round); O(queue) otherwise. */
@@ -120,8 +117,7 @@ class RequestQueue
      *  expireBefore() early-out. */
     int64_t deadlined_ = 0;
 
-    /** Per-class FIFO; map order = class priority order. */
-    std::map<int, std::deque<Request>> classes_;
+    std::deque<Request> fifo_;
 };
 
 } // namespace serving

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -13,11 +14,23 @@ namespace serving {
 namespace {
 
 /** Largest context of the request's lifetime — its final decode
- *  step (see the convention note in scheduler.h). */
+ *  step (see the convention note in scheduler.h). Only call it
+ *  once maxContextWithin() has passed: the sum may overflow. */
 int64_t
 maxContext(const Request &r)
 {
     return r.input_len + r.output_len - 1;
+}
+
+/** maxContext(r) <= @p limit, decided without forming the sum.
+ *  Both lengths are >= 1 (sortAndValidateTrace), so output_len - 1
+ *  is non-negative and, once it is <= limit, limit minus it cannot
+ *  overflow either. */
+bool
+maxContextWithin(const Request &r, int64_t limit)
+{
+    return r.output_len - 1 <= limit &&
+           r.input_len <= limit - (r.output_len - 1);
 }
 
 KvPoolOptions
@@ -82,6 +95,10 @@ validateSchedulerOptions(const SchedulerOptions &options)
     ST_CHECK(options.page_tokens >= 1, "page size domain");
     ST_CHECK(options.kv_budget_tokens >= options.page_tokens,
              "KV budget smaller than one page");
+    // KvPool names its pages by int32_t id.
+    ST_CHECK(options.kv_budget_tokens / options.page_tokens <=
+                 std::numeric_limits<int32_t>::max(),
+             "KV budget exceeds INT32_MAX pages");
 }
 
 ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
@@ -115,7 +132,7 @@ ReplicaEngine::servable(const Request &r) const
     // bucket ladder and its page demand fits the whole pool (the
     // guarantee that a lone resident sequence can always grow, so
     // preemption terminates).
-    return maxContext(r) <= options_.buckets.max_len &&
+    return maxContextWithin(r, options_.buckets.max_len) &&
            pool_.pagesFor(maxContext(r)) <= pool_.totalPages();
 }
 
@@ -189,10 +206,10 @@ ReplicaEngine::launchStep(double now)
 
     // --- Growth: every resident sequence acquires the
     // pages its next step needs. Under pressure, preempt the
-    // lowest-priority-class, most-recently-admitted other
-    // sequence back to the queue (front of its class) and
-    // retry; termination is guaranteed because a lone
-    // sequence's demand always fits the pool (servable()).
+    // most-recently-admitted other sequence back to the front
+    // of the queue and retry; termination is guaranteed because
+    // a lone sequence's demand always fits the pool
+    // (servable()).
     std::vector<int64_t> preempted_now;
     if (!active_.empty()) {
         gone_.assign(active_.size(), false);
@@ -222,12 +239,8 @@ ReplicaEngine::launchStep(double now)
                     if (j == i || gone_[j])
                         continue;
                     if (victim < 0 ||
-                        active_[j].req.priority >
-                            active_[victim].req.priority ||
-                        (active_[j].req.priority ==
-                             active_[victim].req.priority &&
-                         active_[j].admit_tick >
-                             active_[victim].admit_tick))
+                        active_[j].admit_tick >
+                            active_[victim].admit_tick)
                         victim = static_cast<int>(j);
                 }
                 ST_ASSERT(victim >= 0,
@@ -394,7 +407,6 @@ ReplicaEngine::completeStep()
         if (seq.generated == seq.req.output_len) {
             RequestMetrics done;
             done.id = seq.req.id;
-            done.priority = seq.req.priority;
             done.input_len = seq.req.input_len;
             done.output_len = seq.req.output_len;
             done.arrival_ms = seq.req.arrival_ms;

@@ -102,13 +102,9 @@ class ReplicaEngine
         return !active_.empty() || !queue_.empty();
     }
 
-    int64_t activeCount() const
-    {
-        return static_cast<int64_t>(active_.size());
-    }
     int64_t queueDepth() const { return queue_.size(); }
 
-    /** KV load signal for load balancing: resident occupancy
+    /** KV load signal for fleet routing: resident occupancy
      *  (active pages × page_tokens) plus the queued requests'
      *  prefill demand. Counting backlog demand matters — resident KV alone
      *  rewards the replica whose batch holds small contexts with
@@ -133,8 +129,7 @@ class ReplicaEngine
     void offer(const Request &r, double now);
 
     /** Readmit a preempted or failed-over request at the front of
-     *  its priority class, capacity-exempt, with its resume
-     *  state. */
+     *  the queue, capacity-exempt, with its resume state. */
     void readmit(const Request &r, const ResumeState &state);
 
     /** Shed every queued request whose deadline has passed,

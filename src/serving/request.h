@@ -27,10 +27,6 @@ struct Request
     int64_t input_len = 1;
     int64_t output_len = 1;
 
-    /** Priority class; lower value is served first. FIFO within a
-     *  class. */
-    int priority = 0;
-
     /** Shared-prefix identity: every request with the same nonzero
      *  prefix_id starts with the identical prefix_len prompt
      *  tokens (a common system prompt), so the paged KV pool can

@@ -21,19 +21,14 @@
  *    fixed-size pages. A request is admitted when its *current*
  *    context fits, acquires pages on demand as it decodes, and
  *    shares prefix pages with other requests naming the same
- *    prompt prefix. On allocation pressure a resident sequence is
- *    preempted back to the queue (lowest priority class first,
- *    then most recently admitted) and recomputes its KV when
- *    readmitted.
- *  - Strict head-of-line admission: the queue's best request (by
- *    priority class, FIFO within class) is admitted or nothing is
- *    — later smaller requests never jump a blocked head, which
- *    makes FIFO fairness exact and starvation impossible *within
- *    a priority class*. Across classes the policy is strict
- *    priority: sustained higher-class traffic can hold back lower
- *    classes indefinitely, by design. Preempted requests re-enter
- *    at the front of their class (their arrival precedes
- *    everything still queued there).
+ *    prompt prefix. On allocation pressure the most recently
+ *    admitted other resident sequence is preempted back to the
+ *    queue and recomputes its KV when readmitted.
+ *  - Strict head-of-line admission: the queue's oldest request is
+ *    admitted or nothing is — later smaller requests never jump a
+ *    blocked head, which makes FIFO fairness exact and starvation
+ *    impossible. Preempted requests re-enter at the front of the
+ *    queue (their arrival precedes everything still queued).
  *
  * **Context-length convention.** A sequence that has produced
  * `g` output tokens and runs one more step attends over

@@ -1,6 +1,7 @@
 #include "serving/trace.h"
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "support/error.h"
@@ -54,10 +55,18 @@ checkOptions(const TraceOptions &o)
     ST_CHECK(o.min_output_len >= 1 &&
                  o.max_output_len >= o.min_output_len,
              "malformed output length range");
-    ST_CHECK(o.num_priorities >= 1, "need a priority class");
     ST_CHECK(o.num_prefix_groups >= 0, "prefix group domain");
     ST_CHECK(o.num_prefix_groups == 0 || o.shared_prefix_len >= 1,
              "prefix groups need a shared prefix length");
+    // The longest request the generator can draw must fit int64_t:
+    // max_input_len + shared_prefix_len + max_output_len, checked
+    // term by term so the check itself cannot overflow.
+    constexpr int64_t kMaxLen = std::numeric_limits<int64_t>::max();
+    ST_CHECK(o.shared_prefix_len >= 0 &&
+                 o.max_input_len <= kMaxLen - o.shared_prefix_len &&
+                 o.max_input_len + o.shared_prefix_len <=
+                     kMaxLen - o.max_output_len,
+             "request lengths overflow int64_t");
     ST_CHECK(o.deadline_slack_ms >= 0.0, "deadline slack domain");
 }
 
@@ -71,8 +80,10 @@ drawRequest(std::mt19937_64 &rng, const TraceOptions &o,
     r.input_len = uniformInt(rng, o.min_input_len, o.max_input_len);
     r.output_len =
         uniformInt(rng, o.min_output_len, o.max_output_len);
-    r.priority = static_cast<int>(
-        uniformInt(rng, 0, o.num_priorities - 1));
+    // Older generators drew a priority class here; the draw stays
+    // so every seeded trace (and the simulated metrics built on
+    // it) is bit-identical to theirs.
+    rng();
     // Prefix draws come last so disabling them (the default)
     // leaves the whole trace bit-identical to older generators.
     if (o.num_prefix_groups > 0) {

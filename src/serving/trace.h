@@ -52,9 +52,6 @@ struct TraceOptions
     int64_t min_output_len = 4;
     int64_t max_output_len = 48;
 
-    /** Priority classes drawn uniformly from [0, num_priorities). */
-    int num_priorities = 1;
-
     /** Shared system-prompt modeling: when num_prefix_groups > 0,
      *  each request draws a prefix group uniformly and its prompt
      *  becomes shared_prefix_len common leading tokens (identical
@@ -81,7 +78,7 @@ struct TraceOptions
 };
 
 /** Open-loop Poisson arrivals: exponential inter-arrival gaps at
- *  the mean rate, uniform lengths and priorities. Sorted by
+ *  the mean rate and uniform lengths. Sorted by
  *  arrival time; ids are 0..n-1 in arrival order. */
 std::vector<Request> poissonTrace(const TraceOptions &options);
 

@@ -28,40 +28,6 @@ TEST(Compiler, StagesRecordedInPipelineOrder)
     EXPECT_GT(result.times.total(), 0.0);
 }
 
-TEST(Compiler, PipelineIsReorderable)
-{
-    // The stage list is data: drop Code_Gen, verify the result
-    // reflects exactly the stages that ran.
-    compiler::Pipeline p = compiler::defaultPipeline();
-    EXPECT_GE(p.find("Die_Partition"), 0);
-    EXPECT_LT(p.find("Die_Partition"), p.find("Fifo_Sizing"));
-    ASSERT_TRUE(p.remove("Code_Gen"));
-    EXPECT_FALSE(p.remove("Code_Gen")); // already gone
-    auto result =
-        compiler::compileWith(p, linalg::mlpPipeline(), hls::u55c(), {});
-    EXPECT_TRUE(result.code.hls_cpp.empty());
-    EXPECT_NE(result.module, nullptr);
-    EXPECT_EQ(result.times.stages.size(), 9u);
-    EXPECT_EQ(result.times.get("Code_Gen"), 0.0);
-}
-
-TEST(Compiler, PipelineInsertBeforeRunsCustomStage)
-{
-    compiler::Pipeline p = compiler::defaultPipeline();
-    int64_t observed_crossings = -1;
-    p.insertBefore("Fifo_Sizing", "Inspect_Placement",
-                   [&](compiler::StageContext &ctx) {
-                       observed_crossings =
-                           ctx.result.totalCrossings();
-                   });
-    auto result =
-        compiler::compileWith(p, linalg::mlpPipeline(), hls::u55c(), {});
-    // The custom stage ran after partitioning, before sizing.
-    EXPECT_EQ(observed_crossings, result.totalCrossings());
-    EXPECT_GE(observed_crossings, 0);
-    EXPECT_GT(result.times.stages.size(), 10u);
-}
-
 TEST(Compiler, CrossingChannelsStampedWithLinkModel)
 {
     hls::FpgaPlatform linked = hls::u55c();

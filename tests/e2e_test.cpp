@@ -657,7 +657,6 @@ TEST(EndToEnd, GoldenFaultedFleetTrace)
     options.replica.max_batch = 4;
     options.replica.kv_budget_tokens = 512;
     options.replica.record_steps = true;
-    options.balancer = serving::LbPolicy::LeastKvLoad;
     options.max_retries = 3;
     options.retry_backoff_ms = 5.0;
     options.faults.events.push_back(

@@ -24,7 +24,7 @@ using serving::Request;
 namespace {
 
 /** Seed-derived scenario shared by every comparison: varied fleet
- *  shape, balancer, retry budget, deadlines on a fifth of the
+ *  shape, retry budget, deadlines on a fifth of the
  *  seeds, and a dense fault plan (crashes, slowdowns, drains). */
 struct Scenario
 {
@@ -47,7 +47,6 @@ makeScenario(uint64_t seed, bool with_faults)
     s.trace.max_input_len = 96;
     s.trace.min_output_len = 1;
     s.trace.max_output_len = 20;
-    s.trace.num_priorities = 1 + static_cast<int>(seed % 2);
     if (seed % 3 == 0) {
         s.trace.num_prefix_groups = 2;
         s.trace.shared_prefix_len = 16;
@@ -64,7 +63,6 @@ makeScenario(uint64_t seed, bool with_faults)
     s.fleet.replica.max_queue_depth =
         seed % 4 == 0 ? 8 + static_cast<int64_t>(seed % 9) : 0;
     s.fleet.replica.record_steps = true;
-    s.fleet.balancer = static_cast<serving::LbPolicy>(seed % 3);
     s.fleet.max_retries = 1 + static_cast<int64_t>(seed % 3);
     s.fleet.retry_backoff_ms = 1.0 + static_cast<double>(seed % 4);
     // A third of the seeds drop records mid-run so the comparison

@@ -1,6 +1,6 @@
 /** @file Scripted tests for the fault-tolerant fleet tier: the
- *  fault injector and seeded plans, the load-balancer policies,
- *  and exact-schedule FleetScheduler scenarios — crash-mid-decode
+ *  fault injector and seeded plans, least-KV-load routing, and
+ *  exact-schedule FleetScheduler scenarios — crash-mid-decode
  *  failover (token-exact completion on a survivor), graceful
  *  drain hand-off, retry-budget exhaustion, total-outage parking,
  *  slowdown and link-degradation cost changes. All arithmetic
@@ -18,7 +18,6 @@
 #include "serving/cost_model.h"
 #include "serving/fault.h"
 #include "serving/fleet.h"
-#include "serving/load_balancer.h"
 #include "serving/weights.h"
 #include "support/error.h"
 
@@ -61,7 +60,6 @@ fleetOptions(int num_replicas)
     o.replica.max_batch = 4;
     o.replica.kv_budget_tokens = 4096;
     o.replica.record_steps = true;
-    o.balancer = serving::LbPolicy::LeastKvLoad;
     o.max_retries = 3;
     o.retry_backoff_ms = 2.0;
     return o;
@@ -180,84 +178,6 @@ TEST(SeededFaultPlan, DeterministicAndInsideTheHorizon)
 }
 
 // ---------------------------------------------------------------
-// Load balancers
-// ---------------------------------------------------------------
-
-TEST(LoadBalancer, RoundRobinRotatesOverEligibleOnly)
-{
-    auto lb =
-        serving::makeLoadBalancer(serving::LbPolicy::RoundRobin);
-    std::vector<serving::ReplicaStatus> s(4);
-    for (int i = 0; i < 4; ++i)
-        s[static_cast<size_t>(i)].id = i;
-    s[1].up = false;      // crashed
-    s[2].draining = true; // draining
-    Request r = makeRequest(0, 0.0, 8, 4);
-    EXPECT_EQ(lb->pick(r, s), 0);
-    EXPECT_EQ(lb->pick(r, s), 3);
-    EXPECT_EQ(lb->pick(r, s), 0);
-    s[0].up = false;
-    s[3].up = false;
-    EXPECT_EQ(lb->pick(r, s), -1);
-}
-
-TEST(LoadBalancer, LeastKvLoadBreaksTiesByQueueThenId)
-{
-    auto lb =
-        serving::makeLoadBalancer(serving::LbPolicy::LeastKvLoad);
-    std::vector<serving::ReplicaStatus> s(3);
-    for (int i = 0; i < 3; ++i)
-        s[static_cast<size_t>(i)].id = i;
-    s[0].kv_load_tokens = 64;
-    s[1].kv_load_tokens = 32;
-    s[2].kv_load_tokens = 32;
-    s[1].queue_depth = 2;
-    s[2].queue_depth = 1;
-    Request r = makeRequest(0, 0.0, 8, 4);
-    EXPECT_EQ(lb->pick(r, s), 2); // least kv, then queue depth
-    s[2].queue_depth = 2;
-    EXPECT_EQ(lb->pick(r, s), 1); // full tie: lowest id
-    s[1].up = false;
-    s[2].up = false;
-    EXPECT_EQ(lb->pick(r, s), 0);
-}
-
-TEST(LoadBalancer, PrefixAffinityIsStableAndFallsBack)
-{
-    auto lb = serving::makeLoadBalancer(
-        serving::LbPolicy::PrefixAffinity);
-    std::vector<serving::ReplicaStatus> s(4);
-    for (int i = 0; i < 4; ++i)
-        s[static_cast<size_t>(i)].id = i;
-
-    Request shared = makeRequest(0, 0.0, 32, 4);
-    shared.prefix_id = 7;
-    shared.prefix_len = 16;
-    int home = lb->pick(shared, s);
-    ASSERT_GE(home, 0);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(lb->pick(shared, s), home)
-            << "prefix group wandered";
-
-    // The home replica dies: the group rehashes, together, onto a
-    // survivor.
-    s[static_cast<size_t>(home)].up = false;
-    int fallback = lb->pick(shared, s);
-    ASSERT_GE(fallback, 0);
-    EXPECT_NE(fallback, home);
-    EXPECT_EQ(lb->pick(shared, s), fallback);
-
-    // Prefix-less requests route by load.
-    Request plain = makeRequest(1, 0.0, 8, 4);
-    s[home].up = true;
-    s[0].kv_load_tokens = 100;
-    s[1].kv_load_tokens = 100;
-    s[2].kv_load_tokens = 1;
-    s[3].kv_load_tokens = 100;
-    EXPECT_EQ(lb->pick(plain, s), 2);
-}
-
-// ---------------------------------------------------------------
 // FleetScheduler scripted scenarios
 // ---------------------------------------------------------------
 
@@ -329,18 +249,61 @@ TEST(Fleet, CrashMidDecodeFailsOverTokenExact)
     }
 }
 
+TEST(Fleet, LeastKvLoadBreaksTiesByQueueThenId)
+{
+    // Every t = 0 arrival routes before the first launch, so a
+    // replica's KV load is exactly its queued input tokens.
+    std::vector<Request> trace{
+        makeRequest(0, 0.0, 64, 4), // 3-way tie -> r0 (lowest id)
+        makeRequest(1, 0.0, 16, 4), // r1/r2 tie -> r1 (lowest id)
+        makeRequest(2, 0.0, 32, 4), // least load -> r2
+        makeRequest(3, 0.0, 16, 4), // least load -> r1
+        // r1 and r2 both hold 32 tokens; r2's queue is shallower
+        // (1 vs 2), so it wins despite the higher id.
+        makeRequest(4, 0.0, 8, 4),
+    };
+    serving::AnalyticCostModel cost(unitCost());
+    {
+        serving::FleetScheduler fleet(fleetOptions(3), cost);
+        auto result = fleet.run(trace);
+        std::map<int64_t, int> on;
+        for (const auto &r : result.metrics.requests)
+            on[r.id] = r.replica;
+        EXPECT_EQ(on, (std::map<int64_t, int>{
+                          {0, 0}, {1, 1}, {2, 2}, {3, 1}, {4, 2}}));
+    }
+
+    // Down and draining replicas are skipped however light their
+    // load: at t = 0.5 r1 crashes and r2 drains, so the arrival and
+    // r1's two failed-over residents all land on r0, the most
+    // loaded replica.
+    auto options = fleetOptions(3);
+    options.faults.events.push_back({0.5, 1, FaultKind::Crash, 1.0});
+    options.faults.events.push_back(
+        {0.5, 2, FaultKind::DrainStart, 1.0});
+    trace.push_back(makeRequest(5, 0.5, 8, 4));
+    serving::FleetScheduler fleet(options, cost);
+    auto result = fleet.run(trace);
+    EXPECT_EQ(result.metrics.completed, 6);
+    std::map<int64_t, int> on;
+    for (const auto &r : result.metrics.requests)
+        on[r.id] = r.replica;
+    EXPECT_EQ(on, (std::map<int64_t, int>{
+                      {0, 0}, {1, 0}, {2, 2}, {3, 0}, {4, 2}, {5, 0}}));
+}
+
 TEST(Fleet, DrainHandsQueueOverWithoutRetryPenalty)
 {
     auto options = fleetOptions(2);
     options.replica.max_batch = 1;
-    options.balancer = serving::LbPolicy::RoundRobin;
     // Drain replica 0 at t = 1.5 while it still queues id 2.
     options.faults.events.push_back(
         {1.5, 0, FaultKind::DrainStart, 1.0});
 
     serving::AnalyticCostModel cost(unitCost());
     serving::FleetScheduler fleet(options, cost);
-    // RoundRobin: 0 -> r0, 1 -> r1, 2 -> r0 (queued behind 0).
+    // Least KV load: 0 -> r0, 1 -> r1, 2 -> r0 (equal load and
+    // queue depth, lowest id; queued behind 0).
     auto result = fleet.run({makeRequest(0, 0.0, 8, 4),
                              makeRequest(1, 0.0, 8, 4),
                              makeRequest(2, 0.0, 8, 4)});

@@ -2,8 +2,8 @@
  *  one-replica serving loop: each seed derives a distinct
  *  (trace, scheduler-config) pair and runs it on a one-replica
  *  fleet, checking structural invariants that must hold for
- *  *every* run — conservation, FIFO fairness within a priority
- *  class, batch and KV bounds, metrics consistency against
+ *  *every* run — conservation, FIFO fairness, batch and KV
+ *  bounds, metrics consistency against
  *  per-request sums, page conservation, preemption bookkeeping and
  *  prefix-sharing occupancy recomputation. */
 
@@ -45,7 +45,6 @@ runSeed(uint64_t seed)
     trace_options.max_input_len = 120;
     trace_options.min_output_len = 1;
     trace_options.max_output_len = 24;
-    trace_options.num_priorities = 1 + static_cast<int>(seed % 3);
     if (seed % 3 == 0) {
         // A third of the seeds model shared system prompts so the
         // paged run exercises prefix sharing.
@@ -233,23 +232,20 @@ checkInvariants(const SeededRun &run)
         recomputed_batched += batch;
     }
 
-    // --- FIFO fairness within each priority class: *first*
-    // prefill order follows (arrival, id) order. (Strict
-    // head-of-line admission plus front-of-class readmission keep
-    // this true across KV stalls and preemptions.)
+    // --- FIFO fairness: *first* prefill order follows
+    // (arrival, id) order. (Strict head-of-line admission plus
+    // front-of-queue readmission keep this true across KV stalls
+    // and preemptions.)
     for (const auto &[id_a, step_a] : first_prefill_step) {
         for (const auto &[id_b, step_b] : first_prefill_step) {
             const Request &a = by_id.at(id_a);
             const Request &b = by_id.at(id_b);
-            if (a.priority != b.priority)
-                continue;
             bool a_earlier =
                 a.arrival_ms < b.arrival_ms ||
                 (a.arrival_ms == b.arrival_ms && a.id < b.id);
             if (a_earlier) {
                 EXPECT_LE(step_a, step_b)
-                    << "FIFO violated in class " << a.priority
-                    << ": " << id_a << " vs " << id_b;
+                    << "FIFO violated: " << id_a << " vs " << id_b;
             }
         }
     }
@@ -386,7 +382,6 @@ runFleetSeed(uint64_t seed, bool with_faults)
     trace_options.max_input_len = 96;
     trace_options.min_output_len = 1;
     trace_options.max_output_len = 20;
-    trace_options.num_priorities = 1 + static_cast<int>(seed % 2);
     if (seed % 3 == 0) {
         trace_options.num_prefix_groups = 2;
         trace_options.shared_prefix_len = 16;
@@ -411,8 +406,6 @@ runFleetSeed(uint64_t seed, bool with_faults)
     run.options.replica.max_queue_depth =
         seed % 4 == 0 ? 8 + static_cast<int64_t>(seed % 9) : 0;
     run.options.replica.record_steps = true;
-    run.options.balancer =
-        static_cast<serving::LbPolicy>(seed % 3);
     run.options.max_retries = 1 + static_cast<int64_t>(seed % 3);
     run.options.retry_backoff_ms =
         1.0 + static_cast<double>(seed % 4);
@@ -697,7 +690,7 @@ TEST(SchedulerPropertyCoverage, SeedsExercisePreemptionAndSharing)
 }
 
 // ---- RequestQueue queued-input-token counter: the O(1) running
-// ---- sum the fleet balancer reads on every pick must equal the
+// ---- sum fleet routing reads on every pick must equal the
 // ---- recomputed sum over queue contents after ANY operation mix
 // ---- (push / pushFront / pop / expireBefore / drainAll). ----
 
@@ -726,7 +719,6 @@ TEST(QueueProperty, QueuedInputTokensMatchesContentsAcrossOps)
                 r.id = next_id++;
                 r.input_len =
                     1 + static_cast<int64_t>(rng() % 96);
-                r.priority = static_cast<int>(rng() % 3);
                 if (rng() % 2)
                     r.deadline_ms =
                         now + static_cast<double>(rng() % 10);
@@ -738,7 +730,6 @@ TEST(QueueProperty, QueuedInputTokensMatchesContentsAcrossOps)
                 r.id = next_id++;
                 r.input_len =
                     1 + static_cast<int64_t>(rng() % 96);
-                r.priority = static_cast<int>(rng() % 3);
                 q.pushFront(r);
                 break;
             }

@@ -48,14 +48,13 @@ analyticStepMs(
 
 Request
 makeRequest(int64_t id, double arrival_ms, int64_t input_len,
-            int64_t output_len, int priority = 0)
+            int64_t output_len)
 {
     Request r;
     r.id = id;
     r.arrival_ms = arrival_ms;
     r.input_len = input_len;
     r.output_len = output_len;
-    r.priority = priority;
     return r;
 }
 
@@ -95,20 +94,6 @@ TEST(RequestQueue, FifoWithinOneClass)
     EXPECT_EQ(q.pop().id, 1);
     EXPECT_EQ(q.pop().id, 2);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(RequestQueue, LowerPriorityClassValueServedFirst)
-{
-    serving::RequestQueue q;
-    q.push(makeRequest(0, 0.0, 8, 1, /*priority=*/2));
-    q.push(makeRequest(1, 0.0, 8, 1, /*priority=*/0));
-    q.push(makeRequest(2, 0.0, 8, 1, /*priority=*/1));
-    q.push(makeRequest(3, 0.0, 8, 1, /*priority=*/0));
-    EXPECT_EQ(q.front().id, 1);
-    EXPECT_EQ(q.pop().id, 1);
-    EXPECT_EQ(q.pop().id, 3); // FIFO within class 0
-    EXPECT_EQ(q.pop().id, 2);
-    EXPECT_EQ(q.pop().id, 0);
 }
 
 TEST(RequestQueue, CapacityBoundRefusesPush)
@@ -186,7 +171,6 @@ TEST(Trace, PoissonIsSeedDeterministic)
         EXPECT_DOUBLE_EQ(a[i].arrival_ms, b[i].arrival_ms);
         EXPECT_EQ(a[i].input_len, b[i].input_len);
         EXPECT_EQ(a[i].output_len, b[i].output_len);
-        EXPECT_EQ(a[i].priority, b[i].priority);
     }
 }
 
@@ -209,7 +193,6 @@ TEST(Trace, ArrivalsSortedAndLengthsBounded)
     serving::TraceOptions options;
     options.num_requests = 64;
     options.seed = 11;
-    options.num_priorities = 3;
     for (auto trace : {serving::poissonTrace(options),
                        serving::burstyTrace(options)}) {
         ASSERT_EQ(trace.size(), 64u);
@@ -223,8 +206,6 @@ TEST(Trace, ArrivalsSortedAndLengthsBounded)
             EXPECT_LE(r.input_len, options.max_input_len);
             EXPECT_GE(r.output_len, options.min_output_len);
             EXPECT_LE(r.output_len, options.max_output_len);
-            EXPECT_GE(r.priority, 0);
-            EXPECT_LT(r.priority, options.num_priorities);
         }
     }
 }
@@ -280,6 +261,33 @@ TEST(Trace, RejectsMalformedOptions)
     options = {};
     options.burst_factor = inf;
     EXPECT_THROW(serving::burstyTrace(options), FatalError);
+}
+
+TEST(Trace, RejectsLengthsThatOverflow)
+{
+    // Adding the shared prefix to a drawn input length used to
+    // overflow int64_t inside the generator.
+    const int64_t max = std::numeric_limits<int64_t>::max();
+    serving::TraceOptions options;
+    options.min_input_len = max - 2;
+    options.max_input_len = max - 1;
+    options.num_prefix_groups = 2;
+    options.shared_prefix_len = 16;
+    EXPECT_THROW(serving::poissonTrace(options), FatalError);
+    EXPECT_THROW(
+        serving::TraceGenerator(serving::TraceShape::Bursty, options),
+        FatalError);
+    // Without a prefix the output length alone still overflows.
+    options.num_prefix_groups = 0;
+    options.shared_prefix_len = 0;
+    EXPECT_THROW(serving::poissonTrace(options), FatalError);
+    // The largest lengths that fit are accepted.
+    options.min_input_len = 1;
+    options.max_input_len = max - 16 - options.max_output_len;
+    options.num_prefix_groups = 2;
+    options.shared_prefix_len = 16;
+    EXPECT_EQ(serving::poissonTrace(options).size(),
+              static_cast<size_t>(options.num_requests));
 }
 
 // ---------------------------------------------------------------
@@ -467,28 +475,6 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
     EXPECT_EQ(result.metrics.completed, 3);
 }
 
-TEST(SchedulerReplay, PriorityClassesJumpTheQueue)
-{
-    // max_batch 1 forces full serialization: class 0 is served
-    // before the earlier-arrived class-1 requests, FIFO inside
-    // each class.
-    serving::AnalyticCostModel cost;
-    serving::FleetScheduler scheduler(
-        oneReplica(recordingOptions(1, 4096)), cost);
-    auto result = scheduler.run({
-        makeRequest(0, 0.0, 8, 1, /*priority=*/1),
-        makeRequest(1, 0.0, 8, 1, /*priority=*/1),
-        makeRequest(2, 0.0, 8, 1, /*priority=*/0),
-    });
-    ASSERT_EQ(result.replicas[0].steps.size(), 3u);
-    EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
-              (std::vector<int64_t>{2}));
-    EXPECT_EQ(result.replicas[0].steps[1].prefill_ids,
-              (std::vector<int64_t>{0}));
-    EXPECT_EQ(result.replicas[0].steps[2].prefill_ids,
-              (std::vector<int64_t>{1}));
-}
-
 TEST(SchedulerReplay, QueueFullRejectsArrivals)
 {
     serving::AnalyticCostModel cost;
@@ -639,7 +625,6 @@ TEST(SchedulerReplay, SeededTraceReplaysBitIdentically)
     trace_options.num_requests = 48;
     trace_options.seed = 42;
     trace_options.mean_interarrival_ms = 3.0;
-    trace_options.num_priorities = 2;
     auto trace = serving::burstyTrace(trace_options);
 
     auto runOnce = [&] {
@@ -738,6 +723,37 @@ TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
         EXPECT_THROW(serving::FleetScheduler(fleet, cost),
                      FatalError);
     }
+}
+
+TEST(Scheduler, KvPoolBeyondInt32PagesIsRejected)
+{
+    // KvPool ids its pages by int32_t; a budget with more pages
+    // is refused before the pool is sized.
+    serving::AnalyticCostModel cost;
+    serving::SchedulerOptions huge = recordingOptions(2, 4096);
+    huge.page_tokens = 1;
+    huge.kv_budget_tokens =
+        int64_t{std::numeric_limits<int32_t>::max()} + 1;
+    EXPECT_THROW(serving::ReplicaEngine(huge, cost), FatalError);
+    EXPECT_THROW(serving::FleetScheduler(oneReplica(huge), cost),
+                 FatalError);
+}
+
+TEST(Scheduler, HugeContextIsRejectedTooLong)
+{
+    // input_len + output_len - 1 overflows int64_t here; the
+    // servability check must still answer TooLong.
+    serving::AnalyticCostModel cost;
+    serving::FleetScheduler scheduler(
+        oneReplica(recordingOptions(2, 4096)), cost);
+    auto result = scheduler.run(
+        {makeRequest(0, 0.0, std::numeric_limits<int64_t>::max(), 2),
+         makeRequest(1, 0.0, 8, std::numeric_limits<int64_t>::max())});
+    ASSERT_EQ(result.rejected.size(), 2u);
+    for (const auto &r : result.rejected)
+        EXPECT_EQ(r.reason, serving::RejectReason::TooLong);
+    EXPECT_EQ(result.metrics.rejected_too_long, 2);
+    EXPECT_EQ(result.metrics.completed, 0);
 }
 
 TEST(Scheduler, EmptyTraceYieldsEmptyMetrics)
