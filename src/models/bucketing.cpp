@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/error.h"
-#include "support/math_util.h"
 
 namespace streamtensor {
 namespace models {
@@ -20,22 +19,35 @@ checkPolicy(const BucketPolicy &policy)
              "malformed bucket policy");
 }
 
+/** @p v (<= max_len) rounded up to a multiple of the policy's
+ *  alignment, saturating at max_len: the rounded value is only
+ *  formed once it is known not to pass max_len, so a huge align
+ *  cannot overflow. */
 int64_t
-firstBoundary(const BucketPolicy &policy)
+alignClamped(int64_t v, const BucketPolicy &policy)
 {
-    return std::min(alignTo(policy.min_len, policy.align),
-                    policy.max_len);
+    int64_t q = v / policy.align;
+    if (q * policy.align == v)
+        return v;
+    if (q + 1 > policy.max_len / policy.align)
+        return policy.max_len;
+    return (q + 1) * policy.align;
 }
 
-/** The ladder boundary after @p b: grow by the policy ratio (at
- *  least one step), align up, clamp at max_len. */
+/** The ladder boundary after @p b (< max_len): grow by the policy
+ *  ratio (at least one step), align up, clamp at max_len. The
+ *  product is formed in 128 bits, so a huge ratio saturates at
+ *  max_len instead of overflowing. */
 int64_t
 nextBoundary(int64_t b, const BucketPolicy &policy)
 {
-    int64_t grown = b * policy.growth_num / policy.growth_den;
-    return std::min(
-        alignTo(std::max(grown, b + 1), policy.align),
-        policy.max_len);
+    __extension__ typedef __int128 Wide;
+    Wide grown = static_cast<Wide>(b) * policy.growth_num /
+                 policy.growth_den;
+    if (grown >= policy.max_len)
+        return policy.max_len;
+    return alignClamped(std::max(static_cast<int64_t>(grown), b + 1),
+                        policy);
 }
 
 } // namespace
@@ -45,24 +57,30 @@ bucketBoundaries(const BucketPolicy &policy)
 {
     checkPolicy(policy);
     std::vector<int64_t> boundaries;
-    for (int64_t b = firstBoundary(policy); b < policy.max_len;
-         b = nextBoundary(b, policy))
+    for (int64_t b = alignClamped(policy.min_len, policy);
+         b < policy.max_len; b = nextBoundary(b, policy)) {
+        ST_CHECK(boundaries.size() + 1 < kMaxBuckets,
+                 "bucket ladder exceeds kMaxBuckets boundaries");
         boundaries.push_back(b);
+    }
     boundaries.push_back(policy.max_len);
     return boundaries;
 }
 
 int64_t
+bucketIn(const std::vector<int64_t> &boundaries, int64_t len)
+{
+    ST_CHECK(len >= 1, "length must be positive");
+    ST_CHECK(!boundaries.empty() && len <= boundaries.back(),
+             "length exceeds the largest bucket");
+    return *std::lower_bound(boundaries.begin(), boundaries.end(),
+                             len);
+}
+
+int64_t
 bucketLen(int64_t len, const BucketPolicy &policy)
 {
-    checkPolicy(policy);
-    ST_CHECK(len >= 1, "length must be positive");
-    ST_CHECK(len <= policy.max_len,
-             "length exceeds the largest bucket");
-    int64_t b = firstBoundary(policy);
-    while (b < len)
-        b = nextBoundary(b, policy);
-    return b;
+    return bucketIn(bucketBoundaries(policy), len);
 }
 
 BlockShapes

@@ -10,12 +10,16 @@
  * tokens.
  *
  * Ladder construction is pure integer math so every platform
- * derives the identical bucket set.
+ * derives the identical bucket set. A hot caller builds the ladder
+ * once (bucketBoundaries) and looks lengths up with bucketIn, a
+ * binary search that allocates nothing; bucketLen is the same
+ * lookup over a freshly built ladder, for cold callers.
  */
 
 #ifndef STREAMTENSOR_MODELS_BUCKETING_H
 #define STREAMTENSOR_MODELS_BUCKETING_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,12 +46,25 @@ struct BucketPolicy
     int64_t max_len = 1024;
 };
 
+/** Most boundaries a ladder may have: each one is a possible
+ *  compile, and a ratio near 1 with align 1 would otherwise build
+ *  millions of them. */
+constexpr size_t kMaxBuckets = 4096;
+
 /** All bucket boundaries of @p policy, ascending, ending at
- *  max_len. */
+ *  max_len. Growth and alignment saturate at max_len, so any
+ *  well-formed policy terminates without overflow. Fails on a
+ *  malformed policy or a ladder longer than kMaxBuckets. */
 std::vector<int64_t> bucketBoundaries(const BucketPolicy &policy);
 
-/** Smallest bucket boundary >= @p len. Fails if @p len exceeds
- *  policy.max_len (the request can never be served). */
+/** Smallest entry of @p boundaries (a bucketBoundaries ladder)
+ *  that is >= @p len. Fails if @p len is not positive or exceeds
+ *  the largest bucket (the request can never be served).
+ *  Allocates nothing. */
+int64_t bucketIn(const std::vector<int64_t> &boundaries,
+                 int64_t len);
+
+/** bucketIn over bucketBoundaries(@p policy). */
 int64_t bucketLen(int64_t len, const BucketPolicy &policy);
 
 /** Prefill shapes with the input length rounded to its bucket. */

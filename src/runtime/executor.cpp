@@ -21,6 +21,18 @@ invocationOverheadMs(const hls::FpgaPlatform &platform,
     return platform.invocation_overhead_us * amort / 1e3;
 }
 
+/** First entry of a sorted shape table not below @p shapes. */
+template <typename Table>
+auto
+lowerBound(const Table &table, const models::BlockShapes &shapes)
+{
+    return std::lower_bound(
+        table.begin(), table.end(), shapes,
+        [](const auto &e, const models::BlockShapes &s) {
+            return e.shapes < s;
+        });
+}
+
 } // namespace
 
 CompiledBlock::CompiledBlock(compiler::CompileResult compile_result,
@@ -61,19 +73,35 @@ LlmExecutor::LlmExecutor(models::LlmConfig config,
                          compiler::CompileOptions options)
     : config_(std::move(config)), platform_(std::move(platform)),
       options_(std::move(options))
-{}
+{
+    tables_.push_back(std::make_unique<const ShapeTable>());
+    table_.store(tables_.back().get(), std::memory_order_release);
+}
+
+const CompiledBlock *
+LlmExecutor::findBlock(const models::BlockShapes &shapes) const
+{
+    const ShapeTable &table =
+        *table_.load(std::memory_order_acquire);
+    auto it = lowerBound(table, shapes);
+    return it != table.end() && it->shapes == shapes ? it->block
+                                                     : nullptr;
+}
 
 const CompiledBlock &
 LlmExecutor::block(const models::BlockShapes &shapes)
 {
+    if (const CompiledBlock *hit = findBlock(shapes))
+        return *hit;
     {
         std::unique_lock<std::mutex> lock(cache_mutex_);
         while (true) {
-            auto it = cache_.find(shapes);
-            if (it != cache_.end())
-                return *it->second;
+            // Re-check under the lock: the shape may have landed
+            // since the lock-free probe.
+            if (const CompiledBlock *hit = findBlock(shapes))
+                return *hit;
             // Someone else is already compiling these shapes:
-            // wait for their insert rather than compiling a
+            // wait for their publish rather than compiling a
             // duplicate (the loser's work — a full compile +
             // simulation — used to be discarded, and
             // compileCount() double-counted the shape).
@@ -106,15 +134,26 @@ LlmExecutor::block(const models::BlockShapes &shapes)
         throw;
     }
 
+    // Publish the old table plus the new entry. Writers are
+    // serialised by cache_mutex_, so no table lands in between.
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto [pos, inserted] =
-        cache_.emplace(shapes, std::move(compiled));
-    ST_ASSERT(inserted,
+    const ShapeTable &old = *table_.load(std::memory_order_acquire);
+    auto pos = lowerBound(old, shapes);
+    ST_ASSERT(pos == old.end() || pos->shapes != shapes,
               "a duplicate compile slipped past the in-flight "
               "guard");
+    auto next = std::make_unique<ShapeTable>();
+    next->reserve(old.size() + 1);
+    next->insert(next->end(), old.begin(), pos);
+    next->push_back({shapes, compiled.get()});
+    next->insert(next->end(), pos, old.end());
+    const CompiledBlock &result = *compiled;
+    blocks_.push_back(std::move(compiled));
+    tables_.push_back(std::move(next));
+    table_.store(tables_.back().get(), std::memory_order_release);
     compiling_.erase(shapes);
     compile_done_.notify_all();
-    return *pos->second;
+    return result;
 }
 
 double

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -152,14 +151,21 @@ class LlmExecutor
     const models::LlmConfig &config() const { return config_; }
     const hls::FpgaPlatform &platform() const { return platform_; }
 
-    /** Compile (or fetch) the block at the given shapes.
-     *  Thread-safe: run() warms the prefill and decode entries
-     *  concurrently on the pool shared with the simulator
-     *  (support::ThreadPool::shared()). Concurrent calls for the
-     *  *same* shapes dedupe against an in-flight set: the first
-     *  caller compiles, later callers block until the entry lands,
-     *  so compileCount() counts unique shapes even under a
-     *  threaded warm race (pinned by the runtime suite). */
+    /** Compile (or fetch) the block at the given shapes. The
+     *  reference stays valid for the executor's lifetime.
+     *
+     *  Thread-safe. A hit takes no lock and allocates nothing: it
+     *  binary-searches the current shape table, loaded with one
+     *  acquire read of an atomic pointer. A miss takes
+     *  cache_mutex_ and dedupes against an in-flight set: the
+     *  first caller compiles (outside the lock, so distinct shapes
+     *  compile concurrently — run() warms prefill and decode
+     *  together on support::ThreadPool::shared()), later callers
+     *  for the same shapes block until it lands, so compileCount()
+     *  counts unique shapes even under a threaded warm race. The
+     *  compiling thread then publishes a new table, the old one
+     *  plus the new entry, with a release store (both pinned by
+     *  the runtime suite). */
     const CompiledBlock &block(const models::BlockShapes &shapes);
 
     /** Run one request end to end. */
@@ -200,6 +206,21 @@ class LlmExecutor
     int64_t compileCount() const { return compile_count_; }
 
   private:
+    /** One compiled shape of a published table. */
+    struct TableEntry
+    {
+        models::BlockShapes shapes;
+        const CompiledBlock *block = nullptr;
+    };
+
+    /** Every compiled shape, sorted by shapes. Never modified
+     *  once published. */
+    using ShapeTable = std::vector<TableEntry>;
+
+    /** The block for @p shapes in the current table, or null. */
+    const CompiledBlock *
+    findBlock(const models::BlockShapes &shapes) const;
+
     models::LlmConfig config_;
     hls::FpgaPlatform platform_;
     compiler::CompileOptions options_;
@@ -210,8 +231,22 @@ class LlmExecutor
      *  block() waits on these instead of compiling again. */
     std::set<models::BlockShapes> compiling_;
 
-    std::map<models::BlockShapes, std::unique_ptr<CompiledBlock>>
-        cache_;
+    /** Owns every compiled block (cache_mutex_); blocks never
+     *  move, so table entries and block() references stay
+     *  valid. */
+    std::vector<std::unique_ptr<CompiledBlock>> blocks_;
+
+    /** Every table ever published (cache_mutex_). A hit may still
+     *  be reading a superseded table, so none is freed before the
+     *  executor: n compiled shapes retain n(n+1)/2 entries of 24
+     *  bytes, about 5 KB for the 20 shapes of an e2e_stack
+     *  workload. */
+    std::vector<std::unique_ptr<const ShapeTable>> tables_;
+
+    /** The newest table: released by a miss after its block is
+     *  built, acquired by every lookup. */
+    std::atomic<const ShapeTable *> table_{nullptr};
+
     std::atomic<int64_t> compile_count_{0};
 };
 

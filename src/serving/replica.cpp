@@ -99,12 +99,17 @@ validateSchedulerOptions(const SchedulerOptions &options)
     ST_CHECK(options.kv_budget_tokens / options.page_tokens <=
                  std::numeric_limits<int32_t>::max(),
              "KV budget exceeds INT32_MAX pages");
+    // Build and drop the ladder: a malformed or over-long bucket
+    // policy fails here rather than at the first step.
+    (void)models::bucketBoundaries(options.buckets);
 }
 
 ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
                              StepCostModel &cost, int replica_id)
-    : options_(validated(options)), cost_(&cost),
-      replica_id_(replica_id), queue_(options.max_queue_depth),
+    : options_(validated(options)),
+      bucket_ladder_(models::bucketBoundaries(options_.buckets)),
+      cost_(&cost), replica_id_(replica_id),
+      queue_(options.max_queue_depth),
       pool_(poolOptionsFor(options_))
 {
     result_.metrics.replicas = 1;
@@ -300,19 +305,18 @@ ReplicaEngine::launchStep(double now)
 
     // Group the batch by bucketed shapes, kept in ascending shape
     // order by sorted insertion into a buffer reused across steps
-    // (no per-step allocation once it has grown). An un-prefilled
-    // sequence runs a prefill-shaped pass over its full context —
-    // input_len for a fresh one, input_len + generated for a
-    // readmitted one recomputing its dropped KV.
+    // (no per-step allocation once it has grown). Each context is
+    // bucketed by binary search over the engine's ladder. An
+    // un-prefilled sequence runs a prefill-shaped pass over its
+    // full context — input_len for a fresh one, input_len +
+    // generated for a readmitted one recomputing its dropped KV.
     step_groups_.clear();
     for (const auto &seq : active_) {
-        int64_t ctx = seq.req.input_len + seq.generated;
+        int64_t bucket = models::bucketIn(
+            bucket_ladder_, seq.req.input_len + seq.generated);
         models::BlockShapes shapes =
-            seq.prefilled
-                ? models::bucketedDecodeShapes(ctx,
-                                               options_.buckets)
-                : models::bucketedPrefillShapes(ctx,
-                                                options_.buckets);
+            seq.prefilled ? models::decodeShapes(bucket)
+                          : models::prefillShapes(bucket);
         auto pos = std::lower_bound(
             step_groups_.begin(), step_groups_.end(), shapes,
             [](const runtime::StepGroup &g,

@@ -72,8 +72,8 @@ struct EvacuatedSeq
 void sortAndValidateTrace(std::vector<Request> &trace);
 
 /** Domain-check @p options (batch room, KV budget, page geometry,
- *  queue depth, step limit). Shared by the ReplicaEngine and
- *  FleetScheduler constructors. */
+ *  queue depth, step limit, bucket ladder). Shared by the
+ *  ReplicaEngine and FleetScheduler constructors. */
 void validateSchedulerOptions(const SchedulerOptions &options);
 
 class ReplicaEngine
@@ -221,6 +221,13 @@ class ReplicaEngine
     ResumeState takeResumeState(const Request &r);
 
     SchedulerOptions options_;
+
+    /** models::bucketBoundaries(options_.buckets), built once per
+     *  engine (about a dozen entries): launchStep buckets every
+     *  resident sequence by binary search over it instead of
+     *  walking the geometric ladder again each step. */
+    std::vector<int64_t> bucket_ladder_;
+
     StepCostModel *cost_;
     int replica_id_;
 

@@ -4,7 +4,8 @@
  *  step is arithmetic over cached CompiledBlock values and must not
  *  touch the heap. A map or vector creeping back into
  *  LlmExecutor::step (or the ExecutorCostModel wrapper the serving
- *  engine calls) fails here. */
+ *  engine calls), a cached block() lookup or the bucket ladder
+ *  lookup fails here. */
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <new>
 
 #include "models/block_builder.h"
+#include "models/bucketing.h"
 #include "runtime/executor.h"
 #include "serving/cost_model.h"
 
@@ -99,4 +101,34 @@ TEST(AllocGuard, WarmStepAllocatesNothing)
         EXPECT_EQ(ms, result.step_ms);
     }
     EXPECT_EQ(executor.compileCount(), 4);
+}
+
+TEST(AllocGuard, WarmBlockHitAllocatesNothing)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    const models::BlockShapes shapes[] = {models::decodeShapes(48),
+                                          models::prefillShapes(32)};
+    const runtime::CompiledBlock *first[2] = {
+        &executor.block(shapes[0]), &executor.block(shapes[1])};
+    const runtime::CompiledBlock *hit[2] = {nullptr, nullptr};
+    EXPECT_EQ(allocationsDuring([&] {
+                  for (int i = 0; i < 2; ++i)
+                      hit[i] = &executor.block(shapes[i]);
+              }),
+              0);
+    EXPECT_EQ(hit[0], first[0]);
+    EXPECT_EQ(hit[1], first[1]);
+    EXPECT_EQ(executor.compileCount(), 2);
+
+    models::BucketPolicy policy;
+    const std::vector<int64_t> ladder =
+        models::bucketBoundaries(policy);
+    int64_t sum = 0;
+    EXPECT_EQ(allocationsDuring([&] {
+                  for (int64_t len = 1; len <= policy.max_len; ++len)
+                      sum += models::bucketIn(ladder, len);
+              }),
+              0);
+    EXPECT_GE(sum, policy.max_len * (policy.max_len + 1) / 2);
 }

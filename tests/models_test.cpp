@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "support/error.h"
+#include "support/math_util.h"
 
 #include "models/block_builder.h"
 #include "models/bucketing.h"
@@ -244,12 +246,124 @@ TEST(Bucketing, BucketedShapesQuantiseBothPhases)
               decodeShapes(128));
 }
 
+namespace {
+
+/** The rung-by-rung walk bucketLen used before the ladder lookup:
+ *  start at the aligned min_len and grow by the policy ratio (at
+ *  least one step), aligning up and clamping at max_len, until the
+ *  boundary reaches @p len. Oracle for the lookup on well-formed
+ *  policies whose arithmetic stays in range. */
+int64_t
+walkedBucket(int64_t len, const BucketPolicy &policy)
+{
+    int64_t b = std::min(alignTo(policy.min_len, policy.align),
+                         policy.max_len);
+    while (b < len) {
+        int64_t grown = b * policy.growth_num / policy.growth_den;
+        b = std::min(alignTo(std::max(grown, b + 1), policy.align),
+                     policy.max_len);
+    }
+    return b;
+}
+
+} // namespace
+
+TEST(Bucketing, LookupMatchesRungWalk)
+{
+    BucketPolicy unaligned;
+    unaligned.align = 1;
+    BucketPolicy slow_growth;
+    slow_growth.growth_num = 5;
+    slow_growth.growth_den = 4;
+    BucketPolicy wide;
+    wide.min_len = 100;
+    wide.align = 16;
+    wide.max_len = 4096;
+    BucketPolicy clamped; // the first boundary is max_len itself
+    clamped.min_len = 20;
+    clamped.align = 64;
+    clamped.max_len = 40;
+    for (const BucketPolicy &policy :
+         {BucketPolicy{}, unaligned, slow_growth, wide, clamped}) {
+        SCOPED_TRACE("min " + std::to_string(policy.min_len) +
+                     " growth " + std::to_string(policy.growth_num) +
+                     "/" + std::to_string(policy.growth_den) +
+                     " align " + std::to_string(policy.align) +
+                     " max " + std::to_string(policy.max_len));
+        auto ladder = bucketBoundaries(policy);
+        for (int64_t len = 1; len <= policy.max_len; ++len) {
+            int64_t want = walkedBucket(len, policy);
+            ASSERT_EQ(bucketIn(ladder, len), want) << len;
+            ASSERT_EQ(bucketLen(len, policy), want) << len;
+        }
+    }
+    EXPECT_EQ(bucketBoundaries(clamped),
+              std::vector<int64_t>{clamped.max_len});
+}
+
+TEST(Bucketing, HugeGrowthSaturatesAtMaxLen)
+{
+    // b * growth_num overflowed int64_t here and the walk then spun
+    // forever; growth now saturates at max_len.
+    const int64_t big = std::numeric_limits<int64_t>::max();
+    BucketPolicy growth;
+    growth.growth_num = big / 4;
+    growth.growth_den = 1;
+    growth.max_len = big / 2;
+    EXPECT_EQ(bucketBoundaries(growth),
+              (std::vector<int64_t>{16, growth.max_len}));
+    EXPECT_EQ(bucketLen(17, growth), growth.max_len);
+
+    // A huge ratio over a huge denominator: the product is exact,
+    // not saturated, while it stays below max_len.
+    BucketPolicy ratio;
+    ratio.growth_num = big - 1;
+    ratio.growth_den = big / 2;
+    ratio.align = 1;
+    ratio.max_len = 100;
+    EXPECT_EQ(bucketBoundaries(ratio),
+              (std::vector<int64_t>{16, 32, 64, 100}));
+
+    // Aligning up overflowed the same way.
+    BucketPolicy align;
+    align.align = big - 1;
+    EXPECT_EQ(bucketBoundaries(align),
+              std::vector<int64_t>{align.max_len});
+    align.min_len = 1;
+    align.max_len = big;
+    EXPECT_EQ(bucketBoundaries(align),
+              (std::vector<int64_t>{big - 1, big}));
+}
+
+TEST(Bucketing, RejectsLadderPastCap)
+{
+    // growth (2^40 + 1) / 2^40 never outgrows the one-step floor
+    // below 2^40, so with align 1 every length is its own bucket.
+    BucketPolicy linear;
+    linear.min_len = 1;
+    linear.growth_den = int64_t{1} << 40;
+    linear.growth_num = linear.growth_den + 1;
+    linear.align = 1;
+    linear.max_len = static_cast<int64_t>(kMaxBuckets);
+    EXPECT_EQ(bucketBoundaries(linear).size(), kMaxBuckets);
+    linear.max_len += 1;
+    EXPECT_THROW(bucketBoundaries(linear), FatalError);
+    EXPECT_THROW(bucketLen(1, linear), FatalError);
+    // Without the cap this would build ~10^12 boundaries.
+    linear.max_len = int64_t{1} << 40;
+    EXPECT_THROW(bucketBoundaries(linear), FatalError);
+}
+
 TEST(Bucketing, RejectsOutOfRangeAndMalformedPolicies)
 {
     BucketPolicy policy;
     EXPECT_THROW(bucketLen(0, policy), FatalError);
     EXPECT_THROW(bucketLen(policy.max_len + 1, policy),
                  FatalError);
+    auto ladder = bucketBoundaries(policy);
+    EXPECT_THROW(bucketIn(ladder, 0), FatalError);
+    EXPECT_THROW(bucketIn(ladder, policy.max_len + 1), FatalError);
+    EXPECT_THROW(bucketIn({}, 1), FatalError);
     BucketPolicy shrinking;
     shrinking.growth_num = 1;
     shrinking.growth_den = 2;

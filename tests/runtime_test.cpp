@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
 #include <thread>
 
@@ -426,6 +427,53 @@ TEST(Executor, WarmRaceCompilesOnce)
     // A third call is a pure cache hit.
     executor.block(shapes);
     EXPECT_EQ(executor.compileCount(), 1);
+}
+
+TEST(Executor, WarmHitsRaceMissCompiles)
+{
+    // Lock-free hits on warm shapes race misses publishing new
+    // tables: every hit must see the first address for its shape,
+    // and each new shape compiles exactly once.
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    const models::BlockShapes warm[2] = {models::decodeShapes(48),
+                                         models::decodeShapes(64)};
+    const models::BlockShapes cold[2] = {models::decodeShapes(32),
+                                         models::prefillShapes(16)};
+    const runtime::CompiledBlock *first[2] = {
+        &executor.block(warm[0]), &executor.block(warm[1])};
+
+    std::atomic<int> compiling{2};
+    std::atomic<int64_t> mismatches{0};
+    std::atomic<int64_t> hits{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (int64_t i = 0;
+                 compiling.load() > 0 || i < 1000; ++i) {
+                int w = static_cast<int>((i + t) % 2);
+                if (&executor.block(warm[w]) != first[w])
+                    ++mismatches;
+                ++hits;
+            }
+        });
+    const runtime::CompiledBlock *compiled[2] = {nullptr, nullptr};
+    for (int c = 0; c < 2; ++c)
+        threads.emplace_back([&, c] {
+            compiled[c] = &executor.block(cold[c]);
+            --compiling;
+        });
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GE(hits.load(), 4000);
+    EXPECT_EQ(executor.compileCount(), 4);
+    for (int c = 0; c < 2; ++c)
+        EXPECT_EQ(&executor.block(cold[c]), compiled[c]);
+    for (int w = 0; w < 2; ++w)
+        EXPECT_EQ(&executor.block(warm[w]), first[w]);
+    EXPECT_EQ(executor.compileCount(), 4);
 }
 
 TEST(Executor, GatedPrefillMatchesUngatedWhenWeightsResident)

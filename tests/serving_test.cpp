@@ -725,6 +725,38 @@ TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
     }
 }
 
+TEST(Scheduler, HostileBucketPolicyIsFatal)
+{
+    // The bucket ladder is built when the engine or fleet is
+    // constructed, so a malformed or over-long policy throws there
+    // instead of at the first step (or, for an over-long one,
+    // allocating millions of rungs).
+    serving::AnalyticCostModel cost;
+    serving::SchedulerOptions shrinking = recordingOptions(2, 4096);
+    shrinking.buckets.growth_num = 1;
+    serving::SchedulerOptions endless = recordingOptions(2, 4096);
+    endless.buckets.min_len = 1;
+    endless.buckets.growth_den = int64_t{1} << 40;
+    endless.buckets.growth_num = endless.buckets.growth_den + 1;
+    endless.buckets.align = 1;
+    endless.buckets.max_len = int64_t{1} << 40;
+    for (const auto &bad : {shrinking, endless}) {
+        EXPECT_THROW(serving::ReplicaEngine(bad, cost), FatalError);
+        EXPECT_THROW(serving::FleetScheduler(oneReplica(bad), cost),
+                     FatalError);
+    }
+
+    // A ratio whose product overflowed int64_t saturates at
+    // max_len: the fleet builds and serves.
+    serving::SchedulerOptions huge = recordingOptions(2, 4096);
+    huge.buckets.growth_num = std::numeric_limits<int64_t>::max() / 4;
+    huge.buckets.growth_den = 1;
+    huge.buckets.max_len = std::numeric_limits<int64_t>::max() / 2;
+    serving::FleetScheduler scheduler(oneReplica(huge), cost);
+    auto result = scheduler.run({makeRequest(0, 0.0, 8, 2)});
+    EXPECT_EQ(result.metrics.completed, 1);
+}
+
 TEST(Scheduler, KvPoolBeyondInt32PagesIsRejected)
 {
     // KvPool ids its pages by int32_t; a budget with more pages
