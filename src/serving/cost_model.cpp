@@ -12,7 +12,6 @@ ExecutorCostModel::stepMs(
     runtime::StepResult step = executor_.step(groups);
     saw_deadlock_ = saw_deadlock_ || step.deadlock;
     last_crossings_ = step.crossings;
-    crossing_stall_ms_ += step.crossing_stall_ms;
     peak_kv_tokens_ = std::max(peak_kv_tokens_, step.kv_tokens);
     return step.step_ms;
 }

@@ -34,12 +34,13 @@ class ExecutorCostModel : public StepCostModel
     /** True once any costed block deadlocked or timed out. */
     bool sawDeadlock() const { return saw_deadlock_; }
 
-    /** Serving-side placement metrics: inter-die crossings of the
-     *  most recent step's blocks, and the crossing-attributed
-     *  stall time accumulated across every costed step (how much
-     *  of the serving run's busy time the die boundaries ate). */
+    /** Serving-side placement metric: inter-die crossings of the
+     *  most recent costed step's blocks. The engine reuses the
+     *  answer for a step repeating the last costed groups, so
+     *  calls are not steps; this and the two high-water marks
+     *  stay exact because a reused cost always comes from
+     *  identical groups. */
     int64_t lastStepCrossings() const { return last_crossings_; }
-    double crossingStallMs() const { return crossing_stall_ms_; }
 
     /** Largest KV footprint any costed step streamed (Σ count ×
      *  kv_len over its groups) — the accelerator-side KV pressure
@@ -51,7 +52,6 @@ class ExecutorCostModel : public StepCostModel
     runtime::LlmExecutor &executor_;
     bool saw_deadlock_ = false;
     int64_t last_crossings_ = 0;
-    double crossing_stall_ms_ = 0.0;
     int64_t peak_kv_tokens_ = 0;
 };
 

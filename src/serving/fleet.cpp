@@ -122,6 +122,12 @@ struct FleetRun
         events;
     std::vector<int64_t> launch_gen;
 
+    /** Decode runs (fleet.h): per replica, the steps planned after
+     *  the in-flight one, whose completion instants get no round;
+     *  and the replicas phase 6 launched this round (scratch). */
+    std::vector<int64_t> run_left;
+    std::vector<int> launched;
+
     double now = 0.0;
 
     FleetRun(const FleetOptions &options_in,
@@ -133,8 +139,10 @@ struct FleetRun
           n(options_in.num_replicas),
           injector(options_in.faults),
           launch_gen(static_cast<size_t>(options_in.num_replicas),
-                     0)
+                     0),
+          run_left(static_cast<size_t>(options_in.num_replicas), 0)
     {
+        launched.reserve(static_cast<size_t>(n));
         engines.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i)
             engines.emplace_back(options.replica, cost, i);
@@ -272,6 +280,7 @@ struct FleetRun
             return;
         }
         engines[static_cast<size_t>(target)].offer(r, now);
+        cutRun(static_cast<size_t>(target));
     }
 
     /** Route every due retry-buffer entry to an eligible replica
@@ -294,9 +303,11 @@ struct FleetRun
             if (target < 0)
                 parkPending(it->first.first,
                             std::move(it->second));
-            else
+            else {
                 engines[static_cast<size_t>(target)].readmit(
                     it->second.req, it->second.state);
+                cutRun(static_cast<size_t>(target));
+            }
         }
     }
 
@@ -305,6 +316,7 @@ struct FleetRun
         FleetMetrics &fm = result.metrics;
         auto idx = static_cast<size_t>(e.replica);
         ReplicaEngine &eng = engines[idx];
+        cutRun(idx);
         switch (e.kind) {
         case FaultKind::Crash: {
             if (!up[idx])
@@ -498,6 +510,92 @@ struct FleetRun
             events.push(e);
     }
 
+    // ---- Decode runs (fleet.h) ---------------------------------
+
+    /** Stage @p idx's completion event under a new launch
+     *  generation, at the end of its in-flight step's last planned
+     *  repeat. Any earlier completion event of the replica turns
+     *  stale. */
+    void stageCompletion(size_t idx)
+    {
+        ++launch_gen[idx];
+        stage({engines[idx].repeatEndMs(run_left[idx]), EvCompletion,
+               static_cast<int64_t>(idx), launch_gen[idx]});
+    }
+
+    /** End @p idx's run after its in-flight step, so the loop wakes
+     *  at that step's end again. */
+    void cutRun(size_t idx)
+    {
+        if (run_left[idx] == 0)
+            return;
+        run_left[idx] = 0;
+        stageCompletion(idx);
+    }
+
+    /** Phase 1 for one replica: complete every step that ended by
+     *  now. A step that ended before now belongs to a run and had no
+     *  round at its end — nothing else happened there — so the next
+     *  step of the run launches at that end right away. A step
+     *  ending at now leaves the replica idle for phase 6, so a crash
+     *  at this instant still finds it idle. */
+    void completeDue(size_t idx)
+    {
+        ReplicaEngine &eng = engines[idx];
+        while (eng.busy() && eng.stepEndMs() <= now) {
+            double end = eng.stepEndMs();
+            eng.completeStep();
+            if (end == now) {
+                run_left[idx] = 0;
+                break;
+            }
+            ST_ASSERT(run_left[idx] > 0,
+                      "a step outside a decode run ended unseen");
+            --run_left[idx];
+            bool launched_repeat = eng.launchStep(end);
+            ST_ASSERT(launched_repeat,
+                      "a decode run outlived its residents");
+        }
+    }
+
+    /** Phase 6, second half: plan a run for every replica launched
+     *  this round and stage its completion. A run holds only while
+     *  completed, in-flight and planned steps across the fleet stay
+     *  below max_steps (the step-limit check must not fall on a
+     *  skipped instant) and no queue holds a deadline (its sweep
+     *  must not move to a later instant); when either fails, every
+     *  standing run is cut. */
+    void stageRuns()
+    {
+        int64_t steps = 0;
+        bool deadline_queued = false;
+        for (size_t i = 0; i < engines.size(); ++i) {
+            ReplicaEngine &eng = engines[i];
+            steps += eng.result().metrics.steps +
+                     (eng.busy() ? 1 : 0) + run_left[i];
+            deadline_queued = deadline_queued || eng.queuedDeadlines();
+        }
+        int64_t budget = options.replica.max_steps - 1 - steps;
+        if (deadline_queued || budget < 0) {
+            for (size_t i = 0; i < engines.size(); ++i) {
+                budget += run_left[i];
+                cutRun(i);
+            }
+        }
+        for (int i : launched) {
+            auto idx = static_cast<size_t>(i);
+            int64_t repeats =
+                deadline_queued
+                    ? 0
+                    : std::min(engines[idx].repeatSteps(),
+                               std::max<int64_t>(budget, 0));
+            budget -= repeats;
+            run_left[idx] = repeats;
+            stageCompletion(idx);
+        }
+        launched.clear();
+    }
+
     // ---- Next-instant selection --------------------------------
 
     /** LegacyScan: the earliest step end, fault, reload, arrival,
@@ -616,12 +714,14 @@ struct FleetRun
         double arrival_event_t = -1.0;
 
         while (true) {
-            // 1. Step completions (id order). A step ending
-            // exactly at a crash instant completes first: its
-            // tokens were produced before the failure.
-            for (auto &eng : engines)
-                if (eng.busy() && eng.stepEndMs() <= now)
-                    eng.completeStep();
+            ++result.rounds;
+
+            // 1. Step completions (id order), catching up through
+            // decode runs. A step ending exactly at a crash instant
+            // completes first: its tokens were produced before the
+            // failure.
+            for (size_t i = 0; i < engines.size(); ++i)
+                completeDue(i);
 
             // 2. Fault events, in plan firing order — before
             // arrivals, so an arrival at a crash instant sees the
@@ -649,7 +749,7 @@ struct FleetRun
             redispatchDue();
 
             // 6. Launch a step on every idle up replica (id
-            // order), staging its completion.
+            // order), then plan decode runs and stage completions.
             for (int i = 0; i < n; ++i) {
                 auto idx = static_cast<size_t>(i);
                 auto &eng = engines[idx];
@@ -659,12 +759,10 @@ struct FleetRun
                 ST_ASSERT(eng.busy() || !eng.hasWork() ||
                               eng.draining(),
                           "idle up replica refused its work");
-                if (eng.busy()) {
-                    ++launch_gen[idx];
-                    stage({eng.stepEndMs(), EvCompletion, i,
-                           launch_gen[idx]});
-                }
+                if (eng.busy())
+                    launched.push_back(i);
             }
+            stageRuns();
 
             auto [total_steps, work_left] = progress();
             if (total_steps >= options.replica.max_steps &&

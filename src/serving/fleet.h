@@ -55,6 +55,32 @@
  * deadline (stamped at that round's instant), and its deadline alone
  * never wakes the loop — only retry-buffer deadlines do.
  *
+ * **Decode runs.** A replica usually repeats its last step: the
+ * same decoding batch, one token further on. When phase 6 launches a
+ * step, ReplicaEngine::repeatSteps() says how many steps after it
+ * are certain to repeat it (same shape groups, no page growth, an
+ * empty queue, the cold-start stream over). The fleet plans that
+ * many as a run and stages one completion event, at the end of the
+ * run's last step (ReplicaEngine::repeatEndMs, the same additions
+ * the step-by-step loop makes). Phase 1 catches a replica up at any
+ * round: it completes every step that ended by now, and a step that
+ * ended before now — an instant with no round — launches the next
+ * step of its run at its own end. A step ending exactly now leaves
+ * the replica idle for phase 6, as without runs. Two fleet-wide caps
+ * bound a run: completed, in-flight and planned steps stay below
+ * max_steps (so the step limit never falls on a skipped instant),
+ * and no run is planned while any replica's queue holds a request
+ * with a deadline (its sweep runs at the next round at or after the
+ * deadline, which a skipped instant would move). A run is cut after
+ * its in-flight step — that step's completion is re-staged under a
+ * new launch generation — when anything changes the replica's next
+ * launch: an offer or readmit to it, any fault naming it, a
+ * deadline-carrying request queued anywhere, or the step cap
+ * failing after other replicas' launches. LegacyScan plans the same
+ * runs but wakes at every step end anyway, so it still takes one
+ * step per round: the differential suite compares runs against the
+ * per-step loop, and FleetResult::rounds counts the rounds skipped.
+ *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests with their ResumeState (tokens already emitted
  * are kept — only KV is lost). Each evacuated request consumes one
@@ -238,6 +264,13 @@ struct FleetResult
     /** replica.max_steps total steps were executed with work
      *  still pending. */
     bool hit_step_limit = false;
+
+    /** Round-loop iterations: instants the loop processed. The heap
+     *  core skips the instants where only a repeated decode step
+     *  completes (decode runs, above), so it takes fewer rounds than
+     *  LegacyScan for the same result — the one field of the result
+     *  the two cores may disagree on. */
+    int64_t rounds = 0;
 };
 
 class FleetScheduler

@@ -77,6 +77,9 @@ class RequestQueue
      *  exceed a nonzero capacity (see the invariant above). */
     int64_t frontInserts() const { return front_inserts_; }
 
+    /** True when some queued request carries a deadline (O(1)). */
+    bool hasDeadlines() const { return deadlined_ > 0; }
+
     /** The request that pop() would return. Queue must be
      *  non-empty. */
     const Request &front() const;

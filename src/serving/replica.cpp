@@ -124,6 +124,42 @@ ReplicaEngine::stepEndMs() const
 }
 
 int64_t
+ReplicaEngine::repeatSteps() const
+{
+    ST_CHECK(busy_, "repeatSteps() with no step in flight");
+    const WeightStreamPlan &stream = options_.cold_start.plan;
+    if (!queue_.empty() ||
+        (!stream.empty() && step_start_ms_ < stream.end_ms))
+        return 0;
+    int64_t repeats = std::numeric_limits<int64_t>::max();
+    for (const auto &seq : active_) {
+        if (!seq.prefilled)
+            return 0;
+        // The in-flight step attends over `context`; repeat m over
+        // context + m, which keeps the step's shape while it stays
+        // in the bucket and needs no page while it stays within the
+        // pages held; it runs only while the sequence is unfinished,
+        // generated + m < output_len.
+        int64_t context = seq.req.input_len + seq.generated;
+        int64_t room =
+            std::min(models::bucketIn(bucket_ladder_, context),
+                     pool_.heldTokens(seq.req.id));
+        repeats = std::min({repeats, room - context,
+                            seq.req.output_len - seq.generated - 1});
+    }
+    return repeats;
+}
+
+double
+ReplicaEngine::repeatEndMs(int64_t repeats) const
+{
+    double end = stepEndMs();
+    for (int64_t k = 0; k < repeats; ++k)
+        end += step_ms_;
+    return end;
+}
+
+int64_t
 ReplicaEngine::kvLoadTokens() const
 {
     return pool_.activePages() * pool_.pageTokens() +
@@ -329,10 +365,24 @@ ReplicaEngine::launchStep(double now)
             step_groups_.insert(pos, {shapes, 1});
     }
 
-    double step_ms = cost_->stepMs(step_groups_);
-    ST_CHECK(step_ms > 0.0,
-             "cost model must advance simulated time");
-    step_ms *= slow_factor_;
+    // A repeat of the last costed step reuses its answer: the
+    // oracle is a pure function of the groups (StepCostModel).
+    if (cost_ != costed_by_ ||
+        !std::equal(step_groups_.begin(), step_groups_.end(),
+                    costed_groups_.begin(), costed_groups_.end(),
+                    [](const runtime::StepGroup &a,
+                       const runtime::StepGroup &b) {
+                        return a.count == b.count &&
+                               a.shapes == b.shapes;
+                    })) {
+        double fresh_ms = cost_->stepMs(step_groups_);
+        ST_CHECK(fresh_ms > 0.0,
+                 "cost model must advance simulated time");
+        costed_groups_ = step_groups_;
+        costed_by_ = cost_;
+        costed_ms_ = fresh_ms;
+    }
+    double step_ms = costed_ms_ * slow_factor_;
 
     // Cold start: a step launched while the weight stream is in
     // flight is gated on residency (overlapped per layer or held
@@ -349,6 +399,10 @@ ReplicaEngine::launchStep(double now)
         step_ms += weights_wait_ms;
         result_.metrics.weight_stall_ms += weights_wait_ms;
     }
+    // At a far-future instant a small cost rounds away, and a step
+    // that ends when it starts would never complete.
+    ST_CHECK(now + step_ms > now,
+             "step cost vanishes against the simulated clock");
 
     pending_batch_ = static_cast<int64_t>(active_.size());
     pending_pages_active_ = pool_.activePages();

@@ -96,6 +96,31 @@ class ReplicaEngine
     /** Simulated end of the in-flight step. busy() only. */
     double stepEndMs() const;
 
+    /** Decode-run query: how many steps after the in-flight one are
+     *  certain to repeat it exactly — the same shape groups, no page
+     *  growth, no preemption or admission, hence the same cost
+     *  (reused without calling the oracle). 0 unless every resident
+     *  is decoding, the queue is empty and the in-flight step
+     *  launched at or after the cold-start stream's end_ms.
+     *  Otherwise the largest j such that, for every resident, the
+     *  next j contexts stay within the pages it holds and within its
+     *  bucket, and no resident finishes before step j.
+     *
+     *  The answer assumes nothing else touches the engine meanwhile:
+     *  an offer or readmit, a slow factor, a cost swap, a drain or a
+     *  crash changes the next launch, so the fleet cuts the run
+     *  there (fleet.h, decode runs). busy() only. */
+    int64_t repeatSteps() const;
+
+    /** End of the @p repeats-th repeat of the in-flight step: its
+     *  end plus its cost added once per repeat, the same sequence
+     *  of additions launchStep() makes stepping them one at a
+     *  time. busy() only. */
+    double repeatEndMs(int64_t repeats) const;
+
+    /** Some queued request carries a deadline. */
+    bool queuedDeadlines() const { return queue_.hasDeadlines(); }
+
     /** Resident sequences or queued requests exist. */
     bool hasWork() const
     {
@@ -141,9 +166,15 @@ class ReplicaEngine
 
     /** Grow/preempt, admit from the queue head (unless
      *  draining), group by bucketed shapes and cost one step
-     *  starting at @p now. Returns false when there is nothing to
-     *  run (no work, or draining with an empty batch). The engine
-     *  is busy() until completeStep(). */
+     *  starting at @p now. A step whose groups and oracle equal the
+     *  previous launch's reuses that answer instead of calling the
+     *  oracle again (StepCostModel is a pure function of the
+     *  groups); the slow factor and the cold-start gate apply
+     *  afterwards either way. Returns false when there is nothing
+     *  to run (no work, or draining with an empty batch). Throws
+     *  FatalError when @p now plus the step's cost does not exceed
+     *  @p now (a far-future instant where the cost rounds away).
+     *  The engine is busy() until completeStep(). */
     bool launchStep(double now);
 
     /** Commit the in-flight step: metrics, step record, one output
@@ -244,6 +275,12 @@ class ReplicaEngine
     // preemption marks and the step's shape groups.
     std::vector<bool> gone_;
     std::vector<runtime::StepGroup> step_groups_;
+
+    // The last oracle call: its groups, its oracle and its answer
+    // (before the slow factor), reused by a launch that repeats it.
+    std::vector<runtime::StepGroup> costed_groups_;
+    const StepCostModel *costed_by_ = nullptr;
+    double costed_ms_ = 0.0;
 
     // In-flight step (busy_ == true).
     bool busy_ = false;

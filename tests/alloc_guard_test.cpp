@@ -4,8 +4,9 @@
  *  step is arithmetic over cached CompiledBlock values and must not
  *  touch the heap. A map or vector creeping back into
  *  LlmExecutor::step (or the ExecutorCostModel wrapper the serving
- *  engine calls), a cached block() lookup or the bucket ladder
- *  lookup fails here. */
+ *  engine calls), a cached block() lookup, the bucket ladder
+ *  lookup, a replica launch that reuses the previous step's cost,
+ *  or the fleet's catch-up through a decode run fails here. */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "models/bucketing.h"
 #include "runtime/executor.h"
 #include "serving/cost_model.h"
+#include "serving/fleet.h"
+#include "serving/replica.h"
 
 namespace {
 
@@ -35,10 +38,28 @@ countedAlloc(std::size_t size)
 
 void *operator new(std::size_t size) { return countedAlloc(size); }
 void *operator new[](std::size_t size) { return countedAlloc(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer): left to
+// the runtime, they would pair its allocator with the free() below.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return operator new(size, tag);
+}
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept { std::free(p); }
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 using namespace streamtensor;
 
@@ -66,6 +87,33 @@ stepGroups(int n)
     for (int i = 0; i < n; ++i)
         groups.push_back({shapes[i % 4], i + 1});
     return groups;
+}
+
+/** Analytic costs, counting the calls. */
+class CountingCostModel : public serving::StepCostModel
+{
+  public:
+    double
+    stepMs(const std::vector<runtime::StepGroup> &groups) override
+    {
+        ++calls;
+        return analytic_.stepMs(groups);
+    }
+
+    int64_t calls = 0;
+
+  private:
+    serving::AnalyticCostModel analytic_;
+};
+
+serving::Request
+request(int64_t input_len, int64_t output_len)
+{
+    serving::Request r;
+    r.id = 1;
+    r.input_len = input_len;
+    r.output_len = output_len;
+    return r;
 }
 
 } // namespace
@@ -131,4 +179,65 @@ TEST(AllocGuard, WarmBlockHitAllocatesNothing)
               }),
               0);
     EXPECT_GE(sum, policy.max_len * (policy.max_len + 1) / 2);
+}
+
+TEST(AllocGuard, RepeatedLaunchReusesCostWithoutAllocating)
+{
+    CountingCostModel cost;
+    serving::ReplicaEngine engine(serving::SchedulerOptions{}, cost);
+    engine.offer(request(8, 16), 0.0);
+    // The prefill and the first decode are costed afresh.
+    double now = 0.0;
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(engine.launchStep(now));
+        now = engine.stepEndMs();
+        engine.completeStep();
+    }
+    ASSERT_EQ(cost.calls, 2);
+    ASSERT_TRUE(engine.launchStep(now));
+
+    // Contexts 10..15 stay in bucket 16 and the first page: every
+    // launch repeats the last one, reuses its cost, and ends where
+    // repeatEndMs() said it would.
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_GE(engine.repeatSteps(), 1);
+        double predicted_end = engine.repeatEndMs(1);
+        bool launched = false;
+        EXPECT_EQ(allocationsDuring([&] {
+                      now = engine.stepEndMs();
+                      engine.completeStep();
+                      launched = engine.launchStep(now);
+                  }),
+                  0)
+            << "repeat " << i;
+        ASSERT_TRUE(launched);
+        EXPECT_EQ(engine.stepEndMs(), predicted_end);
+    }
+    EXPECT_EQ(cost.calls, 2);
+}
+
+TEST(AllocGuard, DecodeRunCatchUpAllocatesNothing)
+{
+    // Input 40 sits in bucket 48 and three 16-token pages, so every
+    // decode of a request with at most 9 output tokens repeats the
+    // first one. Phase 1 catches up through the whole run at its
+    // last step's end: two runs that differ only in how many steps
+    // it catches up through take the same rounds and must allocate
+    // the same.
+    auto serve = [](int64_t output_len) {
+        serving::FleetOptions options;
+        options.num_replicas = 1;
+        CountingCostModel cost;
+        serving::FleetScheduler fleet(options, cost);
+        std::vector<serving::Request> trace = {request(40, output_len)};
+        serving::FleetResult result;
+        int64_t allocs = allocationsDuring(
+            [&] { result = fleet.run(std::move(trace)); });
+        EXPECT_EQ(result.metrics.completed, 1);
+        EXPECT_EQ(result.metrics.steps, output_len);
+        EXPECT_EQ(result.rounds, 3);
+        EXPECT_EQ(cost.calls, 2);
+        return allocs;
+    };
+    EXPECT_EQ(serve(4), serve(9));
 }

@@ -608,7 +608,8 @@ TEST(EndToEnd, CrossingMetricsSurfaceThroughRuntimeAndServing)
     // A platform with a priced link: the transformer decode block
     // partitions greedily (group larger than the ILP guard), so
     // crossings and crossing-attributed stall flow through
-    // LlmExecutor::run/step into the serving cost model.
+    // LlmExecutor::run/step, and crossings on into the serving
+    // cost model.
     hls::FpgaPlatform linked = hls::u55c();
     linked.inter_die_latency_cycles = 8.0;
     runtime::LlmExecutor executor(models::gpt2Config(), linked);
@@ -627,7 +628,6 @@ TEST(EndToEnd, CrossingMetricsSurfaceThroughRuntimeAndServing)
         {{models::decodeShapes(32), 2}});
     EXPECT_GT(ms, 0.0);
     EXPECT_GT(cost.lastStepCrossings(), 0);
-    EXPECT_GE(cost.crossingStallMs(), 0.0);
 }
 
 TEST(EndToEnd, GoldenFaultedFleetTrace)

@@ -7,7 +7,11 @@
  *  of the same generator. "Bit-for-bit" is checked on every
  *  observable: merged request records, per-replica step records,
  *  rejection and loss logs, every aggregate counter, the makespan,
- *  and the streaming latency sketch's quantiles. */
+ *  and the streaming latency sketch's quantiles. The round count is
+ *  the exception: the heap core skips the instants inside decode
+ *  runs, so it must take no more rounds than LegacyScan, which
+ *  wakes at every step end. Scripted cases below cut a run at each
+ *  of its cut rules and hold the two cores equal there too. */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
 #include "serving/trace.h"
+#include "serving/weights.h"
 
 using namespace streamtensor;
 using serving::Request;
@@ -208,17 +213,21 @@ class FleetDifferential : public ::testing::TestWithParam<uint64_t>
 TEST_P(FleetDifferential, HeapMatchesLegacyUnderFaults)
 {
     Scenario s = makeScenario(GetParam(), true);
-    expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, false),
-        runScenario(s, serving::FleetEventCore::LegacyScan, false));
+    auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
+    auto legacy =
+        runScenario(s, serving::FleetEventCore::LegacyScan, false);
+    expectSameResult(heap, legacy);
+    EXPECT_LE(heap.rounds, legacy.rounds);
 }
 
 TEST_P(FleetDifferential, HeapMatchesLegacyCalm)
 {
     Scenario s = makeScenario(GetParam(), false);
-    expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, false),
-        runScenario(s, serving::FleetEventCore::LegacyScan, false));
+    auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
+    auto legacy =
+        runScenario(s, serving::FleetEventCore::LegacyScan, false);
+    expectSameResult(heap, legacy);
+    EXPECT_LE(heap.rounds, legacy.rounds);
 }
 
 TEST_P(FleetDifferential, GeneratorMatchesVector)
@@ -231,5 +240,137 @@ TEST_P(FleetDifferential, GeneratorMatchesVector)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Range<uint64_t>(0, 100));
+
+TEST(FleetDecodeRuns, HeapSkipsRoundsOverTheCalmSeeds)
+{
+    int64_t heap_rounds = 0, legacy_rounds = 0;
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+        Scenario s = makeScenario(seed, false);
+        heap_rounds +=
+            runScenario(s, serving::FleetEventCore::Heap, false)
+                .rounds;
+        legacy_rounds +=
+            runScenario(s, serving::FleetEventCore::LegacyScan, false)
+                .rounds;
+    }
+    EXPECT_LT(heap_rounds, legacy_rounds);
+}
+
+Request
+makeRequest(int64_t id, double arrival_ms, int64_t input_len,
+            int64_t output_len)
+{
+    Request r;
+    r.id = id;
+    r.arrival_ms = arrival_ms;
+    r.input_len = input_len;
+    r.output_len = output_len;
+    return r;
+}
+
+serving::FleetOptions
+scriptOptions(int num_replicas)
+{
+    serving::FleetOptions o;
+    o.num_replicas = num_replicas;
+    o.replica.max_batch = 4;
+    o.replica.kv_budget_tokens = 4096;
+    o.replica.record_steps = true;
+    return o;
+}
+
+/** Serve @p trace under both cores, hold them equal, and require
+ *  that the heap core really ran a decode run (skipped rounds). */
+serving::FleetResult
+expectCoresAgree(serving::FleetOptions options,
+                 const std::vector<Request> &trace)
+{
+    serving::AnalyticCostModel cost;
+    options.event_core = serving::FleetEventCore::Heap;
+    auto heap = serving::FleetScheduler(options, cost).run(trace);
+    options.event_core = serving::FleetEventCore::LegacyScan;
+    auto legacy = serving::FleetScheduler(options, cost).run(trace);
+    expectSameResult(heap, legacy);
+    EXPECT_LT(heap.rounds, legacy.rounds);
+    return heap;
+}
+
+TEST(FleetDecodeRuns, ArrivalMidRunCutsIt)
+{
+    // Request 0 is decoding alone when request 1 arrives: the run
+    // ends at the in-flight step and request 1 joins the next one.
+    auto r = expectCoresAgree(scriptOptions(1),
+                              {makeRequest(0, 0.0, 8, 40),
+                               makeRequest(1, 10.0, 8, 4)});
+    EXPECT_EQ(r.metrics.completed, 2);
+}
+
+TEST(FleetDecodeRuns, ReadmitMidRunCutsIt)
+{
+    // Replica 1 crashes under request 1, which waits out its backoff
+    // and is readmitted to replica 0 while request 0 decodes there.
+    serving::FleetOptions options = scriptOptions(2);
+    options.faults.events = {{5.0, 1, serving::FaultKind::Crash, 1.0}};
+    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60),
+                                        makeRequest(1, 0.0, 8, 40)});
+    EXPECT_EQ(r.metrics.failovers, 1);
+    EXPECT_EQ(r.metrics.completed, 2);
+}
+
+TEST(FleetDecodeRuns, SlowStartMidRunCutsIt)
+{
+    serving::FleetOptions options = scriptOptions(1);
+    options.faults.events = {
+        {10.0, 0, serving::FaultKind::SlowStart, 3.0},
+        {25.0, 0, serving::FaultKind::SlowEnd, 1.0}};
+    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60)});
+    EXPECT_EQ(r.metrics.slowdowns, 1);
+}
+
+TEST(FleetDecodeRuns, DeadlineQueuedElsewhereCutsEveryRun)
+{
+    // Replica 0 drains at 0.1 ms but keeps decoding request 0 in
+    // short steps. Request 2, with a deadline, queues behind
+    // request 1's long prefill on the one-slot replica 1 and expires
+    // there at the first round after its deadline — one of replica
+    // 0's step ends, as under LegacyScan, so replica 0's run is cut.
+    serving::FleetOptions options = scriptOptions(2);
+    options.replica.max_batch = 1;
+    options.faults.events = {
+        {0.1, 0, serving::FaultKind::DrainStart, 1.0}};
+    Request late = makeRequest(2, 3.0, 8, 4);
+    late.deadline_ms = 8.0;
+    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60),
+                                        makeRequest(1, 0.3, 600, 4),
+                                        late});
+    EXPECT_EQ(r.metrics.expired_deadline, 1);
+    EXPECT_EQ(r.metrics.completed, 2);
+    ASSERT_EQ(r.rejected.size(), 1u);
+    EXPECT_LT(r.rejected[0].at_ms, 9.0);
+}
+
+TEST(FleetDecodeRuns, StepLimitInsideARunStopsAtTheSameStep)
+{
+    serving::FleetOptions options = scriptOptions(1);
+    options.replica.max_steps = 20;
+    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 100)});
+    EXPECT_TRUE(r.hit_step_limit);
+    EXPECT_EQ(r.metrics.steps, 20);
+}
+
+TEST(FleetDecodeRuns, ColdStartEndingMidStep)
+{
+    // The first step, launched while the stream is in flight, is
+    // gated on residency (and, holding the prefill, never repeats);
+    // the first decode launched after the stream's end starts a
+    // run.
+    serving::FleetOptions options = scriptOptions(1);
+    serving::WeightStreamPlan plan;
+    plan.end_ms = 12.3;
+    plan.layer_ready_ms = {3.0, 6.0, 9.0, 12.3};
+    options.replica.cold_start.plan = plan;
+    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60)});
+    EXPECT_GT(r.metrics.weight_stall_ms, 0.0);
+}
 
 } // namespace

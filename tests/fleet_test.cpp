@@ -542,6 +542,29 @@ TEST(Fleet, RejectsNonFiniteArrivalInsteadOfDroppingIt)
     EXPECT_THROW(fleet.run({late_deadline}), FatalError);
 }
 
+TEST(Fleet, FarFutureArrivalFailsInsteadOfStayingInFlight)
+{
+    // Regression: at 1e16 ms a sub-millisecond step rounds away
+    // (now + step_ms == now), so its completion event looked
+    // already handled and the run returned with the request still
+    // in flight and no error. The contract for hostile input is a
+    // valid result or a FatalError, under either event core.
+    for (auto core : {serving::FleetEventCore::Heap,
+                      serving::FleetEventCore::LegacyScan}) {
+        serving::FleetOptions options = fleetOptions(1);
+        options.event_core = core;
+        serving::AnalyticCostModel cost;
+        serving::FleetScheduler fleet(options, cost);
+        for (double at : {1e16, 1e17})
+            EXPECT_THROW(fleet.run({makeRequest(1, at, 8, 4)}),
+                         FatalError)
+                << at;
+        auto served = fleet.run({makeRequest(1, 1e15, 8, 4)});
+        EXPECT_EQ(served.metrics.completed, 1);
+        EXPECT_EQ(served.metrics.in_flight, 0);
+    }
+}
+
 } // namespace
 
 TEST(Fleet, RecoveryReloadDefersEligibility)

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <vector>
 
 #include "models/bucketing.h"
 #include "serving/cost_model.h"
@@ -917,16 +920,85 @@ class RecordingCostModel : public serving::StepCostModel
     serving::AnalyticCostModel analytic_;
 };
 
-/** One oracle call per step; each call's shapes strictly ascend
- *  (hence are distinct) and its counts sum to the step's batch. */
-void
-expectSortedDistinctGroups(
-    const RecordingCostModel &cost,
-    const std::vector<serving::StepRecord> &steps)
+bool
+sameGroups(const std::vector<runtime::StepGroup> &a,
+           const std::vector<runtime::StepGroup> &b)
 {
-    ASSERT_EQ(cost.calls.size(), steps.size());
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const runtime::StepGroup &x,
+                         const runtime::StepGroup &y) {
+                          return x.count == y.count &&
+                                 x.shapes == y.shapes;
+                      });
+}
+
+/** Each step's groups, rebuilt from its record: a request that ran
+ *  g steps before attends over input_len + g tokens, in a
+ *  prefill-shaped pass when it is in prefill_ids and a decode pass
+ *  otherwise; groups ascend by shapes. */
+std::vector<std::vector<runtime::StepGroup>>
+groupsFromRecords(const std::vector<Request> &trace,
+                  const std::vector<serving::StepRecord> &steps,
+                  const models::BucketPolicy &policy)
+{
+    std::map<int64_t, const Request *> by_id;
+    for (const Request &r : trace)
+        by_id[r.id] = &r;
+    std::map<int64_t, int64_t> ran;
+    std::vector<std::vector<runtime::StepGroup>> out;
+    for (const auto &step : steps) {
+        std::vector<runtime::StepGroup> groups;
+        auto add = [&](int64_t id, bool prefill) {
+            const Request &r = *by_id.at(id);
+            int64_t bucket =
+                models::bucketLen(r.input_len + ran[id]++, policy);
+            models::BlockShapes shapes =
+                prefill ? models::prefillShapes(bucket)
+                        : models::decodeShapes(bucket);
+            auto pos = std::find_if(
+                groups.begin(), groups.end(),
+                [&](const runtime::StepGroup &g) {
+                    return !(g.shapes < shapes);
+                });
+            if (pos != groups.end() && pos->shapes == shapes)
+                ++pos->count;
+            else
+                groups.insert(pos, {shapes, 1});
+        };
+        for (int64_t id : step.prefill_ids)
+            add(id, true);
+        for (int64_t id : step.decode_ids)
+            add(id, false);
+        out.push_back(std::move(groups));
+    }
+    return out;
+}
+
+/** The oracle's calls are the per-step groups rebuilt from the
+ *  records with consecutive repeats removed — a step repeating the
+ *  previous step's groups reuses its cost. Stores, for each step,
+ *  the index of the call that costed it in @p call_of_step. Each
+ *  call's shapes strictly ascend (hence are distinct) and its
+ *  counts sum to the batch of every step it costed. */
+void
+expectOracleCalls(const RecordingCostModel &cost,
+                  const std::vector<Request> &trace,
+                  const std::vector<serving::StepRecord> &steps,
+                  std::vector<size_t> *call_of_step)
+{
+    const auto per_step =
+        groupsFromRecords(trace, steps, models::BucketPolicy{});
+    call_of_step->clear();
+    size_t calls = 0;
+    for (size_t i = 0; i < per_step.size(); ++i) {
+        if (i == 0 || !sameGroups(per_step[i], per_step[i - 1]))
+            ++calls;
+        call_of_step->push_back(calls - 1);
+    }
+    ASSERT_EQ(cost.calls.size(), calls);
     for (size_t i = 0; i < steps.size(); ++i) {
-        const auto &groups = cost.calls[i];
+        const auto &groups = cost.calls[(*call_of_step)[i]];
+        EXPECT_TRUE(sameGroups(groups, per_step[i])) << "step " << i;
         ASSERT_FALSE(groups.empty()) << "step " << i;
         int64_t seqs = 0;
         for (size_t g = 0; g < groups.size(); ++g) {
@@ -955,10 +1027,12 @@ TEST(SchedulerReplay, OracleSeesSortedGroupsInMixedBatches)
     RecordingCostModel cost;
     serving::FleetScheduler scheduler(
         oneReplica(recordingOptions(8, 4096)), cost);
-    auto result =
-        scheduler.run(serving::burstyTrace(trace_options));
+    const auto trace = serving::burstyTrace(trace_options);
+    auto result = scheduler.run(trace);
     const auto &steps = result.replicas[0].steps;
-    expectSortedDistinctGroups(cost, steps);
+    std::vector<size_t> call_of;
+    ASSERT_NO_FATAL_FAILURE(
+        expectOracleCalls(cost, trace, steps, &call_of));
 
     // The trace really mixes: some step carries prefills and
     // decodes together, and some group merges several sequences.
@@ -967,7 +1041,7 @@ TEST(SchedulerReplay, OracleSeesSortedGroupsInMixedBatches)
     for (size_t i = 0; i < steps.size(); ++i) {
         mixed = mixed || (!steps[i].prefill_ids.empty() &&
                           !steps[i].decode_ids.empty());
-        for (const auto &g : cost.calls[i])
+        for (const auto &g : cost.calls[call_of[i]])
             merged = merged || g.count > 1;
     }
     EXPECT_TRUE(mixed);
@@ -981,20 +1055,24 @@ TEST(SchedulerReplay, OracleSeesSortedGroupsAfterPreemption)
     RecordingCostModel cost;
     serving::FleetScheduler scheduler(
         oneReplica(recordingOptions(2, 64)), cost);
-    auto result = scheduler.run({
+    const std::vector<Request> trace = {
         makeRequest(0, 0.0, 30, 4),
         makeRequest(1, 0.0, 30, 4),
-    });
+    };
+    auto result = scheduler.run(trace);
     const auto &steps = result.replicas[0].steps;
-    expectSortedDistinctGroups(cost, steps);
+    std::vector<size_t> call_of;
+    ASSERT_NO_FATAL_FAILURE(
+        expectOracleCalls(cost, trace, steps, &call_of));
     ASSERT_EQ(steps.size(), 5u);
     ASSERT_EQ(steps[3].preempted_ids, (std::vector<int64_t>{1}));
-    ASSERT_EQ(cost.calls[3].size(), 1u);
-    EXPECT_TRUE(cost.calls[3][0].shapes == models::decodeShapes(48));
-    EXPECT_EQ(cost.calls[3][0].count, 1);
-    ASSERT_EQ(cost.calls[4].size(), 1u);
-    EXPECT_TRUE(cost.calls[4][0].shapes ==
-                models::prefillShapes(48));
+    const auto &preempting = cost.calls[call_of[3]];
+    ASSERT_EQ(preempting.size(), 1u);
+    EXPECT_TRUE(preempting[0].shapes == models::decodeShapes(48));
+    EXPECT_EQ(preempting[0].count, 1);
+    const auto &readmitting = cost.calls[call_of[4]];
+    ASSERT_EQ(readmitting.size(), 1u);
+    EXPECT_TRUE(readmitting[0].shapes == models::prefillShapes(48));
 
     // A tight pool under a bursty trace preempts repeatedly, with
     // survivors of several shapes left in the preempting steps.
@@ -1005,17 +1083,19 @@ TEST(SchedulerReplay, OracleSeesSortedGroupsAfterPreemption)
     RecordingCostModel tight;
     serving::FleetScheduler pressured(
         oneReplica(recordingOptions(8, 512)), tight);
-    auto pressured_result =
-        pressured.run(serving::burstyTrace(trace_options));
+    const auto tight_trace = serving::burstyTrace(trace_options);
+    auto pressured_result = pressured.run(tight_trace);
     const auto &tight_steps = pressured_result.replicas[0].steps;
-    expectSortedDistinctGroups(tight, tight_steps);
+    std::vector<size_t> tight_call_of;
+    ASSERT_NO_FATAL_FAILURE(expectOracleCalls(
+        tight, tight_trace, tight_steps, &tight_call_of));
     EXPECT_GT(pressured_result.metrics.preemptions, 0);
     bool multi_group_after_preempt = false;
     for (size_t i = 0; i < tight_steps.size(); ++i)
         multi_group_after_preempt =
             multi_group_after_preempt ||
             (!tight_steps[i].preempted_ids.empty() &&
-             tight.calls[i].size() > 1);
+             tight.calls[tight_call_of[i]].size() > 1);
     EXPECT_TRUE(multi_group_after_preempt);
 }
 
