@@ -69,7 +69,9 @@ carve ServeReplicated fleet_resilience BENCH_fleet.json
 
 # BM_ServeMillionRequestSweep / BM_Sweep*: wall_req_per_s /
 # peak_rss_mb / p99_ms pin the million-request harness; the
-# EventCore pair guards the heap core against the LegacyScan oracle.
+# EventCore pair prices decode runs (Heap) against none (PerStep),
+# and OutageBacklog serves through whole-fleet outages that park
+# thousands of requests in the retry buffer.
 run sweep_scale
 carve Sweep sweep_scale BENCH_sweep.json
 

@@ -8,9 +8,10 @@
  * requests/s plus the simulated quality counters (p99 from the
  * sketch) and the process peak RSS — the numbers behind the
  * "Million-request sweeps" table in the README. The smaller
- * paired variant measures the event cores against each other
- * (Heap vs LegacyScan) at a size the O(n)-per-round legacy core
- * can still finish quickly.
+ * paired variant measures decode runs on (Heap) against off
+ * (PerStep), and the outage-backlog row serves a trace through
+ * repeated whole-fleet outages that park thousands of requests in
+ * the retry buffer.
  */
 
 #include <benchmark/benchmark.h>
@@ -104,13 +105,9 @@ BENCHMARK(BM_ServeMillionRequestSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/** Event cores head to head. On calm traffic the two sit within
- *  noise of each other — per-round phase work is bounded by
- *  replica count either way, and the heap's advantage (next-round
- *  selection independent of retry-buffer depth and per-entry
- *  deadline scans) only bites under deep fault backlogs. This
- *  pairing is the regression guard that keeps the default core's
- *  constant factors honest against the oracle's wall clock. */
+/** Decode runs on (Heap) and off (PerStep) over the same trace:
+ *  the results are bit-identical, so the pair prices the rounds
+ *  decode runs skip, and the run planning itself, in wall time. */
 void
 BM_SweepEventCore(benchmark::State &state)
 {
@@ -126,9 +123,51 @@ BM_SweepEventCore(benchmark::State &state)
 BENCHMARK(BM_SweepEventCore)
     ->ArgsProduct(
         {{static_cast<int64_t>(serving::FleetEventCore::Heap),
-          static_cast<int64_t>(
-              serving::FleetEventCore::LegacyScan)},
+          static_cast<int64_t>(serving::FleetEventCore::PerStep)},
          {20000, 100000}})
+    ->Unit(benchmark::kMillisecond);
+
+/** Five whole-fleet outages, each a tenth of the trace's horizon,
+ *  with a 40 s deadline on every request: each outage parks every
+ *  arrival in the retry buffer, so the rounds inside it (one per
+ *  parked deadline, arrival and backoff) run against a buffer
+ *  thousands deep. Guards the next-instant rule and the due-retry
+ *  phase against per-round work that grows with the buffer. */
+void
+BM_SweepOutageBacklog(benchmark::State &state)
+{
+    int64_t num_requests = state.range(0);
+    serving::TraceOptions trace_options = sweepTrace(num_requests);
+    trace_options.deadline_slack_ms = 40000.0;
+    serving::FleetOptions options =
+        sweepFleet(serving::FleetEventCore::Heap);
+    double horizon_ms = trace_options.mean_interarrival_ms *
+                        static_cast<double>(num_requests);
+    for (int k = 0; k < 5; ++k) {
+        double down_ms = horizon_ms * (0.05 + 0.2 * k);
+        for (int r = 0; r < options.num_replicas; ++r) {
+            options.faults.events.push_back(
+                {down_ms, r, serving::FaultKind::Crash, 1.0});
+            options.faults.events.push_back(
+                {down_ms + 0.1 * horizon_ms, r,
+                 serving::FaultKind::Recover, 1.0});
+        }
+    }
+    serving::FleetResult result;
+    for (auto _ : state) {
+        serving::TraceGenerator trace(serving::TraceShape::Poisson,
+                                      trace_options);
+        serving::AnalyticCostModel cost;
+        result = serving::FleetScheduler(options, cost).run(trace);
+    }
+    state.counters["completed"] =
+        static_cast<double>(result.metrics.completed);
+    state.counters["failovers"] =
+        static_cast<double>(result.metrics.failovers);
+    state.counters["rounds"] = static_cast<double>(result.rounds);
+}
+BENCHMARK(BM_SweepOutageBacklog)
+    ->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

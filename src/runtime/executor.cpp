@@ -306,7 +306,6 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
         const models::BlockShapes &s = *next;
         const CompiledBlock &blk = block(s);
         result.deadlock = result.deadlock || blk.deadlocked();
-        result.kv_tokens += count * s.kv_len;
         double trigger_ms =
             blk.batchedCycles(count) / freq_hz * 1e3 +
             invocationOverheadMs(platform_, total_seqs);

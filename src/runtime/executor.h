@@ -132,12 +132,6 @@ struct StepResult
      *  of the step. */
     int64_t crossings = 0;
     double crossing_stall_ms = 0.0;
-
-    /** KV tokens the step's triggers stream (Σ count × kv_len
-     *  over groups) — the accelerator-side KV pressure of one
-     *  step, which the serving layer checks against its paged
-     *  pool budget. */
-    int64_t kv_tokens = 0;
 };
 
 /** Compiles transformer blocks on demand and executes requests. */

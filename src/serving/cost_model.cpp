@@ -1,7 +1,5 @@
 #include "serving/cost_model.h"
 
-#include <algorithm>
-
 namespace streamtensor {
 namespace serving {
 
@@ -12,7 +10,6 @@ ExecutorCostModel::stepMs(
     runtime::StepResult step = executor_.step(groups);
     saw_deadlock_ = saw_deadlock_ || step.deadlock;
     last_crossings_ = step.crossings;
-    peak_kv_tokens_ = std::max(peak_kv_tokens_, step.kv_tokens);
     return step.step_ms;
 }
 

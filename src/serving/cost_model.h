@@ -37,22 +37,14 @@ class ExecutorCostModel : public StepCostModel
     /** Serving-side placement metric: inter-die crossings of the
      *  most recent costed step's blocks. The engine reuses the
      *  answer for a step repeating the last costed groups, so
-     *  calls are not steps; this and the two high-water marks
-     *  stay exact because a reused cost always comes from
-     *  identical groups. */
+     *  calls are not steps; this and sawDeadlock() stay exact
+     *  because a reused cost always comes from identical groups. */
     int64_t lastStepCrossings() const { return last_crossings_; }
-
-    /** Largest KV footprint any costed step streamed (Σ count ×
-     *  kv_len over its groups) — the accelerator-side KV pressure
-     *  high-water mark, comparable against the scheduler's
-     *  kv_budget_tokens. */
-    int64_t peakKvTokens() const { return peak_kv_tokens_; }
 
   private:
     runtime::LlmExecutor &executor_;
     bool saw_deadlock_ = false;
     int64_t last_crossings_ = 0;
-    int64_t peak_kv_tokens_ = 0;
 };
 
 /** Closed-form linear cost: per-step trigger cost per shape group

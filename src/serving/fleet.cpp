@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <queue>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,53 +31,9 @@ struct PendingRequest
     int64_t attempts = 0;
 };
 
-/** Typed-event categories of the heap core, numbered in the
- *  fleet's documented equal-instant processing order (fleet.h):
- *  completions, then faults, then arrivals, then retry-buffer
- *  deadlines, then due retries. The comparator encodes this order
- *  so heap pops at one instant match the phase order — though
- *  every phase re-reads authoritative state, so the order is a
- *  documented invariant rather than a hidden load-bearing one. */
-enum EventCat : int
-{
-    EvCompletion = 0,
-    EvReload = 1, ///< weight-reload window elapsed
-    EvFault = 2,
-    EvArrival = 3,
-    EvDeadline = 4,
-    EvRetry = 5,
-};
-
-/** One wake-up instant for the heap core. Events are invalidated
- *  lazily (never removed in place): a completion carries the
- *  launch generation it belongs to, retry/deadline events are
- *  checked against the live retry buffer, and anything at or
- *  before the current round was already handled by that round's
- *  phases. */
-struct Event
-{
-    double t = 0.0;
-    int cat = EvCompletion;
-    int64_t a = 0; ///< replica id (completion) or request id
-    int64_t b = 0; ///< launch generation (completion only)
-};
-
-/** Min-heap order: (t, cat, a, b) ascending — time first, then the
- *  documented category order, then ids for full determinism. */
-struct EventAfter
-{
-    bool operator()(const Event &x, const Event &y) const
-    {
-        return std::tie(x.t, x.cat, x.a, x.b) >
-               std::tie(y.t, y.cat, y.a, y.b);
-    }
-};
-
-/** One fleet run: the state, the six round phases and the one
- *  round loop shared by both event cores. The cores differ only in
- *  next-instant selection (nextEventTime() off the typed-event heap
- *  vs scanNextTime()), the retry-buffer deadline sweep
- *  (expirePending()), and whether stage() feeds the heap. */
+/** One fleet run: the state, the six round phases, the round loop
+ *  and the next-instant rule. The two FleetEventCore values differ
+ *  only in stageRuns(): PerStep plans no decode runs. */
 struct FleetRun
 {
     const FleetOptions &options;
@@ -109,23 +63,19 @@ struct FleetRun
 
     /** Indexes over the buffer kept in lockstep by parkPending /
      *  erasePending: ready instant by request id (to find an
-     *  entry from its deadline), and the (deadline, id) set whose
-     *  minimum gates the heap core's expiry sweep — O(1) to skip,
-     *  O(log n) per actual expiry. */
+     *  entry from its deadline), and the (deadline, id) set that
+     *  gates the expiry sweep and the deadline wake-up — O(log n)
+     *  each. */
     std::map<int64_t, double> pending_ready;
     std::set<std::pair<double, int64_t>> pending_deadlines;
 
-    /** Heap-core state. launch generations version each replica's
-     *  in-flight step so a completion event orphaned by a crash
-     *  is recognized as stale. */
-    std::priority_queue<Event, std::vector<Event>, EventAfter>
-        events;
-    std::vector<int64_t> launch_gen;
-
     /** Decode runs (fleet.h): per replica, the steps planned after
-     *  the in-flight one, whose completion instants get no round;
-     *  and the replicas phase 6 launched this round (scratch). */
+     *  the in-flight one, whose completion instants get no round,
+     *  and the end of the run's last step (the replica's wake-up
+     *  while busy); and the replicas phase 6 launched this round
+     *  (scratch). */
     std::vector<int64_t> run_left;
+    std::vector<double> run_end;
     std::vector<int> launched;
 
     double now = 0.0;
@@ -138,9 +88,8 @@ struct FleetRun
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
           n(options_in.num_replicas),
           injector(options_in.faults),
-          launch_gen(static_cast<size_t>(options_in.num_replicas),
-                     0),
-          run_left(static_cast<size_t>(options_in.num_replicas), 0)
+          run_left(static_cast<size_t>(options_in.num_replicas), 0),
+          run_end(static_cast<size_t>(options_in.num_replicas), inf)
     {
         launched.reserve(static_cast<size_t>(n));
         engines.reserve(static_cast<size_t>(n));
@@ -155,16 +104,13 @@ struct FleetRun
 
     /** Take @p idx out of service for @p window ms of weight
      *  re-streaming; it rejoins via completeReloads(). Counted
-     *  and staged for the heap core here so both call sites
-     *  (recover, swap) stay in lockstep. */
+     *  here so both call sites (recover, swap) stay in lockstep. */
     void startReload(size_t idx, double window)
     {
         FleetMetrics &fm = result.metrics;
         reload_ready[idx] = now + window;
         ++fm.reloads;
         fm.reload_ms_total += window;
-        stage({reload_ready[idx], EvReload,
-               static_cast<int64_t>(idx), 0});
     }
 
     /** Bring every replica whose reload window has elapsed back
@@ -227,13 +173,7 @@ struct FleetRun
         result.lost.push_back({r.id, now, attempts});
     }
 
-    /** Insert into the retry buffer, maintain its indexes, and
-     *  stage the wake-ups the legacy scan would have derived: a
-     *  retry event when the entry becomes ready in the future, a
-     *  deadline event when it could expire in the future. Entries
-     *  ready at or before now need no event — they are retried by
-     *  every round and never wake the loop on their own (exactly
-     *  the legacy next_t rule). */
+    /** Insert into the retry buffer and maintain its indexes. */
     void parkPending(double ready, PendingRequest pr)
     {
         int64_t id = pr.req.id;
@@ -242,10 +182,6 @@ struct FleetRun
         pending_ready[id] = ready;
         if (deadline > 0.0)
             pending_deadlines.insert({deadline, id});
-        if (ready > now)
-            stage({ready, EvRetry, id, 0});
-        if (deadline > now)
-            stage({deadline, EvDeadline, id, 0});
     }
 
     using PendingIt = std::map<std::pair<double, int64_t>,
@@ -283,13 +219,16 @@ struct FleetRun
         cutRun(static_cast<size_t>(target));
     }
 
-    /** Route every due retry-buffer entry to an eligible replica
-     *  (back into the buffer, same key, when there is none).
+    /** Route every due retry-buffer entry to an eligible replica.
      *  Readmission is front-insertion, so dispatching in *reverse*
      *  (ready, id) order leaves earlier requests nearer the head
-     *  on a shared target. */
+     *  on a shared target. readmit() changes neither up[] nor
+     *  draining(), so with no eligible replica now there is none
+     *  for any due entry: the buffer stays as it is, in O(1). */
     void redispatchDue()
     {
+        if (pickReplica() < 0)
+            return;
         std::vector<std::pair<std::pair<double, int64_t>,
                               PendingRequest>>
             due;
@@ -299,15 +238,9 @@ struct FleetRun
             it = erasePending(it);
         }
         for (auto it = due.rbegin(); it != due.rend(); ++it) {
-            int target = pickReplica();
-            if (target < 0)
-                parkPending(it->first.first,
-                            std::move(it->second));
-            else {
-                engines[static_cast<size_t>(target)].readmit(
-                    it->second.req, it->second.state);
-                cutRun(static_cast<size_t>(target));
-            }
+            auto target = static_cast<size_t>(pickReplica());
+            engines[target].readmit(it->second.req, it->second.state);
+            cutRun(target);
         }
     }
 
@@ -473,7 +406,7 @@ struct FleetRun
             ReplicaEngine &eng = engines[idx];
             eng.finalize(now);
             // Replica-id merge order keeps the merged sketches
-            // bit-identical across runs (and event cores).
+            // bit-identical across runs (and FleetEventCore values).
             fm.merge(eng.result().metrics);
             result.rejected.insert(result.rejected.end(),
                                    eng.result().rejected.begin(),
@@ -501,26 +434,13 @@ struct FleetRun
                          });
     }
 
-    /** Stage a future wake-up for the heap core. A no-op under
-     *  LegacyScan, which re-derives every instant by scanning and
-     *  never pops the heap — staging there would only grow it. */
-    void stage(Event e)
-    {
-        if (options.event_core == FleetEventCore::Heap)
-            events.push(e);
-    }
-
     // ---- Decode runs (fleet.h) ---------------------------------
 
-    /** Stage @p idx's completion event under a new launch
-     *  generation, at the end of its in-flight step's last planned
-     *  repeat. Any earlier completion event of the replica turns
-     *  stale. */
-    void stageCompletion(size_t idx)
+    /** Set @p idx's wake-up to the end of its in-flight step's last
+     *  planned repeat. */
+    void setRunEnd(size_t idx)
     {
-        ++launch_gen[idx];
-        stage({engines[idx].repeatEndMs(run_left[idx]), EvCompletion,
-               static_cast<int64_t>(idx), launch_gen[idx]});
+        run_end[idx] = engines[idx].repeatEndMs(run_left[idx]);
     }
 
     /** End @p idx's run after its in-flight step, so the loop wakes
@@ -530,7 +450,7 @@ struct FleetRun
         if (run_left[idx] == 0)
             return;
         run_left[idx] = 0;
-        stageCompletion(idx);
+        setRunEnd(idx);
     }
 
     /** Phase 1 for one replica: complete every step that ended by
@@ -559,12 +479,12 @@ struct FleetRun
     }
 
     /** Phase 6, second half: plan a run for every replica launched
-     *  this round and stage its completion. A run holds only while
+     *  this round and set its wake-up. A run holds only while
      *  completed, in-flight and planned steps across the fleet stay
      *  below max_steps (the step-limit check must not fall on a
      *  skipped instant) and no queue holds a deadline (its sweep
      *  must not move to a later instant); when either fails, every
-     *  standing run is cut. */
+     *  standing run is cut. PerStep plans none. */
     void stageRuns()
     {
         int64_t steps = 0;
@@ -582,117 +502,56 @@ struct FleetRun
                 cutRun(i);
             }
         }
+        bool plan = !deadline_queued &&
+                    options.event_core != FleetEventCore::PerStep;
         for (int i : launched) {
             auto idx = static_cast<size_t>(i);
             int64_t repeats =
-                deadline_queued
-                    ? 0
-                    : std::min(engines[idx].repeatSteps(),
-                               std::max<int64_t>(budget, 0));
+                plan ? std::min(engines[idx].repeatSteps(),
+                                std::max<int64_t>(budget, 0))
+                     : 0;
             budget -= repeats;
             run_left[idx] = repeats;
-            stageCompletion(idx);
+            setRunEnd(idx);
         }
         launched.clear();
     }
 
-    // ---- Next-instant selection --------------------------------
+    // ---- Next instant (fleet.h) --------------------------------
 
-    /** LegacyScan: the earliest step end, fault, reload, arrival,
-     *  future retry, or parked-request deadline, found by scanning
-     *  every engine and the whole retry buffer — O(n) per round,
-     *  kept as the differential oracle. Parked entries with
-     *  ready <= now wait on one of the others (or expire, or
-     *  strand). */
-    double scanNextTime()
+    /** The earliest instant after now at which anything can happen:
+     *  the next fault or arrival, a busy replica's run end, a reload
+     *  window's end, or a parked request becoming ready or expiring
+     *  — O(num_replicas + log pending). Parked entries ready at or
+     *  before now wait on one of the others (or expire, or strand).
+     *  +infinity when nothing remains. */
+    double nextInstant()
     {
         double next_t = injector.nextAtMs();
-        for (auto &eng : engines)
-            if (eng.busy())
-                next_t = std::min(next_t, eng.stepEndMs());
-        for (int i = 0; i < n; ++i)
-            if (reload_ready[static_cast<size_t>(i)] > now)
-                next_t = std::min(
-                    next_t, reload_ready[static_cast<size_t>(i)]);
         if (!arrivals.exhausted())
             next_t = std::min(next_t, arrivals.nextArrivalMs());
-        for (const auto &[key, p] : pending) {
-            if (key.first > now)
-                next_t = std::min(next_t, key.first);
-            if (p.req.deadline_ms > now)
-                next_t = std::min(next_t, p.req.deadline_ms);
+        for (size_t i = 0; i < engines.size(); ++i) {
+            if (engines[i].busy())
+                next_t = std::min(next_t, run_end[i]);
+            if (reload_ready[i] > now)
+                next_t = std::min(next_t, reload_ready[i]);
         }
+        constexpr int64_t last_id = std::numeric_limits<int64_t>::max();
+        auto ready = pending.upper_bound({now, last_id});
+        if (ready != pending.end())
+            next_t = std::min(next_t, ready->first.first);
+        auto deadline = pending_deadlines.upper_bound({now, last_id});
+        if (deadline != pending_deadlines.end())
+            next_t = std::min(next_t, deadline->first);
         return next_t;
     }
 
-    /** Heap: the earliest valid future wake-up, discarding
-     *  consumed (t <= now) and stale entries as they surface.
-     *  +infinity when nothing valid remains (the stranding
-     *  condition). */
-    double nextEventTime()
-    {
-        while (!events.empty()) {
-            const Event &e = events.top();
-            if (e.t <= now) {
-                // A round at `now` already processed everything
-                // due at or before it.
-                events.pop();
-                continue;
-            }
-            bool valid = true;
-            switch (e.cat) {
-            case EvCompletion: {
-                auto idx = static_cast<size_t>(e.a);
-                valid = engines[idx].busy() &&
-                        launch_gen[idx] == e.b;
-                break;
-            }
-            case EvReload: {
-                auto idx = static_cast<size_t>(e.a);
-                valid = !up[idx] && reload_ready[idx] == e.t;
-                break;
-            }
-            case EvFault:
-            case EvArrival:
-                // Fault times are immutable; a stale arrival
-                // event is impossible while t > now (arrivals are
-                // ingested the round their event fires).
-                break;
-            case EvDeadline:
-                valid = pending_deadlines.count({e.t, e.a}) > 0;
-                break;
-            case EvRetry:
-                valid = pending.count({e.t, e.a}) > 0;
-                break;
-            }
-            if (!valid) {
-                events.pop();
-                continue;
-            }
-            return e.t;
-        }
-        return inf;
-    }
-
-    /** Expire every retry-buffer entry whose deadline has passed.
-     *  The heap core walks the (deadline, id) index — O(1) to skip,
-     *  O(log n) per expiry; LegacyScan scans the whole buffer so it
-     *  stays an independent reference. The rejection log sorts by
-     *  (instant, id) at finalize, so the in-round order is free. */
+    /** Expire every retry-buffer entry whose deadline has passed,
+     *  walking the (deadline, id) index: O(log n) per expiry. The
+     *  rejection log sorts by (instant, id) at finalize, so the
+     *  in-round order is free. */
     void expirePending()
     {
-        if (options.event_core == FleetEventCore::LegacyScan) {
-            for (auto it = pending.begin(); it != pending.end();) {
-                const Request &r = it->second.req;
-                if (r.deadline_ms > 0.0 && r.deadline_ms <= now) {
-                    rejectFleet(r, RejectReason::DeadlineExpired);
-                    it = erasePending(it);
-                } else {
-                    ++it;
-                }
-            }
-            return;
-        }
         while (!pending_deadlines.empty() &&
                pending_deadlines.begin()->first <= now) {
             auto [deadline, id] = *pending_deadlines.begin();
@@ -709,10 +568,6 @@ struct FleetRun
 
     FleetResult run()
     {
-        for (const auto &e : options.faults.events)
-            stage({e.at_ms, EvFault, 0, 0});
-        double arrival_event_t = -1.0;
-
         while (true) {
             ++result.rounds;
 
@@ -728,15 +583,8 @@ struct FleetRun
             // replica down.
             faultsPhase();
 
-            // 3. Arrivals, in (arrival, id) order; then stage the
-            // wake-up for the next one (deduplicated — rounds
-            // between arrivals must not re-stage it).
+            // 3. Arrivals, in (arrival, id) order.
             arrivalsPhase();
-            if (!arrivals.exhausted() &&
-                arrivals.nextArrivalMs() != arrival_event_t) {
-                arrival_event_t = arrivals.nextArrivalMs();
-                stage({arrival_event_t, EvArrival, 0, 0});
-            }
 
             // 4. Deadline sweeps: replica queues (O(1) when
             // deadline-free, queue.h), then the retry buffer (a
@@ -749,7 +597,7 @@ struct FleetRun
             redispatchDue();
 
             // 6. Launch a step on every idle up replica (id
-            // order), then plan decode runs and stage completions.
+            // order), then plan decode runs.
             for (int i = 0; i < n; ++i) {
                 auto idx = static_cast<size_t>(i);
                 auto &eng = engines[idx];
@@ -773,10 +621,7 @@ struct FleetRun
             if (!work_left)
                 break; // served everything; residual faults moot
 
-            double next_t =
-                options.event_core == FleetEventCore::Heap
-                    ? nextEventTime()
-                    : scanNextTime();
+            double next_t = nextInstant();
             if (next_t == inf) {
                 strandPending();
                 break;

@@ -30,37 +30,29 @@
  *   5. due retries, oldest (ready, id) first;
  *   6. step launches on every idle up replica, in id order.
  *
- * **Event cores.** One round loop runs the six phases above under
- * either core (FleetOptions::event_core); the cores differ only in
- * how they pick the next instant and how they sweep the retry
- * buffer for expired deadlines, so their results are bit-identical —
- * pinned pairwise by the differential suite over the 100-seed fault
- * scenarios. LegacyScan re-derives the minimum by scanning every
- * engine, the whole retry buffer, and the arrival cursor each round,
- * and sweeps the whole buffer for deadlines: O(n) per round, fine at
- * hundreds of requests, the bottleneck at millions. Heap (the
- * default) keeps a min-heap of typed events — completion, fault,
- * arrival, retry-due, retry-deadline — ordered by (time, category,
- * replica/request id) with the category order above encoded in the
- * comparator, invalidates stale entries lazily (a completion event
- * carries its launch generation; retry and deadline events are
- * checked against the buffer), and expires parked requests off a
- * (deadline, id) index: O(log n) per event. Per-round work that
- * scans the *fleet* (completions due, launches, step totals) stays
- * linear in num_replicas — a small fixed constant, not trace
- * length — and runs serially in replica-id order (a stepping
- * thread pool measured slower than serial at every thread count;
- * see the README). Queued-request deadline expiry is lazy in both
- * cores: a queued request expires at the next round at or after its
- * deadline (stamped at that round's instant), and its deadline alone
- * never wakes the loop — only retry-buffer deadlines do.
+ * **Next instant.** After a round the loop jumps to the earliest
+ * instant at which anything can happen: the next fault or arrival,
+ * a busy replica's run end (its in-flight step's end, or the end of
+ * the last step of a decode run, below), a reload window's end, or
+ * the first retry-buffer entry that becomes ready or expires after
+ * now. The buffer is indexed by (ready, id) and by (deadline, id),
+ * so one rule costs O(num_replicas + log pending) per round. Other
+ * per-round work that scans the *fleet* (completions due, launches,
+ * step totals) stays linear in num_replicas — a small fixed
+ * constant, not trace length — and runs serially in replica-id
+ * order (a stepping thread pool measured slower than serial at
+ * every thread count; see the README). Queued-request deadline
+ * expiry is lazy: a queued request expires at the next round at or
+ * after its deadline (stamped at that round's instant), and its
+ * deadline alone never wakes the loop — only retry-buffer deadlines
+ * do.
  *
  * **Decode runs.** A replica usually repeats its last step: the
  * same decoding batch, one token further on. When phase 6 launches a
  * step, ReplicaEngine::repeatSteps() says how many steps after it
  * are certain to repeat it (same shape groups, no page growth, an
  * empty queue, the cold-start stream over). The fleet plans that
- * many as a run and stages one completion event, at the end of the
+ * many as a run and wakes for the replica only at the end of the
  * run's last step (ReplicaEngine::repeatEndMs, the same additions
  * the step-by-step loop makes). Phase 1 catches a replica up at any
  * round: it completes every step that ended by now, and a step that
@@ -72,14 +64,14 @@
  * and no run is planned while any replica's queue holds a request
  * with a deadline (its sweep runs at the next round at or after the
  * deadline, which a skipped instant would move). A run is cut after
- * its in-flight step — that step's completion is re-staged under a
- * new launch generation — when anything changes the replica's next
- * launch: an offer or readmit to it, any fault naming it, a
+ * its in-flight step — the replica's wake-up moves back to that
+ * step's end — when anything changes the replica's next launch:
+ * an offer or readmit to it, any fault naming it, a
  * deadline-carrying request queued anywhere, or the step cap
- * failing after other replicas' launches. LegacyScan plans the same
- * runs but wakes at every step end anyway, so it still takes one
- * step per round: the differential suite compares runs against the
- * per-step loop, and FleetResult::rounds counts the rounds skipped.
+ * failing after other replicas' launches. FleetEventCore::PerStep
+ * plans no runs, so it takes one step per round: the differential
+ * suite compares runs against that per-step loop, and
+ * FleetResult::rounds counts the rounds skipped.
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests with their ResumeState (tokens already emitted
@@ -124,14 +116,13 @@ namespace serving {
 class ArrivalCursor;
 class TraceGenerator;
 
-/** Next-event selection strategy (see the event-cores note in the
- *  file header). Results are bit-identical between the two;
- *  LegacyScan survives as the differential oracle the heap core
- *  is tested against. */
+/** Decode-run planning (see the decode-runs note in the file
+ *  header). Results are bit-identical between the two; PerStep
+ *  is the differential oracle for decode runs. */
 enum class FleetEventCore
 {
-    Heap,       ///< O(log n) typed-event min-heap (default)
-    LegacyScan, ///< O(n)-per-round scans (oracle)
+    Heap,    ///< plans decode runs (default)
+    PerStep, ///< plans none: one round per step end (oracle)
 };
 
 /** Routing policy selector. LeastKvLoad (the routing rule in the
@@ -177,7 +168,8 @@ struct FleetOptions
      *  (hot model swap) charges the same window. */
     double recovery_reload_ms = 0.0;
 
-    /** Next-event selection core. */
+    /** Decode-run planning; kept only because the differential
+     *  suite and e2e_stack set it. */
     FleetEventCore event_core = FleetEventCore::Heap;
 };
 
@@ -265,11 +257,11 @@ struct FleetResult
      *  still pending. */
     bool hit_step_limit = false;
 
-    /** Round-loop iterations: instants the loop processed. The heap
-     *  core skips the instants where only a repeated decode step
-     *  completes (decode runs, above), so it takes fewer rounds than
-     *  LegacyScan for the same result — the one field of the result
-     *  the two cores may disagree on. */
+    /** Round-loop iterations: instants the loop processed. Decode
+     *  runs (above) skip the instants where only a repeated decode
+     *  step completes, so Heap takes fewer rounds than PerStep for
+     *  the same result — the one field of the result the two may
+     *  disagree on. */
     int64_t rounds = 0;
 };
 

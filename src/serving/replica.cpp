@@ -140,12 +140,12 @@ ReplicaEngine::repeatSteps() const
         // in the bucket and needs no page while it stays within the
         // pages held; it runs only while the sequence is unfinished,
         // generated + m < output_len.
-        int64_t context = seq.req.input_len + seq.generated;
+        int64_t context = seq.req.input_len + seq.state.generated;
         int64_t room =
             std::min(models::bucketIn(bucket_ladder_, context),
                      pool_.heldTokens(seq.req.id));
         repeats = std::min({repeats, room - context,
-                            seq.req.output_len - seq.generated - 1});
+                            seq.req.output_len - seq.state.generated - 1});
     }
     return repeats;
 }
@@ -257,13 +257,8 @@ ReplicaEngine::launchStep(double now)
         auto preempt = [&](size_t victim) {
             ActiveSeq &seq = active_[victim];
             pool_.release(seq.req.id);
-            ResumeState state;
-            state.generated = seq.generated;
-            state.ever_prefilled = seq.ever_prefilled;
-            state.first_token_ms = seq.first_token_ms;
-            state.preemptions = seq.preemptions + 1;
-            state.failovers = seq.failovers;
-            resume_state_[seq.req.id] = state;
+            ++seq.state.preemptions;
+            resume_state_[seq.req.id] = seq.state;
             queue_.pushFront(seq.req);
             preempted_now.push_back(seq.req.id);
             ++result_.metrics.preemptions;
@@ -274,7 +269,7 @@ ReplicaEngine::launchStep(double now)
                 continue;
             while (!pool_.grow(active_[i].req.id,
                                active_[i].req.input_len +
-                                   active_[i].generated)) {
+                                   active_[i].state.generated)) {
                 int victim = -1;
                 for (size_t j = 0; j < active_.size(); ++j) {
                     if (j == i || gone_[j])
@@ -321,11 +316,7 @@ ReplicaEngine::launchStep(double now)
         }
         ActiveSeq seq;
         if (rs != resume_state_.end()) {
-            seq.generated = rs->second.generated;
-            seq.ever_prefilled = rs->second.ever_prefilled;
-            seq.first_token_ms = rs->second.first_token_ms;
-            seq.preemptions = rs->second.preemptions;
-            seq.failovers = rs->second.failovers;
+            seq.state = rs->second;
             resume_state_.erase(rs);
         }
         seq.req = queue_.pop();
@@ -349,7 +340,7 @@ ReplicaEngine::launchStep(double now)
     step_groups_.clear();
     for (const auto &seq : active_) {
         int64_t bucket = models::bucketIn(
-            bucket_ladder_, seq.req.input_len + seq.generated);
+            bucket_ladder_, seq.req.input_len + seq.state.generated);
         models::BlockShapes shapes =
             seq.prefilled ? models::decodeShapes(bucket)
                           : models::prefillShapes(bucket);
@@ -456,22 +447,22 @@ ReplicaEngine::completeStep()
     for (auto &seq : active_) {
         if (!seq.prefilled) {
             seq.prefilled = true;
-            if (!seq.ever_prefilled) {
-                seq.ever_prefilled = true;
-                seq.first_token_ms = now;
+            if (!seq.state.ever_prefilled) {
+                seq.state.ever_prefilled = true;
+                seq.state.first_token_ms = now;
             }
         }
-        ++seq.generated;
-        if (seq.generated == seq.req.output_len) {
+        ++seq.state.generated;
+        if (seq.state.generated == seq.req.output_len) {
             RequestMetrics done;
             done.id = seq.req.id;
             done.input_len = seq.req.input_len;
             done.output_len = seq.req.output_len;
             done.arrival_ms = seq.req.arrival_ms;
-            done.first_token_ms = seq.first_token_ms;
+            done.first_token_ms = seq.state.first_token_ms;
             done.finish_ms = now;
-            done.preemptions = seq.preemptions;
-            done.failovers = seq.failovers;
+            done.preemptions = seq.state.preemptions;
+            done.failovers = seq.state.failovers;
             done.replica = replica_id_;
             done.deadline_ms = seq.req.deadline_ms;
             metrics.recordCompletion(done, options_.metrics);
@@ -481,7 +472,7 @@ ReplicaEngine::completeStep()
     active_.erase(
         std::remove_if(active_.begin(), active_.end(),
                        [](const ActiveSeq &seq) {
-                           return seq.generated ==
+                           return seq.state.generated ==
                                   seq.req.output_len;
                        }),
         active_.end());
@@ -501,15 +492,8 @@ ReplicaEngine::crash()
     std::vector<EvacuatedSeq> out;
     out.reserve(active_.size() +
                 static_cast<size_t>(queue_.size()));
-    for (const auto &seq : active_) {
-        ResumeState state;
-        state.generated = seq.generated;
-        state.ever_prefilled = seq.ever_prefilled;
-        state.first_token_ms = seq.first_token_ms;
-        state.preemptions = seq.preemptions;
-        state.failovers = seq.failovers;
-        out.push_back({seq.req, state});
-    }
+    for (const auto &seq : active_)
+        out.push_back({seq.req, seq.state});
     active_.clear();
     for (const Request &r : queue_.drainAll())
         out.push_back({r, takeResumeState(r)});

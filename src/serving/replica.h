@@ -228,20 +228,17 @@ class ReplicaEngine
     struct ActiveSeq
     {
         Request req;
-        int64_t generated = 0;
+
+        /** Progress so far, handed on whole at a preemption or an
+         *  evacuation (state.ever_prefilled turns true once the
+         *  first output token was emitted; preemption clears
+         *  prefilled but never that). */
+        ResumeState state;
 
         /** False while the next step must run a prefill-shaped
          *  pass: the first prefill, or the recompute prefill after
          *  a preemption or failover. */
         bool prefilled = false;
-
-        /** True once the first output token was emitted
-         *  (preemption clears prefilled but never this). */
-        bool ever_prefilled = false;
-
-        double first_token_ms = 0.0;
-        int64_t preemptions = 0;
-        int64_t failovers = 0;
 
         /** Monotone admission counter; preemption victim order. */
         int64_t admit_tick = 0;

@@ -44,15 +44,15 @@
  * **Timing rule.** The loop wakes at every step completion and
  * every arrival instant, not only at step boundaries, and runs the
  * fleet's phase order there (completions, arrivals, deadline
- * sweep, launch). One exception, under the default heap core: an
- * instant where the only event is a replica completing a step that
- * its next step repeats exactly (a decode run, fleet.h) gets no
- * round of its own. Nothing could happen there — no arrival, fault,
- * retry or queued deadline falls on it, the replica's next launch is
- * certain, and the step limit cannot be reached — so the next round
- * completes and relaunches those steps at their own instants, and
- * every result is bit-identical to waking there (LegacyScan still
- * does; the differential suite holds the two equal). Three
+ * sweep, launch). One exception, by default: an instant where
+ * the only event is a replica completing a step that its next step
+ * repeats exactly (a decode run, fleet.h) gets no round of its own.
+ * Nothing could happen there — no arrival, fault, retry or queued
+ * deadline falls on it, the replica's next launch is certain, and
+ * the step limit cannot be reached — so the next round completes
+ * and relaunches those steps at their own instants, and every
+ * result is bit-identical to waking there (FleetEventCore::PerStep
+ * still does; the differential suite holds the two equal). Three
  * consequences of the rule are pinned by the replay suite
  * (SchedulerReplay.MidStepDeadlineFreesQueueSlot):
  *

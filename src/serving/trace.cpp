@@ -128,7 +128,7 @@ TraceGenerator::TraceGenerator(TraceShape shape,
 }
 
 void
-TraceGenerator::stage()
+TraceGenerator::draw()
 {
     ST_ASSERT(emitted_ < options_.num_requests,
               "TraceGenerator drawn past its trace");
@@ -152,7 +152,7 @@ TraceGenerator::peek()
 {
     ST_CHECK(!exhausted(), "peek() on an exhausted generator");
     if (!staged_)
-        stage();
+        draw();
     return staged_request_;
 }
 
@@ -161,7 +161,7 @@ TraceGenerator::next()
 {
     ST_CHECK(!exhausted(), "next() on an exhausted generator");
     if (!staged_)
-        stage();
+        draw();
     staged_ = false;
     return staged_request_;
 }

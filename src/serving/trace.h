@@ -135,7 +135,7 @@ class TraceGenerator
     Request next();
 
   private:
-    void stage();
+    void draw();
 
     TraceShape shape_;
     TraceOptions options_;

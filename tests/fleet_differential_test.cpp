@@ -1,17 +1,18 @@
-/** @file Differential suite for the fleet's event cores: over 100
- *  seeded (trace, fleet-config, fault-plan) scenarios, the Heap
- *  core must reproduce the LegacyScan oracle bit-for-bit (the two
- *  share one round loop and differ only in next-instant selection
- *  and the retry-buffer deadline sweep), and serving a
- *  TraceGenerator must reproduce serving the materialized vector
- *  of the same generator. "Bit-for-bit" is checked on every
- *  observable: merged request records, per-replica step records,
- *  rejection and loss logs, every aggregate counter, the makespan,
- *  and the streaming latency sketch's quantiles. The round count is
- *  the exception: the heap core skips the instants inside decode
- *  runs, so it must take no more rounds than LegacyScan, which
- *  wakes at every step end. Scripted cases below cut a run at each
- *  of its cut rules and hold the two cores equal there too. */
+/** @file Differential suite for decode runs: over 100 seeded
+ *  (trace, fleet-config, fault-plan) scenarios, the default fleet
+ *  must reproduce the PerStep oracle bit-for-bit (the two share one
+ *  round loop and one next-instant rule, and PerStep plans no
+ *  decode runs), and serving a TraceGenerator must reproduce
+ *  serving the materialized vector of the same generator.
+ *  "Bit-for-bit" is checked on every observable: merged request
+ *  records, per-replica step records, rejection and loss logs,
+ *  every aggregate counter, the makespan, and the streaming latency
+ *  sketch's quantiles. The round count is the exception: decode
+ *  runs skip instants, so the default must take no more rounds than
+ *  PerStep, which wakes at every step end. "Legacy" in the test
+ *  names is the PerStep oracle. Scripted cases below cut a run at
+ *  each of its cut rules, and park a deep retry buffer through a
+ *  whole-fleet outage, and hold the two equal there too. */
 
 #include <gtest/gtest.h>
 
@@ -90,7 +91,7 @@ makeScenario(uint64_t seed, bool with_faults)
         s.fleet.faults = serving::seededFaultPlan(fault_options);
         // A quarter of the seeds charge recoveries a weight
         // reload; a sixth also hot-swap a replica mid-run, so the
-        // cores are compared across the reload event type too.
+        // two are compared across reload windows too.
         if (seed % 4 == 1)
             s.fleet.recovery_reload_ms =
                 20.0 + 10.0 * static_cast<double>(seed % 5);
@@ -214,20 +215,20 @@ TEST_P(FleetDifferential, HeapMatchesLegacyUnderFaults)
 {
     Scenario s = makeScenario(GetParam(), true);
     auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
-    auto legacy =
-        runScenario(s, serving::FleetEventCore::LegacyScan, false);
-    expectSameResult(heap, legacy);
-    EXPECT_LE(heap.rounds, legacy.rounds);
+    auto per_step =
+        runScenario(s, serving::FleetEventCore::PerStep, false);
+    expectSameResult(heap, per_step);
+    EXPECT_LE(heap.rounds, per_step.rounds);
 }
 
 TEST_P(FleetDifferential, HeapMatchesLegacyCalm)
 {
     Scenario s = makeScenario(GetParam(), false);
     auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
-    auto legacy =
-        runScenario(s, serving::FleetEventCore::LegacyScan, false);
-    expectSameResult(heap, legacy);
-    EXPECT_LE(heap.rounds, legacy.rounds);
+    auto per_step =
+        runScenario(s, serving::FleetEventCore::PerStep, false);
+    expectSameResult(heap, per_step);
+    EXPECT_LE(heap.rounds, per_step.rounds);
 }
 
 TEST_P(FleetDifferential, GeneratorMatchesVector)
@@ -243,17 +244,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
 
 TEST(FleetDecodeRuns, HeapSkipsRoundsOverTheCalmSeeds)
 {
-    int64_t heap_rounds = 0, legacy_rounds = 0;
+    int64_t heap_rounds = 0, per_step_rounds = 0;
     for (uint64_t seed = 0; seed < 100; ++seed) {
         Scenario s = makeScenario(seed, false);
         heap_rounds +=
             runScenario(s, serving::FleetEventCore::Heap, false)
                 .rounds;
-        legacy_rounds +=
-            runScenario(s, serving::FleetEventCore::LegacyScan, false)
+        per_step_rounds +=
+            runScenario(s, serving::FleetEventCore::PerStep, false)
                 .rounds;
     }
-    EXPECT_LT(heap_rounds, legacy_rounds);
+    EXPECT_LT(heap_rounds, per_step_rounds);
 }
 
 Request
@@ -279,8 +280,9 @@ scriptOptions(int num_replicas)
     return o;
 }
 
-/** Serve @p trace under both cores, hold them equal, and require
- *  that the heap core really ran a decode run (skipped rounds). */
+/** Serve @p trace with and without decode runs, hold the results
+ *  equal, and require that a decode run really ran (skipped
+ *  rounds). */
 serving::FleetResult
 expectCoresAgree(serving::FleetOptions options,
                  const std::vector<Request> &trace)
@@ -288,10 +290,10 @@ expectCoresAgree(serving::FleetOptions options,
     serving::AnalyticCostModel cost;
     options.event_core = serving::FleetEventCore::Heap;
     auto heap = serving::FleetScheduler(options, cost).run(trace);
-    options.event_core = serving::FleetEventCore::LegacyScan;
-    auto legacy = serving::FleetScheduler(options, cost).run(trace);
-    expectSameResult(heap, legacy);
-    EXPECT_LT(heap.rounds, legacy.rounds);
+    options.event_core = serving::FleetEventCore::PerStep;
+    auto per_step = serving::FleetScheduler(options, cost).run(trace);
+    expectSameResult(heap, per_step);
+    EXPECT_LT(heap.rounds, per_step.rounds);
     return heap;
 }
 
@@ -333,7 +335,7 @@ TEST(FleetDecodeRuns, DeadlineQueuedElsewhereCutsEveryRun)
     // short steps. Request 2, with a deadline, queues behind
     // request 1's long prefill on the one-slot replica 1 and expires
     // there at the first round after its deadline — one of replica
-    // 0's step ends, as under LegacyScan, so replica 0's run is cut.
+    // 0's step ends, as under PerStep, so replica 0's run is cut.
     serving::FleetOptions options = scriptOptions(2);
     options.replica.max_batch = 1;
     options.faults.events = {
@@ -371,6 +373,46 @@ TEST(FleetDecodeRuns, ColdStartEndingMidStep)
     options.replica.cold_start.plan = plan;
     auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60)});
     EXPECT_GT(r.metrics.weight_stall_ms, 0.0);
+}
+
+TEST(FleetDecodeRuns, DeepRetryBufferThroughAWholeFleetOutage)
+{
+    // Both replicas crash at 1 ms under the first eight requests,
+    // which wait out their backoff in the retry buffer, and stay
+    // down until 200 ms while 2,400 more arrive and park there.
+    // Every seventh carries a deadline that passes inside the
+    // outage, so it expires parked; the rest dispatch at recovery.
+    serving::FleetOptions options = scriptOptions(2);
+    options.faults.events = {
+        {1.0, 0, serving::FaultKind::Crash, 1.0},
+        {1.0, 1, serving::FaultKind::Crash, 1.0},
+        {200.0, 0, serving::FaultKind::Recover, 1.0},
+        {200.0, 1, serving::FaultKind::Recover, 1.0}};
+    std::vector<Request> trace;
+    for (int64_t id = 0; id < 8; ++id)
+        trace.push_back(makeRequest(id, 0.0, 8, 40));
+    int64_t expiring = 0;
+    for (int64_t i = 0; i < 2400; ++i) {
+        Request r = makeRequest(
+            8 + i, 2.0 + 0.05 * static_cast<double>(i), 8, 4);
+        if (i % 7 == 0) {
+            r.deadline_ms = r.arrival_ms + 50.0;
+            ++expiring;
+        }
+        trace.push_back(r);
+    }
+    auto r = expectCoresAgree(options, trace);
+    EXPECT_EQ(r.metrics.failovers, 8);
+    EXPECT_GT(expiring, 0);
+    EXPECT_EQ(r.metrics.expired_deadline, expiring);
+    // A parked deadline wakes the loop: each expires at its own
+    // instant, not at the recovery.
+    ASSERT_EQ(static_cast<int64_t>(r.rejected.size()), expiring);
+    for (const auto &rejected : r.rejected)
+        EXPECT_EQ(rejected.at_ms, rejected.arrival_ms + 50.0);
+    EXPECT_EQ(r.metrics.completed,
+              static_cast<int64_t>(trace.size()) - expiring);
+    EXPECT_EQ(r.metrics.requests_lost, 0);
 }
 
 } // namespace

@@ -548,9 +548,9 @@ TEST(Fleet, FarFutureArrivalFailsInsteadOfStayingInFlight)
     // (now + step_ms == now), so its completion event looked
     // already handled and the run returned with the request still
     // in flight and no error. The contract for hostile input is a
-    // valid result or a FatalError, under either event core.
+    // valid result or a FatalError, with or without decode runs.
     for (auto core : {serving::FleetEventCore::Heap,
-                      serving::FleetEventCore::LegacyScan}) {
+                      serving::FleetEventCore::PerStep}) {
         serving::FleetOptions options = fleetOptions(1);
         options.event_core = core;
         serving::AnalyticCostModel cost;

@@ -30,7 +30,6 @@ expectSameStep(const runtime::StepResult &got,
                const runtime::StepResult &want)
 {
     EXPECT_EQ(got.step_ms, want.step_ms);
-    EXPECT_EQ(got.kv_tokens, want.kv_tokens);
     EXPECT_EQ(got.crossings, want.crossings);
     EXPECT_EQ(got.crossing_stall_ms, want.crossing_stall_ms);
     EXPECT_EQ(got.deadlock, want.deadlock);
