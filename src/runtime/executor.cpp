@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace runtime {
@@ -19,18 +19,6 @@ invocationOverheadMs(const hls::FpgaPlatform &platform,
 {
     double amort = 0.55 + 0.45 / (1.0 + tokens_in_flight / 96.0);
     return platform.invocation_overhead_us * amort / 1e3;
-}
-
-/** First entry of a sorted shape table not below @p shapes. */
-template <typename Table>
-auto
-lowerBound(const Table &table, const models::BlockShapes &shapes)
-{
-    return std::lower_bound(
-        table.begin(), table.end(), shapes,
-        [](const auto &e, const models::BlockShapes &s) {
-            return e.shapes < s;
-        });
 }
 
 } // namespace
@@ -73,108 +61,32 @@ LlmExecutor::LlmExecutor(models::LlmConfig config,
                          compiler::CompileOptions options)
     : config_(std::move(config)), platform_(std::move(platform)),
       options_(std::move(options))
-{
-    tables_.push_back(std::make_unique<const ShapeTable>());
-    table_.store(tables_.back().get(), std::memory_order_release);
-}
-
-const CompiledBlock *
-LlmExecutor::findBlock(const models::BlockShapes &shapes) const
-{
-    const ShapeTable &table =
-        *table_.load(std::memory_order_acquire);
-    auto it = lowerBound(table, shapes);
-    return it != table.end() && it->shapes == shapes ? it->block
-                                                     : nullptr;
-}
+{}
 
 const CompiledBlock &
 LlmExecutor::block(const models::BlockShapes &shapes)
 {
-    if (const CompiledBlock *hit = findBlock(shapes))
-        return *hit;
-    {
-        std::unique_lock<std::mutex> lock(cache_mutex_);
-        while (true) {
-            // Re-check under the lock: the shape may have landed
-            // since the lock-free probe.
-            if (const CompiledBlock *hit = findBlock(shapes))
-                return *hit;
-            // Someone else is already compiling these shapes:
-            // wait for their publish rather than compiling a
-            // duplicate (the loser's work — a full compile +
-            // simulation — used to be discarded, and
-            // compileCount() double-counted the shape).
-            if (compiling_.count(shapes) == 0)
-                break;
-            compile_done_.wait(lock);
-        }
-        compiling_.insert(shapes);
-    }
-
-    // Compile + simulate outside the lock so concurrent *distinct*
-    // shapes overlap (run() warms prefill and decode together).
-    ++compile_count_;
-    std::unique_ptr<CompiledBlock> compiled;
-    try {
-        linalg::Graph graph =
-            models::buildTransformerBlock(config_, shapes);
-        compiler::CompileResult compile = compiler::compile(
-            std::move(graph), platform_, options_);
-        std::vector<sim::SimResult> sims =
-            sim::simulateAll(compile.design.components);
-        compiled = std::make_unique<CompiledBlock>(
-            std::move(compile), std::move(sims));
-    } catch (...) {
-        // Unblock waiters before propagating; they will retry the
-        // compile themselves.
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        compiling_.erase(shapes);
-        compile_done_.notify_all();
-        throw;
-    }
-
-    // Publish the old table plus the new entry. Writers are
-    // serialised by cache_mutex_, so no table lands in between.
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    const ShapeTable &old = *table_.load(std::memory_order_acquire);
-    auto pos = lowerBound(old, shapes);
-    ST_ASSERT(pos == old.end() || pos->shapes != shapes,
-              "a duplicate compile slipped past the in-flight "
-              "guard");
-    auto next = std::make_unique<ShapeTable>();
-    next->reserve(old.size() + 1);
-    next->insert(next->end(), old.begin(), pos);
-    next->push_back({shapes, compiled.get()});
-    next->insert(next->end(), pos, old.end());
-    const CompiledBlock &result = *compiled;
-    blocks_.push_back(std::move(compiled));
-    tables_.push_back(std::move(next));
-    table_.store(tables_.back().get(), std::memory_order_release);
-    compiling_.erase(shapes);
-    compile_done_.notify_all();
-    return result;
+    auto it = cache_.find(shapes);
+    if (it != cache_.end())
+        return *it->second;
+    linalg::Graph graph =
+        models::buildTransformerBlock(config_, shapes);
+    compiler::CompileResult compile =
+        compiler::compile(std::move(graph), platform_, options_);
+    std::vector<sim::SimResult> sims =
+        sim::simulateAll(compile.design.components);
+    auto compiled = std::make_unique<CompiledBlock>(
+        std::move(compile), std::move(sims));
+    return *cache_.emplace(shapes, std::move(compiled))
+                .first->second;
 }
 
-double
-LlmExecutor::gatedPrefillEndMs(
-    int64_t input_len, const std::vector<double> &layer_ready_ms,
-    double start_ms)
+int64_t
+LlmExecutor::compileCount() const
 {
-    ST_CHECK(input_len >= 1, "request lengths must be positive");
-    ST_CHECK(static_cast<int64_t>(layer_ready_ms.size()) ==
-                 config_.layers,
-             "residency watermark must cover every layer");
-    const CompiledBlock &prefill =
-        block(models::prefillShapes(input_len));
-    double freq_hz = platform_.freq_mhz * 1e6;
-    double per_layer_ms =
-        prefill.totalCycles() / freq_hz * 1e3 +
-        invocationOverheadMs(platform_, 1);
-    double t = start_ms;
-    for (double ready : layer_ready_ms)
-        t = std::max(t, ready) + per_layer_ms;
-    return t;
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    return static_cast<int64_t>(cache_.size());
 }
 
 LlmRunResult
@@ -186,16 +98,6 @@ LlmExecutor::run(int64_t input_len, int64_t output_len)
     double freq_hz = platform_.freq_mhz * 1e6;
     int64_t mid_kv = input_len + std::max<int64_t>(output_len / 2,
                                                    1);
-
-    // Warm the two block shapes of this request concurrently on
-    // the pool shared with the simulator's per-group parallelism
-    // (each block() below is then a cache hit).
-    const models::BlockShapes request_shapes[2] = {
-        models::prefillShapes(input_len),
-        models::decodeShapes(mid_kv)};
-    support::ThreadPool::shared().run(2, [&](int64_t i) {
-        (void)block(request_shapes[i]);
-    });
 
     // --- Prefill: one trigger per layer at seq = input length.
     const CompiledBlock &prefill =
@@ -265,9 +167,14 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
 {
     ST_CHECK(!groups.empty(), "step needs at least one group");
 
+    // Every per-shape count below is a partial sum of total_seqs,
+    // so bounding the total keeps them all in range.
     int64_t total_seqs = 0;
     for (const auto &g : groups) {
         ST_CHECK(g.count >= 1, "group count must be positive");
+        ST_CHECK(g.count <= std::numeric_limits<int64_t>::max() -
+                                total_seqs,
+                 "step sequence count overflows");
         total_seqs += g.count;
     }
     // Per layer, each group is one trigger: its batch streams
@@ -310,10 +217,6 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
             blk.batchedCycles(count) / freq_hz * 1e3 +
             invocationOverheadMs(platform_, total_seqs);
         result.step_ms += config_.layers * trigger_ms;
-        result.crossings += blk.crossings();
-        result.crossing_stall_ms += config_.layers *
-                                    blk.crossingStallCycles() /
-                                    freq_hz * 1e3;
     }
     return result;
 }

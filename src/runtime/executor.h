@@ -14,12 +14,10 @@
 #ifndef STREAMTENSOR_RUNTIME_EXECUTOR_H
 #define STREAMTENSOR_RUNTIME_EXECUTOR_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -126,12 +124,6 @@ struct StepResult
 {
     double step_ms = 0.0;
     bool deadlock = false;
-
-    /** Inter-die crossings of the step's distinct blocks, and the
-     *  crossing-attributed stall time across all layers/triggers
-     *  of the step. */
-    int64_t crossings = 0;
-    double crossing_stall_ms = 0.0;
 };
 
 /** Compiles transformer blocks on demand and executes requests. */
@@ -148,37 +140,17 @@ class LlmExecutor
     /** Compile (or fetch) the block at the given shapes. The
      *  reference stays valid for the executor's lifetime.
      *
-     *  Thread-safe. A hit takes no lock and allocates nothing: it
-     *  binary-searches the current shape table, loaded with one
-     *  acquire read of an atomic pointer. A miss takes
-     *  cache_mutex_ and dedupes against an in-flight set: the
-     *  first caller compiles (outside the lock, so distinct shapes
-     *  compile concurrently — run() warms prefill and decode
-     *  together on support::ThreadPool::shared()), later callers
-     *  for the same shapes block until it lands, so compileCount()
-     *  counts unique shapes even under a threaded warm race. The
-     *  compiling thread then publishes a new table, the old one
-     *  plus the new entry, with a release store (both pinned by
-     *  the runtime suite). */
+     *  Thread-safe: every call takes cache_mutex_, so concurrent
+     *  callers serialise. A hit returns the cached block and
+     *  allocates nothing. A miss builds, compiles and simulates
+     *  the block on the calling thread while holding the lock,
+     *  then inserts it, so compileCount() counts unique shapes. A
+     *  compile that throws inserts nothing; a retry compiles
+     *  again. */
     const CompiledBlock &block(const models::BlockShapes &shapes);
 
     /** Run one request end to end. */
     LlmRunResult run(int64_t input_len, int64_t output_len);
-
-    /** First-token instant of a cold-start prefill gated on weight
-     *  residency: layer i's trigger fires at max(end of layer
-     *  i-1, @p layer_ready_ms[i]) and runs for one per-layer
-     *  prefill slice, so compute overlaps the weight stream and
-     *  only layers that outrun their weights stall.
-     *  @p layer_ready_ms must have config().layers entries
-     *  (serving's WeightStreamPlan::layer_ready_ms, passed as
-     *  plain simulated instants so the runtime stays independent
-     *  of the serving layer). With all-zero watermarks this equals
-     *  start + run().ttft_ms up to summation order. */
-    double gatedPrefillEndMs(
-        int64_t input_len,
-        const std::vector<double> &layer_ready_ms,
-        double start_ms = 0.0);
 
     /** One serving step: execute every shape group's batch through
      *  all layers. Per layer, each group is one accelerator
@@ -189,59 +161,26 @@ class LlmExecutor
      *  and shapes are costed in ascending shape order, so the
      *  result does not depend on the caller's group order. A warm
      *  step allocates nothing. Each distinct shape is fetched
-     *  through block() on the calling thread, which compiles a
-     *  cache miss there; callers that want misses compiled in
-     *  parallel warm through block() first. */
+     *  through block(), which compiles a cache miss. */
     StepResult step(const std::vector<StepGroup> &groups);
 
-    /** Compiles performed so far (cache misses). Serving-bucket
-     *  regression hook: requests sharing a bucket must not grow
-     *  this. */
-    int64_t compileCount() const { return compile_count_; }
+    /** Blocks compiled so far (unique shapes in the cache).
+     *  Serving-bucket regression hook: requests sharing a bucket
+     *  must not grow this. */
+    int64_t compileCount() const;
 
   private:
-    /** One compiled shape of a published table. */
-    struct TableEntry
-    {
-        models::BlockShapes shapes;
-        const CompiledBlock *block = nullptr;
-    };
-
-    /** Every compiled shape, sorted by shapes. Never modified
-     *  once published. */
-    using ShapeTable = std::vector<TableEntry>;
-
-    /** The block for @p shapes in the current table, or null. */
-    const CompiledBlock *
-    findBlock(const models::BlockShapes &shapes) const;
-
     models::LlmConfig config_;
     hls::FpgaPlatform platform_;
     compiler::CompileOptions options_;
-    std::mutex cache_mutex_;
-    std::condition_variable compile_done_;
 
-    /** Shapes some thread is currently compiling (cache_mutex_).
-     *  block() waits on these instead of compiling again. */
-    std::set<models::BlockShapes> compiling_;
+    /** Guards cache_. */
+    mutable std::mutex cache_mutex_;
 
-    /** Owns every compiled block (cache_mutex_); blocks never
-     *  move, so table entries and block() references stay
-     *  valid. */
-    std::vector<std::unique_ptr<CompiledBlock>> blocks_;
-
-    /** Every table ever published (cache_mutex_). A hit may still
-     *  be reading a superseded table, so none is freed before the
-     *  executor: n compiled shapes retain n(n+1)/2 entries of 24
-     *  bytes, about 5 KB for the 20 shapes of an e2e_stack
-     *  workload. */
-    std::vector<std::unique_ptr<const ShapeTable>> tables_;
-
-    /** The newest table: released by a miss after its block is
-     *  built, acquired by every lookup. */
-    std::atomic<const ShapeTable *> table_{nullptr};
-
-    std::atomic<int64_t> compile_count_{0};
+    /** Every compiled shape. A block never moves once inserted,
+     *  so block() references stay valid. */
+    std::map<models::BlockShapes, std::unique_ptr<CompiledBlock>>
+        cache_;
 };
 
 } // namespace runtime

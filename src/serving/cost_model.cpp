@@ -9,7 +9,6 @@ ExecutorCostModel::stepMs(
 {
     runtime::StepResult step = executor_.step(groups);
     saw_deadlock_ = saw_deadlock_ || step.deadlock;
-    last_crossings_ = step.crossings;
     return step.step_ms;
 }
 

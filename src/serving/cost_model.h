@@ -34,17 +34,9 @@ class ExecutorCostModel : public StepCostModel
     /** True once any costed block deadlocked or timed out. */
     bool sawDeadlock() const { return saw_deadlock_; }
 
-    /** Serving-side placement metric: inter-die crossings of the
-     *  most recent costed step's blocks. The engine reuses the
-     *  answer for a step repeating the last costed groups, so
-     *  calls are not steps; this and sawDeadlock() stay exact
-     *  because a reused cost always comes from identical groups. */
-    int64_t lastStepCrossings() const { return last_crossings_; }
-
   private:
     runtime::LlmExecutor &executor_;
     bool saw_deadlock_ = false;
-    int64_t last_crossings_ = 0;
 };
 
 /** Closed-form linear cost: per-step trigger cost per shape group

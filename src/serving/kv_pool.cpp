@@ -227,14 +227,6 @@ KvPool::heldPages(int64_t seq_id) const
                : static_cast<int64_t>(it->second.pages.size());
 }
 
-int64_t
-KvPool::refCount(int64_t page) const
-{
-    ST_CHECK(page >= 0 && page < options_.total_pages,
-             "page id domain");
-    return pages_[static_cast<size_t>(page)].ref;
-}
-
 void
 KvPool::validate() const
 {

@@ -150,9 +150,6 @@ class KvPool
 
     const KvPoolStats &stats() const { return stats_; }
 
-    /** Refcount of physical page @p page (property tests). */
-    int64_t refCount(int64_t page) const;
-
     /** Recount every page's state from scratch and panic if the
      *  incremental counters, free list, retained set, or per-page
      *  flags disagree — the conservation audit the property suite

@@ -120,12 +120,6 @@ class TraceGenerator
         return emitted_ >= options_.num_requests && !staged_;
     }
 
-    /** Requests handed out by next() so far. */
-    int64_t emitted() const
-    {
-        return emitted_ - (staged_ ? 1 : 0);
-    }
-
     /** The request next() will return, without consuming it (the
      *  draw happens here; peeking never perturbs the stream).
      *  !exhausted() only. */

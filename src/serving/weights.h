@@ -23,11 +23,10 @@
  *     per-chunk time comes from chunkServiceMs (storage_tier.h)
  *     with all readers contending for the tier.
  *
- * The per-reader timelines are *computed* on support::ThreadPool
- * (each reader's completions are an independent prefix sum), but
- * every completion instant is pure arithmetic over the options —
- * the pool only parallelises the computation, so plans are
- * bit-identical across reruns and pool sizes. The merged result is
+ * Each reader's completions are a prefix sum of its chunk times,
+ * computed reader by reader on the calling thread; every
+ * completion instant is pure arithmetic over the options, so plans
+ * are bit-identical across reruns. The merged result is
  * the per-layer ready watermark: layer_ready_ms[l] is the instant
  * every chunk of layers 0..l has landed in HBM, which is what
  * gates a block trigger during a streamed cold start (a layer may

@@ -52,7 +52,6 @@
 
 #include "sim/sim_internal.h"
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace sim {
@@ -657,12 +656,10 @@ std::vector<SimResult>
 simulateAll(const dataflow::ComponentGraph &g,
             const SimOptions &options)
 {
-    int64_t groups = g.numGroups();
-    std::vector<SimResult> results(groups);
-    auto simulate_one = [&](int64_t group) {
-        results[group] = simulateGroup(g, group, options);
-    };
-    support::ThreadPool::shared().run(groups, simulate_one);
+    std::vector<SimResult> results;
+    results.reserve(static_cast<size_t>(g.numGroups()));
+    for (int64_t group = 0; group < g.numGroups(); ++group)
+        results.push_back(simulateGroup(g, group, options));
     return results;
 }
 

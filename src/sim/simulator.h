@@ -121,10 +121,9 @@ struct SimOptions
 SimResult simulateGroup(const dataflow::ComponentGraph &g,
                         int64_t group, const SimOptions &options = {});
 
-/** Simulate every group; returns per-group results. Independent
- *  groups run in parallel on the process-wide pool shared with the
- *  runtime executor (support::ThreadPool::shared()); each group's
- *  result is bitwise identical to simulateGroup's. */
+/** Simulate every group in index order on the calling thread;
+ *  returns simulateGroup's result for each. Safe to call from
+ *  several threads at once: it shares no state between calls. */
 std::vector<SimResult>
 simulateAll(const dataflow::ComponentGraph &g,
             const SimOptions &options = {});

@@ -1,9 +1,10 @@
 /**
  * @file
- * A small process-wide thread pool for coarse, independent tasks:
- * the simulator fans fused groups across it (sim::simulateAll) and
- * the runtime executor reuses the same pool to compile + simulate
- * the prefill and decode block shapes concurrently.
+ * A small process-wide thread pool for coarse, independent tasks.
+ * Nothing else in src/ uses it: the compiler, simulator, runtime
+ * and serving layers all run on the caller's thread. It is kept
+ * for the end-to-end benchmark (e2e_stack), which runs its timed
+ * work as one item of a shared-pool job, and for support_test.
  *
  * Deliberately minimal: one parallel-for style job at a time
  * (concurrent top-level submitters serialize), the caller
@@ -51,8 +52,7 @@ class ThreadPool
      *  rethrown here (remaining items may be skipped). */
     void run(int64_t n, const std::function<void(int64_t)> &fn);
 
-    /** The process-wide pool shared by the simulator and the
-     *  runtime executor. */
+    /** The process-wide pool. */
     static ThreadPool &shared();
 
   private:

@@ -140,8 +140,9 @@ TEST(Sim, TimeoutIsNotDeadlock)
 TEST(Sim, SimulateAllThreadedMatchesSequential)
 {
     // Three independent single-group pipelines; per-group
-    // simulation is pure, so simulateAll's threaded fan-out must be
-    // bitwise identical to simulating each group in turn.
+    // simulation is pure, so simulateAll must be bitwise identical
+    // to simulating each group in turn, also when two threads call
+    // it at once.
     ComponentGraph g;
     for (int64_t grp = 0; grp < 3; ++grp) {
         Component a;
@@ -161,9 +162,7 @@ TEST(Sim, SimulateAllThreadedMatchesSequential)
     std::vector<sim::SimResult> seq;
     for (int64_t grp = 0; grp < g.numGroups(); ++grp)
         seq.push_back(sim::simulateGroup(g, grp));
-    // Two callers at once: the groups of each fan out over the
-    // shared pool, and the callers race each other even when the
-    // pool has no workers.
+    // Two callers at once, racing each other on one graph.
     std::vector<sim::SimResult> par[2];
     std::thread other([&] { par[1] = sim::simulateAll(g); });
     par[0] = sim::simulateAll(g);

@@ -187,12 +187,10 @@ TEST(WeightStreamTest, S3NeedsConcurrency)
 
 TEST(WeightStreamTest, ThreadPoolSizeDoesNotChangeThePlan)
 {
-    // The reader fan-out is computation only; a single-reader
-    // plan (serial by construction) and an 8-reader plan restated
-    // at 1 reader must agree, and repeated 8-reader plans are
-    // already pinned bit-identical above. Here: the assignment is
-    // a pure function of (manifest, options) — capping readers at
-    // the chunk count never leaves idle contenders.
+    // Repeated 8-reader plans are already pinned bit-identical
+    // above. Here: the assignment is a pure function of
+    // (manifest, options) — capping readers at the chunk count
+    // never leaves idle contenders.
     serving::LayerManifest layer;
     layer.tensors.push_back({"w", 3 * 1024 * 1024});
     layer.bytes = 3 * 1024 * 1024;
