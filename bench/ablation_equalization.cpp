@@ -23,7 +23,6 @@ runOne(const models::LlmConfig &cfg, token::Equalization eq)
 {
     compiler::CompileOptions options;
     options.equalization = eq;
-    options.auto_conservative = false;
     auto graph = models::buildTransformerBlock(
         cfg, models::decodeShapes(192));
     auto result =

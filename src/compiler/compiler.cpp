@@ -133,8 +133,9 @@ stageFifoSizing(StageContext &ctx)
 {
     const CompileOptions &options = ctx.options;
     CompileResult &result = ctx.result;
-    token::Equalization eq = options.equalization;
-    if (options.auto_conservative) {
+    token::Equalization eq =
+        options.equalization.value_or(token::Equalization::Normal);
+    if (!options.equalization) {
         double pressure =
             static_cast<double>(
                 result.design.fusedIntermediateBytes() +

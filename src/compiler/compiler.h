@@ -20,6 +20,7 @@
 #define STREAMTENSOR_COMPILER_COMPILER_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,11 +47,11 @@ struct CompileOptions
      *  platform's on-chip memory". */
     int64_t c_max = 0;
 
-    /** FIFO sizing strategy; Auto switches to Conservative when
-     *  the fused design's on-chip pressure crosses
-     *  conservative_threshold (the paper's Llama case, §6.2). */
-    token::Equalization equalization = token::Equalization::Normal;
-    bool auto_conservative = true;
+    /** FIFO sizing strategy. Unset (the default), memory pressure
+     *  picks it: Conservative when the fused design's on-chip
+     *  pressure crosses conservative_threshold (the paper's Llama
+     *  case, §6.2), Normal otherwise. Set, that mode is used. */
+    std::optional<token::Equalization> equalization;
     double conservative_threshold = 0.40;
 
     /** Die-partitioner knobs (strategy, ILP size guard, capacity

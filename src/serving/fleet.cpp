@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -18,18 +17,6 @@ namespace {
 
 /** Exponential backoff growth per consumed failover attempt. */
 constexpr double kRetryBackoffFactor = 2.0;
-
-/** One request waiting in the fleet's retry buffer: a failover
- *  waiting out its backoff, a drain hand-off, or an arrival parked
- *  because no replica was eligible. */
-struct PendingRequest
-{
-    Request req;
-    ResumeState state;
-
-    /** Failover attempts consumed so far (== state.failovers). */
-    int64_t attempts = 0;
-};
 
 /** One fleet run: the state, the six round phases, the round loop
  *  and the next-instant rule. The two FleetEventCore values differ
@@ -57,17 +44,19 @@ struct FleetRun
     FaultInjector injector;
     FleetResult result;
 
-    /** Retry buffer keyed by (ready instant, id): map order IS
-     *  dispatch order, which keeps redispatch deterministic. */
-    std::map<std::pair<double, int64_t>, PendingRequest> pending;
+    /** Retry buffer: a failover waiting out its backoff, a drain
+     *  hand-off, or an arrival parked because no replica was
+     *  eligible, each with its progress. Keyed by (ready instant,
+     *  id): map order IS dispatch order, which keeps redispatch
+     *  deterministic. */
+    std::map<std::pair<double, int64_t>, QueuedRequest> pending;
 
-    /** Indexes over the buffer kept in lockstep by parkPending /
-     *  erasePending: ready instant by request id (to find an
-     *  entry from its deadline), and the (deadline, id) set that
-     *  gates the expiry sweep and the deadline wake-up — O(log n)
-     *  each. */
-    std::map<int64_t, double> pending_ready;
-    std::set<std::pair<double, int64_t>> pending_deadlines;
+    /** Second index over the buffer, kept in lockstep by
+     *  parkPending / erasePending: (deadline, id) -> ready instant
+     *  for every entry with a deadline. Its order gates the expiry
+     *  sweep and the deadline wake-up; its value finds the entry
+     *  in `pending` — O(log n) each. */
+    std::map<std::pair<double, int64_t>, double> pending_deadlines;
 
     /** Decode runs (fleet.h): per replica, the steps planned after
      *  the in-flight one, whose completion instants get no round,
@@ -167,30 +156,28 @@ struct FleetRun
             {r.id, r.arrival_ms, reason, now});
     }
 
-    void loseRequest(const Request &r, int64_t attempts)
+    /** Record @p q lost, with the failover attempts it consumed. */
+    void loseRequest(const QueuedRequest &q)
     {
         ++result.metrics.requests_lost;
-        result.lost.push_back({r.id, now, attempts});
+        result.lost.push_back({q.req.id, now, q.state.failovers});
     }
 
-    /** Insert into the retry buffer and maintain its indexes. */
-    void parkPending(double ready, PendingRequest pr)
+    /** Insert into the retry buffer and maintain its index. */
+    void parkPending(double ready, QueuedRequest q)
     {
-        int64_t id = pr.req.id;
-        double deadline = pr.req.deadline_ms;
-        pending[{ready, id}] = std::move(pr);
-        pending_ready[id] = ready;
-        if (deadline > 0.0)
-            pending_deadlines.insert({deadline, id});
+        const Request &r = q.req;
+        if (r.deadline_ms > 0.0)
+            pending_deadlines[{r.deadline_ms, r.id}] = ready;
+        pending[{ready, r.id}] = std::move(q);
     }
 
     using PendingIt = std::map<std::pair<double, int64_t>,
-                               PendingRequest>::iterator;
+                               QueuedRequest>::iterator;
 
     PendingIt erasePending(PendingIt it)
     {
         const Request &r = it->second.req;
-        pending_ready.erase(r.id);
         if (r.deadline_ms > 0.0)
             pending_deadlines.erase({r.deadline_ms, r.id});
         return pending.erase(it);
@@ -212,7 +199,7 @@ struct FleetRun
         if (target < 0) {
             // Total outage: park with no attempt consumed; the
             // request dispatches the instant a replica recovers.
-            parkPending(now, {r, ResumeState{}, 0});
+            parkPending(now, {r, ResumeState{}});
             return;
         }
         engines[static_cast<size_t>(target)].offer(r, now);
@@ -229,17 +216,15 @@ struct FleetRun
     {
         if (pickReplica() < 0)
             return;
-        std::vector<std::pair<std::pair<double, int64_t>,
-                              PendingRequest>>
-            due;
+        std::vector<QueuedRequest> due;
         for (auto it = pending.begin();
              it != pending.end() && it->first.first <= now;) {
-            due.emplace_back(it->first, std::move(it->second));
+            due.push_back(std::move(it->second));
             it = erasePending(it);
         }
         for (auto it = due.rbegin(); it != due.rend(); ++it) {
             auto target = static_cast<size_t>(pickReplica());
-            engines[target].readmit(it->second.req, it->second.state);
+            engines[target].readmit(*it);
             cutRun(target);
         }
     }
@@ -269,12 +254,11 @@ struct FleetRun
                 ev.state.failovers += 1;
                 ++fm.failovers;
                 if (ev.state.failovers > options.max_retries) {
-                    loseRequest(ev.req, ev.state.failovers);
+                    loseRequest(ev);
                 } else {
                     double ready =
                         now + backoffMs(ev.state.failovers);
-                    parkPending(ready, {ev.req, ev.state,
-                                        ev.state.failovers});
+                    parkPending(ready, std::move(ev));
                 }
             }
             break;
@@ -321,8 +305,7 @@ struct FleetRun
                 // attempt consumed, no backoff — nothing was
                 // lost.
                 for (auto &ev : eng.evacuateQueue())
-                    parkPending(now, {ev.req, ev.state,
-                                      ev.state.failovers});
+                    parkPending(now, std::move(ev));
             }
             break;
         case FaultKind::DrainEnd:
@@ -342,8 +325,7 @@ struct FleetRun
             // but KV dies with the old weights, so resumed
             // requests recompute their prefix elsewhere.
             for (auto &ev : eng.crash())
-                parkPending(now, {ev.req, ev.state,
-                                  ev.state.failovers});
+                parkPending(now, std::move(ev));
             startReload(idx, options.recovery_reload_ms);
             break;
         }
@@ -389,10 +371,9 @@ struct FleetRun
      *  run it: every parked request is lost. */
     void strandPending()
     {
-        for (const auto &[key, p] : pending)
-            loseRequest(p.req, p.attempts);
+        for (const auto &[key, q] : pending)
+            loseRequest(q);
         pending.clear();
-        pending_ready.clear();
         pending_deadlines.clear();
     }
 
@@ -542,20 +523,21 @@ struct FleetRun
             next_t = std::min(next_t, ready->first.first);
         auto deadline = pending_deadlines.upper_bound({now, last_id});
         if (deadline != pending_deadlines.end())
-            next_t = std::min(next_t, deadline->first);
+            next_t = std::min(next_t, deadline->first.first);
         return next_t;
     }
 
     /** Expire every retry-buffer entry whose deadline has passed,
-     *  walking the (deadline, id) index: O(log n) per expiry. The
-     *  rejection log sorts by (instant, id) at finalize, so the
-     *  in-round order is free. */
+     *  walking the (deadline, id) index, whose value is the entry's
+     *  ready instant: O(log n) per expiry. The rejection log sorts
+     *  by (instant, id) at finalize, so the in-round order is
+     *  free. */
     void expirePending()
     {
         while (!pending_deadlines.empty() &&
-               pending_deadlines.begin()->first <= now) {
-            auto [deadline, id] = *pending_deadlines.begin();
-            auto it = pending.find({pending_ready.at(id), id});
+               pending_deadlines.begin()->first.first <= now) {
+            auto [key, ready] = *pending_deadlines.begin();
+            auto it = pending.find({ready, key.second});
             ST_ASSERT(it != pending.end(),
                       "retry-buffer deadline index out of sync");
             rejectFleet(it->second.req,

@@ -35,8 +35,11 @@
  * a busy replica's run end (its in-flight step's end, or the end of
  * the last step of a decode run, below), a reload window's end, or
  * the first retry-buffer entry that becomes ready or expires after
- * now. The buffer is indexed by (ready, id) and by (deadline, id),
- * so one rule costs O(num_replicas + log pending) per round. Other
+ * now. The retry buffer has two indexes: the buffer itself, a map
+ * from (ready, id) to the entry, and a map from (deadline, id) to
+ * the ready instant for entries with a deadline (the expiry sweep
+ * finds an entry through it). So one rule costs
+ * O(num_replicas + log pending) per round. Other
  * per-round work that scans the *fleet* (completions due, launches,
  * step totals) stays linear in num_replicas — a small fixed
  * constant, not trace length — and runs serially in replica-id
@@ -74,9 +77,12 @@
  * FleetResult::rounds counts the rounds skipped.
  *
  * **Failover.** A crash evacuates the replica's resident and
- * queued requests with their ResumeState (tokens already emitted
- * are kept — only KV is lost). Each evacuated request consumes one
- * retry attempt and re-enters the fleet's retry buffer with
+ * queued requests as QueuedRequest entries, each with its
+ * ResumeState (tokens already emitted are kept — only KV is lost;
+ * a queued request's state comes from its own queue entry). Each
+ * evacuated request consumes one retry attempt (counted in
+ * ResumeState::failovers) and re-enters the fleet's retry buffer
+ * (the same entry type, under the two indexes above) with
  * exponential backoff in simulated time
  * (retry_backoff_ms × 2^(attempt-1), the frontend's re-dispatch
  * cost); a request whose attempts exceed max_retries is recorded

@@ -91,18 +91,6 @@ ServingMetrics::recordCompletion(const RequestMetrics &done,
     case MetricsOptions::KeepRecords::Never:
         records_complete = false;
         break;
-    case MetricsOptions::KeepRecords::Auto:
-        if (completed <= options.auto_record_limit) {
-            requests.push_back(done);
-        } else if (records_complete) {
-            // Crossing the limit: drop everything, not just the
-            // overflow — a truncated vector would read as a valid
-            // (but silently biased) sample.
-            records_complete = false;
-            requests.clear();
-            requests.shrink_to_fit();
-        }
-        break;
     }
 }
 

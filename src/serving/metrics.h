@@ -15,11 +15,12 @@
  * decides whether the RequestMetrics records are kept next to the
  * streaming state (counters, running sums, and one QuantileSketch
  * per latency/TTFT), which is always maintained. By default
- * records are kept up to auto_record_limit completions and dropped
- * beyond it, so small runs answer exactly and a 10M-request run
- * stays O(sketch) memory. `records_complete` says which regime a
- * result is in; exact percentile queries sort the records once
- * into a cache (see SortedSampleCache).
+ * (KeepRecords::Always) every record is kept, so percentiles are
+ * exact; a million-request sweep selects KeepRecords::Never and
+ * stays O(sketch) memory, answering from the sketches.
+ * `records_complete` says which regime a result is in; exact
+ * percentile queries sort the records once into a cache (see
+ * SortedSampleCache).
  *
  * **Partial-run accounting.** When a run stops at the step limit
  * (`FleetResult::hit_step_limit`), `requests` holds only the
@@ -57,19 +58,11 @@ struct MetricsOptions
 {
     enum class KeepRecords
     {
-        /** Keep records up to auto_record_limit completions, then
-         *  drop them all and answer from the sketches — small runs
-         *  stay exact, million-request sweeps stay bounded. */
-        Auto,
-
         Always, ///< keep every record regardless of run size
         Never,  ///< streaming aggregates only, O(sketch) memory
     };
 
-    KeepRecords keep_records = KeepRecords::Auto;
-
-    /** Completions beyond which Auto drops the record vector. */
-    int64_t auto_record_limit = 100000;
+    KeepRecords keep_records = KeepRecords::Always;
 };
 
 /** Lifecycle timestamps of one completed request. */
@@ -186,11 +179,9 @@ struct ServingMetrics
      *  otherwise, with the streaming fields below standing in. */
     std::vector<RequestMetrics> requests;
 
-    /** True while `requests` holds every completion. Cleared the
-     *  moment a record is dropped (KeepRecords::Never, or Auto
-     *  crossing its limit — which also discards the records
-     *  already accumulated, so the vector is never a misleading
-     *  prefix sample). */
+    /** True while `requests` holds every completion: cleared at
+     *  the first completion under KeepRecords::Never, which keeps
+     *  `requests` empty, and ANDed by merge(). */
     bool records_complete = true;
 
     int64_t completed = 0;

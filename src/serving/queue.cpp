@@ -1,6 +1,7 @@
 #include "serving/queue.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "support/error.h"
 
@@ -8,99 +9,99 @@ namespace streamtensor {
 namespace serving {
 
 void
-RequestQueue::assertCapacityInvariant() const
+RequestQueue::countInsert(const Request &request)
 {
+    queued_input_tokens_ += request.input_len;
+    if (request.deadline_ms > 0.0)
+        ++deadlined_;
+    max_depth_seen_ = std::max(max_depth_seen_, size());
     ST_ASSERT(max_depth_ == 0 ||
-                  size_ - max_depth_ <= front_inserts_,
+                  size() - max_depth_ <= front_inserts_,
               "queue occupancy beyond capacity not attributable "
               "to readmissions");
+}
+
+void
+RequestQueue::countRemove(const Request &request)
+{
+    queued_input_tokens_ -= request.input_len;
+    if (request.deadline_ms > 0.0)
+        --deadlined_;
 }
 
 bool
 RequestQueue::push(const Request &request)
 {
-    if (max_depth_ > 0 && size_ >= max_depth_)
+    if (max_depth_ > 0 && size() >= max_depth_)
         return false;
-    fifo_.push_back(request);
-    ++size_;
-    queued_input_tokens_ += request.input_len;
-    if (request.deadline_ms > 0.0)
-        ++deadlined_;
-    max_depth_seen_ = std::max(max_depth_seen_, size_);
+    fifo_.push_back({request, ResumeState{}});
+    countInsert(request);
     // A bounded push can never be the insert that exceeds
     // capacity.
-    ST_ASSERT(max_depth_ == 0 || size_ <= max_depth_,
+    ST_ASSERT(max_depth_ == 0 || size() <= max_depth_,
               "bounded push exceeded queue capacity");
-    assertCapacityInvariant();
     return true;
 }
 
 void
-RequestQueue::pushFront(const Request &request)
+RequestQueue::pushFront(const QueuedRequest &entry)
 {
-    fifo_.push_front(request);
-    ++size_;
+    fifo_.push_front(entry);
     ++front_inserts_;
-    queued_input_tokens_ += request.input_len;
-    if (request.deadline_ms > 0.0)
-        ++deadlined_;
-    max_depth_seen_ = std::max(max_depth_seen_, size_);
-    assertCapacityInvariant();
+    countInsert(entry.req);
 }
 
-const Request &
+const QueuedRequest &
 RequestQueue::front() const
 {
-    ST_CHECK(size_ > 0, "front() on an empty queue");
+    ST_CHECK(!empty(), "front() on an empty queue");
     return fifo_.front();
 }
 
-Request
+QueuedRequest
 RequestQueue::pop()
 {
-    ST_CHECK(size_ > 0, "pop() on an empty queue");
-    Request r = fifo_.front();
+    ST_CHECK(!empty(), "pop() on an empty queue");
+    QueuedRequest entry = std::move(fifo_.front());
     fifo_.pop_front();
-    --size_;
-    queued_input_tokens_ -= r.input_len;
-    if (r.deadline_ms > 0.0)
-        --deadlined_;
-    return r;
+    countRemove(entry.req);
+    return entry;
 }
 
-std::vector<Request>
+std::vector<QueuedRequest>
 RequestQueue::expireBefore(double now_ms)
 {
-    std::vector<Request> expired;
+    std::vector<QueuedRequest> expired;
     // Sweeps run every event-loop round; skip the walk entirely
     // unless something queued can actually expire.
     if (deadlined_ == 0)
         return expired;
-    for (auto r = fifo_.begin(); r != fifo_.end();) {
-        if (r->deadline_ms > 0.0 && r->deadline_ms <= now_ms) {
-            expired.push_back(*r);
-            queued_input_tokens_ -= r->input_len;
-            --deadlined_;
-            r = fifo_.erase(r);
-            --size_;
+    for (auto e = fifo_.begin(); e != fifo_.end();) {
+        double deadline = e->req.deadline_ms;
+        if (deadline > 0.0 && deadline <= now_ms) {
+            countRemove(e->req);
+            expired.push_back(std::move(*e));
+            e = fifo_.erase(e);
         } else {
-            ++r;
+            ++e;
         }
     }
     return expired;
 }
 
-std::vector<Request>
+std::vector<QueuedRequest>
 RequestQueue::drainAll()
 {
-    std::vector<Request> all;
-    all.reserve(static_cast<size_t>(size_));
-    while (size_ > 0)
-        all.push_back(pop());
+    std::vector<QueuedRequest> all(
+        std::make_move_iterator(fifo_.begin()),
+        std::make_move_iterator(fifo_.end()));
+    fifo_.clear();
+    queued_input_tokens_ = 0;
+    deadlined_ = 0;
     return all;
 }
 
-std::vector<Request>
+std::vector<QueuedRequest>
 RequestQueue::snapshot() const
 {
     return {fifo_.begin(), fifo_.end()};

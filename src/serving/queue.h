@@ -3,7 +3,9 @@
  * Bounded FIFO request queue with a capacity bound: a push beyond
  * capacity is refused so the caller can account the rejection
  * (load shedding at the frontend rather than unbounded queue
- * growth).
+ * growth). Each entry is a QueuedRequest: the request plus the
+ * progress it carries, so a preempted or failed-over sequence keeps
+ * its ResumeState in the queue itself.
  *
  * **Capacity invariant.** Only push() is bounded. pushFront() —
  * the readmission path for preempted or failed-over sequences —
@@ -39,23 +41,24 @@ class RequestQueue
         : max_depth_(max_depth)
     {}
 
-    /** Enqueue; returns false (and drops the request) when the
-     *  queue is at (or, via readmissions, beyond) capacity. */
+    /** Enqueue a fresh request (default ResumeState); returns false
+     *  (and drops the request) when the queue is at (or, via
+     *  readmissions, beyond) capacity. */
     bool push(const Request &request);
 
-    /** Re-enqueue at the *front*. Used for preempted (and
-     *  failed-over) sequences going back to the queue: such a
-     *  request was popped before everything still queued, so
-     *  front insertion restores exact (arrival, id) order. Exempt
-     *  from the capacity bound — a readmitted request must never
-     *  be dropped. */
-    void pushFront(const Request &request);
+    /** Re-enqueue at the *front*, with the progress @p entry
+     *  carries. Used for preempted (and failed-over) sequences
+     *  going back to the queue: such a request was popped before
+     *  everything still queued, so front insertion restores exact
+     *  (arrival, id) order. Exempt from the capacity bound — a
+     *  readmitted request must never be dropped. */
+    void pushFront(const QueuedRequest &entry);
 
     /** True when no request is queued. */
-    bool empty() const { return size_ == 0; }
+    bool empty() const { return fifo_.empty(); }
 
     /** Total queued requests. */
-    int64_t size() const { return size_; }
+    int64_t size() const { return static_cast<int64_t>(fifo_.size()); }
 
     /** High-water mark of size() since construction. */
     int64_t maxDepth() const { return max_depth_seen_; }
@@ -80,38 +83,40 @@ class RequestQueue
     /** True when some queued request carries a deadline (O(1)). */
     bool hasDeadlines() const { return deadlined_ > 0; }
 
-    /** The request that pop() would return. Queue must be
+    /** The entry that pop() would return. Queue must be
      *  non-empty. */
-    const Request &front() const;
+    const QueuedRequest &front() const;
 
-    /** Dequeue the oldest request. */
-    Request pop();
+    /** Dequeue the oldest entry. */
+    QueuedRequest pop();
 
-    /** Remove every queued request whose deadline has passed
+    /** Remove every queued entry whose deadline has passed
      *  (deadline_ms in (0, now]) and return them in pop order —
      *  the overload-shedding sweep.
      *  Requests without a deadline are untouched. O(1) when no
      *  queued request carries a deadline (the common sweep, run
      *  every event-loop round); O(queue) otherwise. */
-    std::vector<Request> expireBefore(double now_ms);
+    std::vector<QueuedRequest> expireBefore(double now_ms);
 
     /** Dequeue everything in pop order (crash evacuation, drain
-     *  flush). Leaves the queue empty. */
-    std::vector<Request> drainAll();
+     *  flush), progress included. Leaves the queue empty. */
+    std::vector<QueuedRequest> drainAll();
 
-    /** Copy of every queued request in pop order, without
+    /** Copy of every queued entry in pop order, without
      *  mutating the queue. O(queue) — test/diagnostic hook; the
      *  property suite recomputes queuedInputTokens() from it to
      *  pin the O(1) counter against every mutation path. */
-    std::vector<Request> snapshot() const;
+    std::vector<QueuedRequest> snapshot() const;
 
   private:
-    /** Panic unless any occupancy beyond capacity is covered by
-     *  cumulative readmissions. */
-    void assertCapacityInvariant() const;
+    /** Account one inserted entry and check the capacity
+     *  invariant. */
+    void countInsert(const Request &request);
+
+    /** Account one removed entry. */
+    void countRemove(const Request &request);
 
     int64_t max_depth_;
-    int64_t size_ = 0;
     int64_t max_depth_seen_ = 0;
     int64_t front_inserts_ = 0;
     int64_t queued_input_tokens_ = 0;
@@ -120,7 +125,7 @@ class RequestQueue
      *  expireBefore() early-out. */
     int64_t deadlined_ = 0;
 
-    std::deque<Request> fifo_;
+    std::deque<QueuedRequest> fifo_;
 };
 
 } // namespace serving

@@ -90,8 +90,6 @@ validateSchedulerOptions(const SchedulerOptions &options)
     ST_CHECK(options.kv_budget_tokens >= 1, "need a KV budget");
     ST_CHECK(options.max_queue_depth >= 0, "queue depth domain");
     ST_CHECK(options.max_steps >= 1, "step limit domain");
-    ST_CHECK(options.metrics.auto_record_limit >= 0,
-             "record limit domain");
     ST_CHECK(options.page_tokens >= 1, "page size domain");
     ST_CHECK(options.kv_budget_tokens >= options.page_tokens,
              "KV budget smaller than one page");
@@ -203,32 +201,18 @@ ReplicaEngine::offer(const Request &r, double now)
 }
 
 void
-ReplicaEngine::readmit(const Request &r, const ResumeState &state)
+ReplicaEngine::readmit(const QueuedRequest &entry)
 {
-    resume_state_[r.id] = state;
-    queue_.pushFront(r);
-}
-
-ResumeState
-ReplicaEngine::takeResumeState(const Request &r)
-{
-    auto it = resume_state_.find(r.id);
-    if (it == resume_state_.end())
-        return ResumeState{};
-    ResumeState state = it->second;
-    resume_state_.erase(it);
-    return state;
+    queue_.pushFront(entry);
 }
 
 void
 ReplicaEngine::expireDeadlines(double now)
 {
-    for (const Request &r : queue_.expireBefore(now)) {
-        // A preempted request can expire too; its progress dies
-        // with it.
-        resume_state_.erase(r.id);
-        reject(r, RejectReason::DeadlineExpired, now);
-    }
+    // A preempted request can expire too; its progress dies with
+    // its queue entry.
+    for (const QueuedRequest &expired : queue_.expireBefore(now))
+        reject(expired.req, RejectReason::DeadlineExpired, now);
 }
 
 void
@@ -258,8 +242,7 @@ ReplicaEngine::launchStep(double now)
             ActiveSeq &seq = active_[victim];
             pool_.release(seq.req.id);
             ++seq.state.preemptions;
-            resume_state_[seq.req.id] = seq.state;
-            queue_.pushFront(seq.req);
+            queue_.pushFront({seq.req, seq.state});
             preempted_now.push_back(seq.req.id);
             ++result_.metrics.preemptions;
             gone_[victim] = true;
@@ -302,24 +285,20 @@ ReplicaEngine::launchStep(double now)
            static_cast<int64_t>(active_.size()) <
                options_.max_batch &&
            !queue_.empty()) {
-        const Request &head = queue_.front();
+        const QueuedRequest &head = queue_.front();
+        const Request &r = head.req;
         if (std::find(preempted_now.begin(), preempted_now.end(),
-                      head.id) != preempted_now.end())
+                      r.id) != preempted_now.end())
             break;
-        auto rs = resume_state_.find(head.id);
-        int64_t generated =
-            rs != resume_state_.end() ? rs->second.generated : 0;
-        pool_.bind(head.id, head.prefix_id, head.prefix_len);
-        if (!pool_.grow(head.id, head.input_len + generated)) {
-            pool_.release(head.id);
+        pool_.bind(r.id, r.prefix_id, r.prefix_len);
+        if (!pool_.grow(r.id, r.input_len + head.state.generated)) {
+            pool_.release(r.id);
             break;
         }
+        QueuedRequest admitted = queue_.pop();
         ActiveSeq seq;
-        if (rs != resume_state_.end()) {
-            seq.state = rs->second;
-            resume_state_.erase(rs);
-        }
-        seq.req = queue_.pop();
+        seq.req = admitted.req;
+        seq.state = admitted.state;
         seq.admit_tick = admit_ticks_++;
         active_.push_back(std::move(seq));
     }
@@ -480,7 +459,7 @@ ReplicaEngine::completeStep()
     busy_ = false;
 }
 
-std::vector<EvacuatedSeq>
+std::vector<QueuedRequest>
 ReplicaEngine::crash()
 {
     // Abandon any in-flight step: its metrics, record, and token
@@ -489,17 +468,14 @@ ReplicaEngine::crash()
     busy_ = false;
     pending_record_ = StepRecord{};
 
-    std::vector<EvacuatedSeq> out;
+    std::vector<QueuedRequest> out;
     out.reserve(active_.size() +
                 static_cast<size_t>(queue_.size()));
     for (const auto &seq : active_)
         out.push_back({seq.req, seq.state});
     active_.clear();
-    for (const Request &r : queue_.drainAll())
-        out.push_back({r, takeResumeState(r)});
-    ST_ASSERT(resume_state_.empty(),
-              "resume state for a request that was neither "
-              "resident nor queued");
+    for (QueuedRequest &queued : queue_.drainAll())
+        out.push_back(std::move(queued));
 
     // The pool's contents die with the replica — including
     // retained prefix pages — but its cumulative counters carry
@@ -517,16 +493,10 @@ ReplicaEngine::crash()
     return out;
 }
 
-std::vector<EvacuatedSeq>
+std::vector<QueuedRequest>
 ReplicaEngine::evacuateQueue()
 {
-    std::vector<EvacuatedSeq> out;
-    out.reserve(static_cast<size_t>(queue_.size()));
-    for (const Request &r : queue_.drainAll())
-        out.push_back({r, takeResumeState(r)});
-    ST_ASSERT(resume_state_.empty(),
-              "resume state survived a queue evacuation");
-    return out;
+    return queue_.drainAll();
 }
 
 void

@@ -18,19 +18,24 @@
  * All step accounting (metrics, step records, token advancement)
  * commits at completeStep(); a crash between launch and completion
  * abandons the in-flight step — its simulated work is lost, which
- * is exactly what a mid-decode hardware failure costs. Evacuated
- * sequences carry a ResumeState so a surviving replica readmits
- * them through the existing preemption-readmission path: one
- * recompute prefill over the accumulated context, then decoding
- * continues — a completed request always emits exactly output_len
- * tokens no matter how many times it moved.
+ * is exactly what a mid-decode hardware failure costs.
+ *
+ * **Where progress lives.** A request's ResumeState has one home at
+ * a time: a resident sequence holds it in its batch entry; a queued
+ * one — fresh, preempted or readmitted — in its QueuedRequest queue
+ * entry. Preemption and readmit push the state with the request;
+ * admission, expiry and evacuation take it from the entry. Evacuated
+ * sequences leave as QueuedRequests, so a surviving replica readmits
+ * them through the same preemption-readmission path: one recompute
+ * prefill over the accumulated context, then decoding continues — a
+ * completed request always emits exactly output_len tokens no
+ * matter how many times it moved.
  */
 
 #ifndef STREAMTENSOR_SERVING_REPLICA_H
 #define STREAMTENSOR_SERVING_REPLICA_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "serving/kv_pool.h"
@@ -39,32 +44,6 @@
 
 namespace streamtensor {
 namespace serving {
-
-/** Progress carried across a preemption or a replica failover,
- *  restored on readmission. The generated tokens themselves are
- *  kept (they are known text); only their KV pages were dropped,
- *  so the readmitted sequence recomputes KV with one
- *  prefill-shaped pass over its full context and continues
- *  decoding. */
-struct ResumeState
-{
-    int64_t generated = 0;
-    bool ever_prefilled = false;
-    double first_token_ms = 0.0;
-    int64_t preemptions = 0;
-
-    /** Times the request already moved replicas (fleet tier). */
-    int64_t failovers = 0;
-};
-
-/** One sequence evacuated from a crashed or draining replica:
- *  the original request plus everything needed to resume it
- *  elsewhere. */
-struct EvacuatedSeq
-{
-    Request req;
-    ResumeState state;
-};
 
 /** Sort @p trace into (arrival, id) service order and validate it
  *  (positive lengths, non-negative arrivals/deadlines, well-formed
@@ -154,8 +133,10 @@ class ReplicaEngine
     void offer(const Request &r, double now);
 
     /** Readmit a preempted or failed-over request at the front of
-     *  the queue, capacity-exempt, with its resume state. */
-    void readmit(const Request &r, const ResumeState &state);
+     *  the queue, capacity-exempt. Its progress travels in the
+     *  queue entry itself until admission moves it into the
+     *  batch. */
+    void readmit(const QueuedRequest &entry);
 
     /** Shed every queued request whose deadline has passed,
      *  recording DeadlineExpired rejections. Resident sequences
@@ -192,11 +173,11 @@ class ReplicaEngine
      *  residents in admission order, then queued requests in pop
      *  order. The engine is immediately reusable — recovery timing
      *  is the caller's decision. */
-    std::vector<EvacuatedSeq> crash();
+    std::vector<QueuedRequest> crash();
 
     /** Evacuate only the queue (graceful drain hand-off): resident
      *  sequences keep running to completion. */
-    std::vector<EvacuatedSeq> evacuateQueue();
+    std::vector<QueuedRequest> evacuateQueue();
 
     /** Enter/leave drain mode: while draining, launchStep admits
      *  nothing from the queue and offer() rejects arrivals as
@@ -246,7 +227,6 @@ class ReplicaEngine
 
     void reject(const Request &r, RejectReason reason,
                 double at_ms);
-    ResumeState takeResumeState(const Request &r);
 
     SchedulerOptions options_;
 
@@ -261,7 +241,6 @@ class ReplicaEngine
 
     RequestQueue queue_;
     std::vector<ActiveSeq> active_; // admission order
-    std::map<int64_t, ResumeState> resume_state_;
     KvPool pool_;
     int64_t admit_ticks_ = 0;
 

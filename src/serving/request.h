@@ -1,10 +1,12 @@
 /**
  * @file
- * Serving-layer request descriptor. All serving time is *simulated
- * milliseconds* — the scheduler is a discrete-event simulator
- * driven by per-step accelerator costs, so there is deliberately
- * no wall clock anywhere in src/serving/ (replay tests assert
- * bit-identical schedules across runs).
+ * Serving-layer request descriptor, the progress a request carries
+ * across a preemption or failover (ResumeState), and the entry a
+ * waiting request occupies (QueuedRequest). All serving time is
+ * *simulated milliseconds* — the scheduler is a discrete-event
+ * simulator driven by per-step accelerator costs, so there is
+ * deliberately no wall clock anywhere in src/serving/ (replay tests
+ * assert bit-identical schedules across runs).
  */
 
 #ifndef STREAMTENSOR_SERVING_REQUEST_H
@@ -44,6 +46,33 @@ struct Request
      *  and merely counts a deadline miss if it finishes late —
      *  work already paid for is never thrown away mid-decode. */
     double deadline_ms = 0.0;
+};
+
+/** Progress carried across a preemption or a replica failover,
+ *  restored on readmission. The generated tokens themselves are
+ *  kept (they are known text); only their KV pages were dropped,
+ *  so the readmitted sequence recomputes KV with one
+ *  prefill-shaped pass over its full context and continues
+ *  decoding. */
+struct ResumeState
+{
+    int64_t generated = 0;
+    bool ever_prefilled = false;
+    double first_token_ms = 0.0;
+    int64_t preemptions = 0;
+
+    /** Times the request already moved replicas (fleet tier). */
+    int64_t failovers = 0;
+};
+
+/** A request waiting to run — in a replica's queue, in the fleet's
+ *  retry buffer, or on its way between them after an evacuation —
+ *  together with its progress: the one place a waiting request's
+ *  ResumeState lives. A fresh arrival carries a default state. */
+struct QueuedRequest
+{
+    Request req;
+    ResumeState state;
 };
 
 /** Why a request left the system without completing. */

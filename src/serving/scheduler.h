@@ -157,9 +157,9 @@ struct SchedulerOptions
     /** Record per-step composition (replay tests, debugging). */
     bool record_steps = false;
 
-    /** Per-request record retention (metrics.h): full records by
-     *  default up to MetricsOptions::auto_record_limit
-     *  completions, streaming sketches beyond. */
+    /** Per-request record retention (metrics.h): every record by
+     *  default; KeepRecords::Never keeps the streaming sketches
+     *  only (million-request sweeps). */
     MetricsOptions metrics;
 
     /** Safety valve against a miscosted model wedging the event

@@ -136,8 +136,7 @@ TEST(Compiler, DepthCapLoopShrinksOverBudgetDesigns)
 
 TEST(Compiler, AutoConservativeTriggersUnderPressure)
 {
-    compiler::CompileOptions options;
-    options.auto_conservative = true;
+    compiler::CompileOptions options; // equalization unset: auto
     options.conservative_threshold = 1e-9; // always trigger
     auto result =
         compiler::compile(linalg::mlpPipeline(), hls::u55c(), options);
@@ -149,11 +148,17 @@ TEST(Compiler, ExplicitEqualizationHonored)
 {
     compiler::CompileOptions options;
     options.equalization = token::Equalization::Conservative;
-    options.auto_conservative = false;
     auto result =
         compiler::compile(linalg::mlpPipeline(), hls::u55c(), options);
     EXPECT_EQ(result.used_equalization,
               token::Equalization::Conservative);
+
+    // A set mode also wins over memory pressure.
+    options.equalization = token::Equalization::Normal;
+    options.conservative_threshold = 1e-9;
+    result =
+        compiler::compile(linalg::mlpPipeline(), hls::u55c(), options);
+    EXPECT_EQ(result.used_equalization, token::Equalization::Normal);
 }
 
 TEST(Compiler, LinalgStatsReported)

@@ -71,14 +71,11 @@ makeScenario(uint64_t seed, bool with_faults)
     s.fleet.replica.record_steps = true;
     s.fleet.max_retries = 1 + static_cast<int64_t>(seed % 3);
     s.fleet.retry_backoff_ms = 1.0 + static_cast<double>(seed % 4);
-    // A third of the seeds drop records mid-run so the comparison
-    // also covers the streaming-sketch path.
-    if (seed % 3 == 1) {
+    // A third of the seeds keep no records so the comparison also
+    // covers the streaming-sketch path.
+    if (seed % 3 == 1)
         s.fleet.replica.metrics.keep_records =
-            serving::MetricsOptions::KeepRecords::Auto;
-        s.fleet.replica.metrics.auto_record_limit =
-            static_cast<int64_t>(seed % 7);
-    }
+            serving::MetricsOptions::KeepRecords::Never;
 
     if (with_faults) {
         serving::SeededFaultOptions fault_options;

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "serving/cost_model.h"
@@ -327,6 +328,125 @@ TEST(Fleet, DrainHandsQueueOverWithoutRetryPenalty)
     EXPECT_EQ(finished_on.at(0), 0);
     EXPECT_EQ(finished_on.at(1), 1);
     EXPECT_EQ(finished_on.at(2), 1);
+}
+
+/** Two replicas, four 4-token pages each. Replica 1 drains over
+ *  [0, 1), so both t = 0 arrivals (ids 0 and 1, 4 prompt tokens, 8
+ *  output tokens) land on replica 0. They prefill together in
+ *  [0, 2) and decode in 2 ms steps until the step at t = 10, whose
+ *  9-token contexts need 3 pages each: id 1, the later admission,
+ *  is preempted back to the queue with 5 tokens generated, and
+ *  stays there — its recompute needs 3 pages while id 0 holds 3 of
+ *  the 4 — while id 0 decodes alone in [10, 11), [11, 12),
+ *  [12, 13). From t = 10 id 1's progress lives only in its queue
+ *  entry. */
+serving::FleetOptions
+preemptedOnReplicaZero()
+{
+    auto options = fleetOptions(2);
+    options.replica.page_tokens = 4;
+    options.replica.kv_budget_tokens = 16;
+    options.faults.events.push_back(
+        {0.0, 1, FaultKind::DrainStart, 1.0});
+    options.faults.events.push_back(
+        {1.0, 1, FaultKind::DrainEnd, 1.0});
+    return options;
+}
+
+const std::vector<Request> kPreemptedTrace{
+    makeRequest(0, 0.0, 4, 8), makeRequest(1, 0.0, 4, 8)};
+
+/** The completion record of @p id. */
+const serving::RequestMetrics &
+completionOf(const serving::FleetResult &result, int64_t id)
+{
+    for (const auto &r : result.metrics.requests)
+        if (r.id == id)
+            return r;
+    throw std::runtime_error("request did not complete");
+}
+
+TEST(Fleet, PreemptedProgressSurvivesCrash)
+{
+    auto options = preemptedOnReplicaZero();
+    // Crash replica 0 inside id 0's step [11, 12): id 0 leaves with
+    // 6 tokens, id 1 with the 5 its queue entry holds. Both wait
+    // out one backoff (ready 13.5) and move to replica 1, where id
+    // 0 recomputes first and id 1 waits in the queue again until
+    // id 0 finishes at 15.5.
+    options.faults.events.push_back(
+        {11.5, 0, FaultKind::Crash, 1.0});
+    serving::AnalyticCostModel cost(unitCost());
+    auto result =
+        serving::FleetScheduler(options, cost).run(kPreemptedTrace);
+    const auto &fm = result.metrics;
+
+    EXPECT_EQ(fm.completed, 2);
+    EXPECT_EQ(fm.preemptions, 1);
+    EXPECT_EQ(fm.failovers, 2);
+    EXPECT_EQ(fm.requests_lost, 0);
+
+    const auto &moved = completionOf(result, 1);
+    EXPECT_EQ(moved.replica, 1);
+    EXPECT_EQ(moved.preemptions, 1);
+    EXPECT_EQ(moved.failovers, 1);
+    EXPECT_DOUBLE_EQ(moved.first_token_ms, 2.0);
+    EXPECT_DOUBLE_EQ(moved.finish_ms, 18.5);
+    // 5 tokens on replica 0, the other 3 (recompute prefill and two
+    // decodes) on replica 1.
+    EXPECT_EQ(appearancesOn(result, 0, 1), 5);
+    EXPECT_EQ(appearancesOn(result, 1, 1), 3);
+}
+
+TEST(Fleet, PreemptedProgressSurvivesDrain)
+{
+    auto options = preemptedOnReplicaZero();
+    // Drain replica 0 while id 1 is queued there: id 0 finishes in
+    // place, id 1's queue entry moves to replica 1 at once, with no
+    // attempt consumed, and recomputes from its 5 tokens at 11.5.
+    options.faults.events.push_back(
+        {11.5, 0, FaultKind::DrainStart, 1.0});
+    serving::AnalyticCostModel cost(unitCost());
+    auto result =
+        serving::FleetScheduler(options, cost).run(kPreemptedTrace);
+    const auto &fm = result.metrics;
+
+    EXPECT_EQ(fm.completed, 2);
+    EXPECT_EQ(fm.preemptions, 1);
+    EXPECT_EQ(fm.failovers, 0);
+    EXPECT_EQ(completionOf(result, 0).replica, 0);
+
+    const auto &moved = completionOf(result, 1);
+    EXPECT_EQ(moved.replica, 1);
+    EXPECT_EQ(moved.preemptions, 1);
+    EXPECT_EQ(moved.failovers, 0);
+    EXPECT_DOUBLE_EQ(moved.first_token_ms, 2.0);
+    EXPECT_DOUBLE_EQ(moved.finish_ms, 14.5);
+    EXPECT_EQ(appearancesOn(result, 0, 1), 5);
+    EXPECT_EQ(appearancesOn(result, 1, 1), 3);
+}
+
+TEST(Fleet, PreemptedRequestExpiresOnceWhileQueued)
+{
+    auto options = preemptedOnReplicaZero();
+    auto trace = kPreemptedTrace;
+    // Passes while id 1 sits preempted in replica 0's queue; the
+    // sweep at the next round, t = 12, sheds it.
+    trace[1].deadline_ms = 11.5;
+    serving::AnalyticCostModel cost(unitCost());
+    auto result = serving::FleetScheduler(options, cost).run(trace);
+    const auto &fm = result.metrics;
+
+    EXPECT_EQ(fm.completed, 1);
+    EXPECT_EQ(fm.preemptions, 1);
+    EXPECT_EQ(fm.expired_deadline, 1);
+    EXPECT_EQ(fm.requests_lost, 0);
+    ASSERT_EQ(result.rejected.size(), 1u);
+    EXPECT_EQ(result.rejected[0].id, 1);
+    EXPECT_EQ(result.rejected[0].reason,
+              serving::RejectReason::DeadlineExpired);
+    EXPECT_DOUBLE_EQ(result.rejected[0].at_ms, 12.0);
+    EXPECT_DOUBLE_EQ(completionOf(result, 0).finish_ms, 13.0);
 }
 
 TEST(Fleet, RetryExhaustionLosesTheRequest)

@@ -705,8 +705,8 @@ TEST(QueueProperty, QueuedInputTokensMatchesContentsAcrossOps)
 
         auto recompute = [&] {
             int64_t sum = 0;
-            for (const auto &r : q.snapshot())
-                sum += r.input_len;
+            for (const auto &queued : q.snapshot())
+                sum += queued.req.input_len;
             return sum;
         };
 
@@ -730,7 +730,7 @@ TEST(QueueProperty, QueuedInputTokensMatchesContentsAcrossOps)
                 r.id = next_id++;
                 r.input_len =
                     1 + static_cast<int64_t>(rng() % 96);
-                q.pushFront(r);
+                q.pushFront({r, {}});
                 break;
             }
             case 3:

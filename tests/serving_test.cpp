@@ -93,9 +93,9 @@ TEST(RequestQueue, FifoWithinOneClass)
     q.push(makeRequest(3, 0.0, 8, 1));
     q.push(makeRequest(1, 1.0, 8, 1));
     q.push(makeRequest(2, 2.0, 8, 1));
-    EXPECT_EQ(q.pop().id, 3);
-    EXPECT_EQ(q.pop().id, 1);
-    EXPECT_EQ(q.pop().id, 2);
+    EXPECT_EQ(q.pop().req.id, 3);
+    EXPECT_EQ(q.pop().req.id, 1);
+    EXPECT_EQ(q.pop().req.id, 2);
     EXPECT_TRUE(q.empty());
 }
 
@@ -122,20 +122,20 @@ TEST(RequestQueue, PushFrontExemptFromCapacityBound)
     EXPECT_TRUE(q.push(makeRequest(1, 0.0, 8, 1)));
     EXPECT_FALSE(q.push(makeRequest(2, 0.0, 8, 1)));
 
-    q.pushFront(makeRequest(9, 0.0, 8, 1));
+    q.pushFront({makeRequest(9, 0.0, 8, 1), {}});
     EXPECT_EQ(q.size(), 3);
     EXPECT_EQ(q.frontInserts(), 1);
-    q.pushFront(makeRequest(8, 0.0, 8, 1));
+    q.pushFront({makeRequest(8, 0.0, 8, 1), {}});
     EXPECT_EQ(q.size(), 4);
     EXPECT_EQ(q.frontInserts(), 2);
 
     // Bounded push stays refused while over capacity; the exempt
     // entries drain ahead of the FIFO tail.
     EXPECT_FALSE(q.push(makeRequest(3, 0.0, 8, 1)));
-    EXPECT_EQ(q.pop().id, 8);
-    EXPECT_EQ(q.pop().id, 9);
-    EXPECT_EQ(q.pop().id, 0);
-    EXPECT_EQ(q.pop().id, 1);
+    EXPECT_EQ(q.pop().req.id, 8);
+    EXPECT_EQ(q.pop().req.id, 9);
+    EXPECT_EQ(q.pop().req.id, 0);
+    EXPECT_EQ(q.pop().req.id, 1);
     EXPECT_TRUE(q.empty());
 }
 

@@ -185,7 +185,7 @@ TEST(WeightStreamTest, S3NeedsConcurrency)
     EXPECT_LT(streamFor(32), 0.5 * streamFor(4));
 }
 
-TEST(WeightStreamTest, ThreadPoolSizeDoesNotChangeThePlan)
+TEST(WeightStreamTest, ReadersCappedAtChunkCount)
 {
     // Repeated 8-reader plans are already pinned bit-identical
     // above. Here: the assignment is a pure function of
