@@ -114,21 +114,6 @@ BM_IlpDiePartition(benchmark::State &state)
 }
 BENCHMARK(BM_IlpDiePartition)->Arg(6)->Arg(9)->Arg(12);
 
-/** Same branch-and-bound with parent-basis warm starts disabled:
- *  the spread against BM_IlpDiePartition is the warm-start win. */
-void
-BM_IlpDiePartitionColdNodes(benchmark::State &state)
-{
-    auto ilp = dieAssignmentIlp(state.range(0));
-    solver::IlpOptions options;
-    options.warm_start = false;
-    for (auto _ : state) {
-        auto sol = solver::solveIlp(ilp, options);
-        benchmark::DoNotOptimize(sol.objective);
-    }
-}
-BENCHMARK(BM_IlpDiePartitionColdNodes)->Arg(6)->Arg(9)->Arg(12);
-
 void
 BM_ConverterInference(benchmark::State &state)
 {

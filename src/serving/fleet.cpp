@@ -397,7 +397,6 @@ struct FleetRun
         // One replica's records are already in finish order, and
         // it reports same-step completions in admission order; only
         // records interleaved from several replicas need the sort.
-        // A permutation leaves the percentile cache valid.
         if (n > 1)
             std::stable_sort(
                 fm.requests.begin(), fm.requests.end(),

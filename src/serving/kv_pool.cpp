@@ -38,11 +38,23 @@ KvPool::KvPool(KvPoolOptions options) : options_(options)
 {
     ST_CHECK(options_.page_tokens >= 1, "pages need token slots");
     ST_CHECK(options_.total_pages >= 1, "pool needs pages");
-    pages_.resize(static_cast<size_t>(options_.total_pages));
+    clear();
+}
+
+void
+KvPool::clear()
+{
+    pages_.assign(static_cast<size_t>(options_.total_pages), Page{});
+    free_.clear();
     free_.reserve(pages_.size());
     // LIFO stack: page 0 pops first.
     for (int64_t p = options_.total_pages - 1; p >= 0; --p)
         free_.push_back(static_cast<int32_t>(p));
+    cached_lru_.clear();
+    prefix_table_.clear();
+    seqs_.clear();
+    active_pages_ = 0;
+    tick_ = 0;
 }
 
 int64_t

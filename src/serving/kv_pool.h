@@ -148,6 +148,12 @@ class KvPool
         return heldPages(seq_id) * options_.page_tokens;
     }
 
+    /** Drop every sequence, page reference, retained page and
+     *  prefix entry, leaving the layout of a new pool (page 0 pops
+     *  first); the lifetime counters in stats() carry over. A
+     *  replica crash loses its KV contents this way. */
+    void clear();
+
     const KvPoolStats &stats() const { return stats_; }
 
     /** Recount every page's state from scratch and panic if the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "support/error.h"
 
@@ -11,12 +12,25 @@ namespace serving {
 
 namespace {
 
-/** The documented sentinel of the ServingMetrics percentile
- *  accessors on an empty window. */
+/** Nearest-rank percentile @p p of one per-request sample: exact
+ *  over the records while they are complete, @p sketch's estimate
+ *  otherwise; NaN on an empty window. */
 double
-quietNan()
+samplePercentileMs(const ServingMetrics &metrics,
+                   double (RequestMetrics::*sample)() const,
+                   const QuantileSketch &sketch, double p)
 {
-    return std::numeric_limits<double>::quiet_NaN();
+    std::optional<double> q;
+    if (metrics.records_complete) {
+        std::vector<double> values;
+        values.reserve(metrics.requests.size());
+        for (const auto &r : metrics.requests)
+            values.push_back((r.*sample)());
+        q = percentile(std::move(values), p);
+    } else {
+        q = sketch.quantile(p);
+    }
+    return q.value_or(std::numeric_limits<double>::quiet_NaN());
 }
 
 } // namespace
@@ -24,50 +38,22 @@ quietNan()
 std::optional<double>
 percentile(std::vector<double> values, double p)
 {
-    std::sort(values.begin(), values.end());
-    return percentileOfSorted(values, p);
-}
-
-std::optional<double>
-percentileOfSorted(const std::vector<double> &sorted, double p)
-{
     ST_CHECK(p >= 0.0 && p <= 100.0, "percentile domain");
-    if (sorted.empty())
+    if (values.empty())
         return std::nullopt;
+    std::sort(values.begin(), values.end());
     // Nearest rank: smallest value with at least p% of the sample
     // at or below it.
-    auto n = static_cast<double>(sorted.size());
+    auto n = static_cast<double>(values.size());
     auto rank = static_cast<int64_t>(std::ceil(p / 100.0 * n));
     rank = std::max<int64_t>(rank, 1);
-    return sorted[static_cast<size_t>(rank - 1)];
-}
-
-double
-SortedSampleCache::percentileMs(
-    const std::vector<RequestMetrics> &records, int64_t revision,
-    bool records_complete, const QuantileSketch &sketch,
-    double p) const
-{
-    if (!records_complete)
-        return sketch.quantile(p).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        revision, static_cast<int64_t>(records.size())};
-    if (key_ != key) {
-        sorted_.clear();
-        sorted_.reserve(records.size());
-        for (const auto &r : records)
-            sorted_.push_back((r.*sample_)());
-        std::sort(sorted_.begin(), sorted_.end());
-        key_ = key;
-    }
-    return percentileOfSorted(sorted_, p).value_or(quietNan());
+    return values[static_cast<size_t>(rank - 1)];
 }
 
 void
 ServingMetrics::recordCompletion(const RequestMetrics &done,
                                  const MetricsOptions &options)
 {
-    ++record_revision_; // every completion invalidates the caches
     ++completed;
     total_output_tokens += done.output_len;
     if (done.missedDeadline())
@@ -76,8 +62,8 @@ ServingMetrics::recordCompletion(const RequestMetrics &done,
     latency_sketch.add(done.latencyMs());
     ttft_sketch.add(done.ttftMs());
     ttft_sum_ms += done.ttftMs();
-    // The decode-window sum mirrors tbtMeanMs()'s invariant: a
-    // single-token request must have an empty window.
+    // Impossible by construction (a single-token request finishes
+    // at its prefill step); loud because it would skew tbtMeanMs().
     ST_ASSERT(done.output_len > 1 ||
                   done.finish_ms == done.first_token_ms,
               "single-token request with a decode window");
@@ -121,7 +107,6 @@ ServingMetrics::merge(const ServingMetrics &other)
     ST_CHECK(pool_pages == 0 || other.pool_pages == 0 ||
                  pool_pages == other.pool_pages,
              "merged replicas differ in KV pool geometry");
-    ++record_revision_;
     requests.insert(requests.end(), other.requests.begin(),
                     other.requests.end());
     records_complete = records_complete && other.records_complete;
@@ -193,28 +178,16 @@ ServingMetrics::meanBatchSize() const
 double
 ServingMetrics::ttftMeanMs() const
 {
-    // The exact record loop is kept while records are complete so
-    // results stay bit-identical to the pre-streaming accessors
-    // (same floating-point summation order); the running sum only
-    // answers when the records are gone.
-    if (!records_complete)
-        return completed > 0
-                   ? ttft_sum_ms / static_cast<double>(completed)
-                   : 0.0;
-    if (requests.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : requests)
-        sum += r.ttftMs();
-    return sum / static_cast<double>(requests.size());
+    return completed > 0
+               ? ttft_sum_ms / static_cast<double>(completed)
+               : 0.0;
 }
 
 double
 ServingMetrics::ttftP95Ms() const
 {
-    return ttft_cache_.percentileMs(requests, record_revision_,
-                                    records_complete, ttft_sketch,
-                                    95.0);
+    return samplePercentileMs(*this, &RequestMetrics::ttftMs,
+                              ttft_sketch, 95.0);
 }
 
 double
@@ -239,34 +212,16 @@ ServingMetrics::prefixHitRate() const
 double
 ServingMetrics::tbtMeanMs() const
 {
-    if (!records_complete)
-        return decode_gaps > 0
-                   ? decode_sum_ms /
-                         static_cast<double>(decode_gaps)
-                   : 0.0;
-    double decode_ms = 0.0;
-    int64_t gaps = 0;
-    for (const auto &r : requests) {
-        // A single-token request has zero decode gaps, so a
-        // nonzero decode window would silently inflate the mean
-        // of every other request. Such a window is impossible by
-        // construction (the request finishes at its prefill
-        // step); make the impossibility loud.
-        ST_ASSERT(r.output_len > 1 ||
-                      r.finish_ms == r.first_token_ms,
-                  "single-token request with a decode window");
-        decode_ms += r.finish_ms - r.first_token_ms;
-        gaps += r.output_len - 1;
-    }
-    return gaps > 0 ? decode_ms / static_cast<double>(gaps) : 0.0;
+    return decode_gaps > 0
+               ? decode_sum_ms / static_cast<double>(decode_gaps)
+               : 0.0;
 }
 
 double
 ServingMetrics::latencyPercentileMs(double p) const
 {
-    return latency_cache_.percentileMs(requests, record_revision_,
-                                       records_complete,
-                                       latency_sketch, p);
+    return samplePercentileMs(*this, &RequestMetrics::latencyMs,
+                              latency_sketch, p);
 }
 
 double

@@ -14,13 +14,13 @@
  * **Record retention.** MetricsOptions (SchedulerOptions::metrics)
  * decides whether the RequestMetrics records are kept next to the
  * streaming state (counters, running sums, and one QuantileSketch
- * per latency/TTFT), which is always maintained. By default
+ * per latency/TTFT), which is always maintained. The means read the
+ * running sums only, so they do not depend on retention. By default
  * (KeepRecords::Always) every record is kept, so percentiles are
  * exact; a million-request sweep selects KeepRecords::Never and
- * stays O(sketch) memory, answering from the sketches.
- * `records_complete` says which regime a result is in; exact
- * percentile queries sort the records once into a cache (see
- * SortedSampleCache).
+ * stays O(sketch) memory, answering percentiles from the sketches.
+ * `records_complete` says which regime a result is in; an exact
+ * percentile query collects and sorts its sample on each call.
  *
  * **Partial-run accounting.** When a run stops at the step limit
  * (`FleetResult::hit_step_limit`), `requests` holds only the
@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "serving/quantile_sketch.h"
@@ -109,7 +108,7 @@ struct RequestMetrics
 
     /** Mean gap between output tokens after the first. Zero for
      *  single-token outputs (which must finish at their first
-     *  token — asserted by tbtMeanMs()). */
+     *  token — asserted by ServingMetrics::recordCompletion()). */
     double tbtMs() const
     {
         return output_len > 1 ? (finish_ms - first_token_ms) /
@@ -123,51 +122,11 @@ struct RequestMetrics
  *  std::nullopt on an empty sample set — an empty window is not a
  *  percentile of 0.0, and callers that want a sentinel must pick
  *  one explicitly (the ServingMetrics accessors document NaN).
- *
- *  Takes the sample by value and sorts it: O(n log n) per call,
- *  deliberately — it is the one-shot convenience entry point.
- *  Callers querying several percentiles of the same sample sort
- *  once and use percentileOfSorted() (the ServingMetrics
- *  accessors do, via a cached sorted view); callers with millions
- *  of samples should not be holding them at all (QuantileSketch /
- *  MetricsOptions). */
+ *  Takes the sample by value and sorts it: O(n log n) per call.
+ *  Callers with millions of samples should not be holding them at
+ *  all (QuantileSketch / MetricsOptions). */
 std::optional<double> percentile(std::vector<double> values,
                                  double p);
-
-/** Nearest-rank percentile of an already ascending-sorted sample:
- *  O(1), same convention and empty-set contract as
- *  percentile(). */
-std::optional<double>
-percentileOfSorted(const std::vector<double> &sorted, double p);
-
-/** Sort-once cache of one per-request sample (latency, TTFT)
- *  behind the percentile accessors of ServingMetrics. The sorted
- *  view is rebuilt only when the (revision, records.size()) key
- *  moves: owners bump the revision on every mutation of their
- *  records, so a query followed by more completions always
- *  re-answers from the updated window — keying on size alone
- *  would miss any size-preserving mutation (regression-tested
- *  query-record-query). */
-class SortedSampleCache
-{
-  public:
-    using Sample = double (RequestMetrics::*)() const;
-
-    explicit SortedSampleCache(Sample sample) : sample_(sample) {}
-
-    /** Nearest-rank percentile @p p of the sample: exact over
-     *  @p records while @p records_complete, @p sketch's estimate
-     *  otherwise; NaN on an empty window. */
-    double percentileMs(const std::vector<RequestMetrics> &records,
-                        int64_t revision, bool records_complete,
-                        const QuantileSketch &sketch,
-                        double p) const;
-
-  private:
-    Sample sample_;
-    mutable std::vector<double> sorted_;
-    mutable std::pair<int64_t, int64_t> key_{-1, -1};
-};
 
 /** Aggregated result of one serving run: one replica's
  *  accumulator, or several merged (merge()). Every accessor keeps
@@ -254,12 +213,14 @@ struct ServingMetrics
     /** Request-latency / TTFT distributions (deterministic
      *  streaming sketches; quantile_sketch.h documents the rank
      *  error). The percentile accessors fall back to these when
-     *  records_complete is false. */
-    QuantileSketch latency_sketch;
-    QuantileSketch ttft_sketch;
+     *  records_complete is false. The initialisers let
+     *  `ServingMetrics{}` value-initialise past the sketch's
+     *  explicit constructor without a warning. */
+    QuantileSketch latency_sketch = QuantileSketch();
+    QuantileSketch ttft_sketch = QuantileSketch();
 
-    /** Running sums backing the mean accessors without records:
-     *  Σ ttftMs, Σ (finish − first token), Σ (output_len − 1). */
+    /** Running sums behind the mean accessors: Σ ttftMs,
+     *  Σ (finish − first token), Σ (output_len − 1). */
     double ttft_sum_ms = 0.0;
     double decode_sum_ms = 0.0;
     int64_t decode_gaps = 0;
@@ -288,7 +249,11 @@ struct ServingMetrics
      *  total_output_tokens, deadline_misses), the running sums and
      *  sketches above, and — policy permitting — the record
      *  itself. The single entry point for completions, so the
-     *  streaming state can never drift from the record vector. */
+     *  streaming state can never drift from the record vector.
+     *  Asserts that a single-token request has an empty decode
+     *  window (finish == first token): it contributes no gaps, so
+     *  a nonzero window would inflate every other request's
+     *  time-between-tokens. */
     void recordCompletion(const RequestMetrics &done,
                           const MetricsOptions &options);
 
@@ -297,10 +262,9 @@ struct ServingMetrics
 
     /** Fold @p other (another replica of the same fleet) into this
      *  accumulator: counters and running sums add, high-water
-     *  marks take the max, the sketches merge, records append
-     *  (`records_complete` ANDs) and the record revision moves.
-     *  Merging in a fixed order keeps the result bit-identical
-     *  across runs. */
+     *  marks take the max, the sketches merge and records append
+     *  (`records_complete` ANDs). Merging in a fixed order keeps
+     *  the result bit-identical across runs. */
     void merge(const ServingMetrics &other);
 
     double requestsPerSecond() const;
@@ -324,6 +288,7 @@ struct ServingMetrics
      *  the run touched none. */
     double prefixHitRate() const;
 
+    /** ttft_sum_ms / completed; 0 when no request completed. */
     double ttftMeanMs() const;
 
     /** NaN when no request completed (empty percentile window —
@@ -331,30 +296,16 @@ struct ServingMetrics
     double ttftP95Ms() const;
 
     /** Token-weighted mean time-between-tokens over completed
-     *  requests. Single-token requests contribute no gaps; their
-     *  decode window must be empty (finish == first token), which
-     *  this asserts rather than silently folding a nonzero window
-     *  into the mean. */
+     *  requests: decode_sum_ms / decode_gaps, 0 without gaps.
+     *  Single-token requests contribute no gaps (their empty
+     *  decode window is asserted by recordCompletion()). */
     double tbtMeanMs() const;
 
     /** Request latency percentile (nearest rank). NaN when no
-     *  request completed. Exact — O(1) after a one-time
-     *  O(n log n) sort cached across queries — while
-     *  records_complete; a sketch estimate within the documented
-     *  rank error otherwise. recordCompletion and merge bump the
-     *  record revision, so the cache (SortedSampleCache) never
-     *  answers from a stale window. */
+     *  request completed. Exact while records_complete — each call
+     *  collects and sorts the sample, O(n log n); a sketch
+     *  estimate within the documented rank error otherwise. */
     double latencyPercentileMs(double p) const;
-
-  private:
-    /** Monotone mutation counter bumped by every
-     *  recordCompletion() and merge(); half of the
-     *  percentile-cache key. */
-    int64_t record_revision_ = 0;
-
-    /** Sorted-sample caches behind the exact percentile path. */
-    SortedSampleCache latency_cache_{&RequestMetrics::latencyMs};
-    SortedSampleCache ttft_cache_{&RequestMetrics::ttftMs};
 };
 
 } // namespace serving

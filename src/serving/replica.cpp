@@ -386,8 +386,6 @@ ReplicaEngine::launchStep(double now)
                            : record.prefill_ids)
                 .push_back(seq.req.id);
         record.preempted_ids = preempted_now;
-        record.kv_reserved =
-            pool_.activePages() * pool_.pageTokens();
         record.pages_active = pool_.activePages();
         record.pages_cached = pool_.cachedPages();
         record.pages_free = pool_.freePages();
@@ -480,16 +478,7 @@ ReplicaEngine::crash()
     // The pool's contents die with the replica — including
     // retained prefix pages — but its cumulative counters carry
     // over so finalize() reports whole-lifetime stats.
-    pool_stats_base_.prefix_hit_pages +=
-        pool_.stats().prefix_hit_pages;
-    pool_stats_base_.prefix_miss_pages +=
-        pool_.stats().prefix_miss_pages;
-    pool_stats_base_.evicted_cached_pages +=
-        pool_.stats().evicted_cached_pages;
-    peak_pages_active_base_ =
-        std::max(peak_pages_active_base_,
-                 pool_.stats().peak_active_pages);
-    pool_ = KvPool(poolOptionsFor(options_));
+    pool_.clear();
     return out;
 }
 
@@ -515,13 +504,9 @@ ReplicaEngine::finalize(double makespan_ms)
         metrics.weight_bytes_streamed =
             options_.cold_start.plan.bytes_total;
     }
-    metrics.prefix_hit_pages = pool_stats_base_.prefix_hit_pages +
-                               pool_.stats().prefix_hit_pages;
-    metrics.prefix_miss_pages = pool_stats_base_.prefix_miss_pages +
-                                pool_.stats().prefix_miss_pages;
-    metrics.peak_pages_active =
-        std::max(peak_pages_active_base_,
-                 pool_.stats().peak_active_pages);
+    metrics.prefix_hit_pages = pool_.stats().prefix_hit_pages;
+    metrics.prefix_miss_pages = pool_.stats().prefix_miss_pages;
+    metrics.peak_pages_active = pool_.stats().peak_active_pages;
 }
 
 } // namespace serving

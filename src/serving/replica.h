@@ -266,10 +266,6 @@ class ReplicaEngine
     int64_t pending_batch_ = 0;
     int64_t pending_pages_active_ = 0;
 
-    // Pool stats accumulated across crash-rebuilds.
-    KvPoolStats pool_stats_base_;
-    int64_t peak_pages_active_base_ = 0;
-
     ServingResult result_;
 };
 

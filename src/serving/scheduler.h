@@ -193,13 +193,10 @@ struct StepRecord
      *  preemption order. */
     std::vector<int64_t> preempted_ids;
 
-    /** KV tokens the batch holds during this step: active pages ×
-     *  page_tokens. */
-    int64_t kv_reserved = 0;
-
     /** Pool occupancy when the step launched (pages_active +
      *  pages_cached + pages_free == pool pages, recomputed by the
-     *  property suite). */
+     *  property suite). The batch holds pages_active × page_tokens
+     *  KV tokens during the step. */
     int64_t pages_active = 0;
     int64_t pages_cached = 0;
     int64_t pages_free = 0;

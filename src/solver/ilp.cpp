@@ -20,7 +20,6 @@ struct SearchState
     int64_t nodes = 0;
     int64_t max_nodes = 0;
     int64_t pivots = 0;
-    bool warm_start = true;
 };
 
 /** Index of the most fractional integer variable, or -1. */
@@ -57,7 +56,7 @@ branchAndBound(SearchState &state, LpProblem &relaxation,
     if (state.nodes++ >= state.max_nodes)
         return;
     LpOptions lp_options;
-    if (state.warm_start && parent_basis && !parent_basis->empty())
+    if (parent_basis && !parent_basis->empty())
         lp_options.warm_start = parent_basis;
     LpSolution sol = solveLp(relaxation, lp_options);
     state.pivots += sol.pivots;
@@ -122,7 +121,6 @@ solveIlp(const IlpProblem &problem, const IlpOptions &options)
     SearchState state;
     state.problem = &problem;
     state.max_nodes = options.max_nodes;
-    state.warm_start = options.warm_start;
     state.best_obj = options.cutoff;
     LpProblem relaxation = problem.lp();
     branchAndBound(state, relaxation, nullptr);

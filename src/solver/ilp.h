@@ -74,11 +74,6 @@ struct IlpOptions
      *  partitioning only needs a good feasible point). */
     int64_t max_nodes = 200000;
 
-    /** Thread each parent node's optimal basis into its children
-     *  (dual-repair warm starts). Disable to benchmark or debug
-     *  against cold node solves. */
-    bool warm_start = true;
-
     /** Objective cutoff: subtrees whose relaxation cannot beat
      *  this are pruned, and only strictly better integral points
      *  are accepted. Callers with a known feasible incumbent (die

@@ -208,6 +208,51 @@ TEST(KvPool, MissingPagesPlansAdmission)
     pool.validate();
 }
 
+TEST(KvPool, ClearKeepsLifetimeStatsAndServesAgain)
+{
+    KvPool pool = makePool(4, 16);
+    // One prefix miss, one hit revived from the cache, a full pool.
+    pool.bind(1, 5, 16);
+    ASSERT_TRUE(pool.grow(1, 16));
+    pool.release(1);
+    pool.bind(2, 5, 16);
+    ASSERT_TRUE(pool.grow(2, 16)); // revives 5: one hit
+    pool.bind(3, 0, 0);
+    ASSERT_TRUE(pool.grow(3, 48));
+    ASSERT_EQ(pool.activePages(), 4);
+    const serving::KvPoolStats before = pool.stats();
+    ASSERT_EQ(before.prefix_hit_pages, 1);
+    ASSERT_EQ(before.prefix_miss_pages, 1);
+    ASSERT_EQ(before.peak_active_pages, 4);
+
+    pool.clear();
+    pool.validate();
+    EXPECT_EQ(pool.activePages(), 0);
+    EXPECT_EQ(pool.cachedPages(), 0);
+    EXPECT_EQ(pool.freePages(), 4);
+    EXPECT_EQ(pool.heldPages(2), 0);
+    EXPECT_EQ(pool.stats().prefix_hit_pages, before.prefix_hit_pages);
+    EXPECT_EQ(pool.stats().prefix_miss_pages,
+              before.prefix_miss_pages);
+    EXPECT_EQ(pool.stats().evicted_cached_pages,
+              before.evicted_cached_pages);
+    EXPECT_EQ(pool.stats().peak_active_pages,
+              before.peak_active_pages);
+
+    // The prefix table died with the contents: prefix 5 misses
+    // again, and the ids of the old sequences bind afresh.
+    pool.bind(2, 5, 16);
+    EXPECT_EQ(pool.missingPages(2, 16), 1);
+    ASSERT_TRUE(pool.grow(2, 16));
+    pool.bind(1, 0, 0);
+    ASSERT_TRUE(pool.grow(1, 48));
+    EXPECT_EQ(pool.activePages(), 4);
+    EXPECT_EQ(pool.stats().prefix_miss_pages,
+              before.prefix_miss_pages + 1);
+    EXPECT_EQ(pool.stats().prefix_hit_pages, before.prefix_hit_pages);
+    pool.validate();
+}
+
 TEST(KvPool, ChecksDomains)
 {
     KvPool pool = makePool(4, 16);
@@ -321,10 +366,12 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
             // Outcome bounds: demand within the free list must
             // succeed; demand beyond everything reclaimable must
             // fail.
-            if (missing <= free_before)
+            if (missing <= free_before) {
                 EXPECT_TRUE(grew);
-            if (missing > avail_before)
+            }
+            if (missing > avail_before) {
                 EXPECT_FALSE(grew);
+            }
             if (grew) {
                 seq.tokens = prompt;
                 shadow[id] = seq;
@@ -347,10 +394,12 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
             int64_t free_before = pool.freePages();
             int64_t avail_before = pool.availablePages();
             bool grew = pool.grow(it->first, target);
-            if (missing <= free_before)
+            if (missing <= free_before) {
                 EXPECT_TRUE(grew);
-            if (missing > avail_before)
+            }
+            if (missing > avail_before) {
                 EXPECT_FALSE(grew);
+            }
             if (grew) {
                 it->second.tokens = target;
             } else {
@@ -385,8 +434,9 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
 
     // The suite is only meaningful if pressure occurred somewhere;
     // most seeds overflow a 6-40 page pool within 400 ops.
-    if (total_pages <= 12)
+    if (total_pages <= 12) {
         EXPECT_GT(failed_grows, 0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolProperty,

@@ -71,6 +71,14 @@ recordingOptions(int64_t max_batch, int64_t kv_budget)
     return options;
 }
 
+/** KV tokens a step's batch holds: active pages × page_tokens, at
+ *  the default page size every replay script here runs with. */
+int64_t
+kvTokens(const serving::StepRecord &s)
+{
+    return s.pages_active * serving::SchedulerOptions{}.page_tokens;
+}
+
 /** A fleet of one replica running @p options, with no faults. */
 serving::FleetOptions
 oneReplica(const serving::SchedulerOptions &options)
@@ -381,7 +389,7 @@ TEST(SchedulerReplay, ContinuousBatchingScript)
     EXPECT_DOUBLE_EQ(s0.start_ms, 0.0);
     EXPECT_EQ(s0.prefill_ids, (std::vector<int64_t>{0, 1}));
     EXPECT_TRUE(s0.decode_ids.empty());
-    EXPECT_EQ(s0.kv_reserved, 16 + 32);
+    EXPECT_EQ(kvTokens(s0), 16 + 32);
     EXPECT_EQ(s0.queue_depth, 0);
     double step1 = analyticStepMs({{16, 16, 1}, {32, 32, 1}});
     EXPECT_DOUBLE_EQ(s0.step_ms, step1);
@@ -402,7 +410,7 @@ TEST(SchedulerReplay, ContinuousBatchingScript)
     EXPECT_DOUBLE_EQ(s2.start_ms, step1 + step2);
     EXPECT_EQ(s2.prefill_ids, (std::vector<int64_t>{2}));
     EXPECT_TRUE(s2.decode_ids.empty());
-    EXPECT_EQ(s2.kv_reserved, 16);
+    EXPECT_EQ(kvTokens(s2), 16);
     double step3 = analyticStepMs({{16, 16, 1}});
     EXPECT_DOUBLE_EQ(s2.step_ms, step3);
 
@@ -449,7 +457,7 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
     EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0}));
     EXPECT_EQ(result.replicas[0].steps[0].queue_depth, 2);
-    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 16);
+    EXPECT_EQ(kvTokens(result.replicas[0].steps[0]), 16);
 
     // R0 decodes alone (R1 still does not fit: 16 + 32 > 32).
     EXPECT_EQ(result.replicas[0].steps[1].decode_ids,
@@ -459,11 +467,11 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
     // R0 retired; R1 admitted alone (32 fills the budget).
     EXPECT_EQ(result.replicas[0].steps[2].prefill_ids,
               (std::vector<int64_t>{1}));
-    EXPECT_EQ(result.replicas[0].steps[2].kv_reserved, 32);
+    EXPECT_EQ(kvTokens(result.replicas[0].steps[2]), 32);
 
     // R2 only enters once R1 has fully finished.
     for (const auto &s : result.replicas[0].steps) {
-        EXPECT_LE(s.kv_reserved, 32);
+        EXPECT_LE(kvTokens(s), 32);
         bool has1 = false, has2 = false;
         for (int64_t id : s.prefill_ids) {
             has1 |= id == 1;
@@ -648,7 +656,7 @@ TEST(SchedulerReplay, SeededTraceReplaysBitIdentically)
         EXPECT_EQ(sa[i].decode_ids, sb[i].decode_ids);
         EXPECT_DOUBLE_EQ(sa[i].start_ms, sb[i].start_ms);
         EXPECT_DOUBLE_EQ(sa[i].step_ms, sb[i].step_ms);
-        EXPECT_EQ(sa[i].kv_reserved, sb[i].kv_reserved);
+        EXPECT_EQ(kvTokens(sa[i]), kvTokens(sb[i]));
     }
     EXPECT_DOUBLE_EQ(a.metrics.makespan_ms, b.metrics.makespan_ms);
     EXPECT_DOUBLE_EQ(a.metrics.latencyPercentileMs(99.0),
@@ -847,7 +855,7 @@ TEST(SchedulerReplay, PagedPreemptionScript)
     EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
     EXPECT_EQ(result.replicas[0].steps[0].pages_active, 4);
-    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 64);
+    EXPECT_EQ(kvTokens(result.replicas[0].steps[0]), 64);
     double s0 = analyticStepMs({{32, 32, 2}});
     EXPECT_DOUBLE_EQ(result.replicas[0].steps[0].step_ms, s0);
     double s1 = analyticStepMs({{1, 32, 2}});
@@ -1120,7 +1128,7 @@ TEST(SchedulerReplay, PagedPrefixSharingScript)
     EXPECT_EQ(result.replicas[0].steps[0].prefill_ids,
               (std::vector<int64_t>{0, 1}));
     EXPECT_EQ(result.replicas[0].steps[0].pages_active, 4);
-    EXPECT_EQ(result.replicas[0].steps[0].kv_reserved, 64);
+    EXPECT_EQ(kvTokens(result.replicas[0].steps[0]), 64);
 
     // After both retire the prefix pages are retained, not freed:
     // R2's prefill revives them and allocates only its private
@@ -1211,7 +1219,9 @@ TEST(Metrics, TbtMeanSkipsSingleTokenRequests)
     single.output_len = 1;
     single.first_token_ms = 5.0;
     single.finish_ms = 5.0; // no decode window, by construction
-    m.requests = {multi, single};
+    serving::MetricsOptions keep;
+    m.recordCompletion(multi, keep);
+    m.recordCompletion(single, keep);
     // 20 ms over 2 gaps; the single-token request contributes
     // neither window nor gaps.
     EXPECT_DOUBLE_EQ(m.tbtMeanMs(), 10.0);
@@ -1227,8 +1237,8 @@ TEST(Metrics, TbtMeanRefusesSingleTokenDecodeWindow)
     bad.output_len = 1;
     bad.first_token_ms = 5.0;
     bad.finish_ms = 9.0;
-    m.requests = {bad};
-    EXPECT_THROW(m.tbtMeanMs(), PanicError);
+    EXPECT_THROW(m.recordCompletion(bad, serving::MetricsOptions{}),
+                 PanicError);
 }
 
 TEST(Scheduler, StepLimitSplitsAccountingViews)
@@ -1404,7 +1414,6 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
                        keep);
     m.recordCompletion(completedRecord(1, 0.0, 20.0, 20.0, 1),
                        keep);
-    // Prime both sorted caches.
     EXPECT_DOUBLE_EQ(m.latencyPercentileMs(100.0), 20.0);
     EXPECT_DOUBLE_EQ(m.ttftP95Ms(), 20.0);
 
@@ -1419,10 +1428,9 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
 
 TEST(FleetMetricsTest, PercentileCacheKeysOnMergeRevision)
 {
-    // Every merge() moves the record revision, half of the
-    // percentile-cache key. A same-size content change followed by
-    // a merge must re-answer from the updated window — a
-    // size-keyed cache would serve the stale sort.
+    // Percentiles answer from the records as they are at the
+    // query: a same-size content change followed by a merge must
+    // re-answer from the updated window.
     serving::MetricsOptions keep;
     keep.keep_records = serving::MetricsOptions::KeepRecords::Always;
     serving::ServingMetrics replica;
@@ -1616,6 +1624,41 @@ TEST(ServingMetricsTest, MergeEqualsOneAccumulatorFedTheUnion)
     EXPECT_EQ(merged.completed, 4);
     EXPECT_EQ(merged.latency_sketch.count(), 4);
     EXPECT_DOUBLE_EQ(merged.latencyPercentileMs(100.0), 12.0);
+}
+
+TEST(ServingMetricsTest, RetentionDoesNotMoveTheMeans)
+{
+    // The means read the running sums under either retention mode,
+    // so dropping the records cannot move them by a single bit —
+    // even on a merged fleet, where the record order differs from
+    // the summation order.
+    serving::AnalyticCostModel cost;
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        serving::TraceOptions trace;
+        trace.seed = seed;
+        trace.num_requests = 120;
+        trace.mean_interarrival_ms = 2.0;
+        auto run = [&](serving::MetricsOptions::KeepRecords keep) {
+            serving::FleetOptions options;
+            options.num_replicas = 4;
+            options.replica.max_batch = 4;
+            options.replica.kv_budget_tokens = 1024;
+            options.replica.metrics.keep_records = keep;
+            serving::FleetScheduler fleet(options, cost);
+            return fleet.run(serving::poissonTrace(trace)).metrics;
+        };
+        serving::FleetMetrics always =
+            run(serving::MetricsOptions::KeepRecords::Always);
+        serving::FleetMetrics never =
+            run(serving::MetricsOptions::KeepRecords::Never);
+        ASSERT_TRUE(always.records_complete);
+        ASSERT_FALSE(never.records_complete);
+        ASSERT_EQ(always.completed, trace.num_requests);
+        EXPECT_EQ(always.ttftMeanMs(), never.ttftMeanMs())
+            << "seed " << seed;
+        EXPECT_EQ(always.tbtMeanMs(), never.tbtMeanMs())
+            << "seed " << seed;
+    }
 }
 
 TEST(ServingMetricsTest, MergeRejectsMismatchedPoolGeometry)

@@ -2,8 +2,9 @@
  * @file
  * Randomized differential tests: the sparse simplex (solver/lp.h)
  * against the retained dense reference implementation
- * (solver/dense_reference.h), plus warm-start-vs-cold equivalence
- * for both solveLp and solveIlp.
+ * (solver/dense_reference.h), warm-start-vs-cold equivalence for
+ * solveLp, and solveIlp against exhaustive enumeration
+ * (solver/enumerate_ilp.h).
  *
  * Instances mix LE/GE/EQ relations, negative right-hand sides,
  * duplicated rows (degenerate ties), and duplicate variable
@@ -17,6 +18,7 @@
 #include <cmath>
 
 #include "solver/dense_reference.h"
+#include "solver/enumerate_ilp.h"
 #include "solver/ilp.h"
 #include "solver/lp.h"
 
@@ -182,7 +184,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WarmVsColdLp,
 namespace {
 
 /** Random bounded ILP: knapsack-like rows over binaries plus a few
- *  general integers with explicit upper bounds. */
+ *  general integers with explicit upper bounds — at most 7
+ *  variables of at most 8 values each, small enough to enumerate. */
 IlpProblem
 randomIlp(Rng &rng)
 {
@@ -222,35 +225,33 @@ randomIlp(Rng &rng)
 
 } // namespace
 
-class WarmVsColdIlp : public ::testing::TestWithParam<int>
+class IlpVsEnumeration : public ::testing::TestWithParam<int>
 {};
 
-TEST_P(WarmVsColdIlp, SameOptimum)
+TEST_P(IlpVsEnumeration, SameOptimum)
 {
     Rng rng(0x11b0 + GetParam());
     IlpProblem ilp = randomIlp(rng);
 
-    IlpOptions warm_opts;
-    IlpOptions cold_opts;
-    cold_opts.warm_start = false;
-    IlpSolution warm = solveIlp(ilp, warm_opts);
-    IlpSolution cold = solveIlp(ilp, cold_opts);
-    ASSERT_EQ(warm.status, cold.status);
-    if (!warm.optimal())
+    IlpSolution bnb = solveIlp(ilp);
+    IlpSolution exact = solveIlpByEnumeration(ilp);
+    ASSERT_EQ(bnb.status, exact.status)
+        << "branch-and-bound=" << lpStatusName(bnb.status)
+        << " enumeration=" << lpStatusName(exact.status);
+    if (!exact.optimal())
         return;
-    EXPECT_NEAR(warm.objective, cold.objective,
-                1e-6 * (1.0 + std::fabs(cold.objective)));
-    // Integrality of the warm-started answer.
+    EXPECT_NEAR(bnb.objective, exact.objective,
+                1e-6 * (1.0 + std::fabs(exact.objective)));
+    // Integrality of the branch-and-bound answer.
     const auto &ints = ilp.integerVars();
     for (int64_t j = 0; j < ilp.numVars(); ++j) {
         if (!ints[j])
             continue;
-        EXPECT_NEAR(warm.values[j], std::round(warm.values[j]),
-                    1e-6);
+        EXPECT_NEAR(bnb.values[j], std::round(bnb.values[j]), 1e-6);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, WarmVsColdIlp,
+INSTANTIATE_TEST_SUITE_P(Seeds, IlpVsEnumeration,
                          ::testing::Range(0, 60));
 
 TEST(SparseVsDenseFixed, DegenerateTieStack)
