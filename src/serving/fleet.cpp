@@ -434,28 +434,24 @@ struct FleetRun
     }
 
     /** Phase 1 for one replica: complete every step that ended by
-     *  now. A step that ended before now belongs to a run and had no
-     *  round at its end — nothing else happened there — so the next
-     *  step of the run launches at that end right away. A step
-     *  ending at now leaves the replica idle for phase 6, so a crash
-     *  at this instant still finds it idle. */
+     *  now. Steps that ended before now belong to a run and had no
+     *  round at their ends — nothing else happened there — so the
+     *  engine accounts for them and relaunches the run's next step
+     *  in one call (ReplicaEngine::advanceRepeats). A step ending at
+     *  now leaves the replica idle for phase 6, so a crash at this
+     *  instant still finds it idle. */
     void completeDue(size_t idx)
     {
         ReplicaEngine &eng = engines[idx];
-        while (eng.busy() && eng.stepEndMs() <= now) {
-            double end = eng.stepEndMs();
-            eng.completeStep();
-            if (end == now) {
-                run_left[idx] = 0;
-                break;
-            }
-            ST_ASSERT(run_left[idx] > 0,
-                      "a step outside a decode run ended unseen");
-            --run_left[idx];
-            bool launched_repeat = eng.launchStep(end);
-            ST_ASSERT(launched_repeat,
-                      "a decode run outlived its residents");
-        }
+        if (!eng.busy())
+            return;
+        run_left[idx] -= eng.advanceRepeats(run_left[idx], now);
+        if (eng.stepEndMs() > now)
+            return;
+        ST_ASSERT(eng.stepEndMs() == now,
+                  "a step outside a decode run ended unseen");
+        eng.completeStep();
+        run_left[idx] = 0;
     }
 
     /** Phase 6, second half: plan a run for every replica launched

@@ -58,23 +58,25 @@
  * many as a run and wakes for the replica only at the end of the
  * run's last step (ReplicaEngine::repeatEndMs, the same additions
  * the step-by-step loop makes). Phase 1 catches a replica up at any
- * round: it completes every step that ended by now, and a step that
- * ended before now — an instant with no round — launches the next
- * step of its run at its own end. A step ending exactly now leaves
- * the replica idle for phase 6, as without runs. Two fleet-wide caps
- * bound a run: completed, in-flight and planned steps stay below
- * max_steps (so the step limit never falls on a skipped instant),
- * and no run is planned while any replica's queue holds a request
- * with a deadline (its sweep runs at the next round at or after the
- * deadline, which a skipped instant would move). A run is cut after
- * its in-flight step — the replica's wake-up moves back to that
- * step's end — when anything changes the replica's next launch:
- * an offer or readmit to it, any fault naming it, a
- * deadline-carrying request queued anywhere, or the step cap
- * failing after other replicas' launches. FleetEventCore::PerStep
- * plans no runs, so it takes one step per round: the differential
- * suite compares runs against that per-step loop, and
- * FleetResult::rounds counts the rounds skipped.
+ * round in one engine call (ReplicaEngine::advanceRepeats): the
+ * run's steps that ended before now — instants with no round — are
+ * completed and relaunched as pure accounting, with no oracle call,
+ * page growth or admission, since the run guarantees each repeat
+ * launches the same groups at the same cost. A step ending exactly
+ * now completes and leaves the replica idle for phase 6, as without
+ * runs. Two fleet-wide caps bound a run: completed, in-flight and
+ * planned steps stay below max_steps (so the step limit never falls
+ * on a skipped instant), and no run is planned while any replica's
+ * queue holds a request with a deadline (its sweep runs at the
+ * next round at or after the deadline, which a skipped instant
+ * would move). A run is cut after its in-flight step — the
+ * replica's wake-up moves back to that step's end — when anything
+ * changes the replica's next launch: an offer or readmit to it, any
+ * fault naming it, a deadline-carrying request queued anywhere, or
+ * the step cap failing after other replicas' launches.
+ * FleetEventCore::PerStep plans no runs, so it takes one step per
+ * round: the differential suite compares runs against that per-step
+ * loop, and FleetResult::rounds counts the rounds skipped.
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests as QueuedRequest entries, each with its

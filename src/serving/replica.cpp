@@ -149,12 +149,53 @@ ReplicaEngine::repeatSteps() const
 }
 
 double
+ReplicaEngine::addStepMs(double from, int64_t repeats) const
+{
+    for (int64_t k = 0; k < repeats; ++k)
+        from += step_ms_;
+    return from;
+}
+
+double
 ReplicaEngine::repeatEndMs(int64_t repeats) const
 {
-    double end = stepEndMs();
-    for (int64_t k = 0; k < repeats; ++k)
-        end += step_ms_;
-    return end;
+    return addStepMs(stepEndMs(), repeats);
+}
+
+int64_t
+ReplicaEngine::advanceRepeats(int64_t max_repeats, double before)
+{
+    ST_ASSERT(busy_, "advanceRepeats() with no step in flight");
+    int64_t repeats = 0;
+    for (double end = stepEndMs(); repeats < max_repeats && end < before;
+         ++repeats)
+        end = addStepMs(end, 1);
+    if (repeats == 0)
+        return 0;
+    // Every resident stays prefilled, in its bucket and within the
+    // pages it holds, and none finishes: each repeat would launch
+    // the same groups at the same cost over an unchanged pool.
+    ST_ASSERT(repeats <= repeatSteps(),
+              "a decode run outran its repeating steps");
+
+    // The records launchStep() would build differ from the in-flight
+    // one only in their start.
+    if (options_.record_steps) {
+        for (int64_t k = 0; k < repeats; ++k) {
+            result_.steps.push_back(pending_record_);
+            pending_record_.start_ms =
+                addStepMs(pending_record_.start_ms, 1);
+        }
+    }
+    ServingMetrics &metrics = result_.metrics;
+    metrics.busy_ms = addStepMs(metrics.busy_ms, repeats);
+    metrics.steps += repeats;
+    metrics.total_batched_seqs += repeats * pending_batch_;
+    metrics.page_step_sum += repeats * pending_pages_active_;
+    for (auto &seq : active_)
+        seq.state.generated += repeats;
+    step_start_ms_ = addStepMs(step_start_ms_, repeats);
+    return repeats;
 }
 
 int64_t

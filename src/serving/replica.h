@@ -97,6 +97,25 @@ class ReplicaEngine
      *  time. busy() only. */
     double repeatEndMs(int64_t repeats) const;
 
+    /** Decode-run catch-up in one call: complete the in-flight step
+     *  and launch its repeat, as pure accounting, once for each
+     *  step of the run that ends strictly before @p before, at most
+     *  @p max_repeats times. Returns that count k; the in-flight
+     *  step is then the k-th repeat, so stepEndMs() equals the old
+     *  repeatEndMs(k). Metrics, step records and every resident's
+     *  progress come out bit-identical to k completeStep() /
+     *  launchStep(stepEndMs()) pairs: steps, batched sequences and
+     *  page-steps grow by k times the in-flight step's share, each
+     *  resident's generated by k, busy time and the step start by k
+     *  sequential additions of the step cost (the additions
+     *  repeatEndMs() makes), and the k records differ from the
+     *  in-flight one only in start_ms. No oracle call, page growth
+     *  or admission runs. k <= repeatSteps() is asserted, so a
+     *  caller passes the run it planned from repeatSteps() and cuts
+     *  it wherever the engine is touched (fleet.h, decode runs).
+     *  k = 0 changes nothing. busy() only. */
+    int64_t advanceRepeats(int64_t max_repeats, double before);
+
     /** Some queued request carries a deadline. */
     bool queuedDeadlines() const { return queue_.hasDeadlines(); }
 
@@ -227,6 +246,13 @@ class ReplicaEngine
 
     void reject(const Request &r, RejectReason reason,
                 double at_ms);
+
+    /** @p from plus the in-flight step's cost, added @p repeats
+     *  times one addition at a time: the sums launchStep() forms
+     *  stepping a decode run. repeatEndMs() and advanceRepeats()
+     *  both add through here, so a planned run end and the run
+     *  accounted for agree to the bit. */
+    double addStepMs(double from, int64_t repeats) const;
 
     SchedulerOptions options_;
 

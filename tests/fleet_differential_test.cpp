@@ -5,24 +5,31 @@
  *  decode runs), and serving a TraceGenerator must reproduce
  *  serving the materialized vector of the same generator.
  *  "Bit-for-bit" is checked on every observable: merged request
- *  records, per-replica step records, rejection and loss logs,
- *  every aggregate counter, the makespan, and the streaming latency
- *  sketch's quantiles. The round count is the exception: decode
+ *  records, per-replica step records (on the half of the seeds that
+ *  keep them), rejection and loss logs, every aggregate counter and
+ *  busy-time sum, the makespan, and the streaming latency sketch's
+ *  quantiles. The round count is the exception: decode
  *  runs skip instants, so the default must take no more rounds than
  *  PerStep, which wakes at every step end. "Legacy" in the test
  *  names is the PerStep oracle. Scripted cases below cut a run at
  *  each of its cut rules, and park a deep retry buffer through a
- *  whole-fleet outage, and hold the two equal there too. */
+ *  whole-fleet outage, and hold the two equal there too. The last
+ *  cases drive one ReplicaEngine through a run both ways — stepped
+ *  one launch at a time and advanced in one advanceRepeats() call —
+ *  and hold the engines equal. */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
 #include "serving/trace.h"
 #include "serving/weights.h"
+#include "support/error.h"
 
 using namespace streamtensor;
 using serving::Request;
@@ -68,7 +75,11 @@ makeScenario(uint64_t seed, bool with_faults)
         192 + 64 * static_cast<int64_t>(seed % 9);
     s.fleet.replica.max_queue_depth =
         seed % 4 == 0 ? 8 + static_cast<int64_t>(seed % 9) : 0;
-    s.fleet.replica.record_steps = true;
+    // Half the seeds, in blocks of five so the split crosses every
+    // other seed-derived choice, record no steps: production serving
+    // runs that way, and decode runs must match there too (the step
+    // records alone are then empty on both sides).
+    s.fleet.replica.record_steps = seed % 10 < 5;
     s.fleet.max_retries = 1 + static_cast<int64_t>(seed % 3);
     s.fleet.retry_backoff_ms = 1.0 + static_cast<double>(seed % 4);
     // A third of the seeds keep no records so the comparison also
@@ -165,6 +176,9 @@ expectSameResult(const serving::FleetResult &a,
     EXPECT_EQ(ma.preemptions, mb.preemptions);
     EXPECT_EQ(ma.total_output_tokens, mb.total_output_tokens);
     EXPECT_EQ(ma.steps, mb.steps);
+    EXPECT_EQ(ma.busy_ms, mb.busy_ms);
+    EXPECT_EQ(ma.total_batched_seqs, mb.total_batched_seqs);
+    EXPECT_EQ(ma.page_step_sum, mb.page_step_sum);
     EXPECT_EQ(ma.makespan_ms, mb.makespan_ms);
     EXPECT_EQ(ma.replica_up_ms, mb.replica_up_ms);
     EXPECT_EQ(ma.records_complete, mb.records_complete);
@@ -410,6 +424,175 @@ TEST(FleetDecodeRuns, DeepRetryBufferThroughAWholeFleetOutage)
     EXPECT_EQ(r.metrics.completed,
               static_cast<int64_t>(trace.size()) - expiring);
     EXPECT_EQ(r.metrics.requests_lost, 0);
+}
+
+// ---- One engine through a decode run: k completeStep()/launchStep()
+// ---- pairs against one advanceRepeats() call. ----
+
+/** Three residents decoding in bucket 48 within three 16-token
+ *  pages (contexts 34..36 at the first decode): the run's first
+ *  decode is in flight, and the next min(48 - 36, ...) = 12 steps
+ *  repeat it. Started off zero so the step ends are not multiples
+ *  of the step cost. */
+void
+startRun(serving::ReplicaEngine &engine)
+{
+    for (int64_t id = 0; id < 3; ++id)
+        engine.offer(makeRequest(id, 0.0, 33 + id, 40), 0.37);
+    ASSERT_TRUE(engine.launchStep(0.37)); // the prefill
+    double end = engine.stepEndMs();
+    engine.completeStep();
+    ASSERT_TRUE(engine.launchStep(end));
+    ASSERT_EQ(engine.repeatSteps(), 12);
+}
+
+/** Complete the in-flight step and launch the next at its end, as
+ *  the step-by-step loop does. */
+void
+stepRepeats(serving::ReplicaEngine &engine, int64_t repeats)
+{
+    for (int64_t k = 0; k < repeats; ++k) {
+        double end = engine.stepEndMs();
+        engine.completeStep();
+        ASSERT_TRUE(engine.launchStep(end));
+    }
+}
+
+serving::SchedulerOptions
+engineOptions()
+{
+    serving::SchedulerOptions o;
+    o.max_batch = 4;
+    o.kv_budget_tokens = 4096;
+    o.record_steps = true;
+    return o;
+}
+
+/** The step accounting, the in-flight step and every step record of
+ *  the two engines match bit for bit. */
+void
+expectSameEngine(const serving::ReplicaEngine &a,
+                 const serving::ReplicaEngine &b)
+{
+    const serving::ServingMetrics &ma = a.result().metrics;
+    const serving::ServingMetrics &mb = b.result().metrics;
+    EXPECT_EQ(ma.busy_ms, mb.busy_ms);
+    EXPECT_EQ(ma.steps, mb.steps);
+    EXPECT_EQ(ma.total_batched_seqs, mb.total_batched_seqs);
+    EXPECT_EQ(ma.page_step_sum, mb.page_step_sum);
+    EXPECT_EQ(ma.completed, mb.completed);
+    ASSERT_EQ(a.busy(), b.busy());
+    if (a.busy()) {
+        EXPECT_EQ(a.stepEndMs(), b.stepEndMs());
+        EXPECT_EQ(a.repeatSteps(), b.repeatSteps());
+    }
+    const auto &sa = a.result().steps;
+    const auto &sb = b.result().steps;
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t i = 0; i < sa.size(); ++i) {
+        EXPECT_EQ(sa[i].start_ms, sb[i].start_ms) << "step " << i;
+        EXPECT_EQ(sa[i].step_ms, sb[i].step_ms);
+        EXPECT_EQ(sa[i].weights_wait_ms, sb[i].weights_wait_ms);
+        EXPECT_EQ(sa[i].prefill_ids, sb[i].prefill_ids);
+        EXPECT_EQ(sa[i].decode_ids, sb[i].decode_ids);
+        EXPECT_EQ(sa[i].preempted_ids, sb[i].preempted_ids);
+        EXPECT_EQ(sa[i].pages_active, sb[i].pages_active);
+        EXPECT_EQ(sa[i].pages_cached, sb[i].pages_cached);
+        EXPECT_EQ(sa[i].pages_free, sb[i].pages_free);
+        EXPECT_EQ(sa[i].queue_depth, sb[i].queue_depth);
+    }
+}
+
+/** Every resident's progress matches: crash() hands each one's
+ *  ResumeState out, in admission order. Ends both engines' work. */
+void
+expectSameProgress(serving::ReplicaEngine &a, serving::ReplicaEngine &b)
+{
+    auto ra = a.crash();
+    auto rb = b.crash();
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].req.id, rb[i].req.id);
+        EXPECT_EQ(ra[i].state.generated, rb[i].state.generated);
+        EXPECT_EQ(ra[i].state.ever_prefilled,
+                  rb[i].state.ever_prefilled);
+        EXPECT_EQ(ra[i].state.first_token_ms,
+                  rb[i].state.first_token_ms);
+    }
+}
+
+TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeats)
+{
+    // For every k below the run's length, the instant falls inside
+    // the k-th repeat, one ulp before its end: the steps before it
+    // ended earlier, it has not. For the run's whole length the
+    // instant lies past its end and the cap stops the count.
+    serving::AnalyticCostModel cost;
+    for (int64_t k = 0; k <= 12; ++k) {
+        serving::ReplicaEngine stepped(engineOptions(), cost);
+        serving::ReplicaEngine advanced(engineOptions(), cost);
+        startRun(stepped);
+        startRun(advanced);
+        double predicted_end = advanced.repeatEndMs(k);
+        double before =
+            k < 12 ? std::nextafter(predicted_end, 0.0)
+                   : std::numeric_limits<double>::infinity();
+        stepRepeats(stepped, k);
+        EXPECT_EQ(advanced.advanceRepeats(12, before), k);
+        EXPECT_EQ(advanced.stepEndMs(), predicted_end);
+        expectSameEngine(stepped, advanced);
+        // The in-flight repeat completes as a stepped one would.
+        stepped.completeStep();
+        advanced.completeStep();
+        expectSameEngine(stepped, advanced);
+        expectSameProgress(stepped, advanced);
+    }
+}
+
+TEST(FleetDecodeRuns, EngineAdvanceLeavesAStepEndingAtTheInstant)
+{
+    // The instant is the 5th repeat's end: that repeat does not end
+    // strictly before it, so it stays in flight for the caller to
+    // complete, as phase 1 does at a round on a step end.
+    serving::AnalyticCostModel cost;
+    serving::ReplicaEngine stepped(engineOptions(), cost);
+    serving::ReplicaEngine advanced(engineOptions(), cost);
+    startRun(stepped);
+    startRun(advanced);
+    double now = advanced.repeatEndMs(5);
+    EXPECT_EQ(advanced.advanceRepeats(12, now), 5);
+    EXPECT_EQ(advanced.stepEndMs(), now);
+    stepRepeats(stepped, 5);
+    expectSameEngine(stepped, advanced);
+    stepped.completeStep();
+    advanced.completeStep();
+    expectSameEngine(stepped, advanced);
+    expectSameProgress(stepped, advanced);
+}
+
+TEST(FleetDecodeRuns, EngineAdvanceOfZeroChangesNothing)
+{
+    serving::AnalyticCostModel cost;
+    serving::ReplicaEngine untouched(engineOptions(), cost);
+    serving::ReplicaEngine advanced(engineOptions(), cost);
+    startRun(untouched);
+    startRun(advanced);
+    EXPECT_EQ(advanced.advanceRepeats(0, 1e9), 0);
+    EXPECT_EQ(advanced.advanceRepeats(12, advanced.stepEndMs()), 0);
+    expectSameEngine(untouched, advanced);
+    expectSameProgress(untouched, advanced);
+}
+
+TEST(FleetDecodeRuns, EngineAdvancePastTheRunPanics)
+{
+    // The 13th step would cross a page and bucket boundary: it is no
+    // repeat, and a plan that claims it is a bug.
+    serving::AnalyticCostModel cost;
+    serving::ReplicaEngine engine(engineOptions(), cost);
+    startRun(engine);
+    EXPECT_THROW(
+        engine.advanceRepeats(13, std::numeric_limits<double>::infinity()),
+        PanicError);
 }
 
 } // namespace

@@ -1404,7 +1404,7 @@ completedRecord(int64_t id, double arrival_ms,
 
 } // namespace
 
-TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
+TEST(ServingMetricsTest, PercentileSeesLaterCompletions)
 {
     serving::ServingMetrics m;
     serving::MetricsOptions keep; // Always
@@ -1426,7 +1426,7 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
     EXPECT_DOUBLE_EQ(m.latencyPercentileMs(50.0), 20.0);
 }
 
-TEST(FleetMetricsTest, PercentileCacheKeysOnMergeRevision)
+TEST(FleetMetricsTest, PercentileSeesMergedRecords)
 {
     // Percentiles answer from the records as they are at the
     // query: a same-size content change followed by a merge must

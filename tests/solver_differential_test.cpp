@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "solver/dense_reference.h"
@@ -185,40 +186,55 @@ namespace {
 
 /** Random bounded ILP: knapsack-like rows over binaries plus a few
  *  general integers with explicit upper bounds — at most 7
- *  variables of at most 8 values each, small enough to enumerate. */
+ *  variables of at most 8 values each, small enough to enumerate.
+ *  A witness point drawn in the box satisfies every row: a GE
+ *  right-hand side is clamped down to the row's activity there and
+ *  an LE one up to it, so every draw is feasible and compares an
+ *  optimum. */
 IlpProblem
 randomIlp(Rng &rng)
 {
     int64_t n = 2 + rng.pick(6);
     IlpProblem ilp(n);
+    std::vector<int64_t> witness(n);
     for (int64_t j = 0; j < n; ++j) {
         ilp.lp().setObjective(
             j, static_cast<double>(rng.pick(9)) - 4.0);
+        int64_t upper = 1;
         if (rng.pick(3)) {
             ilp.setBinary(j);
         } else {
             ilp.setInteger(j);
-            ilp.setUpperBound(
-                j, static_cast<double>(2 + rng.pick(6)));
+            upper = 2 + rng.pick(6);
+            ilp.setUpperBound(j, static_cast<double>(upper));
         }
+        witness[j] = rng.pick(upper + 1);
     }
     int64_t m = 1 + rng.pick(4);
     for (int64_t i = 0; i < m; ++i) {
         std::vector<int64_t> vars;
         std::vector<double> coeffs;
+        int64_t activity = 0; // at the witness
         for (int64_t j = 0; j < n; ++j) {
             if (rng.pick(2))
                 continue;
+            int64_t coeff = 1 + rng.pick(3);
             vars.push_back(j);
-            coeffs.push_back(static_cast<double>(1 + rng.pick(3)));
+            coeffs.push_back(static_cast<double>(coeff));
+            activity += coeff * witness[j];
         }
         if (vars.empty()) {
-            vars.push_back(rng.pick(n));
+            int64_t j = rng.pick(n);
+            vars.push_back(j);
             coeffs.push_back(1.0);
+            activity = witness[j];
         }
-        ilp.lp().addSparseConstraint(
-            vars, coeffs, rng.pick(2) ? Relation::LE : Relation::GE,
-            static_cast<double>(rng.pick(10)));
+        Relation rel = rng.pick(2) ? Relation::LE : Relation::GE;
+        int64_t rhs = rng.pick(10);
+        rhs = rel == Relation::GE ? std::min(rhs, activity)
+                                  : std::max(rhs, activity);
+        ilp.lp().addSparseConstraint(vars, coeffs, rel,
+                                     static_cast<double>(rhs));
     }
     return ilp;
 }
@@ -238,8 +254,8 @@ TEST_P(IlpVsEnumeration, SameOptimum)
     ASSERT_EQ(bnb.status, exact.status)
         << "branch-and-bound=" << lpStatusName(bnb.status)
         << " enumeration=" << lpStatusName(exact.status);
-    if (!exact.optimal())
-        return;
+    // Every seed compares an objective.
+    ASSERT_TRUE(exact.optimal()) << lpStatusName(exact.status);
     EXPECT_NEAR(bnb.objective, exact.objective,
                 1e-6 * (1.0 + std::fabs(exact.objective)));
     // Integrality of the branch-and-bound answer.
