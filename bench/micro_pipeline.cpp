@@ -82,12 +82,14 @@ BM_SimulateDecodeBlock(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateDecodeBlock)->Unit(benchmark::kMillisecond);
 
+/** Simulation of @p config's prefill block at state.range(0)
+ *  tokens. */
 void
-BM_SimulatePrefillBlock(benchmark::State &state)
+simulatePrefillBlock(benchmark::State &state,
+                     const models::LlmConfig &config)
 {
     auto graph = models::buildTransformerBlock(
-        models::gpt2Config(),
-        models::prefillShapes(state.range(0)));
+        config, models::prefillShapes(state.range(0)));
     auto result =
         compiler::compile(std::move(graph), hls::u55c(), {});
     std::vector<sim::SimResult> sims;
@@ -97,10 +99,28 @@ BM_SimulatePrefillBlock(benchmark::State &state)
     }
     addSimCounters(state, sims);
 }
+
+void
+BM_SimulatePrefillBlock(benchmark::State &state)
+{
+    simulatePrefillBlock(state, models::gpt2Config());
+}
 BENCHMARK(BM_SimulatePrefillBlock)
     ->Arg(32)
     ->Arg(128)
     ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
+/** The largest serving prefill bucket below the context limit on
+ *  Llama: the single most expensive shape a long-context set-up
+ *  simulates. */
+void
+BM_SimulateLlamaPrefillBlock(benchmark::State &state)
+{
+    simulatePrefillBlock(state, models::llamaConfig());
+}
+BENCHMARK(BM_SimulateLlamaPrefillBlock)
+    ->Arg(992)
     ->Unit(benchmark::kMillisecond);
 
 /** Die partitioning cost on the compiled decode block: one

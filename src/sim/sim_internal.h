@@ -28,6 +28,43 @@ namespace streamtensor {
 namespace sim {
 namespace detail {
 
+/** One channel endpoint's token stair: cumulativeTokens(k,
+ *  firings, tokens) and its two inverses for the endpoint's
+ *  @p firings, specialised once per endpoint on the ratio of
+ *  tokens to firings. Every endpoint of the serving graphs moves a
+ *  whole number of tokens per firing or fires a whole number of
+ *  times per token, and there the stair and its inverses
+ *  need no ceilDiv fix-up loop: a 1:1 endpoint divides nothing,
+ *  and each multiple form divides once by its ratio in one of
+ *  the three queries. Every form returns exactly the integers of
+ *  the general functions below, which the general form calls. */
+struct Stair
+{
+    enum class Form
+    {
+        Unit,            ///< tokens == firings
+        TokensPerFiring, ///< tokens == ratio * firings
+        FiringsPerToken, ///< firings == ratio * tokens
+        General,
+    };
+
+    int64_t firings = 1;
+    int64_t tokens = 0;
+    Form form = Form::General;
+    int64_t ratio = 1;
+
+    static Stair of(int64_t firings, int64_t tokens);
+
+    /** cumulativeTokens(k, firings, tokens). */
+    int64_t cumulative(int64_t k) const;
+
+    /** lastFiringWithin(budget, firings, tokens). */
+    int64_t lastWithin(int64_t budget) const;
+
+    /** firstFiringReaching(need, firings, tokens). */
+    int64_t firstReaching(int64_t need) const;
+};
+
 /** Hoisted per-channel constants: everything the inner loops need,
  *  resolved once per group instead of through g.channel() per
  *  examination. */
@@ -48,6 +85,11 @@ struct ChannelSpec
     /** True when the channel crosses a die boundary (stall
      *  attribution and crossing counts). */
     bool inter_die = false;
+
+    /** The producer's push stair and the consumer's pop stair
+     *  (each over its own endpoint's firings). */
+    Stair src_stair;
+    Stair dst_stair;
 };
 
 /** Hoisted per-component constants. */
@@ -119,6 +161,75 @@ firstFiringReaching(int64_t need, int64_t firings, int64_t tokens)
     if (need > tokens)
         return firings;
     return lastFiringWithin(need - 1, firings, tokens) + 1;
+}
+
+inline Stair
+Stair::of(int64_t firings, int64_t tokens)
+{
+    Stair st;
+    st.firings = firings;
+    st.tokens = tokens;
+    if (tokens <= 0)
+        return st;
+    if (tokens == firings) {
+        st.form = Form::Unit;
+    } else if (tokens % firings == 0) {
+        st.form = Form::TokensPerFiring;
+        st.ratio = tokens / firings;
+    } else if (firings % tokens == 0) {
+        st.form = Form::FiringsPerToken;
+        st.ratio = firings / tokens;
+    }
+    return st;
+}
+
+inline int64_t
+Stair::cumulative(int64_t k) const
+{
+    if (k < 0)
+        return 0;
+    switch (form) {
+    case Form::Unit:
+        return k + 1;
+    case Form::TokensPerFiring:
+        return (k + 1) * ratio;
+    case Form::FiringsPerToken:
+        return ceilDiv(k + 1, ratio);
+    case Form::General:
+        break;
+    }
+    return cumulativeTokens(k, firings, tokens);
+}
+
+inline int64_t
+Stair::lastWithin(int64_t budget) const
+{
+    if (budget <= 0)
+        return -1;
+    if (budget >= tokens)
+        return firings - 1;
+    // cumulative(j) <= budget solved for the largest j.
+    switch (form) {
+    case Form::Unit:
+        return budget - 1;
+    case Form::TokensPerFiring:
+        return budget / ratio - 1;
+    case Form::FiringsPerToken:
+        return budget * ratio - 1;
+    case Form::General:
+        break;
+    }
+    return lastFiringWithin(budget, firings, tokens);
+}
+
+inline int64_t
+Stair::firstReaching(int64_t need) const
+{
+    if (need <= 0)
+        return -1;
+    if (need > tokens)
+        return firings;
+    return lastWithin(need - 1) + 1;
 }
 
 /** Canonical firing-time formula. BOTH simulators compute every
@@ -204,6 +315,12 @@ buildGroupSpec(const dataflow::ComponentGraph &g, int64_t group)
     }
     for (ComponentSpec &s : spec.comps)
         s.ii += s.ii_penalty;
+    for (ChannelSpec &cs : spec.chans) {
+        cs.src_stair =
+            Stair::of(spec.comps[cs.src].firings, cs.tokens);
+        cs.dst_stair =
+            Stair::of(spec.comps[cs.dst].firings, cs.tokens);
+    }
     return spec;
 }
 

@@ -15,6 +15,11 @@
  * the input-occupancy and output-headroom conditions become integer
  * stair inequalities whose crossing points are computed directly,
  * so a segment of thousands of firings costs O(channels) work.
+ * A batch that ends because firing k is infeasible at its pace
+ * time tp blocks the component at tp right away (commit-time
+ * blocking): an event at tp could only repeat that answer.
+ * Counterparts may still commit firings before tp, so every wake
+ * is floored at the woken component's pace time.
  *
  * Exactness rests on the commitment discipline: a batch may rely
  * only on channel pushes/pops *already committed* (by earlier
@@ -60,11 +65,8 @@ namespace {
 
 using detail::ChannelSpec;
 using detail::ComponentSpec;
-using detail::cumulativeTokens;
-using detail::firstFiringReaching;
 using detail::fireTimeAt;
 using detail::GroupSpec;
-using detail::lastFiringWithin;
 
 /** Mutable per-component state. */
 struct CompRt
@@ -75,9 +77,13 @@ struct CompRt
      *  anchor_fired all ran at times <= anchor. */
     double anchor = 0.0;
     int64_t anchor_fired = 0;
+    /** Fire time of the last committed firing (0 before any):
+     *  the latest committed time, so a delivery query at or past
+     *  it plus the link latency counts every committed firing. */
     double finish_time = 0.0;
+    /** Pace time of the firing a blocking episode waits on (-1
+     *  when not blocked). */
     double blocked_since = -1.0;
-    bool blocked_on_crossing = false;
     bool in_queue = false;
 
     /** Retired pace windows, oldest first: (anchor, anchor_fired)
@@ -163,6 +169,10 @@ class LeapSim
     committedCountAt(int64_t i, double tau, double lat) const
     {
         const CompRt &s = comps_[i];
+        // Everything committed is delivered: the same comparison
+        // windowCountAt makes on the same double, done once.
+        if (s.finish_time + lat <= tau)
+            return s.fired;
         if (tau < s.anchor + lat)
             return historicCountAt(i, tau, lat);
         int64_t w = s.fired - s.anchor_fired;
@@ -230,8 +240,7 @@ class LeapSim
     {
         const ChannelSpec &ch = spec_.chans[c];
         int64_t n = committedCountAt(ch.src, tau, ch.latency);
-        return cumulativeTokens(n - 1, spec_.comps[ch.src].firings,
-                                ch.tokens);
+        return ch.src_stair.cumulative(n - 1);
     }
 
     /** Channel tokens popped by committed firings *whose credit
@@ -242,8 +251,7 @@ class LeapSim
     {
         const ChannelSpec &ch = spec_.chans[c];
         int64_t n = committedCountAt(ch.dst, tau, ch.latency);
-        return cumulativeTokens(n - 1, spec_.comps[ch.dst].firings,
-                                ch.tokens);
+        return ch.dst_stair.cumulative(n - 1);
     }
 
     /** Exact feasibility of firing @p j of component @p i at time
@@ -254,14 +262,13 @@ class LeapSim
         const ComponentSpec &cs = spec_.comps[i];
         for (int64_t c : cs.in_channels) {
             if (pushedAt(c, tau) <
-                cumulativeTokens(j, cs.firings,
-                                 spec_.chans[c].tokens))
+                spec_.chans[c].dst_stair.cumulative(j))
                 return false;
         }
         for (int64_t c : cs.out_channels) {
-            if (cumulativeTokens(j, cs.firings,
-                                 spec_.chans[c].tokens) >
-                spec_.chans[c].capacity + poppedAt(c, tau))
+            const ChannelSpec &ch = spec_.chans[c];
+            if (ch.src_stair.cumulative(j) >
+                ch.capacity + poppedAt(c, tau))
                 return false;
         }
         return true;
@@ -291,6 +298,16 @@ class LeapSim
         return lo;
     }
 
+    /** Pace time of component @p i's next firing: the earliest
+     *  it may fire, so no wake schedules it before this. */
+    double
+    paceTime(int64_t i) const
+    {
+        const CompRt &s = comps_[i];
+        return fireTimeAt(s.anchor, s.anchor_fired, s.fired,
+                          spec_.comps[i].ii);
+    }
+
     void
     schedule(int64_t i, double when)
     {
@@ -300,12 +317,16 @@ class LeapSim
         comps_[i].in_queue = true;
     }
 
-    /** Component @p i cannot fire at @p t: compute its exact
-     *  wake-up from committed counterpart schedules, or register it
-     *  as a channel waiter when its need outruns every
-     *  commitment. Crossing channels satisfy the need only when
-     *  the firing's data (or credit) lands, latency cycles after
-     *  the counterpart's fire time. */
+    /** Component @p i's next firing cannot happen at its pace
+     *  time @p t: compute its exact wake-up from committed
+     *  counterpart schedules, or register it as a channel waiter
+     *  when its need outruns every commitment. Called from the
+     *  event at @p t, or already when the batch before it commits
+     *  (earlier than @p t): commitments are unconditional, so
+     *  both see a lower bound on the firing's time, and the wakes
+     *  never schedule below the pace time. Crossing channels
+     *  satisfy the need only when the firing's data (or credit)
+     *  lands, latency cycles after the counterpart's fire time. */
     void
     block(int64_t i, double t)
     {
@@ -318,14 +339,11 @@ class LeapSim
         bool covered = true;
         for (int64_t c : cs.in_channels) {
             const ChannelSpec &ch = spec_.chans[c];
-            int64_t need =
-                cumulativeTokens(f0, cs.firings, ch.tokens);
+            int64_t need = ch.dst_stair.cumulative(f0);
             if (pushedAt(c, t) >= need)
                 continue; // not a blocking channel
-            s.blocked_on_crossing |= ch.inter_die;
             const CompRt &p = comps_[ch.src];
-            int64_t pf = spec_.comps[ch.src].firings;
-            int64_t n = firstFiringReaching(need, pf, ch.tokens);
+            int64_t n = ch.src_stair.firstReaching(need);
             if (n < p.fired) {
                 double avail =
                     fireTimeOf(ch.src, n) + ch.latency;
@@ -338,15 +356,11 @@ class LeapSim
         for (int64_t c : cs.out_channels) {
             const ChannelSpec &ch = spec_.chans[c];
             int64_t need_pops =
-                cumulativeTokens(f0, cs.firings, ch.tokens) -
-                ch.capacity;
+                ch.src_stair.cumulative(f0) - ch.capacity;
             if (need_pops <= 0 || poppedAt(c, t) >= need_pops)
                 continue;
-            s.blocked_on_crossing |= ch.inter_die;
             const CompRt &x = comps_[ch.dst];
-            int64_t xf = spec_.comps[ch.dst].firings;
-            int64_t n =
-                firstFiringReaching(need_pops, xf, ch.tokens);
+            int64_t n = ch.dst_stair.firstReaching(need_pops);
             if (n < x.fired) {
                 double avail =
                     fireTimeOf(ch.dst, n) + ch.latency;
@@ -365,23 +379,20 @@ class LeapSim
 
     /** After the producer of @p c committed more firings: wake the
      *  waiting consumer at the exact time its need is met (arrival
-     *  = fire time + link latency), or keep it registered when
-     *  still uncovered. */
+     *  = fire time + link latency, never before the consumer's
+     *  pace time), or keep it registered when still uncovered. */
     void
     wakeConsumer(int64_t c, double now)
     {
         const ChannelSpec &ch = spec_.chans[c];
         int64_t x = ch.dst;
-        int64_t need = cumulativeTokens(
-            comps_[x].fired, spec_.comps[x].firings, ch.tokens);
-        const CompRt &p = comps_[ch.src];
-        int64_t n = firstFiringReaching(
-            need, spec_.comps[ch.src].firings, ch.tokens);
-        if (n >= p.fired)
+        int64_t need = ch.dst_stair.cumulative(comps_[x].fired);
+        int64_t n = ch.src_stair.firstReaching(need);
+        if (n >= comps_[ch.src].fired)
             return; // still uncovered: stay registered
         chans_[c].cons_waiting = false;
         double avail = fireTimeOf(ch.src, n) + ch.latency;
-        schedule(x, std::max(avail, now));
+        schedule(x, std::max({avail, now, paceTime(x)}));
     }
 
     /** After the consumer of @p c committed more firings: wake the
@@ -393,22 +404,57 @@ class LeapSim
         const ChannelSpec &ch = spec_.chans[c];
         int64_t p = ch.src;
         int64_t need_pops =
-            cumulativeTokens(comps_[p].fired,
-                             spec_.comps[p].firings, ch.tokens) -
-            ch.capacity;
+            ch.src_stair.cumulative(comps_[p].fired) - ch.capacity;
         if (need_pops <= 0)
             need_pops = 1;
-        const CompRt &x = comps_[ch.dst];
-        int64_t n = firstFiringReaching(
-            need_pops, spec_.comps[ch.dst].firings, ch.tokens);
-        if (n >= x.fired)
+        int64_t n = ch.dst_stair.firstReaching(need_pops);
+        if (n >= comps_[ch.dst].fired)
             return; // still uncovered: stay registered
         chans_[c].prod_waiting = false;
         double avail = fireTimeOf(ch.dst, n) + ch.latency;
-        schedule(p, std::max(avail, now));
+        schedule(p, std::max({avail, now, paceTime(p)}));
+    }
+
+    /** True when a crossing channel held up firing fired of @p i
+     *  past @p tp, the pace time its blocking episode started at:
+     *  the delivery (or credit) that met the firing's need on
+     *  that channel landed after @p tp. Called once the firing
+     *  is feasible, so every covering firing is committed, and
+     *  the answer depends on the schedule alone. */
+    bool
+    crossingHeld(int64_t i, double tp) const
+    {
+        const ComponentSpec &cs = spec_.comps[i];
+        int64_t f0 = comps_[i].fired;
+        for (int64_t c : cs.in_channels) {
+            const ChannelSpec &ch = spec_.chans[c];
+            if (!ch.inter_die)
+                continue;
+            int64_t n =
+                ch.src_stair.firstReaching(ch.dst_stair.cumulative(f0));
+            if (n >= 0 && fireTimeOf(ch.src, n) + ch.latency > tp)
+                return true;
+        }
+        for (int64_t c : cs.out_channels) {
+            const ChannelSpec &ch = spec_.chans[c];
+            if (!ch.inter_die)
+                continue;
+            int64_t n = ch.dst_stair.firstReaching(
+                ch.src_stair.cumulative(f0) - ch.capacity);
+            if (n >= 0 && fireTimeOf(ch.dst, n) + ch.latency > tp)
+                return true;
+        }
+        return false;
     }
 
     void process(double t, int64_t i);
+
+    /** Commit the longest run of firings of @p i feasible at its
+     *  pace from @p t (firing fired is feasible at t), wake the
+     *  waiters it satisfies, and schedule the next firing at its
+     *  pace time. Returns true instead of scheduling when that
+     *  firing is already known infeasible there. */
+    bool fireBatch(double t, int64_t i);
 
     const GroupSpec &spec_;
     const SimOptions &options_;
@@ -431,31 +477,39 @@ void
 LeapSim::process(double t, int64_t i)
 {
     CompRt &s = comps_[i];
-    const ComponentSpec &cs = spec_.comps[i];
 
     // A firing at its predicted pace extends the current window; an
     // off-pace event (a wake after a stall) re-anchors it, retiring
     // the old window into the history (crossing-channel visibility
     // queries reach latency cycles into the past). Either way
     // firing fired happens at exactly t if it happens now.
-    if (t != fireTimeAt(s.anchor, s.anchor_fired, s.fired, cs.ii)) {
+    if (t != paceTime(i)) {
         if (s.fired > s.anchor_fired)
             s.windows.emplace_back(s.anchor, s.anchor_fired);
         s.anchor = t;
         s.anchor_fired = s.fired;
     }
 
-    int64_t f0 = s.fired;
-    if (!feasibleAt(i, f0, t)) {
-        block(i, t);
+    // Blocked now, or after a batch that ended on a firing already
+    // known infeasible at its pace time: block at that pace time at
+    // once instead of probing it with an event that can only fail.
+    if (feasibleAt(i, s.fired, t) && !fireBatch(t, i))
         return;
-    }
+    block(i, paceTime(i));
+}
+
+bool
+LeapSim::fireBatch(double t, int64_t i)
+{
+    CompRt &s = comps_[i];
+    const ComponentSpec &cs = spec_.comps[i];
+    int64_t f0 = s.fired;
     if (s.blocked_since >= 0.0) {
-        result_.components[i].stall_cycles += t - s.blocked_since;
-        if (s.blocked_on_crossing)
-            result_.crossing_stall_cycles += t - s.blocked_since;
+        double stall = t - s.blocked_since;
+        result_.components[i].stall_cycles += stall;
+        if (stall > 0.0 && crossingHeld(i, s.blocked_since))
+            result_.crossing_stall_cycles += stall;
         s.blocked_since = -1.0;
-        s.blocked_on_crossing = false;
     }
 
     // ---- Find the batch [f0, j_end]: the longest on-pace run
@@ -470,22 +524,21 @@ LeapSim::process(double t, int64_t i)
     frozen_pops_.assign(n_out, 0);
     occ_bound_.assign(n_out, 0);
     int64_t j = f0;
+    bool next_blocked = false; // firing j_end + 1 infeasible on pace
     for (;;) {
         double tau = fireTimeAt(s.anchor, s.anchor_fired, j, cs.ii);
         int64_t lim = jcap;
         for (int64_t c : cs.in_channels) {
-            lim = std::min(
-                lim, lastFiringWithin(pushedAt(c, tau), cs.firings,
-                                      spec_.chans[c].tokens));
+            lim = std::min(lim, spec_.chans[c].dst_stair.lastWithin(
+                                    pushedAt(c, tau)));
         }
         for (size_t oi = 0; oi < n_out; ++oi) {
             int64_t c = cs.out_channels[oi];
+            const ChannelSpec &ch = spec_.chans[c];
             int64_t pops = poppedAt(c, tau);
             frozen_pops_[oi] = pops;
-            lim = std::min(
-                lim, lastFiringWithin(spec_.chans[c].capacity + pops,
-                                      cs.firings,
-                                      spec_.chans[c].tokens));
+            lim = std::min(lim,
+                           ch.src_stair.lastWithin(ch.capacity + pops));
         }
         ST_ASSERT(lim >= j, "sim: frozen limit below feasible j");
         // Peak-occupancy bound for the segment: pushes grow through
@@ -493,8 +546,7 @@ LeapSim::process(double t, int64_t i)
         // end; feasibility keeps it within capacity.
         for (size_t oi = 0; oi < n_out; ++oi) {
             int64_t c = cs.out_channels[oi];
-            int64_t occ = cumulativeTokens(lim, cs.firings,
-                                           spec_.chans[c].tokens) -
+            int64_t occ = spec_.chans[c].src_stair.cumulative(lim) -
                           frozen_pops_[oi];
             occ_bound_[oi] = std::max(occ_bound_[oi], occ);
         }
@@ -508,15 +560,16 @@ LeapSim::process(double t, int64_t i)
         }
         double tau_next =
             fireTimeAt(s.anchor, s.anchor_fired, j + 1, cs.ii);
-        if (!feasibleAt(i, j + 1, tau_next))
+        if (!feasibleAt(i, j + 1, tau_next)) {
+            next_blocked = true;
             break;
+        }
         j = j + 1;
         if (j >= jcap) {
             for (size_t oi = 0; oi < n_out; ++oi) {
                 int64_t c = cs.out_channels[oi];
                 int64_t occ =
-                    cumulativeTokens(j, cs.firings,
-                                     spec_.chans[c].tokens) -
+                    spec_.chans[c].src_stair.cumulative(j) -
                     poppedAt(c, tau_next);
                 occ_bound_[oi] = std::max(occ_bound_[oi], occ);
             }
@@ -538,8 +591,7 @@ LeapSim::process(double t, int64_t i)
     for (size_t ci = 0; ci < cs.in_channels.size(); ++ci) {
         int64_t c = cs.in_channels[ci];
         ChanRt &cr = chans_[c];
-        int64_t target = cumulativeTokens(j_end, cs.firings,
-                                          spec_.chans[c].tokens);
+        int64_t target = spec_.chans[c].dst_stair.cumulative(j_end);
         cr.stats.pops += target - cr.popped;
         cr.popped = target;
         if (cr.prod_waiting)
@@ -548,8 +600,7 @@ LeapSim::process(double t, int64_t i)
     for (size_t oi = 0; oi < n_out; ++oi) {
         int64_t c = cs.out_channels[oi];
         ChanRt &cr = chans_[c];
-        int64_t target = cumulativeTokens(j_end, cs.firings,
-                                          spec_.chans[c].tokens);
+        int64_t target = spec_.chans[c].src_stair.cumulative(j_end);
         cr.stats.pushes += target - cr.pushed;
         cr.pushed = target;
         cr.stats.max_occupancy =
@@ -566,10 +617,11 @@ LeapSim::process(double t, int64_t i)
 
     if (done(i)) {
         --live_;
-        return;
+        return false;
     }
-    schedule(i, fireTimeAt(s.anchor, s.anchor_fired, s.fired,
-                           cs.ii));
+    if (!next_blocked)
+        schedule(i, paceTime(i));
+    return next_blocked;
 }
 
 SimResult

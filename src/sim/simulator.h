@@ -24,7 +24,10 @@
  * computable in closed form from cumulativeTokens inverses, channel
  * capacities, and the committed firing schedules of its channel
  * counterparts -- it commits all k in one heap event and reschedules
- * itself at t + k*II. Steady-state streaming (the paper's dominant
+ * itself at t + k*II. When the batch ends on a firing already
+ * known infeasible at its pace time, the component blocks there at
+ * once (exact wake, or channel waiter) instead of scheduling an
+ * event to probe it. Steady-state streaming (the paper's dominant
  * regime) therefore costs events proportional to the number of
  * *blocking episodes*, not the number of firings. The retired
  * per-firing implementation is kept verbatim as the test-only
@@ -32,7 +35,10 @@
  * this one in a
  * randomized differential suite; both derive firing times from the
  * same window-anchored expression, so cycles, finish times, firings
- * and channel push/pop counts agree bit-for-bit.
+ * and channel push/pop counts agree bit-for-bit. Stall accounting
+ * (ComponentStats::stall_cycles, SimResult::crossing_stall_cycles)
+ * is not part of that contract; this engine's values are the
+ * canonical ones.
  */
 
 #ifndef STREAMTENSOR_SIM_SIMULATOR_H
@@ -51,6 +57,12 @@ struct ComponentStats
 {
     double finish_time = 0.0;
     int64_t firings = 0;
+
+    /** Cycles spent blocked: for each blocking episode, the time
+     *  from the pace time of the firing that could not happen to
+     *  the time it fired. Outside the leap-vs-reference contract
+     *  (the reference credits stall at every wake); this engine's
+     *  values are canonical, and steadyIntervalCycles reads them. */
     double stall_cycles = 0.0;
 };
 
@@ -86,7 +98,8 @@ struct SimResult
     double first_output_cycle = 0.0;
 
     /** Heap events processed. The leap-ahead simulator completes an
-     *  unblocked pipeline in O(components) events; the per-firing
+     *  unblocked pipeline in O(components) events and a blocked
+     *  one in about one event per blocking episode; the per-firing
      *  reference pays O(total firings). */
     int64_t events = 0;
 
@@ -94,12 +107,15 @@ struct SimResult
      *  (Channel::inter_die, written by die partitioning). */
     int64_t crossing_channels = 0;
 
-    /** Stall cycles of blocking episodes that involved at least
-     *  one inter-die channel (attribution: an episode blocked on
-     *  both a local and a crossing FIFO counts fully). The two
-     *  engines account episodes at slightly different boundaries,
-     *  so this is reporting, not part of the bit-exact
-     *  differential contract. */
+    /** Stall cycles of the blocking episodes a crossing channel
+     *  held up: an episode starting at pace time tp counts, fully,
+     *  when the delivery (or pop credit) that met its firing's
+     *  need on some inter-die channel landed after tp, even if a
+     *  local FIFO blocked it too. The rule reads the schedule
+     *  alone. Like stall_cycles it is outside the leap-vs-reference
+     *  contract (the reference attributes by the channels its
+     *  probes happen to see), and this engine's value is
+     *  canonical. */
     double crossing_stall_cycles = 0.0;
 
     std::vector<ComponentStats> components;

@@ -414,6 +414,45 @@ TEST(CompiledBlock, AggregatesGroupCycles)
                   blk.compile.design.components.numGroups()));
 }
 
+TEST(CompiledBlock, ServingShapeCyclesAndIntervalsArePinned)
+{
+    // Every serving step cost reads each group's cycles and
+    // steadyIntervalCycles (which reads stall_cycles), so both are
+    // pinned bit for bit over the prefill and decode shapes of
+    // every default bucket up to 992, per model.
+    struct Pin
+    {
+        models::LlmConfig config;
+        double cycles;
+        double intervals;
+    };
+    const Pin pins[] = {
+        {models::gpt2Config(), 24235836.603864733,
+         23665616.381642513},
+        {models::llamaConfig(), 96433642.908212557,
+         94405871.299516916},
+    };
+    auto ladder = models::bucketBoundaries(models::BucketPolicy{});
+    for (const Pin &pin : pins) {
+        runtime::LlmExecutor executor(pin.config, hls::u55c());
+        double cycles = 0.0;
+        double intervals = 0.0;
+        for (int64_t len : ladder) {
+            if (len > 992)
+                break;
+            for (const auto &shapes : {models::prefillShapes(len),
+                                       models::decodeShapes(len)}) {
+                for (const auto &s : executor.block(shapes).sims) {
+                    cycles += s.cycles;
+                    intervals += sim::steadyIntervalCycles(s);
+                }
+            }
+        }
+        EXPECT_EQ(cycles, pin.cycles) << pin.config.name;
+        EXPECT_EQ(intervals, pin.intervals) << pin.config.name;
+    }
+}
+
 TEST(Executor, WarmRaceCompilesOnce)
 {
     // Two threads warming the same bucketed shape concurrently
