@@ -7,9 +7,9 @@
  * metrics (no per-request records), and reports wall-clock
  * requests/s plus the simulated quality counters (p99 from the
  * sketch) and the process peak RSS — the numbers behind the
- * "Million-request sweeps" table in the README. The smaller
- * paired variant measures decode runs on (Heap) against off
- * (PerStep), and the outage-backlog row serves a trace through
+ * "Million-request sweeps" table in the README. The EventCore rows
+ * serve the same sweep at 20k and 100k requests, and the
+ * outage-backlog row serves a trace through
  * repeated whole-fleet outages that park thousands of requests in
  * the retry buffer.
  */
@@ -52,7 +52,7 @@ sweepTrace(int64_t num_requests)
 }
 
 serving::FleetOptions
-sweepFleet(serving::FleetEventCore core)
+sweepFleet()
 {
     serving::FleetOptions options;
     options.num_replicas = 4;
@@ -64,29 +64,27 @@ sweepFleet(serving::FleetEventCore core)
     // O(sketch) memory at millions of requests.
     options.replica.metrics.keep_records =
         serving::MetricsOptions::KeepRecords::Never;
-    options.event_core = core;
     return options;
 }
 
 serving::FleetResult
-runSweep(int64_t num_requests, serving::FleetEventCore core)
+runSweep(int64_t num_requests)
 {
     serving::TraceGenerator trace(serving::TraceShape::Poisson,
                                   sweepTrace(num_requests));
     serving::AnalyticCostModel cost;
-    serving::FleetScheduler fleet(sweepFleet(core), cost);
+    serving::FleetScheduler fleet(sweepFleet(), cost);
     return fleet.run(trace);
 }
 
-/** The headline: 1M requests, heap core, streaming metrics. */
+/** The headline: 1M requests, streaming metrics. */
 void
 BM_ServeMillionRequestSweep(benchmark::State &state)
 {
     int64_t num_requests = state.range(0);
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests,
-                          serving::FleetEventCore::Heap);
+        result = runSweep(num_requests);
     const serving::FleetMetrics &m = result.metrics;
     state.counters["wall_req_per_s"] = benchmark::Counter(
         static_cast<double>(num_requests) *
@@ -105,26 +103,21 @@ BENCHMARK(BM_ServeMillionRequestSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/** Decode runs on (Heap) and off (PerStep) over the same trace:
- *  the results are bit-identical, so the pair prices the rounds
- *  decode runs skip, and the run planning itself, in wall time. */
+/** The sweep at 20k and 100k requests. The leading argument, 0,
+ *  is the one FleetEventCore value: it keeps the rows' names, so
+ *  they pair with earlier BENCH_sweep.json files. */
 void
 BM_SweepEventCore(benchmark::State &state)
 {
-    auto core =
-        static_cast<serving::FleetEventCore>(state.range(0));
     int64_t num_requests = state.range(1);
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests, core);
+        result = runSweep(num_requests);
     state.counters["completed"] =
         static_cast<double>(result.metrics.completed);
 }
 BENCHMARK(BM_SweepEventCore)
-    ->ArgsProduct(
-        {{static_cast<int64_t>(serving::FleetEventCore::Heap),
-          static_cast<int64_t>(serving::FleetEventCore::PerStep)},
-         {20000, 100000}})
+    ->ArgsProduct({{0}, {20000, 100000}})
     ->Unit(benchmark::kMillisecond);
 
 /** Five whole-fleet outages, each a tenth of the trace's horizon,
@@ -139,8 +132,7 @@ BM_SweepOutageBacklog(benchmark::State &state)
     int64_t num_requests = state.range(0);
     serving::TraceOptions trace_options = sweepTrace(num_requests);
     trace_options.deadline_slack_ms = 40000.0;
-    serving::FleetOptions options =
-        sweepFleet(serving::FleetEventCore::Heap);
+    serving::FleetOptions options = sweepFleet();
     double horizon_ms = trace_options.mean_interarrival_ms *
                         static_cast<double>(num_requests);
     for (int k = 0; k < 5; ++k) {

@@ -18,9 +18,8 @@ namespace {
 /** Exponential backoff growth per consumed failover attempt. */
 constexpr double kRetryBackoffFactor = 2.0;
 
-/** One fleet run: the state, the six round phases, the round loop
- *  and the next-instant rule. The two FleetEventCore values differ
- *  only in stageRuns(): PerStep plans no decode runs. */
+/** One fleet run: the state, the six round phases, the round loop,
+ *  decode-run planning and the next-instant rule. */
 struct FleetRun
 {
     const FleetOptions &options;
@@ -387,23 +386,21 @@ struct FleetRun
             ReplicaEngine &eng = engines[idx];
             eng.finalize(now);
             // Replica-id merge order keeps the merged sketches
-            // bit-identical across runs (and FleetEventCore values).
+            // bit-identical across runs.
             fm.merge(eng.result().metrics);
             result.rejected.insert(result.rejected.end(),
                                    eng.result().rejected.begin(),
                                    eng.result().rejected.end());
             result.replicas.push_back(std::move(eng.result()));
         }
-        // One replica's records are already in finish order, and
-        // it reports same-step completions in admission order; only
-        // records interleaved from several replicas need the sort.
-        if (n > 1)
-            std::stable_sort(
-                fm.requests.begin(), fm.requests.end(),
-                [](const RequestMetrics &a, const RequestMetrics &b) {
-                    return a.finish_ms < b.finish_ms ||
-                           (a.finish_ms == b.finish_ms && a.id < b.id);
-                });
+        // (finish, id) order, on one replica too: a replica reports
+        // same-step completions in admission order.
+        std::stable_sort(
+            fm.requests.begin(), fm.requests.end(),
+            [](const RequestMetrics &a, const RequestMetrics &b) {
+                return a.finish_ms < b.finish_ms ||
+                       (a.finish_ms == b.finish_ms && a.id < b.id);
+            });
         std::stable_sort(result.rejected.begin(),
                          result.rejected.end(),
                          [](const RejectedRequest &a,
@@ -460,7 +457,7 @@ struct FleetRun
      *  below max_steps (the step-limit check must not fall on a
      *  skipped instant) and no queue holds a deadline (its sweep
      *  must not move to a later instant); when either fails, every
-     *  standing run is cut. PerStep plans none. */
+     *  standing run is cut. */
     void stageRuns()
     {
         int64_t steps = 0;
@@ -478,14 +475,13 @@ struct FleetRun
                 cutRun(i);
             }
         }
-        bool plan = !deadline_queued &&
-                    options.event_core != FleetEventCore::PerStep;
         for (int i : launched) {
             auto idx = static_cast<size_t>(i);
             int64_t repeats =
-                plan ? std::min(engines[idx].repeatSteps(),
-                                std::max<int64_t>(budget, 0))
-                     : 0;
+                deadline_queued
+                    ? 0
+                    : std::min(engines[idx].repeatSteps(),
+                               std::max<int64_t>(budget, 0));
             budget -= repeats;
             run_left[idx] = repeats;
             setRunEnd(idx);

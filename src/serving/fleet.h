@@ -73,10 +73,9 @@
  * replica's wake-up moves back to that step's end — when anything
  * changes the replica's next launch: an offer or readmit to it, any
  * fault naming it, a deadline-carrying request queued anywhere, or
- * the step cap failing after other replicas' launches.
- * FleetEventCore::PerStep plans no runs, so it takes one step per
- * round: the differential suite compares runs against that per-step
- * loop, and FleetResult::rounds counts the rounds skipped.
+ * the step cap failing after other replicas' launches. The
+ * differential suite holds every result to a reference fleet that
+ * wakes at every step end (tests/oracles/serving/reference_fleet).
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests as QueuedRequest entries, each with its
@@ -124,13 +123,11 @@ namespace serving {
 class ArrivalCursor;
 class TraceGenerator;
 
-/** Decode-run planning (see the decode-runs note in the file
- *  header). Results are bit-identical between the two; PerStep
- *  is the differential oracle for decode runs. */
+/** Decode-run planning selector. Heap (decode runs, in the file
+ *  header) is the only value. */
 enum class FleetEventCore
 {
-    Heap,    ///< plans decode runs (default)
-    PerStep, ///< plans none: one round per step end (oracle)
+    Heap,
 };
 
 /** Routing policy selector. LeastKvLoad (the routing rule in the
@@ -176,8 +173,7 @@ struct FleetOptions
      *  (hot model swap) charges the same window. */
     double recovery_reload_ms = 0.0;
 
-    /** Decode-run planning; kept only because the differential
-     *  suite and e2e_stack set it. */
+    /** Has one value; kept only because e2e_stack sets it. */
     FleetEventCore event_core = FleetEventCore::Heap;
 };
 
@@ -267,9 +263,8 @@ struct FleetResult
 
     /** Round-loop iterations: instants the loop processed. Decode
      *  runs (above) skip the instants where only a repeated decode
-     *  step completes, so Heap takes fewer rounds than PerStep for
-     *  the same result — the one field of the result the two may
-     *  disagree on. */
+     *  step completes, so this is fewer than the instants a loop
+     *  waking at every step end processes for the same result. */
     int64_t rounds = 0;
 };
 

@@ -281,6 +281,10 @@ ReplicaEngine::launchStep(double now)
         gone_.assign(active_.size(), false);
         auto preempt = [&](size_t victim) {
             ActiveSeq &seq = active_[victim];
+            // Growth runs before admission, and every resident has
+            // completed a step since a crash last cleared the batch.
+            ST_ASSERT(seq.prefilled,
+                      "preempted a sequence before its first token");
             pool_.release(seq.req.id);
             ++seq.state.preemptions;
             queue_.pushFront({seq.req, seq.state});

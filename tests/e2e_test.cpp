@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "baselines/fpga_baselines.h"
 #include "baselines/gpu_model.h"
@@ -539,6 +540,207 @@ TEST(EndToEnd, PaperFig10MemoryAndRtlTimePinned)
         ++checked;
     }
     EXPECT_EQ(checked, 4);
+}
+
+namespace {
+
+/** Summed simulated cycles of every group of @p result, and whether
+ *  any group deadlocked or timed out (the ablation benches' Status
+ *  column). */
+struct BlockRun
+{
+    double cycles = 0.0;
+    bool stalled = false;
+};
+
+BlockRun
+simulateBlock(const compiler::CompileResult &result,
+              const sim::SimOptions &options = {})
+{
+    BlockRun run;
+    for (const auto &s :
+         sim::simulateAll(result.design.components, options)) {
+        run.cycles += s.cycles;
+        run.stalled = run.stalled || s.deadlock || s.timed_out;
+    }
+    return run;
+}
+
+/** bench/ablation_fifo_sizing's reconvergent multi-rate graph: a
+ *  source fans out to a direct edge of depth @p direct_depth and a
+ *  slow two-stage path that reconverge at a join consuming 16-token
+ *  bursts from the direct edge. */
+dataflow::ComponentGraph
+reconvergentGraph(int64_t direct_depth)
+{
+    dataflow::ComponentGraph g;
+    ir::ITensorType tok(ir::DataType::I8, {1}, {64}, {1},
+                        ir::AffineMap::identity(1));
+    auto mk = [&](const char *name, double d, double cycles) {
+        dataflow::Component c;
+        c.kind = dataflow::ComponentKind::Kernel;
+        c.name = name;
+        c.initial_delay = d;
+        c.total_cycles = cycles;
+        return g.addComponent(c);
+    };
+    int64_t src = mk("src", 20.0, 100.0);
+    int64_t slow = mk("slow", 900.0, 1200.0);
+    int64_t join = mk("join", 10.0, 300.0);
+    int64_t drain = mk("drain", 5.0, 30.0);
+    auto ch = [&](int64_t s, int64_t d, int64_t tokens,
+                  int64_t depth) {
+        dataflow::Channel c;
+        c.src = s;
+        c.dst = d;
+        c.type = tok;
+        c.tokens = tokens;
+        c.depth = depth;
+        g.addChannel(c);
+    };
+    ch(src, slow, 4, 2);
+    ch(src, join, 64, direct_depth);
+    ch(slow, join, 4, 2);
+    ch(join, drain, 4, 2);
+    return g;
+}
+
+} // namespace
+
+TEST(EndToEnd, AblationEqualizationPinned)
+{
+    // Paper §5.3.3, as bench/ablation_equalization prints it: total
+    // FIFO bits and simulated cycles of the GPT-2 and Llama decode
+    // blocks (kv = 192) under Normal and Conservative equalization,
+    // pinned at 0.1% relative tolerance. Conservative shrinks the
+    // FIFOs without lengthening either block.
+    struct Pin
+    {
+        const char *model;
+        token::Equalization eq;
+        double fifo_bits;
+        double cycles;
+    };
+    const Pin pins[] = {
+        {"GPT-2", token::Equalization::Normal, 247808.0, 22217.8478},
+        {"GPT-2", token::Equalization::Conservative, 240000.0, 22217.8478},
+        {"Llama", token::Equalization::Normal, 488064.0, 68293.3816},
+        {"Llama", token::Equalization::Conservative, 464768.0, 68293.3816}};
+    for (const Pin &pin : pins) {
+        models::LlmConfig cfg = std::string(pin.model) == "GPT-2"
+                                    ? models::gpt2Config()
+                                    : models::llamaConfig();
+        compiler::CompileOptions options;
+        options.equalization = pin.eq;
+        auto result = compiler::compile(
+            models::buildTransformerBlock(cfg,
+                                          models::decodeShapes(192)),
+            hls::u55c(), options);
+        BlockRun run = simulateBlock(result);
+        std::string label = std::string(pin.model) + " " +
+                            token::equalizationName(pin.eq);
+        EXPECT_FALSE(run.stalled) << label;
+        double bits = static_cast<double>(
+            result.design.components.totalFifoBits());
+        EXPECT_NEAR(bits, pin.fifo_bits, 1e-3 * pin.fifo_bits)
+            << label;
+        EXPECT_NEAR(run.cycles, pin.cycles, 1e-3 * pin.cycles)
+            << label;
+    }
+}
+
+TEST(EndToEnd, AblationFifoSizingPinned)
+{
+    // Paper §5.3.4, as bench/ablation_fifo_sizing prints it, pinned
+    // at 0.1% relative tolerance. On the reconvergent graph a direct
+    // edge below the 16-token burst deadlocks; on the GPT-2 decode
+    // block (kv = 192) the LP depths run clean while uniform shallow
+    // FIFOs deadlock on the residual fork/join.
+    struct Reconvergent
+    {
+        int64_t depth;
+        bool deadlock;
+        double cycles;
+    };
+    const Reconvergent reconvergent[] = {
+        {4, true, 900.0}, {16, false, 1200.0}, {64, false, 1200.0}};
+    for (const auto &pin : reconvergent) {
+        sim::SimOptions options;
+        options.max_cycles = 1e6;
+        auto r = sim::simulateGroup(reconvergentGraph(pin.depth), 0,
+                                    options);
+        EXPECT_EQ(r.deadlock, pin.deadlock) << pin.depth;
+        EXPECT_FALSE(r.timed_out) << pin.depth;
+        EXPECT_NEAR(r.cycles, pin.cycles, 1e-3 * pin.cycles)
+            << pin.depth;
+    }
+
+    struct Uniform
+    {
+        int64_t depth; // 0 = the LP depths
+        bool stalled;
+        double fifo_bits;
+        double cycles;
+    };
+    const Uniform uniform[] = {{0, false, 247808.0, 22217.8478},
+                               {2, true, 40448.0, 1340.89614},
+                               {4, true, 80896.0, 1340.89614},
+                               {8, true, 161792.0, 1340.89614}};
+    for (const auto &pin : uniform) {
+        auto result = compiler::compile(
+            models::buildTransformerBlock(models::gpt2Config(),
+                                          models::decodeShapes(192)),
+            hls::u55c(), {});
+        auto &cg = result.design.components;
+        if (pin.depth > 0)
+            for (int64_t c = 0; c < cg.numChannels(); ++c)
+                if (!cg.channel(c).folded)
+                    cg.channel(c).depth = pin.depth;
+        sim::SimOptions options;
+        options.max_cycles = 5e7;
+        BlockRun run = simulateBlock(result, options);
+        EXPECT_EQ(run.stalled, pin.stalled) << pin.depth;
+        double bits = static_cast<double>(cg.totalFifoBits());
+        EXPECT_NEAR(bits, pin.fifo_bits, 1e-3 * pin.fifo_bits)
+            << pin.depth;
+        EXPECT_NEAR(run.cycles, pin.cycles, 1e-3 * pin.cycles)
+            << pin.depth;
+    }
+}
+
+TEST(EndToEnd, AblationFusionCmaxPinned)
+{
+    // Paper §5.2.2, as bench/ablation_fusion_cmax prints it: fused
+    // group count and total converter bytes of the GPT-2 prefill-128
+    // block across the fusion budget C_max. Groups are exact; the
+    // converter bytes are pinned at 0.1% relative tolerance. At the
+    // U55C's on-chip size the whole block is one group.
+    struct Pin
+    {
+        int64_t c_max_kib;
+        size_t groups;
+        double converter_bytes;
+    };
+    const Pin pins[] = {
+        {16, 9, 0.0},          {64, 7, 65536.0},
+        {256, 4, 524288.0},    {1024, 2, 524288.0},
+        {4096, 1, 786432.0},   {16384, 1, 786432.0},
+        {41984, 1, 786432.0}};
+    for (const Pin &pin : pins) {
+        compiler::CompileOptions options;
+        options.c_max = pin.c_max_kib * 1024;
+        auto result = compiler::compile(
+            models::buildTransformerBlock(models::gpt2Config(),
+                                          models::prefillShapes(128)),
+            hls::u55c(), options);
+        EXPECT_EQ(result.design.plan.groups.size(), pin.groups)
+            << pin.c_max_kib;
+        double bytes = static_cast<double>(
+            result.design.components.totalConverterBytes());
+        EXPECT_NEAR(bytes, pin.converter_bytes,
+                    1e-3 * pin.converter_bytes)
+            << pin.c_max_kib;
+    }
 }
 
 // ---- Die placement is load-bearing: the figure-5-style MLP

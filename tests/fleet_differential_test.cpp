@@ -1,32 +1,40 @@
-/** @file Differential suite for decode runs: over 100 seeded
- *  (trace, fleet-config, fault-plan) scenarios, the default fleet
- *  must reproduce the PerStep oracle bit-for-bit (the two share one
- *  round loop and one next-instant rule, and PerStep plans no
- *  decode runs), and serving a TraceGenerator must reproduce
- *  serving the materialized vector of the same generator.
- *  "Bit-for-bit" is checked on every observable: merged request
- *  records, per-replica step records (on the half of the seeds that
- *  keep them), rejection and loss logs, every aggregate counter and
- *  busy-time sum, the makespan, and the streaming latency sketch's
- *  quantiles. The round count is the exception: decode
- *  runs skip instants, so the default must take no more rounds than
- *  PerStep, which wakes at every step end. "Legacy" in the test
- *  names is the PerStep oracle. Scripted cases below cut a run at
- *  each of its cut rules, and park a deep retry buffer through a
- *  whole-fleet outage, and hold the two equal there too. The last
- *  cases drive one ReplicaEngine through a run both ways — stepped
- *  one launch at a time and advanced in one advanceRepeats() call —
- *  and hold the engines equal. */
+/** @file Differential suite for the fleet: over 100 seeded
+ *  (trace, fleet-config, fault-plan) scenarios, calm and under
+ *  faults, FleetScheduler must reproduce the reference fleet
+ *  (tests/oracles/serving/reference_fleet) bit for bit. The
+ *  reference is a plain loop that wakes at every step end and shares
+ *  no code with ReplicaEngine, RequestQueue, KvPool, FaultInjector or
+ *  FleetScheduler; production plans decode runs and skips the
+ *  instants where only a repeated decode step completes. Serving a
+ *  TraceGenerator must also reproduce serving the materialized
+ *  vector of the same generator. "Bit for bit" is checked on every
+ *  observable: merged and per-replica request records, per-replica
+ *  step records (on the half of the seeds that keep them), rejection
+ *  and loss logs, every aggregate and fleet counter, busy-time and
+ *  latency sums, the makespan, and the streaming sketches'
+ *  quantiles. The round count is the exception: production must
+ *  take no more rounds than the instants the reference woke at.
+ *  "Heap" in the two seeded case names is production's decode-run
+ *  planning and "Legacy" the reference's per-step loop; the names
+ *  stay so the 200 case ids compare across the suite's history.
+ *  Scripted cases below cut a decode run at each of its cut rules,
+ *  and park a deep retry buffer through a whole-fleet outage, and
+ *  hold production to the reference there too, with strictly fewer
+ *  rounds. The last cases drive one ReplicaEngine through a run both
+ *  ways — stepped one launch at a time and advanced in one
+ *  advanceRepeats() call — and hold the engines equal. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
+#include "serving/reference_fleet.h"
 #include "serving/trace.h"
 #include "serving/weights.h"
 #include "support/error.h"
@@ -112,21 +120,32 @@ makeScenario(uint64_t seed, bool with_faults)
     return s;
 }
 
-serving::FleetResult
-runScenario(const Scenario &s, serving::FleetEventCore core,
-            bool via_generator)
+std::vector<Request>
+scenarioTrace(const Scenario &s)
 {
-    serving::FleetOptions options = s.fleet;
-    options.event_core = core;
+    return s.shape == serving::TraceShape::Poisson
+               ? serving::poissonTrace(s.trace)
+               : serving::burstyTrace(s.trace);
+}
+
+serving::FleetResult
+runScenario(const Scenario &s, bool via_generator)
+{
     serving::AnalyticCostModel cost;
-    serving::FleetScheduler fleet(options, cost);
+    serving::FleetScheduler fleet(s.fleet, cost);
     if (via_generator) {
         serving::TraceGenerator gen(s.shape, s.trace);
         return fleet.run(gen);
     }
-    return fleet.run(s.shape == serving::TraceShape::Poisson
-                         ? serving::poissonTrace(s.trace)
-                         : serving::burstyTrace(s.trace));
+    return fleet.run(scenarioTrace(s));
+}
+
+serving::FleetResult
+runReference(const Scenario &s)
+{
+    serving::AnalyticCostModel cost;
+    return serving::runReferenceFleet(s.fleet, cost, nullptr,
+                                      scenarioTrace(s));
 }
 
 void
@@ -136,6 +155,7 @@ expectSameRequests(const std::vector<serving::RequestMetrics> &a,
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].input_len, b[i].input_len);
         EXPECT_EQ(a[i].output_len, b[i].output_len);
         EXPECT_EQ(a[i].preemptions, b[i].preemptions);
         EXPECT_EQ(a[i].failovers, b[i].failovers);
@@ -143,24 +163,75 @@ expectSameRequests(const std::vector<serving::RequestMetrics> &a,
         EXPECT_EQ(a[i].arrival_ms, b[i].arrival_ms);
         EXPECT_EQ(a[i].first_token_ms, b[i].first_token_ms);
         EXPECT_EQ(a[i].finish_ms, b[i].finish_ms);
+        EXPECT_EQ(a[i].deadline_ms, b[i].deadline_ms);
     }
 }
 
-/** Every observable of the two results must match exactly —
- *  EXPECT_EQ on doubles deliberately: the contract is
- *  bit-identical, not approximately equal. */
+void
+expectSameRejections(const std::vector<serving::RejectedRequest> &a,
+                     const std::vector<serving::RejectedRequest> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].arrival_ms, b[i].arrival_ms);
+        EXPECT_EQ(a[i].reason, b[i].reason);
+        EXPECT_EQ(a[i].at_ms, b[i].at_ms);
+    }
+}
+
+/** Every field one replica's accumulator shares with a merged one —
+ *  EXPECT_EQ on doubles deliberately: the contract is bit-identical,
+ *  not approximately equal. */
+void
+expectSameMetrics(const serving::ServingMetrics &a,
+                  const serving::ServingMetrics &b)
+{
+    EXPECT_EQ(a.records_complete, b.records_complete);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.rejected_queue_full, b.rejected_queue_full);
+    EXPECT_EQ(a.rejected_too_long, b.rejected_too_long);
+    EXPECT_EQ(a.expired_deadline, b.expired_deadline);
+    EXPECT_EQ(a.rejected_drained, b.rejected_drained);
+    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+    EXPECT_EQ(a.total_output_tokens, b.total_output_tokens);
+    EXPECT_EQ(a.in_flight, b.in_flight);
+    EXPECT_EQ(a.replicas, b.replicas);
+    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+    EXPECT_EQ(a.busy_ms, b.busy_ms);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.total_batched_seqs, b.total_batched_seqs);
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+    EXPECT_EQ(a.pool_pages, b.pool_pages);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.prefix_hit_pages, b.prefix_hit_pages);
+    EXPECT_EQ(a.prefix_miss_pages, b.prefix_miss_pages);
+    EXPECT_EQ(a.peak_pages_active, b.peak_pages_active);
+    EXPECT_EQ(a.page_step_sum, b.page_step_sum);
+    EXPECT_EQ(a.ttft_sum_ms, b.ttft_sum_ms);
+    EXPECT_EQ(a.decode_sum_ms, b.decode_sum_ms);
+    EXPECT_EQ(a.decode_gaps, b.decode_gaps);
+    EXPECT_EQ(a.weight_stream_ms, b.weight_stream_ms);
+    EXPECT_EQ(a.weight_bytes_streamed, b.weight_bytes_streamed);
+    EXPECT_EQ(a.weight_stall_ms, b.weight_stall_ms);
+    EXPECT_EQ(a.latency_sketch.count(), b.latency_sketch.count());
+    EXPECT_EQ(a.ttft_sketch.count(), b.ttft_sketch.count());
+    for (double p : {50.0, 90.0, 99.0, 100.0}) {
+        EXPECT_EQ(a.latency_sketch.quantile(p),
+                  b.latency_sketch.quantile(p));
+        EXPECT_EQ(a.ttft_sketch.quantile(p), b.ttft_sketch.quantile(p));
+    }
+    expectSameRequests(a.requests, b.requests);
+}
+
+/** Every observable of the two results must match exactly. */
 void
 expectSameResult(const serving::FleetResult &a,
                  const serving::FleetResult &b)
 {
     const serving::FleetMetrics &ma = a.metrics;
     const serving::FleetMetrics &mb = b.metrics;
-    EXPECT_EQ(ma.completed, mb.completed);
-    EXPECT_EQ(ma.rejected_queue_full, mb.rejected_queue_full);
-    EXPECT_EQ(ma.rejected_too_long, mb.rejected_too_long);
-    EXPECT_EQ(ma.expired_deadline, mb.expired_deadline);
-    EXPECT_EQ(ma.rejected_drained, mb.rejected_drained);
-    EXPECT_EQ(ma.deadline_misses, mb.deadline_misses);
+    expectSameMetrics(ma, mb);
     EXPECT_EQ(ma.requests_lost, mb.requests_lost);
     EXPECT_EQ(ma.failovers, mb.failovers);
     EXPECT_EQ(ma.crashes, mb.crashes);
@@ -170,31 +241,11 @@ expectSameResult(const serving::FleetResult &a,
     EXPECT_EQ(ma.swaps, mb.swaps);
     EXPECT_EQ(ma.reloads, mb.reloads);
     EXPECT_EQ(ma.reload_ms_total, mb.reload_ms_total);
-    EXPECT_EQ(ma.weight_stall_ms, mb.weight_stall_ms);
     EXPECT_EQ(ma.slowdowns, mb.slowdowns);
     EXPECT_EQ(ma.aborted_steps, mb.aborted_steps);
-    EXPECT_EQ(ma.preemptions, mb.preemptions);
-    EXPECT_EQ(ma.total_output_tokens, mb.total_output_tokens);
-    EXPECT_EQ(ma.steps, mb.steps);
-    EXPECT_EQ(ma.busy_ms, mb.busy_ms);
-    EXPECT_EQ(ma.total_batched_seqs, mb.total_batched_seqs);
-    EXPECT_EQ(ma.page_step_sum, mb.page_step_sum);
-    EXPECT_EQ(ma.makespan_ms, mb.makespan_ms);
     EXPECT_EQ(ma.replica_up_ms, mb.replica_up_ms);
-    EXPECT_EQ(ma.records_complete, mb.records_complete);
-    EXPECT_EQ(ma.latency_sketch.count(), mb.latency_sketch.count());
-    for (double p : {50.0, 90.0, 99.0, 100.0})
-        EXPECT_EQ(ma.latency_sketch.quantile(p),
-                  mb.latency_sketch.quantile(p));
 
-    expectSameRequests(ma.requests, mb.requests);
-
-    ASSERT_EQ(a.rejected.size(), b.rejected.size());
-    for (size_t i = 0; i < a.rejected.size(); ++i) {
-        EXPECT_EQ(a.rejected[i].id, b.rejected[i].id);
-        EXPECT_EQ(a.rejected[i].reason, b.rejected[i].reason);
-        EXPECT_EQ(a.rejected[i].at_ms, b.rejected[i].at_ms);
-    }
+    expectSameRejections(a.rejected, b.rejected);
     ASSERT_EQ(a.lost.size(), b.lost.size());
     for (size_t i = 0; i < a.lost.size(); ++i) {
         EXPECT_EQ(a.lost[i].id, b.lost[i].id);
@@ -205,17 +256,25 @@ expectSameResult(const serving::FleetResult &a,
     EXPECT_EQ(a.hit_step_limit, b.hit_step_limit);
     ASSERT_EQ(a.replicas.size(), b.replicas.size());
     for (size_t r = 0; r < a.replicas.size(); ++r) {
+        SCOPED_TRACE("replica " + std::to_string(r));
+        expectSameMetrics(a.replicas[r].metrics, b.replicas[r].metrics);
+        expectSameRejections(a.replicas[r].rejected,
+                             b.replicas[r].rejected);
         const auto &sa = a.replicas[r].steps;
         const auto &sb = b.replicas[r].steps;
         ASSERT_EQ(sa.size(), sb.size());
         for (size_t i = 0; i < sa.size(); ++i) {
+            EXPECT_EQ(sa[i].start_ms, sb[i].start_ms) << "step " << i;
+            EXPECT_EQ(sa[i].step_ms, sb[i].step_ms);
+            EXPECT_EQ(sa[i].weights_wait_ms, sb[i].weights_wait_ms);
             EXPECT_EQ(sa[i].prefill_ids, sb[i].prefill_ids);
             EXPECT_EQ(sa[i].decode_ids, sb[i].decode_ids);
-            EXPECT_EQ(sa[i].start_ms, sb[i].start_ms);
-            EXPECT_EQ(sa[i].step_ms, sb[i].step_ms);
+            EXPECT_EQ(sa[i].preempted_ids, sb[i].preempted_ids);
+            EXPECT_EQ(sa[i].pages_active, sb[i].pages_active);
+            EXPECT_EQ(sa[i].pages_cached, sb[i].pages_cached);
+            EXPECT_EQ(sa[i].pages_free, sb[i].pages_free);
+            EXPECT_EQ(sa[i].queue_depth, sb[i].queue_depth);
         }
-        expectSameRequests(a.replicas[r].metrics.requests,
-                           b.replicas[r].metrics.requests);
     }
 }
 
@@ -225,29 +284,25 @@ class FleetDifferential : public ::testing::TestWithParam<uint64_t>
 TEST_P(FleetDifferential, HeapMatchesLegacyUnderFaults)
 {
     Scenario s = makeScenario(GetParam(), true);
-    auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
-    auto per_step =
-        runScenario(s, serving::FleetEventCore::PerStep, false);
-    expectSameResult(heap, per_step);
-    EXPECT_LE(heap.rounds, per_step.rounds);
+    auto production = runScenario(s, false);
+    auto reference = runReference(s);
+    expectSameResult(production, reference);
+    EXPECT_LE(production.rounds, reference.rounds);
 }
 
 TEST_P(FleetDifferential, HeapMatchesLegacyCalm)
 {
     Scenario s = makeScenario(GetParam(), false);
-    auto heap = runScenario(s, serving::FleetEventCore::Heap, false);
-    auto per_step =
-        runScenario(s, serving::FleetEventCore::PerStep, false);
-    expectSameResult(heap, per_step);
-    EXPECT_LE(heap.rounds, per_step.rounds);
+    auto production = runScenario(s, false);
+    auto reference = runReference(s);
+    expectSameResult(production, reference);
+    EXPECT_LE(production.rounds, reference.rounds);
 }
 
 TEST_P(FleetDifferential, GeneratorMatchesVector)
 {
     Scenario s = makeScenario(GetParam(), true);
-    expectSameResult(
-        runScenario(s, serving::FleetEventCore::Heap, false),
-        runScenario(s, serving::FleetEventCore::Heap, true));
+    expectSameResult(runScenario(s, false), runScenario(s, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
@@ -255,17 +310,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
 
 TEST(FleetDecodeRuns, HeapSkipsRoundsOverTheCalmSeeds)
 {
-    int64_t heap_rounds = 0, per_step_rounds = 0;
+    int64_t production_rounds = 0, reference_rounds = 0;
     for (uint64_t seed = 0; seed < 100; ++seed) {
         Scenario s = makeScenario(seed, false);
-        heap_rounds +=
-            runScenario(s, serving::FleetEventCore::Heap, false)
-                .rounds;
-        per_step_rounds +=
-            runScenario(s, serving::FleetEventCore::PerStep, false)
-                .rounds;
+        production_rounds += runScenario(s, false).rounds;
+        reference_rounds += runReference(s).rounds;
     }
-    EXPECT_LT(heap_rounds, per_step_rounds);
+    EXPECT_LT(production_rounds, reference_rounds);
 }
 
 Request
@@ -291,28 +342,29 @@ scriptOptions(int num_replicas)
     return o;
 }
 
-/** Serve @p trace with and without decode runs, hold the results
- *  equal, and require that a decode run really ran (skipped
- *  rounds). */
+/** Serve @p trace through production and the reference, hold the
+ *  results equal, and require that a decode run really ran: fewer
+ *  rounds than the instants the reference woke at. */
 serving::FleetResult
-expectCoresAgree(serving::FleetOptions options,
-                 const std::vector<Request> &trace)
+expectMatchesReference(const serving::FleetOptions &options,
+                       const std::vector<Request> &trace,
+                       serving::StepCostModel *degraded_cost = nullptr)
 {
     serving::AnalyticCostModel cost;
-    options.event_core = serving::FleetEventCore::Heap;
-    auto heap = serving::FleetScheduler(options, cost).run(trace);
-    options.event_core = serving::FleetEventCore::PerStep;
-    auto per_step = serving::FleetScheduler(options, cost).run(trace);
-    expectSameResult(heap, per_step);
-    EXPECT_LT(heap.rounds, per_step.rounds);
-    return heap;
+    auto production =
+        serving::FleetScheduler(options, cost, degraded_cost).run(trace);
+    auto reference = serving::runReferenceFleet(options, cost,
+                                                degraded_cost, trace);
+    expectSameResult(production, reference);
+    EXPECT_LT(production.rounds, reference.rounds);
+    return production;
 }
 
 TEST(FleetDecodeRuns, ArrivalMidRunCutsIt)
 {
     // Request 0 is decoding alone when request 1 arrives: the run
     // ends at the in-flight step and request 1 joins the next one.
-    auto r = expectCoresAgree(scriptOptions(1),
+    auto r = expectMatchesReference(scriptOptions(1),
                               {makeRequest(0, 0.0, 8, 40),
                                makeRequest(1, 10.0, 8, 4)});
     EXPECT_EQ(r.metrics.completed, 2);
@@ -324,7 +376,7 @@ TEST(FleetDecodeRuns, ReadmitMidRunCutsIt)
     // and is readmitted to replica 0 while request 0 decodes there.
     serving::FleetOptions options = scriptOptions(2);
     options.faults.events = {{5.0, 1, serving::FaultKind::Crash, 1.0}};
-    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60),
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 60),
                                         makeRequest(1, 0.0, 8, 40)});
     EXPECT_EQ(r.metrics.failovers, 1);
     EXPECT_EQ(r.metrics.completed, 2);
@@ -336,8 +388,25 @@ TEST(FleetDecodeRuns, SlowStartMidRunCutsIt)
     options.faults.events = {
         {10.0, 0, serving::FaultKind::SlowStart, 3.0},
         {25.0, 0, serving::FaultKind::SlowEnd, 1.0}};
-    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60)});
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 60)});
     EXPECT_EQ(r.metrics.slowdowns, 1);
+}
+
+TEST(FleetDecodeRuns, DegradeMidRunCutsIt)
+{
+    // The link degrades at 10 ms and recovers at 25 ms while request
+    // 0 decodes alone: steps launched in between are costed by the
+    // degraded model, which charges three times as much per sequence.
+    serving::FleetOptions options = scriptOptions(1);
+    options.faults.events = {
+        {10.0, 0, serving::FaultKind::DegradeStart, 1.0},
+        {25.0, 0, serving::FaultKind::DegradeEnd, 1.0}};
+    serving::AnalyticCostOptions slow_link;
+    slow_link.per_seq_ms = 1.5;
+    serving::AnalyticCostModel degraded(slow_link);
+    auto r = expectMatchesReference(
+        options, {makeRequest(0, 0.0, 8, 60)}, &degraded);
+    EXPECT_EQ(r.metrics.degrades, 1);
 }
 
 TEST(FleetDecodeRuns, DeadlineQueuedElsewhereCutsEveryRun)
@@ -346,14 +415,14 @@ TEST(FleetDecodeRuns, DeadlineQueuedElsewhereCutsEveryRun)
     // short steps. Request 2, with a deadline, queues behind
     // request 1's long prefill on the one-slot replica 1 and expires
     // there at the first round after its deadline — one of replica
-    // 0's step ends, as under PerStep, so replica 0's run is cut.
+    // 0's step ends, as in the reference, so replica 0's run is cut.
     serving::FleetOptions options = scriptOptions(2);
     options.replica.max_batch = 1;
     options.faults.events = {
         {0.1, 0, serving::FaultKind::DrainStart, 1.0}};
     Request late = makeRequest(2, 3.0, 8, 4);
     late.deadline_ms = 8.0;
-    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60),
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 60),
                                         makeRequest(1, 0.3, 600, 4),
                                         late});
     EXPECT_EQ(r.metrics.expired_deadline, 1);
@@ -366,7 +435,7 @@ TEST(FleetDecodeRuns, StepLimitInsideARunStopsAtTheSameStep)
 {
     serving::FleetOptions options = scriptOptions(1);
     options.replica.max_steps = 20;
-    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 100)});
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 100)});
     EXPECT_TRUE(r.hit_step_limit);
     EXPECT_EQ(r.metrics.steps, 20);
 }
@@ -382,8 +451,25 @@ TEST(FleetDecodeRuns, ColdStartEndingMidStep)
     plan.end_ms = 12.3;
     plan.layer_ready_ms = {3.0, 6.0, 9.0, 12.3};
     options.replica.cold_start.plan = plan;
-    auto r = expectCoresAgree(options, {makeRequest(0, 0.0, 8, 60)});
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 60)});
     EXPECT_GT(r.metrics.weight_stall_ms, 0.0);
+}
+
+TEST(FleetDecodeRuns, OneReplicaOrdersSameInstantCompletionsById)
+{
+    // Request 5 arrives first and is admitted first; request 2
+    // arrives during its prefill, joins the next step, and both
+    // finish in one step. The fleet's merged records are in
+    // (finish, id) order (FleetMetrics) on one replica too, while
+    // the replica's own records keep admission order.
+    auto r = expectMatchesReference(scriptOptions(1),
+                                    {makeRequest(5, 0.0, 8, 30),
+                                     makeRequest(2, 0.5, 8, 29)});
+    ASSERT_EQ(r.metrics.requests.size(), 2u);
+    EXPECT_EQ(r.metrics.requests[0].finish_ms,
+              r.metrics.requests[1].finish_ms);
+    EXPECT_EQ(r.metrics.requests[0].id, 2);
+    EXPECT_EQ(r.replicas[0].metrics.requests[0].id, 5);
 }
 
 TEST(FleetDecodeRuns, DeepRetryBufferThroughAWholeFleetOutage)
@@ -412,7 +498,7 @@ TEST(FleetDecodeRuns, DeepRetryBufferThroughAWholeFleetOutage)
         }
         trace.push_back(r);
     }
-    auto r = expectCoresAgree(options, trace);
+    auto r = expectMatchesReference(options, trace);
     EXPECT_EQ(r.metrics.failovers, 8);
     EXPECT_GT(expiring, 0);
     EXPECT_EQ(r.metrics.expired_deadline, expiring);
