@@ -18,8 +18,9 @@
  * a generator-fed Poisson trace through a four-replica fleet on
  * the analytic cost model with streaming metrics (no per-request
  * records) — the scale harness exercised end to end, with wall
- * throughput, sketch percentiles, and peak RSS printed. Runs in
- * seconds.
+ * throughput, sketch percentiles, the fleet's round count (steps
+ * per round shows how many decode steps each round skipped), and
+ * peak RSS printed. Runs in seconds.
  *
  * `--coldstart` switches to the weight-streaming sweep: the same
  * traffic served from a cold replica whose weights stream in from
@@ -98,6 +99,10 @@ scaleSweep(int64_t num_requests)
                 static_cast<double>(num_requests) / wall_s);
     std::printf("  simulated rate   %.1f req/s over %.1f s\n",
                 m.requestsPerSecond(), m.makespan_ms / 1e3);
+    std::printf("  fleet rounds     %lld  (%.2f steps per round)\n",
+                static_cast<long long>(result.rounds),
+                static_cast<double>(m.steps) /
+                    static_cast<double>(result.rounds));
     std::printf("  latency p50/p99  %.1f / %.1f ms (sketch, "
                 "%lld retained items for %lld samples)\n",
                 m.latencyPercentileMs(50.0),

@@ -53,29 +53,34 @@
  * **Decode runs.** A replica usually repeats its last step: the
  * same decoding batch, one token further on. When phase 6 launches a
  * step, ReplicaEngine::repeatSteps() says how many steps after it
- * are certain to repeat it (same shape groups, no page growth, an
- * empty queue, the cold-start stream over). The fleet plans that
- * many as a run and wakes for the replica only at the end of the
- * run's last step (ReplicaEngine::repeatEndMs, the same additions
- * the step-by-step loop makes). Phase 1 catches a replica up at any
- * round in one engine call (ReplicaEngine::advanceRepeats): the
- * run's steps that ended before now — instants with no round — are
- * completed and relaunched as pure accounting, with no oracle call,
- * page growth or admission, since the run guarantees each repeat
- * launches the same groups at the same cost. A step ending exactly
+ * are certain to repeat it (same shape groups, an empty queue, the
+ * cold-start stream over, and page growth that the free list
+ * covers, so no retained page is reclaimed and nobody is
+ * preempted). The fleet plans that many as a run and wakes for the
+ * replica only at the end of the run's last step
+ * (ReplicaEngine::repeatEndMs, the same additions the step-by-step
+ * loop makes). Phase 1 catches a replica up at any round in one
+ * engine call (ReplicaEngine::advanceRepeats): the run's steps that
+ * ended before now — instants with no round — are completed and
+ * relaunched as pure accounting, with no oracle call, preemption or
+ * admission, since the run guarantees each repeat launches the same
+ * groups at the same cost; the engine replays the run's page growth
+ * itself, at the launches that need a page. A step ending exactly
  * now completes and leaves the replica idle for phase 6, as without
- * runs. Two fleet-wide caps bound a run: completed, in-flight and
- * planned steps stay below max_steps (so the step limit never falls
- * on a skipped instant), and no run is planned while any replica's
- * queue holds a request with a deadline (its sweep runs at the
- * next round at or after the deadline, which a skipped instant
- * would move). A run is cut after its in-flight step — the
- * replica's wake-up moves back to that step's end — when anything
- * changes the replica's next launch: an offer or readmit to it, any
- * fault naming it, a deadline-carrying request queued anywhere, or
- * the step cap failing after other replicas' launches. The
- * differential suite holds every result to a reference fleet that
- * wakes at every step end (tests/oracles/serving/reference_fleet).
+ * runs. Phase 1 visits every replica every round: the replayed
+ * growth changes ReplicaEngine::kvLoadTokens(), which routing reads
+ * in phases 3 and 5. Two fleet-wide caps bound a run: completed,
+ * in-flight and planned steps stay below max_steps (so the step
+ * limit never falls on a skipped instant), and no run is planned
+ * while any replica's queue holds a request with a deadline (its
+ * sweep runs at the next round at or after the deadline, which a
+ * skipped instant would move). A run is cut after its in-flight
+ * step — the replica's wake-up moves back to that step's end — when
+ * anything changes the replica's next launch: an offer or readmit to
+ * it, any fault naming it, a deadline-carrying request queued
+ * anywhere, or the step cap failing after other replicas' launches.
+ * The differential suite holds every result to a reference fleet
+ * that wakes at every step end (tests/oracles/serving/reference_fleet).
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests as QueuedRequest entries, each with its

@@ -158,49 +158,50 @@ KvPool::grow(int64_t seq_id, int64_t tokens)
     if (allocs > freePages() + cachedPages() - cached_revives)
         return false;
 
-    // Commit, page positions ascending. Revive hits first so the
-    // eviction path below can never reclaim a page this very
-    // growth references.
-    for (int64_t pos = held; pos < want; ++pos) {
-        if (pos < full_prefix) {
-            uint64_t key = pageKey(seq.prefix_id, pos);
-            auto hit = prefix_table_.find(key);
-            if (hit != prefix_table_.end()) {
-                Page &p =
-                    pages_[static_cast<size_t>(hit->second)];
-                if (p.cached) {
-                    // Revive from the retained cache.
-                    for (auto lru = cached_lru_.begin();;
-                         ++lru) {
-                        ST_ASSERT(lru != cached_lru_.end(),
-                                  "cached page missing from LRU");
-                        if (lru->second == hit->second) {
-                            cached_lru_.erase(lru);
-                            break;
-                        }
-                    }
-                    p.cached = false;
+    // Commit in two passes over the new positions. Every hit is
+    // revived first, so the eviction in the second pass can never
+    // reclaim a page this very growth references; the second pass
+    // fills the remaining positions with fresh pages, in order.
+    constexpr int32_t unfilled = -1;
+    seq.pages.resize(static_cast<size_t>(want), unfilled);
+    for (int64_t pos = held; pos < full_prefix && pos < want; ++pos) {
+        auto hit = prefix_table_.find(pageKey(seq.prefix_id, pos));
+        if (hit == prefix_table_.end())
+            continue;
+        Page &p = pages_[static_cast<size_t>(hit->second)];
+        if (p.cached) {
+            // Revive from the retained cache.
+            for (auto lru = cached_lru_.begin();; ++lru) {
+                ST_ASSERT(lru != cached_lru_.end(),
+                          "cached page missing from LRU");
+                if (lru->second == hit->second) {
+                    cached_lru_.erase(lru);
+                    break;
                 }
-                if (p.ref == 0)
-                    ++active_pages_;
-                ++p.ref;
-                ++stats_.prefix_hit_pages;
-                seq.pages.push_back(hit->second);
-                continue;
             }
+            p.cached = false;
         }
-        int32_t page = allocPage();
-        Page &p = pages_[static_cast<size_t>(page)];
+        if (p.ref == 0)
+            ++active_pages_;
+        ++p.ref;
+        ++stats_.prefix_hit_pages;
+        seq.pages[static_cast<size_t>(pos)] = hit->second;
+    }
+    for (int64_t pos = held; pos < want; ++pos) {
+        int32_t &slot = seq.pages[static_cast<size_t>(pos)];
+        if (slot != unfilled)
+            continue;
+        slot = allocPage();
+        Page &p = pages_[static_cast<size_t>(slot)];
         ST_ASSERT(p.ref == 0 && !p.cached && p.key == 0,
                   "allocated page state corrupt");
         p.ref = 1;
         ++active_pages_;
         if (pos < full_prefix) {
             p.key = pageKey(seq.prefix_id, pos);
-            prefix_table_.emplace(p.key, page);
+            prefix_table_.emplace(p.key, slot);
             ++stats_.prefix_miss_pages;
         }
-        seq.pages.push_back(page);
     }
     stats_.peak_active_pages =
         std::max(stats_.peak_active_pages, active_pages_);

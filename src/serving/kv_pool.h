@@ -128,6 +128,9 @@ class KvPool
      *  pages are first looked up in the prefix table (hit: share /
      *  revive); everything else allocates from the free list,
      *  reclaiming retained pages oldest-first when it runs dry.
+     *  Every hit is taken before the first fresh allocation, so a
+     *  reclaim never takes a page this growth revives; the held
+     *  pages stay in position order.
      *  Atomic: when the fresh allocations cannot all be served the
      *  pool is left untouched and false is returned (the caller
      *  preempts a victim and retries). Never shrinks coverage. */

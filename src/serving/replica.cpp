@@ -135,17 +135,40 @@ ReplicaEngine::repeatSteps() const
             return 0;
         // The in-flight step attends over `context`; repeat m over
         // context + m, which keeps the step's shape while it stays
-        // in the bucket and needs no page while it stays within the
-        // pages held; it runs only while the sequence is unfinished,
-        // generated + m < output_len.
+        // in the bucket; it runs only while the sequence is
+        // unfinished, generated + m < output_len.
         int64_t context = seq.req.input_len + seq.state.generated;
-        int64_t room =
-            std::min(models::bucketIn(bucket_ladder_, context),
-                     pool_.heldTokens(seq.req.id));
-        repeats = std::min({repeats, room - context,
-                            seq.req.output_len - seq.state.generated - 1});
+        repeats = std::min(
+            {repeats,
+             models::bucketIn(bucket_ladder_, context) - context,
+             seq.req.output_len - seq.state.generated - 1});
     }
-    return repeats;
+    // Repeat m first grows every resident to context + m. The run
+    // holds while repeats 1..m together take at most the free list,
+    // so its growth never reclaims a retained page or preempts. The
+    // pages they take grow with m, so the largest such m is found by
+    // bisection.
+    auto fresh_pages = [this](int64_t m) {
+        int64_t pages = 0;
+        for (const auto &seq : active_)
+            pages += std::max<int64_t>(
+                0, pool_.pagesFor(seq.req.input_len +
+                                  seq.state.generated + m) -
+                       pool_.heldPages(seq.req.id));
+        return pages;
+    };
+    int64_t free_pages = pool_.freePages();
+    if (fresh_pages(repeats) <= free_pages)
+        return repeats;
+    int64_t fits = 0; // fresh_pages(fits) fits; repeats does not
+    while (repeats - fits > 1) {
+        int64_t mid = fits + (repeats - fits) / 2;
+        if (fresh_pages(mid) <= free_pages)
+            fits = mid;
+        else
+            repeats = mid;
+    }
+    return fits;
 }
 
 double
@@ -172,29 +195,56 @@ ReplicaEngine::advanceRepeats(int64_t max_repeats, double before)
         end = addStepMs(end, 1);
     if (repeats == 0)
         return 0;
-    // Every resident stays prefilled, in its bucket and within the
-    // pages it holds, and none finishes: each repeat would launch
-    // the same groups at the same cost over an unchanged pool.
+    // Every resident stays prefilled and in its bucket, none
+    // finishes, and the run's page growth fits the free list: each
+    // repeat launches the same groups at the same cost.
     ST_ASSERT(repeats <= repeatSteps(),
               "a decode run outran its repeating steps");
 
-    // The records launchStep() would build differ from the in-flight
-    // one only in their start.
-    if (options_.record_steps) {
-        for (int64_t k = 0; k < repeats; ++k) {
-            result_.steps.push_back(pending_record_);
-            pending_record_.start_ms =
-                addStepMs(pending_record_.start_ms, 1);
+    // Segments end at the launches that grow a page. Within one, the
+    // records launchStep() would build differ from the in-flight one
+    // only in their start.
+    ServingMetrics &metrics = result_.metrics;
+    for (int64_t done = 0; done < repeats;) {
+        int64_t segment = repeats - done;
+        for (const auto &seq : active_)
+            segment = std::min(segment,
+                               pool_.heldTokens(seq.req.id) -
+                                   (seq.req.input_len +
+                                    seq.state.generated) +
+                                   1);
+        ST_ASSERT(segment > 0, "a resident outgrew its pages");
+        if (options_.record_steps) {
+            for (int64_t k = 0; k < segment; ++k) {
+                result_.steps.push_back(pending_record_);
+                pending_record_.start_ms =
+                    addStepMs(pending_record_.start_ms, 1);
+            }
+        }
+        metrics.busy_ms = addStepMs(metrics.busy_ms, segment);
+        metrics.steps += segment;
+        metrics.total_batched_seqs += segment * pending_batch_;
+        metrics.page_step_sum += segment * pending_pages_active_;
+        for (auto &seq : active_)
+            seq.state.generated += segment;
+        step_start_ms_ = addStepMs(step_start_ms_, segment);
+        done += segment;
+
+        // The segment's last launch grows every resident, in
+        // admission order as launchStep() does; repeatSteps() bounds
+        // the run so the pages come off the free list.
+        for (const auto &seq : active_) {
+            bool grown = pool_.grow(seq.req.id, seq.req.input_len +
+                                                    seq.state.generated);
+            ST_ASSERT(grown, "a decode run outran the free list");
+        }
+        pending_pages_active_ = pool_.activePages();
+        if (options_.record_steps) {
+            pending_record_.pages_active = pending_pages_active_;
+            pending_record_.pages_cached = pool_.cachedPages();
+            pending_record_.pages_free = pool_.freePages();
         }
     }
-    ServingMetrics &metrics = result_.metrics;
-    metrics.busy_ms = addStepMs(metrics.busy_ms, repeats);
-    metrics.steps += repeats;
-    metrics.total_batched_seqs += repeats * pending_batch_;
-    metrics.page_step_sum += repeats * pending_pages_active_;
-    for (auto &seq : active_)
-        seq.state.generated += repeats;
-    step_start_ms_ = addStepMs(step_start_ms_, repeats);
     return repeats;
 }
 

@@ -76,14 +76,19 @@ class ReplicaEngine
     double stepEndMs() const;
 
     /** Decode-run query: how many steps after the in-flight one are
-     *  certain to repeat it exactly — the same shape groups, no page
-     *  growth, no preemption or admission, hence the same cost
+     *  certain to repeat it exactly — the same shape groups, no
+     *  preemption, eviction or admission, hence the same cost
      *  (reused without calling the oracle). 0 unless every resident
      *  is decoding, the queue is empty and the in-flight step
      *  launched at or after the cold-start stream's end_ms.
      *  Otherwise the largest j such that, for every resident, the
-     *  next j contexts stay within the pages it holds and within its
-     *  bucket, and no resident finishes before step j.
+     *  next j contexts stay within its bucket, no resident finishes
+     *  before step j, and the fresh pages launches 1..j grow in all
+     *  — the sum over residents of max(0, pagesFor(context + j) -
+     *  heldPages) — fit the free list. A page taken off the free
+     *  list changes neither a shape nor the cost; reclaiming a
+     *  retained page or preempting does, so the run ends before
+     *  the launch that would need either.
      *
      *  The answer assumes nothing else touches the engine meanwhile:
      *  an offer or readmit, a slow factor, a cost swap, a drain or a
@@ -102,17 +107,24 @@ class ReplicaEngine
      *  step of the run that ends strictly before @p before, at most
      *  @p max_repeats times. Returns that count k; the in-flight
      *  step is then the k-th repeat, so stepEndMs() equals the old
-     *  repeatEndMs(k). Metrics, step records and every resident's
-     *  progress come out bit-identical to k completeStep() /
-     *  launchStep(stepEndMs()) pairs: steps, batched sequences and
-     *  page-steps grow by k times the in-flight step's share, each
-     *  resident's generated by k, busy time and the step start by k
-     *  sequential additions of the step cost (the additions
-     *  repeatEndMs() makes), and the k records differ from the
-     *  in-flight one only in start_ms. No oracle call, page growth
-     *  or admission runs. k <= repeatSteps() is asserted, so a
-     *  caller passes the run it planned from repeatSteps() and cuts
-     *  it wherever the engine is touched (fleet.h, decode runs).
+     *  repeatEndMs(k). Metrics, step records, the pool and every
+     *  resident's progress come out bit-identical to k
+     *  completeStep() / launchStep(stepEndMs()) pairs. The steps
+     *  are accounted for in segments that end at the launches
+     *  growing a page: within a segment, steps, batched sequences
+     *  and page-steps grow by the segment's length times the
+     *  in-flight step's share, each resident's generated by that
+     *  length, busy time and the step start by that many sequential
+     *  additions of the step cost (the additions repeatEndMs()
+     *  makes), and the records differ from the in-flight one only in
+     *  start_ms. At a segment's last launch every resident grows,
+     *  in admission order as launchStep() grows them, and the
+     *  in-flight step's page count (and, under record_steps, its
+     *  record's pages_active/cached/free) is read afresh. No oracle
+     *  call, preemption or admission runs. k <= repeatSteps() is
+     *  asserted, so a caller passes the run it planned from
+     *  repeatSteps() and cuts it wherever the engine is touched
+     *  (fleet.h, decode runs).
      *  k = 0 changes nothing. busy() only. */
     int64_t advanceRepeats(int64_t max_repeats, double before);
 
@@ -131,7 +143,10 @@ class ReplicaEngine
      *  (active pages × page_tokens) plus the queued requests'
      *  prefill demand. Counting backlog demand matters — resident KV alone
      *  rewards the replica whose batch holds small contexts with
-     *  every new arrival while its queue grows without bound. */
+     *  every new arrival while its queue grows without bound.
+     *  Inside a decode run the active pages grow as
+     *  advanceRepeats() replays the run, so the answer is current
+     *  only once the engine has been caught up to now. */
     int64_t kvLoadTokens() const;
 
     bool draining() const { return draining_; }

@@ -20,9 +20,12 @@
  *  Scripted cases below cut a decode run at each of its cut rules,
  *  and park a deep retry buffer through a whole-fleet outage, and
  *  hold production to the reference there too, with strictly fewer
- *  rounds. The last cases drive one ReplicaEngine through a run both
- *  ways — stepped one launch at a time and advanced in one
- *  advanceRepeats() call — and hold the engines equal. */
+ *  rounds; others run decode runs across page growth at 1- to
+ *  4-token pages and pin the rounds of one run spanning a bucket.
+ *  The last cases drive one ReplicaEngine through a run both ways —
+ *  stepped one launch at a time and advanced in one advanceRepeats()
+ *  call — and hold the engines equal, also where the run grows pages
+ *  and where the free list ends it. */
 
 #include <gtest/gtest.h>
 
@@ -512,24 +515,73 @@ TEST(FleetDecodeRuns, DeepRetryBufferThroughAWholeFleetOutage)
     EXPECT_EQ(r.metrics.requests_lost, 0);
 }
 
+TEST(FleetDecodeRuns, RunsSpanPageGrowthAtEverySmallPageSize)
+{
+    // Two replicas with 160-token pools serve requests that share a
+    // 12-token prefix or none, at 1- to 4-token pages: runs grow
+    // pages at nearly every step and end where the free list runs
+    // short, and the growth past that preempts.
+    auto prefixed = [](Request r) {
+        r.prefix_id = 1;
+        r.prefix_len = 12;
+        return r;
+    };
+    const std::vector<Request> trace = {
+        prefixed(makeRequest(0, 0.0, 20, 60)),
+        makeRequest(1, 0.0, 24, 50),
+        prefixed(makeRequest(2, 0.0, 30, 40)),
+        makeRequest(3, 1.0, 12, 70),
+        prefixed(makeRequest(4, 1.0, 16, 30)),
+        prefixed(makeRequest(5, 40.0, 16, 30)),
+        makeRequest(6, 40.0, 28, 45),
+        prefixed(makeRequest(7, 90.0, 14, 50))};
+    for (int64_t page_tokens = 1; page_tokens <= 4; ++page_tokens) {
+        SCOPED_TRACE("page_tokens " + std::to_string(page_tokens));
+        serving::FleetOptions options = scriptOptions(2);
+        options.replica.page_tokens = page_tokens;
+        options.replica.kv_budget_tokens = 160;
+        auto r = expectMatchesReference(options, trace);
+        EXPECT_EQ(r.metrics.completed,
+                  static_cast<int64_t>(trace.size()));
+        EXPECT_GT(r.metrics.preemptions, 0);
+        EXPECT_GT(r.metrics.prefix_hit_pages, 0);
+    }
+}
+
+TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
+{
+    // Input 300 sits in bucket 432, and so do the decode contexts
+    // 301..399 of a 100-token output; on 16-token pages they cross
+    // six page boundaries (305, 321, ..., 385). The fleet takes three
+    // rounds: the arrival, where the prefill launches; the prefill's
+    // end, where the first decode launches a run of the other 98;
+    // and the run's end, where the 100th step completes.
+    auto r = expectMatchesReference(scriptOptions(1),
+                                    {makeRequest(0, 0.0, 300, 100)});
+    EXPECT_EQ(r.metrics.steps, 100);
+    EXPECT_EQ(r.metrics.peak_pages_active, 25);
+    EXPECT_EQ(r.rounds, 3);
+}
+
 // ---- One engine through a decode run: k completeStep()/launchStep()
 // ---- pairs against one advanceRepeats() call. ----
 
-/** Three residents decoding in bucket 48 within three 16-token
- *  pages (contexts 34..36 at the first decode): the run's first
- *  decode is in flight, and the next min(48 - 36, ...) = 12 steps
- *  repeat it. Started off zero so the step ends are not multiples
- *  of the step cost. */
+/** Three residents decoding in bucket 48 (contexts 34..36 at the
+ *  first decode): the run's first decode is in flight, and the next
+ *  @p run_length steps repeat it — min(48 - 36, ...) = 12 unless the
+ *  free list bounds the run first. Started off zero by default so
+ *  the step ends are not multiples of the step cost. */
 void
-startRun(serving::ReplicaEngine &engine)
+startRun(serving::ReplicaEngine &engine, int64_t run_length = 12,
+         double start_ms = 0.37)
 {
     for (int64_t id = 0; id < 3; ++id)
-        engine.offer(makeRequest(id, 0.0, 33 + id, 40), 0.37);
-    ASSERT_TRUE(engine.launchStep(0.37)); // the prefill
+        engine.offer(makeRequest(id, 0.0, 33 + id, 40), start_ms);
+    ASSERT_TRUE(engine.launchStep(start_ms)); // the prefill
     double end = engine.stepEndMs();
     engine.completeStep();
     ASSERT_TRUE(engine.launchStep(end));
-    ASSERT_EQ(engine.repeatSteps(), 12);
+    ASSERT_EQ(engine.repeatSteps(), run_length);
 }
 
 /** Complete the in-flight step and launch the next at its end, as
@@ -554,8 +606,8 @@ engineOptions()
     return o;
 }
 
-/** The step accounting, the in-flight step and every step record of
- *  the two engines match bit for bit. */
+/** The step accounting, the pool, the in-flight step and every step
+ *  record of the two engines match bit for bit. */
 void
 expectSameEngine(const serving::ReplicaEngine &a,
                  const serving::ReplicaEngine &b)
@@ -567,6 +619,14 @@ expectSameEngine(const serving::ReplicaEngine &a,
     EXPECT_EQ(ma.total_batched_seqs, mb.total_batched_seqs);
     EXPECT_EQ(ma.page_step_sum, mb.page_step_sum);
     EXPECT_EQ(ma.completed, mb.completed);
+    EXPECT_EQ(ma.preemptions, mb.preemptions);
+    EXPECT_EQ(a.pool().activePages(), b.pool().activePages());
+    EXPECT_EQ(a.pool().cachedPages(), b.pool().cachedPages());
+    EXPECT_EQ(a.pool().freePages(), b.pool().freePages());
+    EXPECT_EQ(a.pool().stats().evicted_cached_pages,
+              b.pool().stats().evicted_cached_pages);
+    EXPECT_EQ(a.pool().stats().peak_active_pages,
+              b.pool().stats().peak_active_pages);
     ASSERT_EQ(a.busy(), b.busy());
     if (a.busy()) {
         EXPECT_EQ(a.stepEndMs(), b.stepEndMs());
@@ -607,16 +667,20 @@ expectSameProgress(serving::ReplicaEngine &a, serving::ReplicaEngine &b)
     }
 }
 
-TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeats)
+/** For every k up to the run's 12 steps, advance one engine k
+ *  repeats in one call and step another through them, and hold the
+ *  two equal. The instant falls inside the k-th repeat, one ulp
+ *  before its end: the steps before it ended earlier, it has not.
+ *  For the run's whole length the instant lies past its end and the
+ *  cap stops the count. */
+void
+expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
 {
-    // For every k below the run's length, the instant falls inside
-    // the k-th repeat, one ulp before its end: the steps before it
-    // ended earlier, it has not. For the run's whole length the
-    // instant lies past its end and the cap stops the count.
     serving::AnalyticCostModel cost;
     for (int64_t k = 0; k <= 12; ++k) {
-        serving::ReplicaEngine stepped(engineOptions(), cost);
-        serving::ReplicaEngine advanced(engineOptions(), cost);
+        SCOPED_TRACE("k = " + std::to_string(k));
+        serving::ReplicaEngine stepped(options, cost);
+        serving::ReplicaEngine advanced(options, cost);
         startRun(stepped);
         startRun(advanced);
         double predicted_end = advanced.repeatEndMs(k);
@@ -633,6 +697,49 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeats)
         expectSameEngine(stepped, advanced);
         expectSameProgress(stepped, advanced);
     }
+}
+
+TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeats)
+{
+    // 16-token pages: the residents hold three pages each, which
+    // cover the whole bucket, so the run grows none.
+    expectAdvanceMatchesStepping(engineOptions());
+}
+
+TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
+{
+    // 4-token pages: the residents hold nine pages each at the first
+    // decode (contexts 34, 35, 36) and cross a page boundary at
+    // repeats 3, 7, 11 (context 34), 2, 6, 10 (35) and 1, 5, 9 (36),
+    // so every k above ends in a different segment of the run.
+    serving::SchedulerOptions options = engineOptions();
+    options.page_tokens = 4;
+    expectAdvanceMatchesStepping(options);
+
+    // The whole run in one call: 27 pages at its first decode, 36 at
+    // its last, and each step's record and page-step share carry the
+    // pages that step held.
+    serving::AnalyticCostModel cost;
+    serving::ReplicaEngine engine(options, cost);
+    startRun(engine);
+    ASSERT_EQ(engine.pool().activePages(), 27);
+    ASSERT_EQ(engine.advanceRepeats(
+                  12, std::numeric_limits<double>::infinity()),
+              12);
+    EXPECT_EQ(engine.pool().activePages(), 36);
+    const auto &steps = engine.result().steps;
+    ASSERT_EQ(steps.size(), 13u); // the prefill and 12 decodes
+    int64_t page_steps = 0;
+    for (size_t i = 1; i < steps.size(); ++i) {
+        // Repeat m (step m + 1) holds 27 pages plus one per boundary
+        // crossed by then: m - floor(m / 4) of them.
+        auto m = static_cast<int64_t>(i) - 1;
+        EXPECT_EQ(steps[i].pages_active, 27 + m - m / 4) << "step " << i;
+        EXPECT_EQ(steps[i].pages_free, 1024 - steps[i].pages_active);
+        page_steps += steps[i].pages_active;
+    }
+    EXPECT_EQ(engine.result().metrics.page_step_sum,
+              steps[0].pages_active + page_steps);
 }
 
 TEST(FleetDecodeRuns, EngineAdvanceLeavesAStepEndingAtTheInstant)
@@ -671,14 +778,90 @@ TEST(FleetDecodeRuns, EngineAdvanceOfZeroChangesNothing)
 
 TEST(FleetDecodeRuns, EngineAdvancePastTheRunPanics)
 {
-    // The 13th step would cross a page and bucket boundary: it is no
-    // repeat, and a plan that claims it is a bug.
+    // The 13th step would cross the bucket boundary: it is no repeat,
+    // and a plan that claims it is a bug.
     serving::AnalyticCostModel cost;
     serving::ReplicaEngine engine(engineOptions(), cost);
     startRun(engine);
     EXPECT_THROW(
         engine.advanceRepeats(13, std::numeric_limits<double>::infinity()),
         PanicError);
+}
+
+/** startRun's residents on 4-token pages in a pool of @p total_pages:
+ *  they hold 27 pages at the first decode. */
+serving::SchedulerOptions
+tightPoolOptions(int64_t total_pages)
+{
+    serving::SchedulerOptions o = engineOptions();
+    o.page_tokens = 4;
+    o.kv_budget_tokens = 4 * total_pages;
+    return o;
+}
+
+/** Serve one request with a two-page prefix to completion, leaving
+ *  both prefix pages retained; returns the instant it ends. */
+double
+retainPrefixPages(serving::ReplicaEngine &engine)
+{
+    Request r = makeRequest(9, 0.0, 8, 1);
+    r.prefix_id = 7;
+    r.prefix_len = 8;
+    engine.offer(r, 0.0);
+    EXPECT_TRUE(engine.launchStep(0.0));
+    double end = engine.stepEndMs();
+    engine.completeStep();
+    EXPECT_EQ(engine.pool().cachedPages(), 2);
+    return end;
+}
+
+TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
+{
+    // Three pages are free at the first decode. Repeats 1, 2 and 3
+    // each take one (contexts 37 of the three residents), repeat 4
+    // none, repeat 5 a fourth: the run is 4 steps long. Stepping
+    // past it, the 5th launch preempts with nothing retained, and
+    // reclaims a retained page, preempting nobody, with two.
+    for (bool retained : {false, true}) {
+        SCOPED_TRACE(retained ? "retained pages" : "no retained pages");
+        serving::SchedulerOptions options =
+            tightPoolOptions(retained ? 32 : 30);
+        serving::AnalyticCostModel cost;
+        serving::ReplicaEngine stepped(options, cost);
+        serving::ReplicaEngine advanced(options, cost);
+        serving::ReplicaEngine overrun(options, cost);
+        double start = 0.37;
+        if (retained) {
+            start += retainPrefixPages(stepped);
+            retainPrefixPages(advanced);
+            retainPrefixPages(overrun);
+        }
+        startRun(stepped, 4, start);
+        startRun(advanced, 4, start);
+        startRun(overrun, 4, start);
+        ASSERT_EQ(advanced.pool().freePages(), 3);
+
+        stepRepeats(stepped, 4);
+        EXPECT_EQ(advanced.advanceRepeats(
+                      4, std::numeric_limits<double>::infinity()),
+                  4);
+        expectSameEngine(stepped, advanced);
+        EXPECT_EQ(advanced.pool().freePages(), 0);
+        EXPECT_EQ(advanced.repeatSteps(), 0);
+        EXPECT_THROW(overrun.advanceRepeats(
+                         5, std::numeric_limits<double>::infinity()),
+                     PanicError);
+
+        // The 5th launch, stepped as before.
+        stepRepeats(stepped, 1);
+        stepRepeats(advanced, 1);
+        expectSameEngine(stepped, advanced);
+        EXPECT_EQ(advanced.result().metrics.preemptions,
+                  retained ? 0 : 1);
+        EXPECT_EQ(advanced.pool().stats().evicted_cached_pages,
+                  retained ? 1 : 0);
+        expectSameProgress(stepped, advanced);
+    }
 }
 
 } // namespace

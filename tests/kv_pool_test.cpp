@@ -172,6 +172,50 @@ TEST(KvPool, EvictionReclaimsOldestCachedFirst)
     pool.validate();
 }
 
+TEST(KvPool, GrowthRevivesItsHitsBeforeReclaimingAnything)
+{
+    // One-token pages. Prefix 5's pages 0 and 1 and prefix 6's page
+    // 0 are retained in that release order; a private sequence then
+    // takes the free page and reclaims 5/0, the oldest.
+    KvPool pool = makePool(4, 1);
+    pool.bind(1, 5, 2);
+    ASSERT_TRUE(pool.grow(1, 2));
+    pool.bind(2, 6, 1);
+    ASSERT_TRUE(pool.grow(2, 1));
+    pool.release(1);
+    pool.release(2);
+    pool.bind(3, 0, 0);
+    ASSERT_TRUE(pool.grow(3, 2));
+    ASSERT_EQ(pool.cachedPages(), 2);
+    ASSERT_EQ(pool.freePages(), 0);
+
+    // A sequence with prefix 5 grows over both prefix pages: it
+    // revives 5/1 first, so its fresh page for position 0 reclaims
+    // 6/0, not the page position 1 is about to revive.
+    serving::KvPoolStats before = pool.stats();
+    pool.bind(4, 5, 2);
+    ASSERT_TRUE(pool.grow(4, 2));
+    EXPECT_EQ(pool.stats().prefix_hit_pages - before.prefix_hit_pages, 1);
+    EXPECT_EQ(pool.stats().prefix_miss_pages - before.prefix_miss_pages,
+              1);
+    EXPECT_EQ(pool.stats().evicted_cached_pages -
+                  before.evicted_cached_pages,
+              1);
+    pool.validate();
+
+    // Its pages are held in position order: released, 5/0 is
+    // retained before 5/1, so the next reclaim takes 5/0 and leaves
+    // 5/1 in the prefix table.
+    pool.release(3);
+    pool.release(4);
+    pool.bind(6, 0, 0);
+    ASSERT_TRUE(pool.grow(6, 3));
+    pool.bind(7, 5, 2);
+    EXPECT_EQ(pool.missingPages(7, 1), 1);
+    EXPECT_EQ(pool.missingPages(7, 2), 1);
+    pool.validate();
+}
+
 TEST(KvPool, CachedPagesCountAsAvailable)
 {
     KvPool pool = makePool(4, 16);

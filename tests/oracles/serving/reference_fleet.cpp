@@ -124,17 +124,22 @@ struct Pool
         int64_t retained_pages = static_cast<int64_t>(retained.size());
         if (fresh > free + retained_pages - revived)
             return false;
+        // Every hit is mapped before any fresh page is taken, so
+        // taking one never forgets a page this growth maps.
+        for (int64_t pos = have; pos < want && pos < prefix_pages; ++pos) {
+            auto hit = shared.find({seq.prefix_id, pos});
+            if (hit == shared.end())
+                continue;
+            if (hit->second == 0)
+                retained.erase(std::find(retained.begin(),
+                                         retained.end(), hit->first));
+            ++hit->second;
+            ++hits;
+        }
         for (int64_t pos = have; pos < want; ++pos) {
             PageKey key{seq.prefix_id, pos};
-            auto hit = pos < prefix_pages ? shared.find(key)
-                                          : shared.end();
-            if (hit != shared.end()) {
-                if (hit->second == 0)
-                    retained.erase(std::find(retained.begin(),
-                                             retained.end(), key));
-                ++hit->second;
-                ++hits;
-                seq.shared.push_back(key);
+            if (pos < prefix_pages && shared.count(key) != 0) {
+                seq.shared.push_back(key); // mapped above
                 continue;
             }
             takePage();
