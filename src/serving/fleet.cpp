@@ -57,13 +57,8 @@ struct FleetRun
      *  in `pending` — O(log n) each. */
     std::map<std::pair<double, int64_t>, double> pending_deadlines;
 
-    /** Decode runs (fleet.h): per replica, the steps planned after
-     *  the in-flight one, whose completion instants get no round,
-     *  and the end of the run's last step (the replica's wake-up
-     *  while busy); and the replicas phase 6 launched this round
-     *  (scratch). */
-    std::vector<int64_t> run_left;
-    std::vector<double> run_end;
+    /** The replicas phase 6 launched this round (scratch for
+     *  stageRuns). */
     std::vector<int> launched;
 
     double now = 0.0;
@@ -75,9 +70,7 @@ struct FleetRun
         : options(options_in), cost(cost_in),
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
           n(options_in.num_replicas),
-          injector(options_in.faults),
-          run_left(static_cast<size_t>(options_in.num_replicas), 0),
-          run_end(static_cast<size_t>(options_in.num_replicas), inf)
+          injector(options_in.faults)
     {
         launched.reserve(static_cast<size_t>(n));
         engines.reserve(static_cast<size_t>(n));
@@ -202,7 +195,6 @@ struct FleetRun
             return;
         }
         engines[static_cast<size_t>(target)].offer(r, now);
-        cutRun(static_cast<size_t>(target));
     }
 
     /** Route every due retry-buffer entry to an eligible replica.
@@ -221,11 +213,8 @@ struct FleetRun
             due.push_back(std::move(it->second));
             it = erasePending(it);
         }
-        for (auto it = due.rbegin(); it != due.rend(); ++it) {
-            auto target = static_cast<size_t>(pickReplica());
-            engines[target].readmit(*it);
-            cutRun(target);
-        }
+        for (auto it = due.rbegin(); it != due.rend(); ++it)
+            engines[static_cast<size_t>(pickReplica())].readmit(*it);
     }
 
     void applyFault(const FaultEvent &e)
@@ -233,7 +222,6 @@ struct FleetRun
         FleetMetrics &fm = result.metrics;
         auto idx = static_cast<size_t>(e.replica);
         ReplicaEngine &eng = engines[idx];
-        cutRun(idx);
         switch (e.kind) {
         case FaultKind::Crash: {
             if (!up[idx])
@@ -413,79 +401,31 @@ struct FleetRun
 
     // ---- Decode runs (fleet.h) ---------------------------------
 
-    /** Set @p idx's wake-up to the end of its in-flight step's last
-     *  planned repeat. */
-    void setRunEnd(size_t idx)
-    {
-        run_end[idx] = engines[idx].repeatEndMs(run_left[idx]);
-    }
-
-    /** End @p idx's run after its in-flight step, so the loop wakes
-     *  at that step's end again. */
-    void cutRun(size_t idx)
-    {
-        if (run_left[idx] == 0)
-            return;
-        run_left[idx] = 0;
-        setRunEnd(idx);
-    }
-
-    /** Phase 1 for one replica: complete every step that ended by
-     *  now. Steps that ended before now belong to a run and had no
-     *  round at their ends — nothing else happened there — so the
-     *  engine accounts for them and relaunches the run's next step
-     *  in one call (ReplicaEngine::advanceRepeats). A step ending at
-     *  now leaves the replica idle for phase 6, so a crash at this
-     *  instant still finds it idle. */
-    void completeDue(size_t idx)
-    {
-        ReplicaEngine &eng = engines[idx];
-        if (!eng.busy())
-            return;
-        run_left[idx] -= eng.advanceRepeats(run_left[idx], now);
-        if (eng.stepEndMs() > now)
-            return;
-        ST_ASSERT(eng.stepEndMs() == now,
-                  "a step outside a decode run ended unseen");
-        eng.completeStep();
-        run_left[idx] = 0;
-    }
-
     /** Phase 6, second half: plan a run for every replica launched
-     *  this round and set its wake-up. A run holds only while
-     *  completed, in-flight and planned steps across the fleet stay
-     *  below max_steps (the step-limit check must not fall on a
-     *  skipped instant) and no queue holds a deadline (its sweep
-     *  must not move to a later instant); when either fails, every
-     *  standing run is cut. */
+     *  this round. A run holds only while completed, in-flight and
+     *  planned steps across the fleet stay below max_steps (the
+     *  step-limit check must not fall on a skipped instant) and no
+     *  queue holds a deadline (its sweep must not move to a later
+     *  instant); when either fails, every standing run is cut. */
     void stageRuns()
     {
         int64_t steps = 0;
         bool deadline_queued = false;
-        for (size_t i = 0; i < engines.size(); ++i) {
-            ReplicaEngine &eng = engines[i];
-            steps += eng.result().metrics.steps +
-                     (eng.busy() ? 1 : 0) + run_left[i];
+        for (auto &eng : engines) {
+            steps += eng.result().metrics.steps + (eng.busy() ? 1 : 0) +
+                     eng.plannedRepeats();
             deadline_queued = deadline_queued || eng.queuedDeadlines();
         }
         int64_t budget = options.replica.max_steps - 1 - steps;
         if (deadline_queued || budget < 0) {
-            for (size_t i = 0; i < engines.size(); ++i) {
-                budget += run_left[i];
-                cutRun(i);
+            for (auto &eng : engines) {
+                budget += eng.plannedRepeats();
+                eng.cutRun();
             }
         }
-        for (int i : launched) {
-            auto idx = static_cast<size_t>(i);
-            int64_t repeats =
-                deadline_queued
-                    ? 0
-                    : std::min(engines[idx].repeatSteps(),
-                               std::max<int64_t>(budget, 0));
-            budget -= repeats;
-            run_left[idx] = repeats;
-            setRunEnd(idx);
-        }
+        for (int i : launched)
+            budget -= engines[static_cast<size_t>(i)].planRun(
+                deadline_queued ? 0 : budget);
         launched.clear();
     }
 
@@ -503,8 +443,7 @@ struct FleetRun
         if (!arrivals.exhausted())
             next_t = std::min(next_t, arrivals.nextArrivalMs());
         for (size_t i = 0; i < engines.size(); ++i) {
-            if (engines[i].busy())
-                next_t = std::min(next_t, run_end[i]);
+            next_t = std::min(next_t, engines[i].wakeMs());
             if (reload_ready[i] > now)
                 next_t = std::min(next_t, reload_ready[i]);
         }
@@ -548,8 +487,8 @@ struct FleetRun
             // decode runs. A step ending exactly at a crash instant
             // completes first: its tokens were produced before the
             // failure.
-            for (size_t i = 0; i < engines.size(); ++i)
-                completeDue(i);
+            for (auto &eng : engines)
+                eng.completeDue(now);
 
             // 2. Fault events, in plan firing order — before
             // arrivals, so an arrival at a crash instant sees the

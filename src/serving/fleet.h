@@ -52,35 +52,28 @@
  *
  * **Decode runs.** A replica usually repeats its last step: the
  * same decoding batch, one token further on. When phase 6 launches a
- * step, ReplicaEngine::repeatSteps() says how many steps after it
- * are certain to repeat it (same shape groups, an empty queue, the
+ * step, ReplicaEngine::planRun() plans the steps after it that are
+ * certain to repeat it (same shape groups, an empty queue, the
  * cold-start stream over, and page growth that the free list
- * covers, so no retained page is reclaimed and nobody is
- * preempted). The fleet plans that many as a run and wakes for the
- * replica only at the end of the run's last step
- * (ReplicaEngine::repeatEndMs, the same additions the step-by-step
- * loop makes). Phase 1 catches a replica up at any round in one
- * engine call (ReplicaEngine::advanceRepeats): the run's steps that
- * ended before now — instants with no round — are completed and
- * relaunched as pure accounting, with no oracle call, preemption or
- * admission, since the run guarantees each repeat launches the same
- * groups at the same cost; the engine replays the run's page growth
- * itself, at the launches that need a page. A step ending exactly
- * now completes and leaves the replica idle for phase 6, as without
- * runs. Phase 1 visits every replica every round: the replayed
- * growth changes ReplicaEngine::kvLoadTokens(), which routing reads
- * in phases 3 and 5. Two fleet-wide caps bound a run: completed,
- * in-flight and planned steps stay below max_steps (so the step
- * limit never falls on a skipped instant), and no run is planned
- * while any replica's queue holds a request with a deadline (its
- * sweep runs at the next round at or after the deadline, which a
- * skipped instant would move). A run is cut after its in-flight
- * step — the replica's wake-up moves back to that step's end — when
- * anything changes the replica's next launch: an offer or readmit to
- * it, any fault naming it, a deadline-carrying request queued
- * anywhere, or the step cap failing after other replicas' launches.
- * The differential suite holds every result to a reference fleet
- * that wakes at every step end (tests/oracles/serving/reference_fleet).
+ * covers), and the loop wakes for the replica only at
+ * ReplicaEngine::wakeMs(), the end of the run's last step. Phase 1
+ * catches every replica up in one engine call
+ * (ReplicaEngine::completeDue): the run's steps that ended before
+ * now — instants with no round — complete and relaunch as pure
+ * accounting, page growth included, and a step ending exactly now
+ * completes and leaves the replica idle for phase 6, as without
+ * runs. Phase 1 visits every replica every round, since the replayed
+ * growth changes the kvLoadTokens() routing reads in phases 3 and 5.
+ * The engine owns its run: each engine call that changes its next
+ * launch cuts the run after the in-flight step, so a fault that
+ * changes nothing leaves it standing. The fleet adds two fleet-wide
+ * caps: completed, in-flight and planned steps stay below max_steps
+ * (so the step limit never falls on a skipped instant), and while
+ * any queue holds a request with a deadline every run is cut and
+ * none is planned (its sweep runs at the next round at or after the
+ * deadline, which a skipped instant would move). The differential
+ * suite holds every result to a reference fleet that wakes at every
+ * step end (tests/oracles/serving/reference_fleet).
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests as QueuedRequest entries, each with its
@@ -284,8 +277,6 @@ class FleetScheduler
      *  simulated clock, never concurrently. */
     FleetScheduler(FleetOptions options, StepCostModel &cost,
                    StepCostModel *degraded_cost = nullptr);
-
-    const FleetOptions &options() const { return options_; }
 
     /** Serve @p trace to completion (or step limit) under the
      *  fault plan. Deterministic: identical inputs give

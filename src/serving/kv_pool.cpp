@@ -171,14 +171,11 @@ KvPool::grow(int64_t seq_id, int64_t tokens)
         Page &p = pages_[static_cast<size_t>(hit->second)];
         if (p.cached) {
             // Revive from the retained cache.
-            for (auto lru = cached_lru_.begin();; ++lru) {
-                ST_ASSERT(lru != cached_lru_.end(),
-                          "cached page missing from LRU");
-                if (lru->second == hit->second) {
-                    cached_lru_.erase(lru);
-                    break;
-                }
-            }
+            auto lru = cached_lru_.find(p.release_tick);
+            ST_ASSERT(lru != cached_lru_.end() &&
+                          lru->second == hit->second,
+                      "cached page missing from LRU");
+            cached_lru_.erase(lru);
             p.cached = false;
         }
         if (p.ref == 0)
@@ -222,7 +219,8 @@ KvPool::release(int64_t seq_id)
                 // Retain for prefix reuse, reclaimable
                 // oldest-release-first.
                 p.cached = true;
-                cached_lru_.emplace(tick_++, page);
+                p.release_tick = tick_++;
+                cached_lru_.emplace(p.release_tick, page);
             } else {
                 free_.push_back(page);
             }
@@ -262,10 +260,11 @@ KvPool::validate() const
     ST_ASSERT(active == active_pages_,
               "active-page counter drifted");
     for (const auto &[tick, page] : cached_lru_) {
-        (void)tick;
         const Page &p = pages_[static_cast<size_t>(page)];
         ST_ASSERT(p.cached && p.ref == 0 && p.key != 0,
                   "retained page state corrupt");
+        ST_ASSERT(p.release_tick == tick,
+                  "retained page's release tick does not map back");
         auto hit = prefix_table_.find(p.key);
         ST_ASSERT(hit != prefix_table_.end() &&
                       hit->second == page,

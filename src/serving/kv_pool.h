@@ -88,7 +88,6 @@ class KvPool
   public:
     explicit KvPool(KvPoolOptions options);
 
-    const KvPoolOptions &options() const { return options_; }
     int64_t pageTokens() const { return options_.page_tokens; }
     int64_t totalPages() const { return options_.total_pages; }
 
@@ -161,8 +160,8 @@ class KvPool
 
     /** Recount every page's state from scratch and panic if the
      *  incremental counters, free list, retained set, or per-page
-     *  flags disagree — the conservation audit the property suite
-     *  runs after every operation. */
+     *  flags or release ticks disagree — the conservation audit the
+     *  property suite runs after every operation. */
     void validate() const;
 
   private:
@@ -176,6 +175,9 @@ class KvPool
 
         /** True while retained in cached_lru_. */
         bool cached = false;
+
+        /** This page's key in cached_lru_ while cached. */
+        int64_t release_tick = 0;
     };
 
     struct Seq

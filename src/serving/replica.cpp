@@ -179,32 +179,55 @@ ReplicaEngine::addStepMs(double from, int64_t repeats) const
     return from;
 }
 
-double
-ReplicaEngine::repeatEndMs(int64_t repeats) const
+int64_t
+ReplicaEngine::planRun(int64_t max_repeats)
 {
-    return addStepMs(stepEndMs(), repeats);
+    run_left_ = max_repeats > 0 ? std::min(repeatSteps(), max_repeats) : 0;
+    run_end_ = addStepMs(stepEndMs(), run_left_);
+    return run_left_;
 }
 
-int64_t
-ReplicaEngine::advanceRepeats(int64_t max_repeats, double before)
+void
+ReplicaEngine::cutRun()
 {
-    ST_ASSERT(busy_, "advanceRepeats() with no step in flight");
+    if (run_left_ == 0)
+        return;
+    run_left_ = 0;
+    run_end_ = stepEndMs();
+}
+
+void
+ReplicaEngine::completeDue(double now)
+{
+    if (!busy_)
+        return;
+    advanceRepeats(now);
+    if (stepEndMs() > now)
+        return;
+    ST_ASSERT(stepEndMs() == now,
+              "a step outside a decode run ended unseen");
+    completeStep();
+}
+
+void
+ReplicaEngine::advanceRepeats(double before)
+{
     int64_t repeats = 0;
-    for (double end = stepEndMs(); repeats < max_repeats && end < before;
+    for (double end = stepEndMs(); repeats < run_left_ && end < before;
          ++repeats)
         end = addStepMs(end, 1);
     if (repeats == 0)
-        return 0;
+        return;
     // Every resident stays prefilled and in its bucket, none
     // finishes, and the run's page growth fits the free list: each
     // repeat launches the same groups at the same cost.
     ST_ASSERT(repeats <= repeatSteps(),
               "a decode run outran its repeating steps");
+    run_left_ -= repeats;
 
     // Segments end at the launches that grow a page. Within one, the
     // records launchStep() would build differ from the in-flight one
     // only in their start.
-    ServingMetrics &metrics = result_.metrics;
     for (int64_t done = 0; done < repeats;) {
         int64_t segment = repeats - done;
         for (const auto &seq : active_)
@@ -214,20 +237,7 @@ ReplicaEngine::advanceRepeats(int64_t max_repeats, double before)
                                     seq.state.generated) +
                                    1);
         ST_ASSERT(segment > 0, "a resident outgrew its pages");
-        if (options_.record_steps) {
-            for (int64_t k = 0; k < segment; ++k) {
-                result_.steps.push_back(pending_record_);
-                pending_record_.start_ms =
-                    addStepMs(pending_record_.start_ms, 1);
-            }
-        }
-        metrics.busy_ms = addStepMs(metrics.busy_ms, segment);
-        metrics.steps += segment;
-        metrics.total_batched_seqs += segment * pending_batch_;
-        metrics.page_step_sum += segment * pending_pages_active_;
-        for (auto &seq : active_)
-            seq.state.generated += segment;
-        step_start_ms_ = addStepMs(step_start_ms_, segment);
+        commitSteps(segment);
         done += segment;
 
         // The segment's last launch grows every resident, in
@@ -245,7 +255,26 @@ ReplicaEngine::advanceRepeats(int64_t max_repeats, double before)
             pending_record_.pages_free = pool_.freePages();
         }
     }
-    return repeats;
+}
+
+void
+ReplicaEngine::commitSteps(int64_t k)
+{
+    if (options_.record_steps) {
+        for (int64_t s = 0; s < k; ++s) {
+            result_.steps.push_back(pending_record_);
+            pending_record_.start_ms =
+                addStepMs(pending_record_.start_ms, 1);
+        }
+    }
+    ServingMetrics &metrics = result_.metrics;
+    metrics.busy_ms = addStepMs(metrics.busy_ms, k);
+    metrics.steps += k;
+    metrics.total_batched_seqs += k * pending_batch_;
+    metrics.page_step_sum += k * pending_pages_active_;
+    for (auto &seq : active_)
+        seq.state.generated += k;
+    step_start_ms_ = addStepMs(step_start_ms_, k);
 }
 
 int64_t
@@ -278,6 +307,7 @@ ReplicaEngine::reject(const Request &r, RejectReason reason,
 void
 ReplicaEngine::offer(const Request &r, double now)
 {
+    cutRun();
     // Callers ingest arrivals strictly in (arrival, id) order, so
     // result().rejected inherits that order no matter how many
     // arrivals one ingest round drains.
@@ -294,6 +324,7 @@ ReplicaEngine::offer(const Request &r, double now)
 void
 ReplicaEngine::readmit(const QueuedRequest &entry)
 {
+    cutRun();
     queue_.pushFront(entry);
 }
 
@@ -310,6 +341,7 @@ void
 ReplicaEngine::setSlowFactor(double factor)
 {
     ST_CHECK(factor > 0.0, "slow factor must be positive");
+    cutRun();
     slow_factor_ = factor;
 }
 
@@ -491,24 +523,15 @@ ReplicaEngine::launchStep(double now)
     busy_ = true;
     step_start_ms_ = now;
     step_ms_ = step_ms;
+    run_end_ = stepEndMs();
     return true;
 }
 
 void
 ReplicaEngine::completeStep()
 {
-    ST_ASSERT(busy_, "completeStep() with no step in flight");
-    double now = step_start_ms_ + step_ms_;
+    double now = stepEndMs();
     ServingMetrics &metrics = result_.metrics;
-
-    if (options_.record_steps) {
-        result_.steps.push_back(std::move(pending_record_));
-        pending_record_ = StepRecord{};
-    }
-    metrics.busy_ms += step_ms_;
-    ++metrics.steps;
-    metrics.total_batched_seqs += pending_batch_;
-    metrics.page_step_sum += pending_pages_active_;
 
     // Token accounting: every step a sequence runs advances it
     // by one output token — the first prefill emits the first
@@ -516,6 +539,7 @@ ReplicaEngine::completeStep()
     // preemption (or failover) interrupted, and each decode
     // emits one more. Finished sequences retire at this step's
     // end, releasing their pages.
+    commitSteps(1);
     for (auto &seq : active_) {
         if (!seq.prefilled) {
             seq.prefilled = true;
@@ -524,7 +548,6 @@ ReplicaEngine::completeStep()
                 seq.state.first_token_ms = now;
             }
         }
-        ++seq.state.generated;
         if (seq.state.generated == seq.req.output_len) {
             RequestMetrics done;
             done.id = seq.req.id;
@@ -550,16 +573,17 @@ ReplicaEngine::completeStep()
         active_.end());
 
     busy_ = false;
+    run_left_ = 0;
 }
 
 std::vector<QueuedRequest>
 ReplicaEngine::crash()
 {
-    // Abandon any in-flight step: its metrics, record, and token
-    // progress were never committed, so the simulated work is
-    // simply lost.
+    // Abandon any in-flight step and its run: its metrics, record,
+    // and token progress were never committed, so the simulated
+    // work is simply lost.
     busy_ = false;
-    pending_record_ = StepRecord{};
+    run_left_ = 0;
 
     std::vector<QueuedRequest> out;
     out.reserve(active_.size() +
@@ -580,6 +604,7 @@ ReplicaEngine::crash()
 std::vector<QueuedRequest>
 ReplicaEngine::evacuateQueue()
 {
+    cutRun();
     return queue_.drainAll();
 }
 

@@ -10,15 +10,24 @@
  * The engine is a state machine over one replica's queue, paged KV
  * pool, and resident batch:
  *
- *     offer/readmit -> [queue] -> launchStep -> busy -> completeStep
+ *     offer/readmit -> [queue] -> launchStep -> busy -> completeDue
  *                        ^  |                    |
  *                        |  +-- expireDeadlines  +-- crash() abandons
  *                        +----- preemption            the in-flight step
  *
  * All step accounting (metrics, step records, token advancement)
- * commits at completeStep(); a crash between launch and completion
- * abandons the in-flight step — its simulated work is lost, which
- * is exactly what a mid-decode hardware failure costs.
+ * commits when completeDue() reaches the step's end; a crash
+ * between launch and completion abandons the in-flight step — its
+ * simulated work is lost, which is exactly what a mid-decode
+ * hardware failure costs.
+ *
+ * **Decode runs.** planRun() plans the steps after a launch that
+ * repeat it; the caller needs the engine again only at wakeMs(),
+ * and completeDue() catches the run up in one call. The engine owns
+ * the run: every mutator that changes the next launch (offer,
+ * readmit, setSlowFactor, setCost, setDraining, crash,
+ * evacuateQueue) cuts it after the in-flight step. Caps spanning
+ * replicas are the caller's, through planRun()'s cap and cutRun().
  *
  * **Where progress lives.** A request's ResumeState has one home at
  * a time: a resident sequence holds it in its batch entry; a queued
@@ -36,6 +45,7 @@
 #define STREAMTENSOR_SERVING_REPLICA_H
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "serving/kv_pool.h"
@@ -64,9 +74,6 @@ class ReplicaEngine
     ReplicaEngine(const SchedulerOptions &options,
                   StepCostModel &cost, int replica_id = 0);
 
-    int replicaId() const { return replica_id_; }
-    const SchedulerOptions &options() const { return options_; }
-
     // ---- State queries -----------------------------------------
 
     /** A step is in flight (launched, not yet completed). */
@@ -75,58 +82,34 @@ class ReplicaEngine
     /** Simulated end of the in-flight step. busy() only. */
     double stepEndMs() const;
 
-    /** Decode-run query: how many steps after the in-flight one are
-     *  certain to repeat it exactly — the same shape groups, no
-     *  preemption, eviction or admission, hence the same cost
-     *  (reused without calling the oracle). 0 unless every resident
-     *  is decoding, the queue is empty and the in-flight step
-     *  launched at or after the cold-start stream's end_ms.
-     *  Otherwise the largest j such that, for every resident, the
-     *  next j contexts stay within its bucket, no resident finishes
-     *  before step j, and the fresh pages launches 1..j grow in all
-     *  — the sum over residents of max(0, pagesFor(context + j) -
-     *  heldPages) — fit the free list. A page taken off the free
-     *  list changes neither a shape nor the cost; reclaiming a
-     *  retained page or preempting does, so the run ends before
-     *  the launch that would need either.
-     *
-     *  The answer assumes nothing else touches the engine meanwhile:
-     *  an offer or readmit, a slow factor, a cost swap, a drain or a
-     *  crash changes the next launch, so the fleet cuts the run
-     *  there (fleet.h, decode runs). busy() only. */
-    int64_t repeatSteps() const;
+    // ---- Decode runs -------------------------------------------
 
-    /** End of the @p repeats-th repeat of the in-flight step: its
-     *  end plus its cost added once per repeat, the same sequence
-     *  of additions launchStep() makes stepping them one at a
-     *  time. busy() only. */
-    double repeatEndMs(int64_t repeats) const;
+    /** Plan a run of the min(@p max_repeats, repeatSteps()) steps
+     *  after the in-flight one (none for a cap <= 0) and return
+     *  that count. Call it after launchStep(), before anything
+     *  else touches the engine. busy() only. */
+    int64_t planRun(int64_t max_repeats);
 
-    /** Decode-run catch-up in one call: complete the in-flight step
-     *  and launch its repeat, as pure accounting, once for each
-     *  step of the run that ends strictly before @p before, at most
-     *  @p max_repeats times. Returns that count k; the in-flight
-     *  step is then the k-th repeat, so stepEndMs() equals the old
-     *  repeatEndMs(k). Metrics, step records, the pool and every
-     *  resident's progress come out bit-identical to k
-     *  completeStep() / launchStep(stepEndMs()) pairs. The steps
-     *  are accounted for in segments that end at the launches
-     *  growing a page: within a segment, steps, batched sequences
-     *  and page-steps grow by the segment's length times the
-     *  in-flight step's share, each resident's generated by that
-     *  length, busy time and the step start by that many sequential
-     *  additions of the step cost (the additions repeatEndMs()
-     *  makes), and the records differ from the in-flight one only in
-     *  start_ms. At a segment's last launch every resident grows,
-     *  in admission order as launchStep() grows them, and the
-     *  in-flight step's page count (and, under record_steps, its
-     *  record's pages_active/cached/free) is read afresh. No oracle
-     *  call, preemption or admission runs. k <= repeatSteps() is
-     *  asserted, so a caller passes the run it planned from
-     *  repeatSteps() and cuts it wherever the engine is touched
-     *  (fleet.h, decode runs).
-     *  k = 0 changes nothing. busy() only. */
-    int64_t advanceRepeats(int64_t max_repeats, double before);
+    /** Steps of the planned run after the in-flight one. */
+    int64_t plannedRepeats() const { return run_left_; }
+
+    /** End of the run's last step (of the in-flight step when no
+     *  run stands); +infinity when idle. */
+    double wakeMs() const
+    {
+        return busy_ ? run_end_
+                     : std::numeric_limits<double>::infinity();
+    }
+
+    /** End the run after the in-flight step. */
+    void cutRun();
+
+    /** Complete every step that ended by @p now: the run's steps
+     *  that ended before it as pure accounting (advanceRepeats),
+     *  then a step ending exactly at @p now, which leaves the
+     *  engine idle and ends the run. Panics when a step outside
+     *  the run ended before @p now. No-op when idle. */
+    void completeDue(double now);
 
     /** Some queued request carries a deadline. */
     bool queuedDeadlines() const { return queue_.hasDeadlines(); }
@@ -144,9 +127,9 @@ class ReplicaEngine
      *  prefill demand. Counting backlog demand matters — resident KV alone
      *  rewards the replica whose batch holds small contexts with
      *  every new arrival while its queue grows without bound.
-     *  Inside a decode run the active pages grow as
-     *  advanceRepeats() replays the run, so the answer is current
-     *  only once the engine has been caught up to now. */
+     *  Inside a decode run the active pages grow as completeDue()
+     *  replays the run, so the answer is current only once the
+     *  engine has been caught up to now. */
     int64_t kvLoadTokens() const;
 
     bool draining() const { return draining_; }
@@ -189,12 +172,9 @@ class ReplicaEngine
      *  to run (no work, or draining with an empty batch). Throws
      *  FatalError when @p now plus the step's cost does not exceed
      *  @p now (a far-future instant where the cost rounds away).
-     *  The engine is busy() until completeStep(). */
+     *  The engine is busy() until completeDue() reaches the step's
+     *  end. */
     bool launchStep(double now);
-
-    /** Commit the in-flight step: metrics, step record, one output
-     *  token per resident sequence, retire finished sequences. */
-    void completeStep();
 
     // ---- Faults ------------------------------------------------
 
@@ -216,16 +196,25 @@ class ReplicaEngine
     /** Enter/leave drain mode: while draining, launchStep admits
      *  nothing from the queue and offer() rejects arrivals as
      *  Drained; residents run to completion. */
-    void setDraining(bool draining) { draining_ = draining; }
+    void setDraining(bool draining)
+    {
+        cutRun();
+        draining_ = draining;
+    }
 
     /** Step-cost multiplier for a degraded (slowed) replica; must
-     *  be positive. 1.0 = nominal. */
+     *  be positive. 1.0 = nominal. The in-flight step keeps its
+     *  cost. */
     void setSlowFactor(double factor);
 
     /** Swap the cost oracle (inter-die link degradation: steps are
      *  costed by a model built on the degraded platform while the
      *  fault holds). @p cost must outlive the engine. */
-    void setCost(StepCostModel &cost) { cost_ = &cost; }
+    void setCost(StepCostModel &cost)
+    {
+        cutRun();
+        cost_ = &cost;
+    }
 
     // ---- Results -----------------------------------------------
 
@@ -262,11 +251,47 @@ class ReplicaEngine
     void reject(const Request &r, RejectReason reason,
                 double at_ms);
 
+    /** How many steps after the in-flight one are certain to
+     *  repeat it exactly — the same shape groups, no preemption,
+     *  eviction or admission, hence the same cost (reused without
+     *  calling the oracle). 0 unless every resident is decoding,
+     *  the queue is empty and the in-flight step launched at or
+     *  after the cold-start stream's end_ms. Otherwise the largest
+     *  j such that, for every resident, the next j contexts stay
+     *  within its bucket, no resident finishes before step j, and
+     *  the fresh pages launches 1..j grow in all — the sum over
+     *  residents of max(0, pagesFor(context + j) - heldPages) — fit
+     *  the free list. A page taken off the free list changes
+     *  neither a shape nor the cost; reclaiming a retained page or
+     *  preempting does, so the run ends before the launch that
+     *  would need either. busy() only. */
+    int64_t repeatSteps() const;
+
+    /** Complete the in-flight step and launch its repeat, as pure
+     *  accounting, once for each step of the run that ends strictly
+     *  before @p before, bit-identical to stepping them. The steps
+     *  commit in segments that end at the launches growing a page;
+     *  at a segment's end every resident grows, in admission order
+     *  as launchStep() grows them, and the in-flight step's page
+     *  count (and its record's) is read afresh. */
+    void advanceRepeats(double before);
+
+    /** Commit the in-flight step: metrics, step record, one output
+     *  token per resident sequence, retire finished sequences. The
+     *  engine goes idle and any run ends. */
+    void completeStep();
+
+    /** The accounting of @p k steps that repeat the in-flight one,
+     *  shared by completeStep() and advanceRepeats(): a record per
+     *  step, busy time and the step start by k sequential additions
+     *  of the step cost, and k times the step's share of steps,
+     *  batched sequences, page-steps and every resident's tokens. */
+    void commitSteps(int64_t k);
+
     /** @p from plus the in-flight step's cost, added @p repeats
-     *  times one addition at a time: the sums launchStep() forms
-     *  stepping a decode run. repeatEndMs() and advanceRepeats()
-     *  both add through here, so a planned run end and the run
-     *  accounted for agree to the bit. */
+     *  times one addition at a time, as stepping adds it: planRun()
+     *  and commitSteps() both add through here, so a planned run
+     *  end and the run accounted for agree to the bit. */
     double addStepMs(double from, int64_t repeats) const;
 
     SchedulerOptions options_;
@@ -306,6 +331,11 @@ class ReplicaEngine
     StepRecord pending_record_;
     int64_t pending_batch_ = 0;
     int64_t pending_pages_active_ = 0;
+
+    // Decode run: the steps planned after the in-flight one, and the
+    // end of the run's last step.
+    int64_t run_left_ = 0;
+    double run_end_ = 0.0;
 
     ServingResult result_;
 };

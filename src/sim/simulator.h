@@ -34,11 +34,10 @@
  * oracle tests/oracles/sim/reference_simulator.h and pitted against
  * this one in a
  * randomized differential suite; both derive firing times from the
- * same window-anchored expression, so cycles, finish times, firings
- * and channel push/pop counts agree bit-for-bit. Stall accounting
+ * same window-anchored expression, so cycles, finish times, firings,
+ * channel push/pop counts and stall accounting
  * (ComponentStats::stall_cycles, SimResult::crossing_stall_cycles)
- * is not part of that contract; this engine's values are the
- * canonical ones.
+ * agree bit-for-bit.
  */
 
 #ifndef STREAMTENSOR_SIM_SIMULATOR_H
@@ -60,9 +59,7 @@ struct ComponentStats
 
     /** Cycles spent blocked: for each blocking episode, the time
      *  from the pace time of the firing that could not happen to
-     *  the time it fired. Outside the leap-vs-reference contract
-     *  (the reference credits stall at every wake); this engine's
-     *  values are canonical, and steadyIntervalCycles reads them. */
+     *  the time it fired; steadyIntervalCycles reads it. */
     double stall_cycles = 0.0;
 };
 
@@ -112,10 +109,7 @@ struct SimResult
      *  when the delivery (or pop credit) that met its firing's
      *  need on some inter-die channel landed after tp, even if a
      *  local FIFO blocked it too. The rule reads the schedule
-     *  alone. Like stall_cycles it is outside the leap-vs-reference
-     *  contract (the reference attributes by the channels its
-     *  probes happen to see), and this engine's value is
-     *  canonical. */
+     *  alone. */
     double crossing_stall_cycles = 0.0;
 
     std::vector<ComponentStats> components;

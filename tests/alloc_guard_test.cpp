@@ -191,21 +191,21 @@ TEST(AllocGuard, RepeatedLaunchReusesCostWithoutAllocating)
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(engine.launchStep(now));
         now = engine.stepEndMs();
-        engine.completeStep();
+        engine.completeDue(now);
     }
     ASSERT_EQ(cost.calls, 2);
     ASSERT_TRUE(engine.launchStep(now));
 
     // Contexts 10..15 stay in bucket 16 and the first page: every
     // launch repeats the last one, reuses its cost, and ends where
-    // repeatEndMs() said it would.
+    // a planned run of one said it would.
     for (int i = 0; i < 5; ++i) {
-        ASSERT_GE(engine.repeatSteps(), 1);
-        double predicted_end = engine.repeatEndMs(1);
+        ASSERT_EQ(engine.planRun(1), 1);
+        double predicted_end = engine.wakeMs();
         bool launched = false;
         EXPECT_EQ(allocationsDuring([&] {
                       now = engine.stepEndMs();
-                      engine.completeStep();
+                      engine.completeDue(now);
                       launched = engine.launchStep(now);
                   }),
                   0)

@@ -21,9 +21,10 @@
  *  and park a deep retry buffer through a whole-fleet outage, and
  *  hold production to the reference there too, with strictly fewer
  *  rounds; others run decode runs across page growth at 1- to
- *  4-token pages and pin the rounds of one run spanning a bucket.
- *  The last cases drive one ReplicaEngine through a run both ways —
- *  stepped one launch at a time and advanced in one advanceRepeats()
+ *  4-token pages and pin the rounds of one run spanning a bucket,
+ *  and a fault that changes no engine leaves its run standing. The
+ *  last cases drive one ReplicaEngine through a run both ways —
+ *  stepped one launch at a time and caught up in one completeDue()
  *  call — and hold the engines equal, also where the run grows pages
  *  and where the free list ends it. */
 
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serving/cost_model.h"
@@ -548,6 +550,34 @@ TEST(FleetDecodeRuns, RunsSpanPageGrowthAtEverySmallPageSize)
     }
 }
 
+TEST(FleetDecodeRuns, AFaultThatChangesNothingLeavesTheRunStanding)
+{
+    // Replica 2 is down from 0 ms, and request 0 decodes alone on
+    // replica 0 when request 1 arrives at 10 ms and goes to the idle
+    // replica 1. At that instant the link of replica 0 degrades with
+    // no degraded model to swap in, and replica 2 crashes again:
+    // neither touches an engine, so replica 0's run stands and the
+    // fleet takes the rounds it takes without those two faults.
+    serving::FleetOptions calm = scriptOptions(3);
+    calm.faults.events = {{0.0, 2, serving::FaultKind::Crash, 1.0}};
+    serving::FleetOptions faulted = calm;
+    faulted.faults.events.push_back(
+        {10.0, 0, serving::FaultKind::DegradeStart, 1.0});
+    faulted.faults.events.push_back(
+        {10.0, 2, serving::FaultKind::Crash, 1.0});
+    const std::vector<Request> trace = {makeRequest(0, 0.0, 8, 60),
+                                        makeRequest(1, 10.0, 8, 4)};
+    auto without = expectMatchesReference(calm, trace);
+    auto with = expectMatchesReference(faulted, trace);
+    EXPECT_EQ(with.metrics.degrades, 0);
+    EXPECT_EQ(with.metrics.crashes, 1);
+    EXPECT_EQ(with.metrics.completed, 2);
+    ASSERT_EQ(with.metrics.requests.size(), 2u);
+    EXPECT_EQ(with.metrics.requests[0].replica, 1);
+    EXPECT_EQ(with.metrics.requests[1].replica, 0);
+    EXPECT_EQ(with.rounds, without.rounds);
+}
+
 TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
 {
     // Input 300 sits in bucket 432, and so do the decode contexts
@@ -563,14 +593,25 @@ TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
     EXPECT_EQ(r.rounds, 3);
 }
 
-// ---- One engine through a decode run: k completeStep()/launchStep()
-// ---- pairs against one advanceRepeats() call. ----
+// ---- One engine through a decode run: k steps completed at their
+// ---- ends against one completeDue() call. ----
+
+/** Complete the in-flight step at its end; returns that instant. */
+double
+completeInFlight(serving::ReplicaEngine &engine)
+{
+    double end = engine.stepEndMs();
+    engine.completeDue(end);
+    EXPECT_FALSE(engine.busy());
+    return end;
+}
 
 /** Three residents decoding in bucket 48 (contexts 34..36 at the
- *  first decode): the run's first decode is in flight, and the next
- *  @p run_length steps repeat it — min(48 - 36, ...) = 12 unless the
- *  free list bounds the run first. Started off zero by default so
- *  the step ends are not multiples of the step cost. */
+ *  first decode): the run's first decode is in flight, and a run of
+ *  the next @p run_length steps, which repeat it, is planned —
+ *  min(48 - 36, ...) = 12 unless the free list bounds the run first.
+ *  Started off zero by default so the step ends are not multiples
+ *  of the step cost. */
 void
 startRun(serving::ReplicaEngine &engine, int64_t run_length = 12,
          double start_ms = 0.37)
@@ -578,10 +619,9 @@ startRun(serving::ReplicaEngine &engine, int64_t run_length = 12,
     for (int64_t id = 0; id < 3; ++id)
         engine.offer(makeRequest(id, 0.0, 33 + id, 40), start_ms);
     ASSERT_TRUE(engine.launchStep(start_ms)); // the prefill
-    double end = engine.stepEndMs();
-    engine.completeStep();
-    ASSERT_TRUE(engine.launchStep(end));
-    ASSERT_EQ(engine.repeatSteps(), run_length);
+    ASSERT_TRUE(engine.launchStep(completeInFlight(engine)));
+    ASSERT_EQ(engine.planRun(std::numeric_limits<int64_t>::max()),
+              run_length);
 }
 
 /** Complete the in-flight step and launch the next at its end, as
@@ -589,11 +629,27 @@ startRun(serving::ReplicaEngine &engine, int64_t run_length = 12,
 void
 stepRepeats(serving::ReplicaEngine &engine, int64_t repeats)
 {
-    for (int64_t k = 0; k < repeats; ++k) {
-        double end = engine.stepEndMs();
-        engine.completeStep();
-        ASSERT_TRUE(engine.launchStep(end));
-    }
+    for (int64_t k = 0; k < repeats; ++k)
+        ASSERT_TRUE(engine.launchStep(completeInFlight(engine)));
+}
+
+/** The run @p engine would plan behind its in-flight step, uncapped,
+ *  read off a copy so the engine's own plan stays as it is. */
+int64_t
+plannableRepeats(const serving::ReplicaEngine &engine)
+{
+    serving::ReplicaEngine copy = engine;
+    return copy.planRun(std::numeric_limits<int64_t>::max());
+}
+
+/** The end of the @p k-th repeat of @p engine's in-flight step, as
+ *  a run of k planned on a copy says. */
+double
+repeatEnd(const serving::ReplicaEngine &engine, int64_t k)
+{
+    serving::ReplicaEngine copy = engine;
+    EXPECT_EQ(copy.planRun(k), k);
+    return copy.wakeMs();
 }
 
 serving::SchedulerOptions
@@ -630,7 +686,7 @@ expectSameEngine(const serving::ReplicaEngine &a,
     ASSERT_EQ(a.busy(), b.busy());
     if (a.busy()) {
         EXPECT_EQ(a.stepEndMs(), b.stepEndMs());
-        EXPECT_EQ(a.repeatSteps(), b.repeatSteps());
+        EXPECT_EQ(plannableRepeats(a), plannableRepeats(b));
     }
     const auto &sa = a.result().steps;
     const auto &sb = b.result().steps;
@@ -667,12 +723,12 @@ expectSameProgress(serving::ReplicaEngine &a, serving::ReplicaEngine &b)
     }
 }
 
-/** For every k up to the run's 12 steps, advance one engine k
+/** For every k up to the run's 12 steps, catch one engine up k
  *  repeats in one call and step another through them, and hold the
  *  two equal. The instant falls inside the k-th repeat, one ulp
  *  before its end: the steps before it ended earlier, it has not.
- *  For the run's whole length the instant lies past its end and the
- *  cap stops the count. */
+ *  At k = 12 that is the run's last step, so the whole run is
+ *  caught up and none of it is left. */
 void
 expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
 {
@@ -683,17 +739,17 @@ expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
         serving::ReplicaEngine advanced(options, cost);
         startRun(stepped);
         startRun(advanced);
-        double predicted_end = advanced.repeatEndMs(k);
-        double before =
-            k < 12 ? std::nextafter(predicted_end, 0.0)
-                   : std::numeric_limits<double>::infinity();
+        double predicted_end = repeatEnd(advanced, k);
         stepRepeats(stepped, k);
-        EXPECT_EQ(advanced.advanceRepeats(12, before), k);
+        advanced.completeDue(std::nextafter(predicted_end, 0.0));
+        EXPECT_EQ(advanced.plannedRepeats(), 12 - k);
         EXPECT_EQ(advanced.stepEndMs(), predicted_end);
+        EXPECT_EQ(advanced.wakeMs(), repeatEnd(advanced, 12 - k));
         expectSameEngine(stepped, advanced);
         // The in-flight repeat completes as a stepped one would.
-        stepped.completeStep();
-        advanced.completeStep();
+        completeInFlight(stepped);
+        completeInFlight(advanced);
+        EXPECT_EQ(advanced.plannedRepeats(), 0);
         expectSameEngine(stepped, advanced);
         expectSameProgress(stepped, advanced);
     }
@@ -723,9 +779,8 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
     serving::ReplicaEngine engine(options, cost);
     startRun(engine);
     ASSERT_EQ(engine.pool().activePages(), 27);
-    ASSERT_EQ(engine.advanceRepeats(
-                  12, std::numeric_limits<double>::infinity()),
-              12);
+    engine.completeDue(std::nextafter(engine.wakeMs(), 0.0));
+    ASSERT_EQ(engine.plannedRepeats(), 0);
     EXPECT_EQ(engine.pool().activePages(), 36);
     const auto &steps = engine.result().steps;
     ASSERT_EQ(steps.size(), 13u); // the prefill and 12 decodes
@@ -745,33 +800,45 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
 TEST(FleetDecodeRuns, EngineAdvanceLeavesAStepEndingAtTheInstant)
 {
     // The instant is the 5th repeat's end: that repeat does not end
-    // strictly before it, so it stays in flight for the caller to
-    // complete, as phase 1 does at a round on a step end.
+    // strictly before it, so a catch-up to one ulp earlier leaves it
+    // in flight, and completeDue() at the instant itself completes
+    // it, leaves the engine idle and ends the run, as phase 1 does
+    // at a round on a step end.
     serving::AnalyticCostModel cost;
     serving::ReplicaEngine stepped(engineOptions(), cost);
     serving::ReplicaEngine advanced(engineOptions(), cost);
     startRun(stepped);
     startRun(advanced);
-    double now = advanced.repeatEndMs(5);
-    EXPECT_EQ(advanced.advanceRepeats(12, now), 5);
+    double now = repeatEnd(advanced, 5);
+    advanced.completeDue(std::nextafter(now, 0.0));
+    EXPECT_EQ(advanced.plannedRepeats(), 7);
     EXPECT_EQ(advanced.stepEndMs(), now);
     stepRepeats(stepped, 5);
     expectSameEngine(stepped, advanced);
-    stepped.completeStep();
-    advanced.completeStep();
+    completeInFlight(stepped);
+    advanced.completeDue(now);
+    EXPECT_FALSE(advanced.busy());
+    EXPECT_EQ(advanced.plannedRepeats(), 0);
     expectSameEngine(stepped, advanced);
     expectSameProgress(stepped, advanced);
 }
 
 TEST(FleetDecodeRuns, EngineAdvanceOfZeroChangesNothing)
 {
+    // A run of none, and a catch-up to an instant before the
+    // in-flight step ends, change nothing.
     serving::AnalyticCostModel cost;
     serving::ReplicaEngine untouched(engineOptions(), cost);
     serving::ReplicaEngine advanced(engineOptions(), cost);
     startRun(untouched);
     startRun(advanced);
-    EXPECT_EQ(advanced.advanceRepeats(0, 1e9), 0);
-    EXPECT_EQ(advanced.advanceRepeats(12, advanced.stepEndMs()), 0);
+    EXPECT_EQ(advanced.planRun(0), 0);
+    EXPECT_EQ(advanced.wakeMs(), advanced.stepEndMs());
+    advanced.completeDue(std::nextafter(advanced.stepEndMs(), 0.0));
+    EXPECT_EQ(advanced.planRun(12), 12);
+    advanced.completeDue(std::nextafter(advanced.stepEndMs(), 0.0));
+    EXPECT_EQ(advanced.plannedRepeats(), 12);
+    EXPECT_EQ(advanced.wakeMs(), untouched.wakeMs());
     expectSameEngine(untouched, advanced);
     expectSameProgress(untouched, advanced);
 }
@@ -779,13 +846,69 @@ TEST(FleetDecodeRuns, EngineAdvanceOfZeroChangesNothing)
 TEST(FleetDecodeRuns, EngineAdvancePastTheRunPanics)
 {
     // The 13th step would cross the bucket boundary: it is no repeat,
-    // and a plan that claims it is a bug.
+    // so no run plans it, and a catch-up past the run's last step
+    // (a caller that slept through wakeMs()) is a bug.
     serving::AnalyticCostModel cost;
     serving::ReplicaEngine engine(engineOptions(), cost);
     startRun(engine);
+    EXPECT_EQ(engine.planRun(13), 12);
     EXPECT_THROW(
-        engine.advanceRepeats(13, std::numeric_limits<double>::infinity()),
+        engine.completeDue(std::numeric_limits<double>::infinity()),
         PanicError);
+}
+
+TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
+{
+    // Each engine call that can change the next launch ends the run
+    // after the in-flight step: the engine wakes at that step's end
+    // (crash abandons the step, leaving the engine idle).
+    serving::AnalyticCostModel cost, other;
+    const std::vector<
+        std::pair<const char *, void (*)(serving::ReplicaEngine &,
+                                         serving::StepCostModel &)>>
+        mutators = {
+            {"offer",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 e.offer(makeRequest(7, 0.0, 8, 4), 0.5);
+             }},
+            {"readmit",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 e.readmit({makeRequest(7, 0.0, 8, 4), {}});
+             }},
+            {"setSlowFactor",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 e.setSlowFactor(2.0);
+             }},
+            {"setCost",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &c) {
+                 e.setCost(c);
+             }},
+            {"setDraining",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 e.setDraining(true);
+             }},
+            {"evacuateQueue",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 EXPECT_TRUE(e.evacuateQueue().empty());
+             }},
+            {"crash",
+             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
+                 EXPECT_EQ(e.crash().size(), 3u);
+             }},
+        };
+    for (const auto &[name, mutate] : mutators) {
+        SCOPED_TRACE(name);
+        serving::ReplicaEngine engine(engineOptions(), cost);
+        startRun(engine);
+        double step_end = engine.stepEndMs();
+        mutate(engine, other);
+        EXPECT_EQ(engine.plannedRepeats(), 0);
+        EXPECT_EQ(engine.wakeMs(),
+                  engine.busy() ? step_end
+                                : std::numeric_limits<double>::infinity());
+        engine.completeDue(step_end);
+        EXPECT_FALSE(engine.busy());
+    }
 }
 
 /** startRun's residents on 4-token pages in a pool of @p total_pages:
@@ -809,8 +932,7 @@ retainPrefixPages(serving::ReplicaEngine &engine)
     r.prefix_len = 8;
     engine.offer(r, 0.0);
     EXPECT_TRUE(engine.launchStep(0.0));
-    double end = engine.stepEndMs();
-    engine.completeStep();
+    double end = completeInFlight(engine);
     EXPECT_EQ(engine.pool().cachedPages(), 2);
     return end;
 }
@@ -842,14 +964,16 @@ TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
         ASSERT_EQ(advanced.pool().freePages(), 3);
 
         stepRepeats(stepped, 4);
-        EXPECT_EQ(advanced.advanceRepeats(
-                      4, std::numeric_limits<double>::infinity()),
-                  4);
+        advanced.completeDue(std::nextafter(advanced.wakeMs(), 0.0));
+        EXPECT_EQ(advanced.plannedRepeats(), 0);
         expectSameEngine(stepped, advanced);
         EXPECT_EQ(advanced.pool().freePages(), 0);
-        EXPECT_EQ(advanced.repeatSteps(), 0);
-        EXPECT_THROW(overrun.advanceRepeats(
-                         5, std::numeric_limits<double>::infinity()),
+        EXPECT_EQ(plannableRepeats(advanced), 0);
+        // A run of 5 is never planned, and catching up past the
+        // 4-step run's end panics.
+        EXPECT_EQ(overrun.planRun(5), 4);
+        EXPECT_THROW(overrun.completeDue(
+                         std::numeric_limits<double>::infinity()),
                      PanicError);
 
         // The 5th launch, stepped as before.

@@ -113,15 +113,6 @@ simulateGroupReference(const dataflow::ComponentGraph &g,
         ComponentState &s = comps[i];
         if (s.in_queue || done(i))
             return;
-        if (s.blocked_since >= 0.0) {
-            double credit =
-                std::max(t, s.blocked_since) - s.blocked_since;
-            result.components[i].stall_cycles += credit;
-            if (s.blocked_on_crossing)
-                result.crossing_stall_cycles += credit;
-            s.blocked_since = -1.0;
-            s.blocked_on_crossing = false;
-        }
         queue.push({std::max(t, s.ready_time), i});
         s.in_queue = true;
     };
@@ -279,6 +270,19 @@ simulateGroupReference(const dataflow::ComponentGraph &g,
             if (covered)
                 wake(i, wake_t); // in-flight entries cover the need
             continue;
+        }
+
+        // A blocking episode ends with the firing it held up: its
+        // stall runs from the examination that first found the
+        // firing blocked to now, and counts as crossing stall when
+        // an inter-die channel blocked it at any examination.
+        if (s.blocked_since >= 0.0) {
+            double stall = t - s.blocked_since;
+            result.components[i].stall_cycles += stall;
+            if (stall > 0.0 && s.blocked_on_crossing)
+                result.crossing_stall_cycles += stall;
+            s.blocked_since = -1.0;
+            s.blocked_on_crossing = false;
         }
 
         // Fire: consume, produce, advance. Crossing pops return

@@ -7,22 +7,16 @@
  * Both simulators derive firing times from the shared
  * window-anchored expression, so the suite asserts *exact* (bitwise
  * double) equality on cycles, first_output_cycle, per-component
- * firings and finish times, and per-channel push/pop counts — over
+ * firings, finish times and stall cycles, crossing stall cycles,
+ * and per-channel push/pop counts — over
  * randomized layered DAGs (mixed rates, non-divisible token
  * interleaves, folded channels, shallow and deep FIFOs), known
  * deadlock fixtures, and timeout fixtures. Peak occupancy is
  * asserted within capacity on both paths (the leap simulator
  * reports an upper bound, so exact equality is not required).
- *
- * Stall accounting -- per-component stall_cycles and
- * crossing_stall_cycles -- is outside the contract. The reference
- * credits stall at each wake, including wakes that block again and
- * episodes a deadlock never ends; the leap engine counts from the
- * pace time a blocked firing missed to the time it fires. Added to
- * expectIdenticalGroup, the two fields disagree in 176 and 45
- * places over this suite. The leap engine's values are canonical:
- * serving reads them through steadyIntervalCycles, and
- * runtime_test pins them over the serving shapes.
+ * Both simulators credit a blocking episode's stall once, when the
+ * firing that ends it fires; an episode a deadlock never ends
+ * credits nothing.
  */
 
 #include <gtest/gtest.h>
@@ -122,7 +116,11 @@ expectIdenticalGroup(const ComponentGraph &g, int64_t group,
         EXPECT_EQ(leap.components[i].finish_time,
                   ref.components[i].finish_time)
             << "component " << i;
+        EXPECT_EQ(leap.components[i].stall_cycles,
+                  ref.components[i].stall_cycles)
+            << "component " << i;
     }
+    EXPECT_EQ(leap.crossing_stall_cycles, ref.crossing_stall_cycles);
     ASSERT_EQ(leap.channels.size(), ref.channels.size());
     ASSERT_EQ(leap.channels.size(), channel_ids.size());
     for (size_t c = 0; c < leap.channels.size(); ++c) {
