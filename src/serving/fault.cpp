@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <random>
 
 #include "support/error.h"
@@ -95,35 +94,32 @@ seededFaultPlan(const SeededFaultOptions &o)
 }
 
 FaultInjector::FaultInjector(FaultPlan plan)
-    : events_(std::move(plan.events))
 {
-    for (const auto &e : events_) {
-        ST_CHECK(std::isfinite(e.at_ms) && e.at_ms >= 0.0,
-                 "fault times must be finite and non-negative");
+    for (const auto &e : plan.events) {
         ST_CHECK(e.replica >= 0, "fault replica domain");
         ST_CHECK(e.kind != FaultKind::SlowStart ||
                      (std::isfinite(e.factor) && e.factor > 0.0),
                  "slowdown factor must be finite and positive");
+        events_.emplace_back(toSimTime(e.at_ms), e);
     }
     std::stable_sort(events_.begin(), events_.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.at_ms < b.at_ms;
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
                      });
 }
 
-double
-FaultInjector::nextAtMs() const
+SimTime
+FaultInjector::nextAt() const
 {
-    return exhausted() ? std::numeric_limits<double>::infinity()
-                       : events_[next_].at_ms;
+    return exhausted() ? kNever : events_[next_].first;
 }
 
 std::vector<FaultEvent>
-FaultInjector::drainDue(double now)
+FaultInjector::drainDue(SimTime now)
 {
     std::vector<FaultEvent> due;
-    while (!exhausted() && events_[next_].at_ms <= now)
-        due.push_back(events_[next_++]);
+    while (!exhausted() && events_[next_].first <= now)
+        due.push_back(events_[next_++].second);
     return due;
 }
 

@@ -28,7 +28,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "serving/request.h"
 
 namespace streamtensor {
 namespace serving {
@@ -149,20 +152,20 @@ FaultPlan seededFaultPlan(const SeededFaultOptions &options);
 class FaultInjector
 {
   public:
-    /** Sorts the plan by at_ms (stable: authoring order breaks
-     *  ties) and validates non-negative times and replica ids. */
+    /** Sorts the plan by at_ms on the clock (toSimTime(); stable:
+     *  authoring order breaks ties) and validates it. */
     explicit FaultInjector(FaultPlan plan);
 
     bool exhausted() const { return next_ == events_.size(); }
 
-    /** Firing time of the next event; +infinity when exhausted. */
-    double nextAtMs() const;
+    /** Firing instant of the next event; kNever when exhausted. */
+    SimTime nextAt() const;
 
-    /** Pop every event with at_ms <= now, in firing order. */
-    std::vector<FaultEvent> drainDue(double now);
+    /** Pop every event due at or before @p now, in firing order. */
+    std::vector<FaultEvent> drainDue(SimTime now);
 
   private:
-    std::vector<FaultEvent> events_;
+    std::vector<std::pair<SimTime, FaultEvent>> events_;
     size_t next_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "serving/fleet.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <utility>
@@ -15,9 +14,6 @@ namespace serving {
 
 namespace {
 
-/** Exponential backoff growth per consumed failover attempt. */
-constexpr double kRetryBackoffFactor = 2.0;
-
 /** One fleet run: the state, the six round phases, the round loop,
  *  decode-run planning and the next-instant rule. */
 struct FleetRun
@@ -27,19 +23,20 @@ struct FleetRun
     StepCostModel *degraded_cost;
     ArrivalCursor &arrivals;
 
-    static constexpr double inf =
-        std::numeric_limits<double>::infinity();
+    /** FleetOptions' retry_backoff_ms and recovery_reload_ms. */
+    SimTime backoff;
+    SimTime reload_window;
 
     int n;
     std::vector<ReplicaEngine> engines;
     std::vector<bool> up;
-    std::vector<double> up_since;
+    std::vector<SimTime> up_since;
 
     /** Instant each replica's in-flight weight reload completes
-     *  (+infinity = none pending). A replica mid-reload is down:
+     *  (kNever = none pending). A replica mid-reload is down:
      *  up[] stays false until the window elapses, so it takes no
      *  launches and routing skips it. */
-    std::vector<double> reload_ready;
+    std::vector<SimTime> reload_ready;
     FaultInjector injector;
     FleetResult result;
 
@@ -48,20 +45,20 @@ struct FleetRun
      *  eligible, each with its progress. Keyed by (ready instant,
      *  id): map order IS dispatch order, which keeps redispatch
      *  deterministic. */
-    std::map<std::pair<double, int64_t>, QueuedRequest> pending;
+    std::map<std::pair<SimTime, int64_t>, QueuedRequest> pending;
 
     /** Second index over the buffer, kept in lockstep by
      *  parkPending / erasePending: (deadline, id) -> ready instant
      *  for every entry with a deadline. Its order gates the expiry
      *  sweep and the deadline wake-up; its value finds the entry
      *  in `pending` — O(log n) each. */
-    std::map<std::pair<double, int64_t>, double> pending_deadlines;
+    std::map<std::pair<SimTime, int64_t>, SimTime> pending_deadlines;
 
     /** The replicas phase 6 launched this round (scratch for
      *  stageRuns). */
     std::vector<int> launched;
 
-    double now = 0.0;
+    SimTime now = 0;
 
     FleetRun(const FleetOptions &options_in,
              StepCostModel &cost_in,
@@ -69,6 +66,8 @@ struct FleetRun
              ArrivalCursor &arrivals_in)
         : options(options_in), cost(cost_in),
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
+          backoff(toSimTime(options_in.retry_backoff_ms)),
+          reload_window(toSimTime(options_in.recovery_reload_ms)),
           n(options_in.num_replicas),
           injector(options_in.faults)
     {
@@ -77,21 +76,21 @@ struct FleetRun
         for (int i = 0; i < n; ++i)
             engines.emplace_back(options.replica, cost, i);
         up.assign(static_cast<size_t>(n), true);
-        up_since.assign(static_cast<size_t>(n), 0.0);
-        reload_ready.assign(static_cast<size_t>(n), inf);
+        up_since.assign(static_cast<size_t>(n), 0);
+        reload_ready.assign(static_cast<size_t>(n), kNever);
         result.metrics.replica_up_ms.assign(
             static_cast<size_t>(n), 0.0);
     }
 
-    /** Take @p idx out of service for @p window ms of weight
+    /** Take @p idx out of service for the reload window of weight
      *  re-streaming; it rejoins via completeReloads(). Counted
      *  here so both call sites (recover, swap) stay in lockstep. */
-    void startReload(size_t idx, double window)
+    void startReload(size_t idx)
     {
         FleetMetrics &fm = result.metrics;
-        reload_ready[idx] = now + window;
+        reload_ready[idx] = later(now, reload_window);
         ++fm.reloads;
-        fm.reload_ms_total += window;
+        fm.reload_ms_total += toMs(reload_window);
     }
 
     /** Bring every replica whose reload window has elapsed back
@@ -106,7 +105,7 @@ struct FleetRun
                 continue;
             up[i] = true;
             up_since[i] = now;
-            reload_ready[i] = inf;
+            reload_ready[i] = kNever;
         }
     }
 
@@ -133,45 +132,47 @@ struct FleetRun
         return best;
     }
 
-    double backoffMs(int64_t attempts) const
+    /** Ready instant of a request evacuated after consuming its
+     *  @p attempts-th attempt: now + backoff × 2^(attempts - 1). */
+    SimTime retryReady(int64_t attempts) const
     {
-        double b = options.retry_backoff_ms;
-        for (int64_t k = 1; k < attempts; ++k)
-            b *= kRetryBackoffFactor;
-        return b;
+        int64_t shift = attempts - 1;
+        ST_CHECK(backoff == 0 ||
+                     (shift < 63 && backoff <= (kNever >> shift)),
+                 "retry backoff overflows the simulated clock");
+        return later(now, backoff << shift);
     }
 
     void rejectFleet(const Request &r, RejectReason reason)
     {
         result.metrics.countRejection(reason);
-        result.rejected.push_back(
-            {r.id, r.arrival_ms, reason, now});
+        result.rejected.push_back({r.id, r.arrival_ms, reason, toMs(now)});
     }
 
     /** Record @p q lost, with the failover attempts it consumed. */
     void loseRequest(const QueuedRequest &q)
     {
         ++result.metrics.requests_lost;
-        result.lost.push_back({q.req.id, now, q.state.failovers});
+        result.lost.push_back({q.req.id, toMs(now), q.state.failovers});
     }
 
     /** Insert into the retry buffer and maintain its index. */
-    void parkPending(double ready, QueuedRequest q)
+    void parkPending(SimTime ready, QueuedRequest q)
     {
         const Request &r = q.req;
         if (r.deadline_ms > 0.0)
-            pending_deadlines[{r.deadline_ms, r.id}] = ready;
+            pending_deadlines[{toSimTime(r.deadline_ms), r.id}] = ready;
         pending[{ready, r.id}] = std::move(q);
     }
 
-    using PendingIt = std::map<std::pair<double, int64_t>,
+    using PendingIt = std::map<std::pair<SimTime, int64_t>,
                                QueuedRequest>::iterator;
 
     PendingIt erasePending(PendingIt it)
     {
         const Request &r = it->second.req;
         if (r.deadline_ms > 0.0)
-            pending_deadlines.erase({r.deadline_ms, r.id});
+            pending_deadlines.erase({toSimTime(r.deadline_ms), r.id});
         return pending.erase(it);
     }
 
@@ -183,7 +184,7 @@ struct FleetRun
             rejectFleet(r, RejectReason::TooLong);
             return;
         }
-        if (r.deadline_ms > 0.0 && r.deadline_ms <= now) {
+        if (r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now) {
             rejectFleet(r, RejectReason::DeadlineExpired);
             return;
         }
@@ -227,7 +228,7 @@ struct FleetRun
             if (!up[idx])
                 break; // already down: tolerant no-op
             up[idx] = false;
-            fm.replica_up_ms[idx] += now - up_since[idx];
+            fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
             ++fm.crashes;
             if (eng.busy())
                 ++fm.aborted_steps;
@@ -243,8 +244,7 @@ struct FleetRun
                 if (ev.state.failovers > options.max_retries) {
                     loseRequest(ev);
                 } else {
-                    double ready =
-                        now + backoffMs(ev.state.failovers);
+                    SimTime ready = retryReady(ev.state.failovers);
                     parkPending(ready, std::move(ev));
                 }
             }
@@ -253,14 +253,14 @@ struct FleetRun
         case FaultKind::Recover:
             // Tolerant no-op when up — or mid-reload: a second
             // Recover must not restart (or shortcut) the window.
-            if (up[idx] || reload_ready[idx] < inf)
+            if (up[idx] || reload_ready[idx] < kNever)
                 break;
             ++fm.recoveries;
-            if (options.recovery_reload_ms > 0.0) {
+            if (reload_window > 0) {
                 // The replica spends the reload window
                 // re-streaming weights from storage before it is
                 // eligible again; completeReloads() rejoins it.
-                startReload(idx, options.recovery_reload_ms);
+                startReload(idx);
             } else {
                 up[idx] = true;
                 up_since[idx] = now;
@@ -302,7 +302,7 @@ struct FleetRun
             if (!up[idx])
                 break; // down or mid-reload: tolerant no-op
             up[idx] = false;
-            fm.replica_up_ms[idx] += now - up_since[idx];
+            fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
             ++fm.swaps;
             if (eng.busy())
                 ++fm.aborted_steps;
@@ -313,7 +313,7 @@ struct FleetRun
             // requests recompute their prefix elsewhere.
             for (auto &ev : eng.crash())
                 parkPending(now, std::move(ev));
-            startReload(idx, options.recovery_reload_ms);
+            startReload(idx);
             break;
         }
         }
@@ -332,8 +332,7 @@ struct FleetRun
 
     void arrivalsPhase()
     {
-        while (!arrivals.exhausted() &&
-               arrivals.nextArrivalMs() <= now)
+        while (!arrivals.exhausted() && arrivals.nextArrival() <= now)
             dispatchArrival(arrivals.take());
     }
 
@@ -370,7 +369,7 @@ struct FleetRun
         for (int i = 0; i < n; ++i) {
             auto idx = static_cast<size_t>(i);
             if (up[idx])
-                fm.replica_up_ms[idx] += now - up_since[idx];
+                fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
             ReplicaEngine &eng = engines[idx];
             eng.finalize(now);
             // Replica-id merge order keeps the merged sketches
@@ -402,11 +401,9 @@ struct FleetRun
     // ---- Decode runs (fleet.h) ---------------------------------
 
     /** Phase 6, second half: plan a run for every replica launched
-     *  this round. A run holds only while completed, in-flight and
-     *  planned steps across the fleet stay below max_steps (the
-     *  step-limit check must not fall on a skipped instant) and no
-     *  queue holds a deadline (its sweep must not move to a later
-     *  instant); when either fails, every standing run is cut. */
+     *  this round under the fleet-wide caps (fleet.h): the step
+     *  budget and no queued deadline. When either fails, every
+     *  standing run is cut. */
     void stageRuns()
     {
         int64_t steps = 0;
@@ -436,14 +433,14 @@ struct FleetRun
      *  window's end, or a parked request becoming ready or expiring
      *  — O(num_replicas + log pending). Parked entries ready at or
      *  before now wait on one of the others (or expire, or strand).
-     *  +infinity when nothing remains. */
-    double nextInstant()
+     *  kNever when nothing remains. */
+    SimTime nextInstant()
     {
-        double next_t = injector.nextAtMs();
+        SimTime next_t = injector.nextAt();
         if (!arrivals.exhausted())
-            next_t = std::min(next_t, arrivals.nextArrivalMs());
+            next_t = std::min(next_t, arrivals.nextArrival());
         for (size_t i = 0; i < engines.size(); ++i) {
-            next_t = std::min(next_t, engines[i].wakeMs());
+            next_t = std::min(next_t, engines[i].wakeAt());
             if (reload_ready[i] > now)
                 next_t = std::min(next_t, reload_ready[i]);
         }
@@ -533,8 +530,8 @@ struct FleetRun
             if (!work_left)
                 break; // served everything; residual faults moot
 
-            double next_t = nextInstant();
-            if (next_t == inf) {
+            SimTime next_t = nextInstant();
+            if (next_t == kNever) {
                 strandPending();
                 break;
             }
@@ -578,12 +575,9 @@ FleetScheduler::FleetScheduler(FleetOptions options,
 {
     ST_CHECK(options_.num_replicas >= 1, "fleet needs replicas");
     ST_CHECK(options_.max_retries >= 0, "retry budget domain");
-    ST_CHECK(std::isfinite(options_.retry_backoff_ms) &&
-                 options_.retry_backoff_ms >= 0.0,
-             "retry backoff domain");
-    ST_CHECK(std::isfinite(options_.recovery_reload_ms) &&
-                 options_.recovery_reload_ms >= 0.0,
-             "recovery reload domain");
+    // On the clock's range (request.h), as FleetRun converts them.
+    (void)toSimTime(options_.retry_backoff_ms);
+    (void)toSimTime(options_.recovery_reload_ms);
     validateSchedulerOptions(options_.replica);
     for (const auto &e : options_.faults.events)
         ST_CHECK(e.replica >= 0 &&

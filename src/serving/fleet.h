@@ -52,25 +52,19 @@
  *
  * **Decode runs.** A replica usually repeats its last step: the
  * same decoding batch, one token further on. When phase 6 launches a
- * step, ReplicaEngine::planRun() plans the steps after it that are
- * certain to repeat it (same shape groups, an empty queue, the
- * cold-start stream over, and page growth that the free list
- * covers), and the loop wakes for the replica only at
- * ReplicaEngine::wakeMs(), the end of the run's last step. Phase 1
- * catches every replica up in one engine call
- * (ReplicaEngine::completeDue): the run's steps that ended before
- * now — instants with no round — complete and relaunch as pure
- * accounting, page growth included, and a step ending exactly now
- * completes and leaves the replica idle for phase 6, as without
- * runs. Phase 1 visits every replica every round, since the replayed
- * growth changes the kvLoadTokens() routing reads in phases 3 and 5.
- * The engine owns its run: each engine call that changes its next
- * launch cuts the run after the in-flight step, so a fault that
- * changes nothing leaves it standing. The fleet adds two fleet-wide
- * caps: completed, in-flight and planned steps stay below max_steps
- * (so the step limit never falls on a skipped instant), and while
- * any queue holds a request with a deadline every run is cut and
- * none is planned (its sweep runs at the next round at or after the
+ * step, ReplicaEngine::planRun() plans the steps certain to repeat it
+ * (replica.h), and the loop wakes for the replica only at
+ * ReplicaEngine::wakeAt(), the end of the run's last step: the m-th
+ * ends m whole-nanosecond step costs after the first. Phase 1 catches
+ * every replica up in one engine call (ReplicaEngine::completeDue),
+ * every round, since the replayed page growth changes the
+ * kvLoadTokens() that phases 3 and 5 read. An engine call that
+ * changes the next launch cuts the run, so a fault that changes
+ * nothing leaves it standing. The fleet adds two fleet-wide caps:
+ * completed, in-flight and planned steps stay below max_steps (so
+ * the step limit never falls on a skipped instant), and while any
+ * queue holds a request with a deadline every run is cut and none is
+ * planned (its sweep runs at the next round at or after the
  * deadline, which a skipped instant would move). The differential
  * suite holds every result to a reference fleet that wakes at every
  * step end (tests/oracles/serving/reference_fleet).

@@ -69,7 +69,7 @@ RequestQueue::pop()
 }
 
 std::vector<QueuedRequest>
-RequestQueue::expireBefore(double now_ms)
+RequestQueue::expireBefore(SimTime now)
 {
     std::vector<QueuedRequest> expired;
     // Sweeps run every event-loop round; skip the walk entirely
@@ -77,8 +77,8 @@ RequestQueue::expireBefore(double now_ms)
     if (deadlined_ == 0)
         return expired;
     for (auto e = fifo_.begin(); e != fifo_.end();) {
-        double deadline = e->req.deadline_ms;
-        if (deadline > 0.0 && deadline <= now_ms) {
+        if (e->req.deadline_ms > 0.0 &&
+            toSimTime(e->req.deadline_ms) <= now) {
             countRemove(e->req);
             expired.push_back(std::move(*e));
             e = fifo_.erase(e);

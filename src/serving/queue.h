@@ -91,12 +91,12 @@ class RequestQueue
     QueuedRequest pop();
 
     /** Remove every queued entry whose deadline has passed
-     *  (deadline_ms in (0, now]) and return them in pop order —
-     *  the overload-shedding sweep.
+     *  (deadline_ms > 0, due by @p now on the clock) and return
+     *  them in pop order — the overload-shedding sweep.
      *  Requests without a deadline are untouched. O(1) when no
      *  queued request carries a deadline (the common sweep, run
      *  every event-loop round); O(queue) otherwise. */
-    std::vector<QueuedRequest> expireBefore(double now_ms);
+    std::vector<QueuedRequest> expireBefore(SimTime now);
 
     /** Dequeue everything in pop order (crash evacuation, drain
      *  flush), progress included. Leaves the queue empty. */

@@ -1,7 +1,6 @@
 #include "serving/replica.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <set>
 #include <utility>
@@ -58,14 +57,13 @@ void
 sortAndValidateTrace(std::vector<Request> &trace)
 {
     std::set<int64_t> ids;
-    for (const auto &r : trace) {
+    for (auto &r : trace) {
         ST_CHECK(r.input_len >= 1 && r.output_len >= 1,
                  "request lengths must be positive");
-        ST_CHECK(std::isfinite(r.arrival_ms) && r.arrival_ms >= 0.0,
-                 "arrivals must be finite and non-negative");
-        ST_CHECK(std::isfinite(r.deadline_ms) &&
-                     r.deadline_ms >= 0.0,
-                 "deadlines must be finite and non-negative");
+        // Snapped to the clock before the sort, so instants that tie
+        // there tie here; toSimTime() rejects out-of-range instants.
+        r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+        (void)toSimTime(r.deadline_ms);
         ST_CHECK(r.prefix_id >= 0 && r.prefix_len >= 0 &&
                      r.prefix_len <= r.input_len &&
                      (r.prefix_id != 0 || r.prefix_len == 0),
@@ -73,8 +71,6 @@ sortAndValidateTrace(std::vector<Request> &trace)
         ST_CHECK(ids.insert(r.id).second,
                  "trace ids must be unique");
     }
-    // Validated first: a NaN arrival would break the sort's strict
-    // weak order.
     std::stable_sort(trace.begin(), trace.end(),
                      [](const Request &a, const Request &b) {
                          return a.arrival_ms < b.arrival_ms ||
@@ -114,11 +110,11 @@ ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
     result_.metrics.pool_pages = pool_.totalPages();
 }
 
-double
-ReplicaEngine::stepEndMs() const
+SimTime
+ReplicaEngine::stepEnd() const
 {
-    ST_CHECK(busy_, "stepEndMs() with no step in flight");
-    return step_start_ms_ + step_ms_;
+    ST_CHECK(busy_, "stepEnd() with no step in flight");
+    return step_start_ + step_;
 }
 
 int64_t
@@ -127,7 +123,7 @@ ReplicaEngine::repeatSteps() const
     ST_CHECK(busy_, "repeatSteps() with no step in flight");
     const WeightStreamPlan &stream = options_.cold_start.plan;
     if (!queue_.empty() ||
-        (!stream.empty() && step_start_ms_ < stream.end_ms))
+        (!stream.empty() && step_start_ < toSimTime(stream.end_ms)))
         return 0;
     int64_t repeats = std::numeric_limits<int64_t>::max();
     for (const auto &seq : active_) {
@@ -171,53 +167,40 @@ ReplicaEngine::repeatSteps() const
     return fits;
 }
 
-double
-ReplicaEngine::addStepMs(double from, int64_t repeats) const
-{
-    for (int64_t k = 0; k < repeats; ++k)
-        from += step_ms_;
-    return from;
-}
-
 int64_t
 ReplicaEngine::planRun(int64_t max_repeats)
 {
-    run_left_ = max_repeats > 0 ? std::min(repeatSteps(), max_repeats) : 0;
-    run_end_ = addStepMs(stepEndMs(), run_left_);
+    // The run's last step ends before kNever: wakeAt() cannot
+    // overflow, and the launch after the run reports the overflow.
+    run_left_ = max_repeats > 0
+                    ? std::min({repeatSteps(), max_repeats,
+                                (kNever - 1 - stepEnd()) / step_})
+                    : 0;
     return run_left_;
 }
 
 void
-ReplicaEngine::cutRun()
-{
-    if (run_left_ == 0)
-        return;
-    run_left_ = 0;
-    run_end_ = stepEndMs();
-}
-
-void
-ReplicaEngine::completeDue(double now)
+ReplicaEngine::completeDue(SimTime now)
 {
     if (!busy_)
         return;
     advanceRepeats(now);
-    if (stepEndMs() > now)
+    if (stepEnd() > now)
         return;
-    ST_ASSERT(stepEndMs() == now,
+    ST_ASSERT(stepEnd() == now,
               "a step outside a decode run ended unseen");
     completeStep();
 }
 
 void
-ReplicaEngine::advanceRepeats(double before)
+ReplicaEngine::advanceRepeats(SimTime before)
 {
-    int64_t repeats = 0;
-    for (double end = stepEndMs(); repeats < run_left_ && end < before;
-         ++repeats)
-        end = addStepMs(end, 1);
-    if (repeats == 0)
+    // Step m of the run ends at stepEnd() + m * step_; count the m
+    // from 0 whose end precedes `before`.
+    SimTime ahead = before - stepEnd();
+    if (ahead <= 0 || run_left_ == 0)
         return;
+    int64_t repeats = std::min(run_left_, (ahead - 1) / step_ + 1);
     // Every resident stays prefilled and in its bucket, none
     // finishes, and the run's page growth fits the free list: each
     // repeat launches the same groups at the same cost.
@@ -261,20 +244,20 @@ void
 ReplicaEngine::commitSteps(int64_t k)
 {
     if (options_.record_steps) {
-        for (int64_t s = 0; s < k; ++s) {
+        for (int64_t m = 0; m < k; ++m) {
+            pending_record_.start_ms = toMs(step_start_ + m * step_);
             result_.steps.push_back(pending_record_);
-            pending_record_.start_ms =
-                addStepMs(pending_record_.start_ms, 1);
         }
     }
     ServingMetrics &metrics = result_.metrics;
-    metrics.busy_ms = addStepMs(metrics.busy_ms, k);
+    busy_time_ += k * step_;
+    metrics.busy_ms = toMs(busy_time_);
     metrics.steps += k;
     metrics.total_batched_seqs += k * pending_batch_;
     metrics.page_step_sum += k * pending_pages_active_;
     for (auto &seq : active_)
         seq.state.generated += k;
-    step_start_ms_ = addStepMs(step_start_ms_, k);
+    step_start_ += k * step_;
 }
 
 int64_t
@@ -296,16 +279,14 @@ ReplicaEngine::servable(const Request &r) const
 }
 
 void
-ReplicaEngine::reject(const Request &r, RejectReason reason,
-                      double at_ms)
+ReplicaEngine::reject(const Request &r, RejectReason reason, SimTime at)
 {
     result_.metrics.countRejection(reason);
-    result_.rejected.push_back(
-        {r.id, r.arrival_ms, reason, at_ms});
+    result_.rejected.push_back({r.id, r.arrival_ms, reason, toMs(at)});
 }
 
 void
-ReplicaEngine::offer(const Request &r, double now)
+ReplicaEngine::offer(const Request &r, SimTime now)
 {
     cutRun();
     // Callers ingest arrivals strictly in (arrival, id) order, so
@@ -315,7 +296,7 @@ ReplicaEngine::offer(const Request &r, double now)
         reject(r, RejectReason::TooLong, now);
     else if (draining_)
         reject(r, RejectReason::Drained, now);
-    else if (r.deadline_ms > 0.0 && r.deadline_ms <= now)
+    else if (r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now)
         reject(r, RejectReason::DeadlineExpired, now);
     else if (!queue_.push(r))
         reject(r, RejectReason::QueueFull, now);
@@ -329,7 +310,7 @@ ReplicaEngine::readmit(const QueuedRequest &entry)
 }
 
 void
-ReplicaEngine::expireDeadlines(double now)
+ReplicaEngine::expireDeadlines(SimTime now)
 {
     // A preempted request can expire too; its progress dies with
     // its queue entry.
@@ -346,7 +327,7 @@ ReplicaEngine::setSlowFactor(double factor)
 }
 
 bool
-ReplicaEngine::launchStep(double now)
+ReplicaEngine::launchStep(SimTime now)
 {
     ST_ASSERT(!busy_, "launchStep() with a step in flight");
     if (!hasWork())
@@ -479,35 +460,31 @@ ReplicaEngine::launchStep(double now)
         costed_by_ = cost_;
         costed_ms_ = fresh_ms;
     }
-    double step_ms = costed_ms_ * slow_factor_;
+    // Whole nanoseconds, at least one, so the clock advances.
+    SimTime step = std::max<SimTime>(1, toSimTime(costed_ms_ * slow_factor_));
 
     // Cold start: a step launched while the weight stream is in
     // flight is gated on residency (overlapped per layer or held
     // to the stream's end — scheduler.h). The wait is charged to
     // the step itself, so completion timing, metrics, and records
     // all see it.
-    double weights_wait_ms = 0.0;
+    SimTime weights_wait = 0;
     const WeightStreamPlan &stream = options_.cold_start.plan;
-    if (!stream.empty() && now < stream.end_ms) {
-        double gated_end = stream.gatedComputeEndMs(
-            now, step_ms, options_.cold_start.overlap);
-        weights_wait_ms =
-            std::max(0.0, gated_end - (now + step_ms));
-        step_ms += weights_wait_ms;
-        result_.metrics.weight_stall_ms += weights_wait_ms;
+    if (!stream.empty() && now < toSimTime(stream.end_ms)) {
+        SimTime gated_end = toSimTime(stream.gatedComputeEndMs(
+            toMs(now), toMs(step), options_.cold_start.overlap));
+        weights_wait = std::max<SimTime>(0, gated_end - later(now, step));
+        step += weights_wait;
+        result_.metrics.weight_stall_ms += toMs(weights_wait);
     }
-    // At a far-future instant a small cost rounds away, and a step
-    // that ends when it starts would never complete.
-    ST_CHECK(now + step_ms > now,
-             "step cost vanishes against the simulated clock");
+    (void)later(now, step);
 
     pending_batch_ = static_cast<int64_t>(active_.size());
     pending_pages_active_ = pool_.activePages();
     if (options_.record_steps) {
         StepRecord record;
-        record.start_ms = now;
-        record.step_ms = step_ms;
-        record.weights_wait_ms = weights_wait_ms;
+        record.step_ms = toMs(step);
+        record.weights_wait_ms = toMs(weights_wait);
         for (const auto &seq : active_)
             (seq.prefilled ? record.decode_ids
                            : record.prefill_ids)
@@ -521,16 +498,15 @@ ReplicaEngine::launchStep(double now)
     }
 
     busy_ = true;
-    step_start_ms_ = now;
-    step_ms_ = step_ms;
-    run_end_ = stepEndMs();
+    step_start_ = now;
+    step_ = step;
     return true;
 }
 
 void
 ReplicaEngine::completeStep()
 {
-    double now = stepEndMs();
+    SimTime now = stepEnd();
     ServingMetrics &metrics = result_.metrics;
 
     // Token accounting: every step a sequence runs advances it
@@ -545,7 +521,7 @@ ReplicaEngine::completeStep()
             seq.prefilled = true;
             if (!seq.state.ever_prefilled) {
                 seq.state.ever_prefilled = true;
-                seq.state.first_token_ms = now;
+                seq.state.first_token = now;
             }
         }
         if (seq.state.generated == seq.req.output_len) {
@@ -554,8 +530,8 @@ ReplicaEngine::completeStep()
             done.input_len = seq.req.input_len;
             done.output_len = seq.req.output_len;
             done.arrival_ms = seq.req.arrival_ms;
-            done.first_token_ms = seq.state.first_token_ms;
-            done.finish_ms = now;
+            done.first_token_ms = toMs(seq.state.first_token);
+            done.finish_ms = toMs(now);
             done.preemptions = seq.state.preemptions;
             done.failovers = seq.state.failovers;
             done.replica = replica_id_;
@@ -609,14 +585,14 @@ ReplicaEngine::evacuateQueue()
 }
 
 void
-ReplicaEngine::finalize(double makespan_ms)
+ReplicaEngine::finalize(SimTime makespan)
 {
     // completed is maintained incrementally by recordCompletion()
     // — it must not be re-derived from requests.size(), which
     // undercounts whenever record retention is off.
     ServingMetrics &metrics = result_.metrics;
     metrics.in_flight = static_cast<int64_t>(active_.size());
-    metrics.makespan_ms = makespan_ms;
+    metrics.makespan_ms = toMs(makespan);
     metrics.max_queue_depth = queue_.maxDepth();
     if (!options_.cold_start.plan.empty()) {
         metrics.weight_stream_ms =

@@ -22,9 +22,10 @@
  * hardware failure costs.
  *
  * **Decode runs.** planRun() plans the steps after a launch that
- * repeat it; the caller needs the engine again only at wakeMs(),
- * and completeDue() catches the run up in one call. The engine owns
- * the run: every mutator that changes the next launch (offer,
+ * repeat it; the caller needs the engine again only at wakeAt(),
+ * and completeDue() catches the run up in one call. Its m-th step
+ * ends at stepEnd() + m × step, in integer nanoseconds. The engine
+ * owns the run: every mutator that changes the next launch (offer,
  * readmit, setSlowFactor, setCost, setDraining, crash,
  * evacuateQueue) cuts it after the in-flight step. Caps spanning
  * replicas are the caller's, through planRun()'s cap and cutRun().
@@ -45,7 +46,6 @@
 #define STREAMTENSOR_SERVING_REPLICA_H
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "serving/kv_pool.h"
@@ -79,8 +79,8 @@ class ReplicaEngine
     /** A step is in flight (launched, not yet completed). */
     bool busy() const { return busy_; }
 
-    /** Simulated end of the in-flight step. busy() only. */
-    double stepEndMs() const;
+    /** End of the in-flight step. busy() only. */
+    SimTime stepEnd() const;
 
     // ---- Decode runs -------------------------------------------
 
@@ -94,22 +94,21 @@ class ReplicaEngine
     int64_t plannedRepeats() const { return run_left_; }
 
     /** End of the run's last step (of the in-flight step when no
-     *  run stands); +infinity when idle. */
-    double wakeMs() const
+     *  run stands); kNever when idle. */
+    SimTime wakeAt() const
     {
-        return busy_ ? run_end_
-                     : std::numeric_limits<double>::infinity();
+        return busy_ ? stepEnd() + run_left_ * step_ : kNever;
     }
 
     /** End the run after the in-flight step. */
-    void cutRun();
+    void cutRun() { run_left_ = 0; }
 
     /** Complete every step that ended by @p now: the run's steps
      *  that ended before it as pure accounting (advanceRepeats),
      *  then a step ending exactly at @p now, which leaves the
      *  engine idle and ends the run. Panics when a step outside
      *  the run ended before @p now. No-op when idle. */
-    void completeDue(double now);
+    void completeDue(SimTime now);
 
     /** Some queued request carries a deadline. */
     bool queuedDeadlines() const { return queue_.hasDeadlines(); }
@@ -147,7 +146,7 @@ class ReplicaEngine
     /** Ingest an arrival: queue it, or record the rejection
      *  (TooLong, Drained, DeadlineExpired, QueueFull — checked in
      *  that order) in result(). */
-    void offer(const Request &r, double now);
+    void offer(const Request &r, SimTime now);
 
     /** Readmit a preempted or failed-over request at the front of
      *  the queue, capacity-exempt. Its progress travels in the
@@ -158,7 +157,7 @@ class ReplicaEngine
     /** Shed every queued request whose deadline has passed,
      *  recording DeadlineExpired rejections. Resident sequences
      *  are never expired. */
-    void expireDeadlines(double now);
+    void expireDeadlines(SimTime now);
 
     // ---- Step loop ---------------------------------------------
 
@@ -169,12 +168,12 @@ class ReplicaEngine
      *  oracle again (StepCostModel is a pure function of the
      *  groups); the slow factor and the cold-start gate apply
      *  afterwards either way. Returns false when there is nothing
-     *  to run (no work, or draining with an empty batch). Throws
-     *  FatalError when @p now plus the step's cost does not exceed
-     *  @p now (a far-future instant where the cost rounds away).
-     *  The engine is busy() until completeDue() reaches the step's
-     *  end. */
-    bool launchStep(double now);
+     *  to run (no work, or draining with an empty batch). The
+     *  step's cost and its weight-gated end round to whole
+     *  nanoseconds, the cost to at least 1 ns; FatalError when the
+     *  step would end at or past kNever. The engine is busy() until
+     *  completeDue() reaches the step's end. */
+    bool launchStep(SimTime now);
 
     // ---- Faults ------------------------------------------------
 
@@ -225,7 +224,7 @@ class ReplicaEngine
 
     /** Stamp end-of-run aggregates (completed, in_flight,
      *  makespan, queue high-water, pool stats). */
-    void finalize(double makespan_ms);
+    void finalize(SimTime makespan);
 
   private:
     /** One sequence resident in the batch. */
@@ -248,15 +247,14 @@ class ReplicaEngine
         int64_t admit_tick = 0;
     };
 
-    void reject(const Request &r, RejectReason reason,
-                double at_ms);
+    void reject(const Request &r, RejectReason reason, SimTime at);
 
     /** How many steps after the in-flight one are certain to
      *  repeat it exactly — the same shape groups, no preemption,
      *  eviction or admission, hence the same cost (reused without
      *  calling the oracle). 0 unless every resident is decoding,
      *  the queue is empty and the in-flight step launched at or
-     *  after the cold-start stream's end_ms. Otherwise the largest
+     *  after the cold-start stream's end. Otherwise the largest
      *  j such that, for every resident, the next j contexts stay
      *  within its bucket, no resident finishes before step j, and
      *  the fresh pages launches 1..j grow in all — the sum over
@@ -269,12 +267,13 @@ class ReplicaEngine
 
     /** Complete the in-flight step and launch its repeat, as pure
      *  accounting, once for each step of the run that ends strictly
-     *  before @p before, bit-identical to stepping them. The steps
+     *  before @p before — ceil((before - stepEnd()) / step) of them,
+     *  at most the run — bit-identical to stepping them. The steps
      *  commit in segments that end at the launches growing a page;
      *  at a segment's end every resident grows, in admission order
      *  as launchStep() grows them, and the in-flight step's page
      *  count (and its record's) is read afresh. */
-    void advanceRepeats(double before);
+    void advanceRepeats(SimTime before);
 
     /** Commit the in-flight step: metrics, step record, one output
      *  token per resident sequence, retire finished sequences. The
@@ -283,16 +282,9 @@ class ReplicaEngine
 
     /** The accounting of @p k steps that repeat the in-flight one,
      *  shared by completeStep() and advanceRepeats(): a record per
-     *  step, busy time and the step start by k sequential additions
-     *  of the step cost, and k times the step's share of steps,
-     *  batched sequences, page-steps and every resident's tokens. */
+     *  step, and k times the step's cost (busy time, step start) and
+     *  share (steps, batched sequences, page-steps, tokens). */
     void commitSteps(int64_t k);
-
-    /** @p from plus the in-flight step's cost, added @p repeats
-     *  times one addition at a time, as stepping adds it: planRun()
-     *  and commitSteps() both add through here, so a planned run
-     *  end and the run accounted for agree to the bit. */
-    double addStepMs(double from, int64_t repeats) const;
 
     SchedulerOptions options_;
 
@@ -326,16 +318,17 @@ class ReplicaEngine
 
     // In-flight step (busy_ == true).
     bool busy_ = false;
-    double step_start_ms_ = 0.0;
-    double step_ms_ = 0.0;
+    SimTime step_start_ = 0;
+    SimTime step_ = 0;
     StepRecord pending_record_;
     int64_t pending_batch_ = 0;
     int64_t pending_pages_active_ = 0;
 
-    // Decode run: the steps planned after the in-flight one, and the
-    // end of the run's last step.
+    // Decode run: the steps planned after the in-flight one.
     int64_t run_left_ = 0;
-    double run_end_ = 0.0;
+
+    // The running sum behind metrics.busy_ms.
+    SimTime busy_time_ = 0;
 
     ServingResult result_;
 };

@@ -1,21 +1,63 @@
 /**
  * @file
  * Serving-layer request descriptor, the progress a request carries
- * across a preemption or failover (ResumeState), and the entry a
- * waiting request occupies (QueuedRequest). All serving time is
- * *simulated milliseconds* — the scheduler is a discrete-event
- * simulator driven by per-step accelerator costs, so there is
- * deliberately no wall clock anywhere in src/serving/ (replay tests
- * assert bit-identical schedules across runs).
+ * across a preemption or failover (ResumeState), the entry a waiting
+ * request occupies (QueuedRequest), and the serving clock.
+ *
+ * **Time** is simulated, driven by per-step accelerator costs; there
+ * is no wall clock in src/serving/, so a trace replays to
+ * bit-identical schedules. Inside the loop every instant and
+ * duration is a SimTime, integer nanoseconds, so sums are exact in
+ * any order. The public structs (Request, FaultEvent, FleetOptions,
+ * StepCostModel, WeightStreamPlan, every result) keep double
+ * milliseconds: toSimTime() converts on entry, to the nearest ns,
+ * and toMs() on exit. The clock ends at kNever, about 9.22e12 ms;
+ * toSimTime() and later() throw FatalError instead of passing it.
  */
 
 #ifndef STREAMTENSOR_SERVING_REQUEST_H
 #define STREAMTENSOR_SERVING_REQUEST_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+
+#include "support/error.h"
 
 namespace streamtensor {
 namespace serving {
+
+/** Simulated time in nanoseconds. */
+using SimTime = int64_t;
+
+/** The instant that never comes (an idle replica's wake-up). */
+constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+/** @p ms rounded to the nearest nanosecond. FatalError when @p ms is
+ *  not finite, negative, or at or past kNever. */
+inline SimTime
+toSimTime(double ms)
+{
+    double ns = ms * 1e6;
+    ST_CHECK(std::isfinite(ns) && ns >= 0.0 && ns < 0x1p63,
+             "simulated time must lie in [0, 9.2e12) ms");
+    return std::llround(ns);
+}
+
+inline double
+toMs(SimTime t)
+{
+    return static_cast<double>(t) / 1e6;
+}
+
+/** @p t + @p d for d >= 0; FatalError when the sum reaches kNever. */
+inline SimTime
+later(SimTime t, SimTime d)
+{
+    ST_CHECK(d < kNever - t,
+             "simulated time overflows past 9.2e12 ms");
+    return t + d;
+}
 
 /** One inference request of an arrival trace. */
 struct Request
@@ -58,7 +100,7 @@ struct ResumeState
 {
     int64_t generated = 0;
     bool ever_prefilled = false;
-    double first_token_ms = 0.0;
+    SimTime first_token = 0;
     int64_t preemptions = 0;
 
     /** Times the request already moved replicas (fleet tier). */

@@ -46,13 +46,10 @@
  * fleet's phase order there (completions, arrivals, deadline
  * sweep, launch). One exception: an instant where the only event
  * is a replica completing a step that its next step repeats
- * exactly (a decode run, fleet.h) gets no round of its own.
- * Nothing could happen there — no arrival, fault, retry or queued
- * deadline falls on it, the replica's next launch is certain, and
- * the step limit cannot be reached — so the next round completes
- * and relaunches those steps at their own instants, and every
- * result is bit-identical to waking there (the differential suite
- * holds it equal to a reference fleet that does). Three
+ * exactly (a decode run, fleet.h) gets no round of its own, since
+ * nothing else can happen there; the next round completes those
+ * steps at their own instants, and the differential suite holds
+ * every result equal to a reference fleet that wakes there. Three
  * consequences of the rule are pinned by the replay suite
  * (SchedulerReplay.MidStepDeadlineFreesQueueSlot):
  *
@@ -73,7 +70,8 @@
  * of the fleet (FaultKind::DrainStart), which re-routes the drained
  * replica's queue.
  *
- * All time is simulated milliseconds; the serving loop contains no
+ * Time is simulated: integer nanoseconds inside the loop,
+ * milliseconds in these structs (request.h). The loop contains no
  * wall-clock, randomness, or pointer-order dependence, so a trace
  * replays to bit-identical step compositions and metrics.
  */

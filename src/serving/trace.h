@@ -163,16 +163,19 @@ class ArrivalCursor
     }
 
     /** Arrival instant of the next request. !exhausted() only. */
-    double nextArrivalMs()
+    SimTime nextArrival()
     {
-        return trace_ ? (*trace_)[index_].arrival_ms
-                      : generator_->peek().arrival_ms;
+        return toSimTime(trace_ ? (*trace_)[index_].arrival_ms
+                                : generator_->peek().arrival_ms);
     }
 
-    /** Consume the next request. !exhausted() only. */
+    /** Consume the next request, its arrival_ms snapped to the
+     *  clock's nanosecond grid (request.h). !exhausted() only. */
     Request take()
     {
-        return trace_ ? (*trace_)[index_++] : generator_->next();
+        Request r = trace_ ? (*trace_)[index_++] : generator_->next();
+        r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+        return r;
     }
 
   private:

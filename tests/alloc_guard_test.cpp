@@ -185,12 +185,12 @@ TEST(AllocGuard, RepeatedLaunchReusesCostWithoutAllocating)
 {
     CountingCostModel cost;
     serving::ReplicaEngine engine(serving::SchedulerOptions{}, cost);
-    engine.offer(request(8, 16), 0.0);
+    engine.offer(request(8, 16), 0);
     // The prefill and the first decode are costed afresh.
-    double now = 0.0;
+    serving::SimTime now = 0;
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(engine.launchStep(now));
-        now = engine.stepEndMs();
+        now = engine.stepEnd();
         engine.completeDue(now);
     }
     ASSERT_EQ(cost.calls, 2);
@@ -201,17 +201,17 @@ TEST(AllocGuard, RepeatedLaunchReusesCostWithoutAllocating)
     // a planned run of one said it would.
     for (int i = 0; i < 5; ++i) {
         ASSERT_EQ(engine.planRun(1), 1);
-        double predicted_end = engine.wakeMs();
+        serving::SimTime predicted_end = engine.wakeAt();
         bool launched = false;
         EXPECT_EQ(allocationsDuring([&] {
-                      now = engine.stepEndMs();
+                      now = engine.stepEnd();
                       engine.completeDue(now);
                       launched = engine.launchStep(now);
                   }),
                   0)
             << "repeat " << i;
         ASSERT_TRUE(launched);
-        EXPECT_EQ(engine.stepEndMs(), predicted_end);
+        EXPECT_EQ(engine.stepEnd(), predicted_end);
     }
     EXPECT_EQ(cost.calls, 2);
 }

@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -353,9 +352,10 @@ scriptOptions(int num_replicas)
 serving::FleetResult
 expectMatchesReference(const serving::FleetOptions &options,
                        const std::vector<Request> &trace,
-                       serving::StepCostModel *degraded_cost = nullptr)
+                       serving::StepCostModel *degraded_cost = nullptr,
+                       const serving::AnalyticCostOptions &cost_options = {})
 {
-    serving::AnalyticCostModel cost;
+    serving::AnalyticCostModel cost(cost_options);
     auto production =
         serving::FleetScheduler(options, cost, degraded_cost).run(trace);
     auto reference = serving::runReferenceFleet(options, cost,
@@ -593,14 +593,37 @@ TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
     EXPECT_EQ(r.rounds, 3);
 }
 
+TEST(FleetDecodeRuns, ARunsTimesAreExactOnTheNanosecondClock)
+{
+    // 1,000 steps of 0.1 ms, all in one bucket: busy time and the
+    // last step's start are integer products on the clock, so they
+    // read exactly 100 ms and 99.9 ms. (A double-ms clock summing
+    // 0.1 a thousand times reads 99.9999999999986.)
+    serving::FleetOptions options = scriptOptions(1);
+    options.replica.buckets.min_len = 1024;
+    options.replica.buckets.max_len = 1024;
+    serving::AnalyticCostOptions constant;
+    constant.trigger_ms = 0.1;
+    constant.per_seq_ms = 0.0;
+    constant.per_query_token_ms = 0.0;
+    constant.per_kv_token_ms = 0.0;
+    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 1000)},
+                                    nullptr, constant);
+    EXPECT_EQ(r.metrics.steps, 1000);
+    EXPECT_EQ(r.metrics.busy_ms, 100.0);
+    ASSERT_EQ(r.replicas[0].steps.size(), 1000u);
+    EXPECT_EQ(r.replicas[0].steps.back().start_ms, 99.9);
+    EXPECT_EQ(r.rounds, 3);
+}
+
 // ---- One engine through a decode run: k steps completed at their
 // ---- ends against one completeDue() call. ----
 
 /** Complete the in-flight step at its end; returns that instant. */
-double
+serving::SimTime
 completeInFlight(serving::ReplicaEngine &engine)
 {
-    double end = engine.stepEndMs();
+    serving::SimTime end = engine.stepEnd();
     engine.completeDue(end);
     EXPECT_FALSE(engine.busy());
     return end;
@@ -614,11 +637,11 @@ completeInFlight(serving::ReplicaEngine &engine)
  *  of the step cost. */
 void
 startRun(serving::ReplicaEngine &engine, int64_t run_length = 12,
-         double start_ms = 0.37)
+         serving::SimTime start = 370'000)
 {
     for (int64_t id = 0; id < 3; ++id)
-        engine.offer(makeRequest(id, 0.0, 33 + id, 40), start_ms);
-    ASSERT_TRUE(engine.launchStep(start_ms)); // the prefill
+        engine.offer(makeRequest(id, 0.0, 33 + id, 40), start);
+    ASSERT_TRUE(engine.launchStep(start)); // the prefill
     ASSERT_TRUE(engine.launchStep(completeInFlight(engine)));
     ASSERT_EQ(engine.planRun(std::numeric_limits<int64_t>::max()),
               run_length);
@@ -644,12 +667,12 @@ plannableRepeats(const serving::ReplicaEngine &engine)
 
 /** The end of the @p k-th repeat of @p engine's in-flight step, as
  *  a run of k planned on a copy says. */
-double
+serving::SimTime
 repeatEnd(const serving::ReplicaEngine &engine, int64_t k)
 {
     serving::ReplicaEngine copy = engine;
     EXPECT_EQ(copy.planRun(k), k);
-    return copy.wakeMs();
+    return copy.wakeAt();
 }
 
 serving::SchedulerOptions
@@ -685,7 +708,7 @@ expectSameEngine(const serving::ReplicaEngine &a,
               b.pool().stats().peak_active_pages);
     ASSERT_EQ(a.busy(), b.busy());
     if (a.busy()) {
-        EXPECT_EQ(a.stepEndMs(), b.stepEndMs());
+        EXPECT_EQ(a.stepEnd(), b.stepEnd());
         EXPECT_EQ(plannableRepeats(a), plannableRepeats(b));
     }
     const auto &sa = a.result().steps;
@@ -718,15 +741,14 @@ expectSameProgress(serving::ReplicaEngine &a, serving::ReplicaEngine &b)
         EXPECT_EQ(ra[i].state.generated, rb[i].state.generated);
         EXPECT_EQ(ra[i].state.ever_prefilled,
                   rb[i].state.ever_prefilled);
-        EXPECT_EQ(ra[i].state.first_token_ms,
-                  rb[i].state.first_token_ms);
+        EXPECT_EQ(ra[i].state.first_token, rb[i].state.first_token);
     }
 }
 
 /** For every k up to the run's 12 steps, catch one engine up k
  *  repeats in one call and step another through them, and hold the
- *  two equal. The instant falls inside the k-th repeat, one ulp
- *  before its end: the steps before it ended earlier, it has not.
+ *  two equal. The instant falls inside the k-th repeat, 1 ns before
+ *  its end: the steps before it ended earlier, it has not.
  *  At k = 12 that is the run's last step, so the whole run is
  *  caught up and none of it is left. */
 void
@@ -739,12 +761,12 @@ expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
         serving::ReplicaEngine advanced(options, cost);
         startRun(stepped);
         startRun(advanced);
-        double predicted_end = repeatEnd(advanced, k);
+        serving::SimTime predicted_end = repeatEnd(advanced, k);
         stepRepeats(stepped, k);
-        advanced.completeDue(std::nextafter(predicted_end, 0.0));
+        advanced.completeDue(predicted_end - 1);
         EXPECT_EQ(advanced.plannedRepeats(), 12 - k);
-        EXPECT_EQ(advanced.stepEndMs(), predicted_end);
-        EXPECT_EQ(advanced.wakeMs(), repeatEnd(advanced, 12 - k));
+        EXPECT_EQ(advanced.stepEnd(), predicted_end);
+        EXPECT_EQ(advanced.wakeAt(), repeatEnd(advanced, 12 - k));
         expectSameEngine(stepped, advanced);
         // The in-flight repeat completes as a stepped one would.
         completeInFlight(stepped);
@@ -779,7 +801,7 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
     serving::ReplicaEngine engine(options, cost);
     startRun(engine);
     ASSERT_EQ(engine.pool().activePages(), 27);
-    engine.completeDue(std::nextafter(engine.wakeMs(), 0.0));
+    engine.completeDue(engine.wakeAt() - 1);
     ASSERT_EQ(engine.plannedRepeats(), 0);
     EXPECT_EQ(engine.pool().activePages(), 36);
     const auto &steps = engine.result().steps;
@@ -800,7 +822,7 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
 TEST(FleetDecodeRuns, EngineAdvanceLeavesAStepEndingAtTheInstant)
 {
     // The instant is the 5th repeat's end: that repeat does not end
-    // strictly before it, so a catch-up to one ulp earlier leaves it
+    // strictly before it, so a catch-up to 1 ns earlier leaves it
     // in flight, and completeDue() at the instant itself completes
     // it, leaves the engine idle and ends the run, as phase 1 does
     // at a round on a step end.
@@ -809,10 +831,10 @@ TEST(FleetDecodeRuns, EngineAdvanceLeavesAStepEndingAtTheInstant)
     serving::ReplicaEngine advanced(engineOptions(), cost);
     startRun(stepped);
     startRun(advanced);
-    double now = repeatEnd(advanced, 5);
-    advanced.completeDue(std::nextafter(now, 0.0));
+    serving::SimTime now = repeatEnd(advanced, 5);
+    advanced.completeDue(now - 1);
     EXPECT_EQ(advanced.plannedRepeats(), 7);
-    EXPECT_EQ(advanced.stepEndMs(), now);
+    EXPECT_EQ(advanced.stepEnd(), now);
     stepRepeats(stepped, 5);
     expectSameEngine(stepped, advanced);
     completeInFlight(stepped);
@@ -833,12 +855,12 @@ TEST(FleetDecodeRuns, EngineAdvanceOfZeroChangesNothing)
     startRun(untouched);
     startRun(advanced);
     EXPECT_EQ(advanced.planRun(0), 0);
-    EXPECT_EQ(advanced.wakeMs(), advanced.stepEndMs());
-    advanced.completeDue(std::nextafter(advanced.stepEndMs(), 0.0));
+    EXPECT_EQ(advanced.wakeAt(), advanced.stepEnd());
+    advanced.completeDue(advanced.stepEnd() - 1);
     EXPECT_EQ(advanced.planRun(12), 12);
-    advanced.completeDue(std::nextafter(advanced.stepEndMs(), 0.0));
+    advanced.completeDue(advanced.stepEnd() - 1);
     EXPECT_EQ(advanced.plannedRepeats(), 12);
-    EXPECT_EQ(advanced.wakeMs(), untouched.wakeMs());
+    EXPECT_EQ(advanced.wakeAt(), untouched.wakeAt());
     expectSameEngine(untouched, advanced);
     expectSameProgress(untouched, advanced);
 }
@@ -847,14 +869,12 @@ TEST(FleetDecodeRuns, EngineAdvancePastTheRunPanics)
 {
     // The 13th step would cross the bucket boundary: it is no repeat,
     // so no run plans it, and a catch-up past the run's last step
-    // (a caller that slept through wakeMs()) is a bug.
+    // (a caller that slept through wakeAt()) is a bug.
     serving::AnalyticCostModel cost;
     serving::ReplicaEngine engine(engineOptions(), cost);
     startRun(engine);
     EXPECT_EQ(engine.planRun(13), 12);
-    EXPECT_THROW(
-        engine.completeDue(std::numeric_limits<double>::infinity()),
-        PanicError);
+    EXPECT_THROW(engine.completeDue(serving::kNever), PanicError);
 }
 
 TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
@@ -869,7 +889,7 @@ TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
         mutators = {
             {"offer",
              [](serving::ReplicaEngine &e, serving::StepCostModel &) {
-                 e.offer(makeRequest(7, 0.0, 8, 4), 0.5);
+                 e.offer(makeRequest(7, 0.0, 8, 4), 500'000);
              }},
             {"readmit",
              [](serving::ReplicaEngine &e, serving::StepCostModel &) {
@@ -900,12 +920,11 @@ TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
         SCOPED_TRACE(name);
         serving::ReplicaEngine engine(engineOptions(), cost);
         startRun(engine);
-        double step_end = engine.stepEndMs();
+        serving::SimTime step_end = engine.stepEnd();
         mutate(engine, other);
         EXPECT_EQ(engine.plannedRepeats(), 0);
-        EXPECT_EQ(engine.wakeMs(),
-                  engine.busy() ? step_end
-                                : std::numeric_limits<double>::infinity());
+        EXPECT_EQ(engine.wakeAt(),
+                  engine.busy() ? step_end : serving::kNever);
         engine.completeDue(step_end);
         EXPECT_FALSE(engine.busy());
     }
@@ -924,15 +943,15 @@ tightPoolOptions(int64_t total_pages)
 
 /** Serve one request with a two-page prefix to completion, leaving
  *  both prefix pages retained; returns the instant it ends. */
-double
+serving::SimTime
 retainPrefixPages(serving::ReplicaEngine &engine)
 {
     Request r = makeRequest(9, 0.0, 8, 1);
     r.prefix_id = 7;
     r.prefix_len = 8;
-    engine.offer(r, 0.0);
-    EXPECT_TRUE(engine.launchStep(0.0));
-    double end = completeInFlight(engine);
+    engine.offer(r, 0);
+    EXPECT_TRUE(engine.launchStep(0));
+    serving::SimTime end = completeInFlight(engine);
     EXPECT_EQ(engine.pool().cachedPages(), 2);
     return end;
 }
@@ -952,7 +971,7 @@ TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
         serving::ReplicaEngine stepped(options, cost);
         serving::ReplicaEngine advanced(options, cost);
         serving::ReplicaEngine overrun(options, cost);
-        double start = 0.37;
+        serving::SimTime start = 370'000;
         if (retained) {
             start += retainPrefixPages(stepped);
             retainPrefixPages(advanced);
@@ -964,7 +983,7 @@ TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
         ASSERT_EQ(advanced.pool().freePages(), 3);
 
         stepRepeats(stepped, 4);
-        advanced.completeDue(std::nextafter(advanced.wakeMs(), 0.0));
+        advanced.completeDue(advanced.wakeAt() - 1);
         EXPECT_EQ(advanced.plannedRepeats(), 0);
         expectSameEngine(stepped, advanced);
         EXPECT_EQ(advanced.pool().freePages(), 0);
@@ -972,9 +991,7 @@ TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
         // A run of 5 is never planned, and catching up past the
         // 4-step run's end panics.
         EXPECT_EQ(overrun.planRun(5), 4);
-        EXPECT_THROW(overrun.completeDue(
-                         std::numeric_limits<double>::infinity()),
-                     PanicError);
+        EXPECT_THROW(overrun.completeDue(serving::kNever), PanicError);
 
         // The 5th launch, stepped as before.
         stepRepeats(stepped, 1);

@@ -94,16 +94,16 @@ TEST(FaultInjector, OrdersByTimeKeepingAuthoringOrderAtTies)
     serving::FaultInjector injector(std::move(plan));
 
     EXPECT_FALSE(injector.exhausted());
-    EXPECT_DOUBLE_EQ(injector.nextAtMs(), 10.0);
-    auto due = injector.drainDue(10.0);
+    EXPECT_EQ(injector.nextAt(), serving::toSimTime(10.0));
+    auto due = injector.drainDue(serving::toSimTime(10.0));
     ASSERT_EQ(due.size(), 2u);
     // Authoring order preserved at the tied instant.
     EXPECT_EQ(due[0].kind, FaultKind::Crash);
     EXPECT_EQ(due[1].kind, FaultKind::DrainStart);
-    EXPECT_DOUBLE_EQ(injector.nextAtMs(), 50.0);
-    EXPECT_EQ(injector.drainDue(100.0).size(), 1u);
+    EXPECT_EQ(injector.nextAt(), serving::toSimTime(50.0));
+    EXPECT_EQ(injector.drainDue(serving::toSimTime(100.0)).size(), 1u);
     EXPECT_TRUE(injector.exhausted());
-    EXPECT_TRUE(std::isinf(injector.nextAtMs()));
+    EXPECT_EQ(injector.nextAt(), serving::kNever);
 }
 
 TEST(FaultInjector, RejectsMalformedEvents)
@@ -637,7 +637,8 @@ TEST(Fleet, RejectsNonFiniteOptions)
         EXPECT_THROW(serving::FleetScheduler(options, cost),
                      FatalError);
     };
-    for (double bad : {inf, nan}) {
+    // Past the nanosecond clock's range (serving/request.h) too.
+    for (double bad : {inf, nan, -1.0, 1e13}) {
         expectRejected([&](auto &o) { o.retry_backoff_ms = bad; });
         expectRejected(
             [&](auto &o) { o.recovery_reload_ms = bad; });
@@ -664,19 +665,83 @@ TEST(Fleet, RejectsNonFiniteArrivalInsteadOfDroppingIt)
 
 TEST(Fleet, FarFutureArrivalFailsInsteadOfStayingInFlight)
 {
-    // Regression: at 1e16 ms a sub-millisecond step rounds away
-    // (now + step_ms == now), so its completion event looked
-    // already handled and the run returned with the request still
-    // in flight and no error. The contract for hostile input is a
-    // valid result or a FatalError.
+    // Regression: on a double-ms clock a sub-millisecond step at
+    // 1e16 ms rounded away (now + step_ms == now), so the run
+    // returned with the request still in flight and no error. The
+    // nanosecond clock ends at about 9.22e12 ms: an arrival past it
+    // is rejected, one before it is served. The contract for hostile
+    // input is a valid result or a FatalError.
     serving::AnalyticCostModel cost;
     serving::FleetScheduler fleet(fleetOptions(1), cost);
-    for (double at : {1e16, 1e17})
+    for (double at : {1e13, 1e16, 1e17})
         EXPECT_THROW(fleet.run({makeRequest(1, at, 8, 4)}), FatalError)
             << at;
-    auto served = fleet.run({makeRequest(1, 1e15, 8, 4)});
+    auto served = fleet.run({makeRequest(1, 1e12, 8, 4)});
     EXPECT_EQ(served.metrics.completed, 1);
     EXPECT_EQ(served.metrics.in_flight, 0);
+}
+
+TEST(Fleet, ClockOverflowFailsInsteadOfWrapping)
+{
+    // Each sum that would pass the clock's end throws FatalError:
+    // a step launched just before it ...
+    serving::AnalyticCostModel cost(unitCost());
+    EXPECT_THROW(serving::FleetScheduler(fleetOptions(1), cost)
+                     .run({makeRequest(0, 9.223372036854e12, 8, 4)}),
+                 FatalError);
+
+    // ... a reload window starting at 1e12 ms ...
+    auto reload = fleetOptions(2);
+    reload.recovery_reload_ms = 9e12;
+    reload.faults.events = {{1.0, 0, FaultKind::Crash, 1.0},
+                            {1e12, 0, FaultKind::Recover, 1.0}};
+    EXPECT_THROW(serving::FleetScheduler(reload, cost)
+                     .run({makeRequest(0, 0.0, 8, 4),
+                           makeRequest(1, 2e12, 8, 4)}),
+                 FatalError);
+
+    // ... and a retry whose doubled backoff, after a second crash,
+    // ends past it: the first crash parks request 0 until
+    // 4e12 + 1 ms, replica 1 takes it then and crashes 1 ms later.
+    auto retry = fleetOptions(2);
+    retry.retry_backoff_ms = 4e12;
+    retry.faults.events = {
+        {1.0, 0, FaultKind::Crash, 1.0},
+        {4000000000002.0, 1, FaultKind::Crash, 1.0}};
+    EXPECT_THROW(serving::FleetScheduler(retry, cost)
+                     .run({makeRequest(0, 0.0, 8, 1000)}),
+                 FatalError);
+    // One crash alone stays inside the clock: the retry is served.
+    retry.faults.events.pop_back();
+    auto served =
+        serving::FleetScheduler(retry, cost).run({makeRequest(0, 0.0, 8, 4)});
+    EXPECT_EQ(served.metrics.completed, 1);
+    EXPECT_EQ(served.metrics.failovers, 1);
+}
+
+/** Every step costs 1e-9 ms, a thousandth of the clock's tick. */
+class SubNanosecondCost : public serving::StepCostModel
+{
+  public:
+    double stepMs(const std::vector<runtime::StepGroup> &) override
+    {
+        return 1e-9;
+    }
+};
+
+TEST(Fleet, SubNanosecondStepAdvancesTheClockByOneTick)
+{
+    // The step cost rounds to whole nanoseconds, never below one,
+    // so the clock advances and the run completes.
+    SubNanosecondCost cost;
+    auto result = serving::FleetScheduler(fleetOptions(1), cost)
+                      .run({makeRequest(0, 0.0, 8, 4)});
+    EXPECT_EQ(result.metrics.completed, 1);
+    EXPECT_EQ(result.metrics.steps, 4);
+    EXPECT_EQ(result.metrics.busy_ms, serving::toMs(4));
+    EXPECT_EQ(result.metrics.makespan_ms, serving::toMs(4));
+    for (const auto &s : result.replicas[0].steps)
+        EXPECT_EQ(s.step_ms, serving::toMs(1));
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -14,15 +13,13 @@ namespace serving {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /** Progress a request carries between replicas (request.h's
  *  ResumeState, restated). */
 struct Progress
 {
     int64_t generated = 0;
     bool ever_prefilled = false;
-    double first_token_ms = 0.0;
+    SimTime first_token = 0;
     int64_t preemptions = 0;
     int64_t failovers = 0;
 };
@@ -188,15 +185,16 @@ struct Replica
     Pool pool;
 
     bool up = true;
-    double up_since = 0.0;
-    double reload_until = kInf;
+    SimTime up_since = 0;
+    SimTime reload_until = kNever;
     bool draining = false;
     double slow = 1.0;
     StepCostModel *cost = nullptr;
 
     bool busy = false;
-    double step_start = 0.0;
-    double step_ms = 0.0;
+    SimTime step_start = 0;
+    SimTime step = 0;
+    SimTime busy_time = 0;
     int64_t step_batch = 0;
     int64_t step_pages = 0;
     StepRecord record;
@@ -205,7 +203,7 @@ struct Replica
 
     bool hasWork() const { return !batch.empty() || !queue.empty(); }
 
-    double stepEnd() const { return step_start + step_ms; }
+    SimTime stepEnd() const { return step_start + step; }
 
     int64_t load() const
     {
@@ -221,10 +219,10 @@ struct Replica
             queue_high_water, static_cast<int64_t>(queue.size()));
     }
 
-    void reject(const Request &r, RejectReason reason, double at)
+    void reject(const Request &r, RejectReason reason, SimTime at)
     {
         result.metrics.countRejection(reason);
-        result.rejected.push_back({r.id, r.arrival_ms, reason, at});
+        result.rejected.push_back({r.id, r.arrival_ms, reason, toMs(at)});
     }
 };
 
@@ -237,8 +235,14 @@ class ReferenceFleet
         : options_(options), opts_(options.replica), cost_(cost),
           degraded_cost_(degraded_cost),
           ladder_(models::bucketBoundaries(options.replica.buckets)),
-          arrivals_(std::move(trace)), faults_(options.faults.events)
+          arrivals_(std::move(trace))
     {
+        // Arrivals and fault instants on the nanosecond clock
+        // (request.h); arrivals snap before their (arrival, id) sort.
+        for (Request &r : arrivals_)
+            r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+        for (const FaultEvent &e : options.faults.events)
+            faults_.push_back({toSimTime(e.at_ms), e});
         std::stable_sort(arrivals_.begin(), arrivals_.end(),
                          [](const Request &a, const Request &b) {
                              return a.arrival_ms < b.arrival_ms ||
@@ -246,8 +250,8 @@ class ReferenceFleet
                                      a.id < b.id);
                          });
         std::stable_sort(faults_.begin(), faults_.end(),
-                         [](const FaultEvent &a, const FaultEvent &b) {
-                             return a.at_ms < b.at_ms;
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
                          });
         replicas_.resize(static_cast<size_t>(options.num_replicas));
         for (size_t i = 0; i < replicas_.size(); ++i) {
@@ -275,11 +279,11 @@ class ReferenceFleet
                     completeStep(rep);
             rejoinReloaded();
             while (next_fault_ < faults_.size() &&
-                   faults_[next_fault_].at_ms <= now_)
-                applyFault(faults_[next_fault_++]);
+                   faults_[next_fault_].first <= now_)
+                applyFault(faults_[next_fault_++].second);
             rejoinReloaded();
             while (next_arrival_ < arrivals_.size() &&
-                   arrivals_[next_arrival_].arrival_ms <= now_)
+                   toSimTime(arrivals_[next_arrival_].arrival_ms) <= now_)
                 dispatch(arrivals_[next_arrival_++]);
             for (Replica &rep : replicas_)
                 expireQueue(rep);
@@ -306,8 +310,8 @@ class ReferenceFleet
             }
             if (!work_left)
                 break;
-            double next = nextInstant();
-            if (next == kInf) {
+            SimTime next = nextInstant();
+            if (next == kNever) {
                 for (const auto &[key, w] : retry_)
                     lose(w);
                 retry_.clear();
@@ -410,29 +414,28 @@ class ReferenceFleet
             groups.push_back({shapes, count});
         double oracle_ms = rep.cost->stepMs(groups);
         ST_CHECK(oracle_ms > 0.0, "cost model must advance time");
-        double step_ms = oracle_ms * rep.slow;
+        // Whole nanoseconds, never fewer than one.
+        SimTime step = std::max<SimTime>(1, toSimTime(oracle_ms * rep.slow));
 
-        double wait_ms = 0.0;
+        SimTime wait = 0;
         const WeightStreamPlan &stream = opts_.cold_start.plan;
-        if (!stream.empty() && now_ < stream.end_ms) {
-            double gated = stream.gatedComputeEndMs(
-                now_, step_ms, opts_.cold_start.overlap);
-            wait_ms = std::max(0.0, gated - (now_ + step_ms));
-            step_ms += wait_ms;
-            rep.result.metrics.weight_stall_ms += wait_ms;
+        if (!stream.empty() && now_ < toSimTime(stream.end_ms)) {
+            SimTime gated = toSimTime(stream.gatedComputeEndMs(
+                toMs(now_), toMs(step), opts_.cold_start.overlap));
+            wait = std::max<SimTime>(0, gated - (now_ + step));
+            step += wait;
+            rep.result.metrics.weight_stall_ms += toMs(wait);
         }
-        ST_CHECK(now_ + step_ms > now_,
-                 "step cost vanishes against the simulated clock");
 
         rep.busy = true;
         rep.step_start = now_;
-        rep.step_ms = step_ms;
+        rep.step = step;
         rep.step_batch = static_cast<int64_t>(rep.batch.size());
         rep.step_pages = rep.pool.activePages();
         if (opts_.record_steps) {
-            rep.record.start_ms = now_;
-            rep.record.step_ms = step_ms;
-            rep.record.weights_wait_ms = wait_ms;
+            rep.record.start_ms = toMs(now_);
+            rep.record.step_ms = toMs(step);
+            rep.record.weights_wait_ms = toMs(wait);
             for (const Resident &seq : rep.batch)
                 (seq.prefilled ? rep.record.decode_ids
                                : rep.record.prefill_ids)
@@ -448,11 +451,12 @@ class ReferenceFleet
 
     void completeStep(Replica &rep)
     {
-        double end = rep.stepEnd();
+        SimTime end = rep.stepEnd();
         ServingMetrics &m = rep.result.metrics;
         if (opts_.record_steps)
             rep.result.steps.push_back(rep.record);
-        m.busy_ms += rep.step_ms;
+        rep.busy_time += rep.step;
+        m.busy_ms = toMs(rep.busy_time);
         ++m.steps;
         m.total_batched_seqs += rep.step_batch;
         m.page_step_sum += rep.step_pages;
@@ -463,7 +467,7 @@ class ReferenceFleet
             seq.prefilled = true;
             if (!p.ever_prefilled) {
                 p.ever_prefilled = true;
-                p.first_token_ms = end;
+                p.first_token = end;
             }
             ++p.generated;
             if (p.generated < seq.req.output_len) {
@@ -475,8 +479,8 @@ class ReferenceFleet
             done.input_len = seq.req.input_len;
             done.output_len = seq.req.output_len;
             done.arrival_ms = seq.req.arrival_ms;
-            done.first_token_ms = p.first_token_ms;
-            done.finish_ms = end;
+            done.first_token_ms = toMs(p.first_token);
+            done.finish_ms = toMs(end);
             done.preemptions = p.preemptions;
             done.failovers = p.failovers;
             done.replica = rep.id;
@@ -533,16 +537,16 @@ class ReferenceFleet
     void rejectAtFleet(const Request &r, RejectReason reason)
     {
         result_.metrics.countRejection(reason);
-        result_.rejected.push_back({r.id, r.arrival_ms, reason, now_});
+        result_.rejected.push_back({r.id, r.arrival_ms, reason, toMs(now_)});
     }
 
     void lose(const Waiting &w)
     {
         ++result_.metrics.requests_lost;
-        result_.lost.push_back({w.req.id, now_, w.progress.failovers});
+        result_.lost.push_back({w.req.id, toMs(now_), w.progress.failovers});
     }
 
-    void park(double ready, const Waiting &w)
+    void park(SimTime ready, const Waiting &w)
     {
         retry_[{ready, w.req.id}] = w;
     }
@@ -553,7 +557,7 @@ class ReferenceFleet
             rejectAtFleet(r, RejectReason::TooLong);
             return;
         }
-        if (r.deadline_ms > 0.0 && r.deadline_ms <= now_) {
+        if (expired(r)) {
             rejectAtFleet(r, RejectReason::DeadlineExpired);
             return;
         }
@@ -572,11 +576,17 @@ class ReferenceFleet
         target->noteQueueDepth();
     }
 
+    /** @p r has a deadline and it is due, on the nanosecond grid. */
+    bool expired(const Request &r) const
+    {
+        return r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now_;
+    }
+
     void expireQueue(Replica &rep)
     {
         std::deque<Waiting> kept;
         for (const Waiting &w : rep.queue) {
-            if (w.req.deadline_ms > 0.0 && w.req.deadline_ms <= now_)
+            if (expired(w.req))
                 rep.reject(w.req, RejectReason::DeadlineExpired, now_);
             else
                 kept.push_back(w);
@@ -588,7 +598,7 @@ class ReferenceFleet
     {
         for (auto it = retry_.begin(); it != retry_.end();) {
             const Request &r = it->second.req;
-            if (r.deadline_ms > 0.0 && r.deadline_ms <= now_) {
+            if (expired(r)) {
                 rejectAtFleet(r, RejectReason::DeadlineExpired);
                 it = retry_.erase(it);
             } else {
@@ -616,12 +626,12 @@ class ReferenceFleet
         }
     }
 
-    double backoffMs(int64_t attempts) const
+    SimTime backoff(int64_t attempts) const
     {
-        double ms = options_.retry_backoff_ms;
+        SimTime t = toSimTime(options_.retry_backoff_ms);
         for (int64_t k = 1; k < attempts; ++k)
-            ms *= 2.0;
-        return ms;
+            t *= 2;
+        return t;
     }
 
     // ---- Faults (fault.h, fleet.h) ------------------------------------
@@ -630,17 +640,18 @@ class ReferenceFleet
     {
         rep.up = false;
         result_.metrics.replica_up_ms[static_cast<size_t>(rep.id)] +=
-            now_ - rep.up_since;
+            toMs(now_ - rep.up_since);
         if (rep.busy)
             ++result_.metrics.aborted_steps;
         rep.draining = false;
     }
 
-    void startReload(Replica &rep, double window)
+    void startReload(Replica &rep)
     {
+        SimTime window = toSimTime(options_.recovery_reload_ms);
         rep.reload_until = now_ + window;
         ++result_.metrics.reloads;
-        result_.metrics.reload_ms_total += window;
+        result_.metrics.reload_ms_total += toMs(window);
     }
 
     void rejoinReloaded()
@@ -650,7 +661,7 @@ class ReferenceFleet
                 continue;
             rep.up = true;
             rep.up_since = now_;
-            rep.reload_until = kInf;
+            rep.reload_until = kNever;
         }
     }
 
@@ -672,15 +683,15 @@ class ReferenceFleet
                 if (w.progress.failovers > options_.max_retries)
                     lose(w);
                 else
-                    park(now_ + backoffMs(w.progress.failovers), w);
+                    park(now_ + backoff(w.progress.failovers), w);
             }
             break;
         case FaultKind::Recover:
-            if (rep.up || rep.reload_until < kInf)
+            if (rep.up || rep.reload_until < kNever)
                 break;
             ++fm.recoveries;
-            if (options_.recovery_reload_ms > 0.0) {
-                startReload(rep, options_.recovery_reload_ms);
+            if (toSimTime(options_.recovery_reload_ms) > 0) {
+                startReload(rep);
             } else {
                 rep.up = true;
                 rep.up_since = now_;
@@ -721,20 +732,21 @@ class ReferenceFleet
             ++fm.swaps;
             for (const Waiting &w : evacuate(rep))
                 park(now_, w);
-            startReload(rep, options_.recovery_reload_ms);
+            startReload(rep);
             break;
         }
     }
 
     // ---- The clock ----------------------------------------------------
 
-    double nextInstant() const
+    SimTime nextInstant() const
     {
-        double next = kInf;
+        SimTime next = kNever;
         if (next_fault_ < faults_.size())
-            next = std::min(next, faults_[next_fault_].at_ms);
+            next = std::min(next, faults_[next_fault_].first);
         if (next_arrival_ < arrivals_.size())
-            next = std::min(next, arrivals_[next_arrival_].arrival_ms);
+            next = std::min(next,
+                            toSimTime(arrivals_[next_arrival_].arrival_ms));
         for (const Replica &rep : replicas_) {
             if (rep.busy)
                 next = std::min(next, rep.stepEnd());
@@ -744,8 +756,8 @@ class ReferenceFleet
         for (const auto &[key, w] : retry_) {
             if (key.first > now_)
                 next = std::min(next, key.first);
-            if (w.req.deadline_ms > now_)
-                next = std::min(next, w.req.deadline_ms);
+            if (toSimTime(w.req.deadline_ms) > now_)
+                next = std::min(next, toSimTime(w.req.deadline_ms));
         }
         return next;
     }
@@ -756,10 +768,10 @@ class ReferenceFleet
         for (Replica &rep : replicas_) {
             if (rep.up)
                 fm.replica_up_ms[static_cast<size_t>(rep.id)] +=
-                    now_ - rep.up_since;
+                    toMs(now_ - rep.up_since);
             ServingMetrics &m = rep.result.metrics;
             m.in_flight = static_cast<int64_t>(rep.batch.size());
-            m.makespan_ms = now_;
+            m.makespan_ms = toMs(now_);
             m.max_queue_depth = rep.queue_high_water;
             const WeightStreamPlan &stream = opts_.cold_start.plan;
             if (!stream.empty()) {
@@ -799,15 +811,15 @@ class ReferenceFleet
 
     std::vector<Request> arrivals_;
     size_t next_arrival_ = 0;
-    std::vector<FaultEvent> faults_;
+    std::vector<std::pair<SimTime, FaultEvent>> faults_; ///< firing order
     size_t next_fault_ = 0;
 
     std::vector<Replica> replicas_;
 
     /** The retry buffer, in dispatch order: (ready, id). */
-    std::map<std::pair<double, int64_t>, Waiting> retry_;
+    std::map<std::pair<SimTime, int64_t>, Waiting> retry_;
 
-    double now_ = 0.0;
+    SimTime now_ = 0;
     FleetResult result_;
 };
 

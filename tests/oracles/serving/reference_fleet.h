@@ -13,7 +13,8 @@
  * FleetOptions and the result structs, whose
  * ServingMetrics::recordCompletion / merge / countRejection build the
  * aggregates), the StepCostModel it is handed, the models bucketing
- * functions and WeightStreamPlan::gatedComputeEndMs. Its KV pool
+ * functions, WeightStreamPlan::gatedComputeEndMs, and the clock's
+ * written contract in request.h: SimTime with toSimTime() and toMs(). Its KV pool
  * follows vTensor's mapping model: a shared prefix page is one
  * physical page that many sequences map, counted once. Slow but
  * simple enough to trust; not used outside the tests.

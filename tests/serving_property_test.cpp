@@ -140,7 +140,9 @@ checkInvariants(const SeededRun &run)
     std::map<int64_t, std::vector<size_t>> appearances;
     std::map<int64_t, size_t> first_prefill_step;
     std::set<int64_t> ever_preempted;
-    double recomputed_busy = 0.0;
+    // Records carry the nanosecond clock's instants and durations in
+    // ms (serving/request.h); sums and boundaries are exact on it.
+    serving::SimTime recomputed_busy = 0;
     int64_t recomputed_batched = 0;
     int64_t recomputed_preemptions = 0;
     int64_t recomputed_page_sum = 0;
@@ -227,7 +229,7 @@ checkInvariants(const SeededRun &run)
 
         for (int64_t id : stepMembers(s))
             appearances[id].push_back(i);
-        recomputed_busy += s.step_ms;
+        recomputed_busy += serving::toSimTime(s.step_ms);
         recomputed_batched += batch;
     }
 
@@ -284,7 +286,7 @@ checkInvariants(const SeededRun &run)
     EXPECT_EQ(metrics.total_output_tokens, token_sum);
     EXPECT_EQ(metrics.steps,
               static_cast<int64_t>(steps.size()));
-    EXPECT_DOUBLE_EQ(metrics.busy_ms, recomputed_busy);
+    EXPECT_EQ(metrics.busy_ms, serving::toMs(recomputed_busy));
     EXPECT_EQ(metrics.total_batched_seqs, recomputed_batched);
     EXPECT_EQ(metrics.preemptions, recomputed_preemptions);
     // Drained run: every preemption belongs to a completed
@@ -307,20 +309,23 @@ checkInvariants(const SeededRun &run)
     }
     if (!steps.empty()) {
         const auto &last = steps.back();
-        EXPECT_DOUBLE_EQ(metrics.makespan_ms,
-                         last.start_ms + last.step_ms);
+        EXPECT_EQ(metrics.makespan_ms,
+                  serving::toMs(serving::toSimTime(last.start_ms) +
+                                serving::toSimTime(last.step_ms)));
     }
     // Completion order is chronological.
     for (size_t i = 1; i < metrics.requests.size(); ++i)
         EXPECT_GE(metrics.requests[i].finish_ms,
                   metrics.requests[i - 1].finish_ms);
     // Every finish/first-token lands exactly on a step boundary.
-    std::set<double> boundaries;
+    std::set<serving::SimTime> boundaries;
     for (const auto &s : steps)
-        boundaries.insert(s.start_ms + s.step_ms);
+        boundaries.insert(serving::toSimTime(s.start_ms) +
+                          serving::toSimTime(s.step_ms));
     for (const auto &r : metrics.requests) {
-        EXPECT_EQ(boundaries.count(r.first_token_ms), 1u);
-        EXPECT_EQ(boundaries.count(r.finish_ms), 1u);
+        EXPECT_EQ(boundaries.count(serving::toSimTime(r.first_token_ms)),
+                  1u);
+        EXPECT_EQ(boundaries.count(serving::toSimTime(r.finish_ms)), 1u);
     }
 }
 
@@ -429,27 +434,27 @@ runFleetSeed(uint64_t seed, bool with_faults)
 
 /** Down windows per replica, replayed from the plan with the
  *  fleet's tolerant semantics (crash on a down replica is a
- *  no-op). */
+ *  no-op), at the instants the events fire: on the nanosecond
+ *  grid. */
 std::map<int, std::vector<std::pair<double, double>>>
 downWindows(const serving::FleetOptions &options)
 {
     serving::FaultInjector injector(options.faults);
     std::map<int, std::vector<std::pair<double, double>>> windows;
     std::map<int, bool> up;
-    auto events = injector.drainDue(
-        std::numeric_limits<double>::infinity());
+    auto events = injector.drainDue(serving::kNever);
     for (const auto &e : events) {
         bool &is_up = up.try_emplace(e.replica, true)
                           .first->second;
+        double at = serving::toMs(serving::toSimTime(e.at_ms));
         if (e.kind == serving::FaultKind::Crash && is_up) {
             is_up = false;
             windows[e.replica].push_back(
-                {e.at_ms,
-                 std::numeric_limits<double>::infinity()});
+                {at, std::numeric_limits<double>::infinity()});
         } else if (e.kind == serving::FaultKind::Recover &&
                    !is_up) {
             is_up = true;
-            windows[e.replica].back().second = e.at_ms;
+            windows[e.replica].back().second = at;
         }
     }
     return windows;
@@ -741,7 +746,7 @@ TEST(QueueProperty, QueuedInputTokensMatchesContentsAcrossOps)
                     q.pop();
                 break;
             case 4:
-                q.expireBefore(now);
+                q.expireBefore(serving::toSimTime(now));
                 break;
             case 5: // fleet evacuation path
                 if (round % 17 == 0)
