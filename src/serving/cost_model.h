@@ -12,11 +12,27 @@
 #ifndef STREAMTENSOR_SERVING_COST_MODEL_H
 #define STREAMTENSOR_SERVING_COST_MODEL_H
 
+#include <vector>
+
 #include "runtime/executor.h"
-#include "serving/scheduler.h"
 
 namespace streamtensor {
 namespace serving {
+
+/** Cost oracle for one engine step. Implementations must be
+ *  deterministic pure functions of the shape groups (the replay
+ *  suite depends on it) and must return a strictly positive
+ *  cost so simulated time advances. */
+class StepCostModel
+{
+  public:
+    virtual ~StepCostModel() = default;
+
+    /** Cost in milliseconds of one full model pass over the given
+     *  shape groups. */
+    virtual double
+    stepMs(const std::vector<runtime::StepGroup> &groups) = 0;
+};
 
 /** Per-step costs from the compiled + simulated blocks of an
  *  executor (runtime::LlmExecutor::step). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,35 @@ namespace streamtensor {
 namespace serving {
 
 namespace {
+
+/** Sort @p trace into (arrival, id) service order and validate it
+ *  (positive lengths, arrivals and deadlines on the clock's range,
+ *  well-formed prefixes, unique ids). Arrivals and deadlines snap to
+ *  the nanosecond grid, arrivals before the sort, so instants that
+ *  tie on the clock tie here. */
+void
+sortAndValidateTrace(std::vector<Request> &trace)
+{
+    std::set<int64_t> ids;
+    for (auto &r : trace) {
+        ST_CHECK(r.input_len >= 1 && r.output_len >= 1,
+                 "request lengths must be positive");
+        r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+        r.deadline_ms = toMs(toSimTime(r.deadline_ms));
+        ST_CHECK(r.prefix_id >= 0 && r.prefix_len >= 0 &&
+                     r.prefix_len <= r.input_len &&
+                     (r.prefix_id != 0 || r.prefix_len == 0),
+                 "malformed shared prefix");
+        ST_CHECK(ids.insert(r.id).second,
+                 "trace ids must be unique");
+    }
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ms < b.arrival_ms ||
+                                (a.arrival_ms == b.arrival_ms &&
+                                 a.id < b.id);
+                     });
+}
 
 /** One fleet run: the state, the six round phases, the round loop,
  *  decode-run planning and the next-instant rule. */
@@ -184,7 +214,7 @@ struct FleetRun
             rejectFleet(r, RejectReason::TooLong);
             return;
         }
-        if (r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now) {
+        if (deadlinePassed(r, now)) {
             rejectFleet(r, RejectReason::DeadlineExpired);
             return;
         }
@@ -336,23 +366,6 @@ struct FleetRun
             dispatchArrival(arrivals.take());
     }
 
-    /** Committed steps across the fleet, and whether any work
-     *  remains anywhere. O(num_replicas). */
-    std::pair<int64_t, bool> progress()
-    {
-        int64_t total_steps = 0;
-        bool any_busy = false, any_work = false;
-        for (auto &eng : engines) {
-            total_steps += eng.result().metrics.steps;
-            any_busy = any_busy || eng.busy();
-            any_work = any_work || eng.hasWork();
-        }
-        bool work_left = any_busy || any_work ||
-                         !pending.empty() ||
-                         !arrivals.exhausted();
-        return {total_steps, work_left};
-    }
-
     /** Work remains but no future event can revive a replica to
      *  run it: every parked request is lost. */
     void strandPending()
@@ -403,17 +416,20 @@ struct FleetRun
     /** Phase 6, second half: plan a run for every replica launched
      *  this round under the fleet-wide caps (fleet.h): the step
      *  budget and no queued deadline. When either fails, every
-     *  standing run is cut. */
-    void stageRuns()
+     *  standing run is cut. Returns the steps committed across the
+     *  fleet and whether any work remains anywhere (a busy replica
+     *  has work). One walk over the replicas. */
+    std::pair<int64_t, bool> stageRuns()
     {
-        int64_t steps = 0;
-        bool deadline_queued = false;
+        int64_t committed = 0, ahead = 0; // in flight or planned
+        bool deadline_queued = false, work_left = false;
         for (auto &eng : engines) {
-            steps += eng.result().metrics.steps + (eng.busy() ? 1 : 0) +
-                     eng.plannedRepeats();
+            committed += eng.result().metrics.steps;
+            ahead += (eng.busy() ? 1 : 0) + eng.plannedRepeats();
             deadline_queued = deadline_queued || eng.queuedDeadlines();
+            work_left = work_left || eng.hasWork();
         }
-        int64_t budget = options.replica.max_steps - 1 - steps;
+        int64_t budget = options.replica.max_steps - 1 - committed - ahead;
         if (deadline_queued || budget < 0) {
             for (auto &eng : engines) {
                 budget += eng.plannedRepeats();
@@ -424,6 +440,8 @@ struct FleetRun
             budget -= engines[static_cast<size_t>(i)].planRun(
                 deadline_queued ? 0 : budget);
         launched.clear();
+        return {committed, work_left || !pending.empty() ||
+                               !arrivals.exhausted()};
     }
 
     // ---- Next instant (fleet.h) --------------------------------
@@ -519,9 +537,7 @@ struct FleetRun
                 if (eng.busy())
                     launched.push_back(i);
             }
-            stageRuns();
-
-            auto [total_steps, work_left] = progress();
+            auto [total_steps, work_left] = stageRuns();
             if (total_steps >= options.replica.max_steps &&
                 work_left) {
                 result.hit_step_limit = true;
@@ -578,7 +594,7 @@ FleetScheduler::FleetScheduler(FleetOptions options,
     // On the clock's range (request.h), as FleetRun converts them.
     (void)toSimTime(options_.retry_backoff_ms);
     (void)toSimTime(options_.recovery_reload_ms);
-    validateSchedulerOptions(options_.replica);
+    validateReplicaOptions(options_.replica);
     for (const auto &e : options_.faults.events)
         ST_CHECK(e.replica >= 0 &&
                      e.replica < options_.num_replicas,

@@ -24,11 +24,30 @@
  *      exactly when its replica crashes *completes*: the tokens
  *      were produced before the failure);
  *   2. fault events, in plan firing order;
- *   3. arrivals, in (arrival, id) order, routed least-loaded;
+ *   3. arrivals, in (arrival, id) order: refused TooLong when no
+ *      replica could ever serve one, DeadlineExpired when its
+ *      deadline has passed, else routed least-loaded (parked while
+ *      no replica is eligible), where a full queue refuses it
+ *      QueueFull — the only place an arrival is refused;
  *   4. deadline expiry sweeps (per-replica queues in id order,
  *      then the fleet's own retry buffer);
  *   5. due retries, oldest (ready, id) first;
  *   6. step launches on every idle up replica, in id order.
+ *
+ * The loop wakes at every arrival instant, not only at step ends.
+ * Three consequences are pinned by the replay suite
+ * (SchedulerReplay.MidStepDeadlineFreesQueueSlot):
+ *
+ *   - *Rejection time.* An arrival refused mid-step is stamped at
+ *     its own arrival instant, not at the next step end.
+ *   - *Deadlines with a bounded queue.* Queued deadlines are swept
+ *     at every arrival instant too, so a request that expires
+ *     mid-step frees its queue slot for a later arrival in the
+ *     same step, which is then queued instead of refused
+ *     QueueFull.
+ *   - *Step limit.* The round that reaches max_steps still ingests
+ *     the arrivals due at its instant (and admits them into the
+ *     step it launches) before the run stops.
  *
  * **Next instant.** After a round the loop jumps to the earliest
  * instant at which anything can happen: the next fault or arrival,
@@ -107,7 +126,6 @@
 
 #include "serving/fault.h"
 #include "serving/replica.h"
-#include "serving/scheduler.h"
 
 namespace streamtensor {
 namespace serving {
@@ -134,10 +152,10 @@ struct FleetOptions
 {
     int num_replicas = 2;
 
-    /** Per-replica scheduler configuration, shared by every
-     *  replica (homogeneous fleet). replica.max_steps bounds the
-     *  *total* steps across the fleet. */
-    SchedulerOptions replica;
+    /** Per-replica configuration, shared by every replica
+     *  (homogeneous fleet). replica.max_steps bounds the *total*
+     *  steps across the fleet. */
+    ReplicaOptions replica;
 
     /** Has one value; kept only because e2e_stack sets it. */
     LbPolicy balancer = LbPolicy::LeastKvLoad;
@@ -223,7 +241,7 @@ struct FleetMetrics : ServingMetrics
 
     /** Completed over every request the fleet *accepted and then
      *  failed*: completed / (completed + lost + expired). Load
-     *  shedding (TooLong / QueueFull / Drained) is a refusal, not
+     *  shedding (TooLong / QueueFull) is a refusal, not
      *  an availability failure, and is excluded. 1.0 for an empty
      *  window. */
     double availability() const;
@@ -241,7 +259,7 @@ struct FleetResult
     /** Per-replica finalized results, id-indexed (step records,
      *  per-replica metrics and rejections; makespan stamped
      *  fleet-wide). */
-    std::vector<ServingResult> replicas;
+    std::vector<ReplicaResult> replicas;
 
     /** All rejections — fleet-level and per-replica — merged in
      *  (at_ms, id) order. */

@@ -93,9 +93,6 @@ ServingMetrics::countRejection(RejectReason reason)
     case RejectReason::DeadlineExpired:
         ++expired_deadline;
         break;
-    case RejectReason::Drained:
-        ++rejected_drained;
-        break;
     }
 }
 
@@ -115,7 +112,6 @@ ServingMetrics::merge(const ServingMetrics &other)
     rejected_queue_full += other.rejected_queue_full;
     rejected_too_long += other.rejected_too_long;
     expired_deadline += other.expired_deadline;
-    rejected_drained += other.rejected_drained;
     deadline_misses += other.deadline_misses;
     total_output_tokens += other.total_output_tokens;
     in_flight += other.in_flight;

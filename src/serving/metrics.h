@@ -11,7 +11,7 @@
  * Everything derives from simulated time, so repeated runs
  * aggregate identically.
  *
- * **Record retention.** MetricsOptions (SchedulerOptions::metrics)
+ * **Record retention.** MetricsOptions (ReplicaOptions::metrics)
  * decides whether the RequestMetrics records are kept next to the
  * streaming state (counters, running sums, and one QuantileSketch
  * per latency/TTFT), which is always maintained. The means read the
@@ -48,7 +48,7 @@
 namespace streamtensor {
 namespace serving {
 
-/** Per-request record retention policy (SchedulerOptions::
+/** Per-request record retention policy (ReplicaOptions::
  *  metrics). Streaming aggregates — counters, running sums, and
  *  the quantile sketches — are always maintained; this only
  *  decides whether the full RequestMetrics vector is kept
@@ -151,8 +151,9 @@ struct ServingMetrics
      *  (RejectReason::DeadlineExpired). */
     int64_t expired_deadline = 0;
 
-    /** Requests shed by drain mode — queued at drain entry or
-     *  arriving while draining (RejectReason::Drained). */
+    /** Always 0: a drain re-routes its replica's queue and routing
+     *  skips draining replicas, so drain mode refuses nothing. Kept
+     *  only because e2e_stack reads it. */
     int64_t rejected_drained = 0;
 
     /** Completed requests that finished past a nonzero deadline
@@ -227,7 +228,7 @@ struct ServingMetrics
 
     // --- Cold-start weight streaming (weights.h). All zero on a
     // warm run; stamped when the replica ran with a cold-start
-    // plan (SchedulerOptions::cold_start). ---
+    // plan (ReplicaOptions::cold_start). ---
 
     /** Simulated storage→HBM window of the cold-start stream. */
     double weight_stream_ms = 0.0;

@@ -77,8 +77,7 @@ RequestQueue::expireBefore(SimTime now)
     if (deadlined_ == 0)
         return expired;
     for (auto e = fifo_.begin(); e != fifo_.end();) {
-        if (e->req.deadline_ms > 0.0 &&
-            toSimTime(e->req.deadline_ms) <= now) {
+        if (deadlinePassed(e->req, now)) {
             countRemove(e->req);
             expired.push_back(std::move(*e));
             e = fifo_.erase(e);

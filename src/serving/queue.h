@@ -12,7 +12,7 @@
  * is deliberately capacity-exempt: a sequence that already holds
  * progress must never be dropped by its own eviction. The queue
  * therefore enforces, as its own runtime assertion rather than a
- * comment in SchedulerOptions, that any occupancy beyond
+ * comment in ReplicaOptions, that any occupancy beyond
  * max_depth is attributable to pushFront() calls: after every
  * insert, size() - max_depth <= cumulative frontInserts().
  *
@@ -91,7 +91,7 @@ class RequestQueue
     QueuedRequest pop();
 
     /** Remove every queued entry whose deadline has passed
-     *  (deadline_ms > 0, due by @p now on the clock) and return
+     *  (deadlinePassed, request.h) and return
      *  them in pop order — the overload-shedding sweep.
      *  Requests without a deadline are untouched. O(1) when no
      *  queued request carries a deadline (the common sweep, run

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "support/error.h"
@@ -13,7 +12,7 @@ namespace serving {
 namespace {
 
 /** Largest context of the request's lifetime — its final decode
- *  step (see the convention note in scheduler.h). Only call it
+ *  step (see the convention note in replica.h). Only call it
  *  once maxContextWithin() has passed: the sum may overflow. */
 int64_t
 maxContext(const Request &r)
@@ -22,7 +21,7 @@ maxContext(const Request &r)
 }
 
 /** maxContext(r) <= @p limit, decided without forming the sum.
- *  Both lengths are >= 1 (sortAndValidateTrace), so output_len - 1
+ *  Both lengths are >= 1 (FleetScheduler::run), so output_len - 1
  *  is non-negative and, once it is <= limit, limit minus it cannot
  *  overflow either. */
 bool
@@ -33,7 +32,7 @@ maxContextWithin(const Request &r, int64_t limit)
 }
 
 KvPoolOptions
-poolOptionsFor(const SchedulerOptions &options)
+poolOptionsFor(const ReplicaOptions &options)
 {
     KvPoolOptions pool_options;
     pool_options.page_tokens = options.page_tokens;
@@ -44,43 +43,17 @@ poolOptionsFor(const SchedulerOptions &options)
 
 /** @p options, domain-checked: runs in the member initializers,
  *  ahead of the pool geometry that divides by page_tokens. */
-const SchedulerOptions &
-validated(const SchedulerOptions &options)
+const ReplicaOptions &
+validated(const ReplicaOptions &options)
 {
-    validateSchedulerOptions(options);
+    validateReplicaOptions(options);
     return options;
 }
 
 } // namespace
 
 void
-sortAndValidateTrace(std::vector<Request> &trace)
-{
-    std::set<int64_t> ids;
-    for (auto &r : trace) {
-        ST_CHECK(r.input_len >= 1 && r.output_len >= 1,
-                 "request lengths must be positive");
-        // Snapped to the clock before the sort, so instants that tie
-        // there tie here; toSimTime() rejects out-of-range instants.
-        r.arrival_ms = toMs(toSimTime(r.arrival_ms));
-        (void)toSimTime(r.deadline_ms);
-        ST_CHECK(r.prefix_id >= 0 && r.prefix_len >= 0 &&
-                     r.prefix_len <= r.input_len &&
-                     (r.prefix_id != 0 || r.prefix_len == 0),
-                 "malformed shared prefix");
-        ST_CHECK(ids.insert(r.id).second,
-                 "trace ids must be unique");
-    }
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival_ms < b.arrival_ms ||
-                                (a.arrival_ms == b.arrival_ms &&
-                                 a.id < b.id);
-                     });
-}
-
-void
-validateSchedulerOptions(const SchedulerOptions &options)
+validateReplicaOptions(const ReplicaOptions &options)
 {
     ST_CHECK(options.max_batch >= 1, "need batch room");
     ST_CHECK(options.kv_budget_tokens >= 1, "need a KV budget");
@@ -98,7 +71,7 @@ validateSchedulerOptions(const SchedulerOptions &options)
     (void)models::bucketBoundaries(options.buckets);
 }
 
-ReplicaEngine::ReplicaEngine(const SchedulerOptions &options,
+ReplicaEngine::ReplicaEngine(const ReplicaOptions &options,
                              StepCostModel &cost, int replica_id)
     : options_(validated(options)),
       bucket_ladder_(models::bucketBoundaries(options_.buckets)),
@@ -231,9 +204,8 @@ ReplicaEngine::advanceRepeats(SimTime before)
                                                     seq.state.generated);
             ST_ASSERT(grown, "a decode run outran the free list");
         }
-        pending_pages_active_ = pool_.activePages();
         if (options_.record_steps) {
-            pending_record_.pages_active = pending_pages_active_;
+            pending_record_.pages_active = pool_.activePages();
             pending_record_.pages_cached = pool_.cachedPages();
             pending_record_.pages_free = pool_.freePages();
         }
@@ -253,8 +225,9 @@ ReplicaEngine::commitSteps(int64_t k)
     busy_time_ += k * step_;
     metrics.busy_ms = toMs(busy_time_);
     metrics.steps += k;
-    metrics.total_batched_seqs += k * pending_batch_;
-    metrics.page_step_sum += k * pending_pages_active_;
+    metrics.total_batched_seqs +=
+        k * static_cast<int64_t>(active_.size());
+    metrics.page_step_sum += k * pool_.activePages();
     for (auto &seq : active_)
         seq.state.generated += k;
     step_start_ += k * step_;
@@ -288,17 +261,13 @@ ReplicaEngine::reject(const Request &r, RejectReason reason, SimTime at)
 void
 ReplicaEngine::offer(const Request &r, SimTime now)
 {
+    ST_CHECK(servable(r) && !deadlinePassed(r, now) && !draining_,
+             "offer() of a request the fleet must refuse");
     cutRun();
     // Callers ingest arrivals strictly in (arrival, id) order, so
     // result().rejected inherits that order no matter how many
     // arrivals one ingest round drains.
-    if (!servable(r))
-        reject(r, RejectReason::TooLong, now);
-    else if (draining_)
-        reject(r, RejectReason::Drained, now);
-    else if (r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now)
-        reject(r, RejectReason::DeadlineExpired, now);
-    else if (!queue_.push(r))
+    if (!queue_.push(r))
         reject(r, RejectReason::QueueFull, now);
 }
 
@@ -465,7 +434,7 @@ ReplicaEngine::launchStep(SimTime now)
 
     // Cold start: a step launched while the weight stream is in
     // flight is gated on residency (overlapped per layer or held
-    // to the stream's end — scheduler.h). The wait is charged to
+    // to the stream's end — ColdStartOptions). The wait is charged to
     // the step itself, so completion timing, metrics, and records
     // all see it.
     SimTime weights_wait = 0;
@@ -479,8 +448,6 @@ ReplicaEngine::launchStep(SimTime now)
     }
     (void)later(now, step);
 
-    pending_batch_ = static_cast<int64_t>(active_.size());
-    pending_pages_active_ = pool_.activePages();
     if (options_.record_steps) {
         StepRecord record;
         record.step_ms = toMs(step);
@@ -575,13 +542,6 @@ ReplicaEngine::crash()
     // over so finalize() reports whole-lifetime stats.
     pool_.clear();
     return out;
-}
-
-std::vector<QueuedRequest>
-ReplicaEngine::evacuateQueue()
-{
-    cutRun();
-    return queue_.drainAll();
 }
 
 void

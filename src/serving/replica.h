@@ -1,11 +1,45 @@
 /**
  * @file
- * ReplicaEngine: the per-replica core of the serving scheduler.
- * The fleet tier (fleet.h) interleaves N engines on one simulated
- * clock — a single replica is the N = 1 case — and needs
- * incremental control: launch a step, complete it later,
- * crash a replica mid-step, evacuate its work, slow it down, swap
- * its cost model while a link is degraded.
+ * ReplicaEngine: one replica of the serving loop, the serving-side
+ * counterpart of the paper's single-request re-triggered block
+ * (§6.1), with its options and result types. The fleet tier
+ * (fleet.h) interleaves N engines on one simulated clock — a single
+ * replica is the N = 1 case — and needs incremental control: launch
+ * a step, complete it later, crash a replica mid-step, evacuate its
+ * work, slow it down, swap its cost model while a link is degraded.
+ *
+ * Model, in vLLM/Orca terms with dataflow-accelerator constraints:
+ *  - Iteration-level (continuous) batching: every step runs all
+ *    resident sequences; new requests join at the next step
+ *    boundary as prefill members — no waiting for the batch to
+ *    drain.
+ *  - Bucketed shapes: batch members are grouped by their bucketed
+ *    BlockShapes (models::BucketPolicy) so the compile cache stays
+ *    small; each group is one accelerator trigger per layer whose
+ *    members stream back-to-back with weights resident.
+ *  - Paged KV admission: the KV budget is a serving::KvPool of
+ *    fixed-size pages. A request is admitted when its *current*
+ *    context fits, acquires pages on demand as it decodes, and
+ *    shares prefix pages with other requests naming the same
+ *    prompt prefix. On allocation pressure the most recently
+ *    admitted other resident sequence is preempted back to the
+ *    queue and recomputes its KV when readmitted.
+ *  - Strict head-of-line admission: the queue's oldest request is
+ *    admitted or nothing is — later smaller requests never jump a
+ *    blocked head, which makes FIFO fairness exact and starvation
+ *    impossible. Preempted requests re-enter at the front of the
+ *    queue (their arrival precedes everything still queued).
+ *
+ * **Context-length convention.** A sequence that has produced
+ * `g` output tokens and runs one more step attends over
+ * `input_len + g` tokens: the prompt (input_len), the g - 1
+ * previously cached output tokens, and the current query token,
+ * whose KV slot is written during the step. That expression is
+ * used uniformly for decode shapes, recompute-prefill shapes, and
+ * page demand; the maximum context of a request's lifetime is
+ * therefore `input_len + output_len - 1` (its last decode step),
+ * so a sequence moves to the next shape bucket exactly when its
+ * context crosses the boundary (regression-tested at a boundary).
  *
  * The engine is a state machine over one replica's queue, paged KV
  * pool, and resident batch:
@@ -24,11 +58,14 @@
  * **Decode runs.** planRun() plans the steps after a launch that
  * repeat it; the caller needs the engine again only at wakeAt(),
  * and completeDue() catches the run up in one call. Its m-th step
- * ends at stepEnd() + m × step, in integer nanoseconds. The engine
- * owns the run: every mutator that changes the next launch (offer,
- * readmit, setSlowFactor, setCost, setDraining, crash,
- * evacuateQueue) cuts it after the in-flight step. Caps spanning
- * replicas are the caller's, through planRun()'s cap and cutRun().
+ * ends at stepEnd() + m × step, in integer nanoseconds. A run
+ * stands only while the queue is empty, so a mutator that touches
+ * nothing but an empty queue or the drain flag (evacuateQueue,
+ * setDraining) leaves it standing. The engine owns the run: every
+ * mutator that changes the next launch (offer, readmit,
+ * setSlowFactor, setCost, crash) cuts it after the in-flight step.
+ * Caps spanning replicas are the caller's, through planRun()'s cap
+ * and cutRun().
  *
  * **Where progress lives.** A request's ResumeState has one home at
  * a time: a resident sequence holds it in its batch entry; a queued
@@ -48,22 +85,140 @@
 #include <cstdint>
 #include <vector>
 
+#include "models/bucketing.h"
+#include "runtime/executor.h"
+#include "serving/cost_model.h"
 #include "serving/kv_pool.h"
+#include "serving/metrics.h"
 #include "serving/queue.h"
-#include "serving/scheduler.h"
+#include "serving/request.h"
+#include "serving/weights.h"
 
 namespace streamtensor {
 namespace serving {
 
-/** Sort @p trace into (arrival, id) service order and validate it
- *  (positive lengths, non-negative arrivals/deadlines, well-formed
- *  prefixes, unique ids). Called by FleetScheduler::run. */
-void sortAndValidateTrace(std::vector<Request> &trace);
+/** Cold-start weight streaming (weights.h). With a non-empty
+ *  plan, the engine's weights are still in flight from storage
+ *  when serving begins: every step launched before the plan's
+ *  end_ms is gated on residency —
+ *
+ *   - overlap (default): the step's compute is spread across the
+ *     plan's layers and each layer fires at
+ *     max(previous layer's end, its ready watermark), so first
+ *     prefills overlap the stream and only layers that outrun
+ *     their weights stall (WeightStreamPlan::gatedComputeEndMs);
+ *   - !overlap: the whole step waits for end_ms — the
+ *     load-then-serve baseline the bench compares against.
+ *
+ *  The added wait lands in StepRecord::weights_wait_ms and
+ *  accumulates into ServingMetrics::weight_stall_ms; steps
+ *  launched after end_ms are untouched, so a warm run and an
+ *  empty plan are bit-identical. */
+struct ColdStartOptions
+{
+    WeightStreamPlan plan; ///< empty = warm start
+    bool overlap = true;
+};
+
+/** Per-replica serving knobs (FleetOptions::replica). */
+struct ReplicaOptions
+{
+    /** Max sequences resident in one step. */
+    int64_t max_batch = 8;
+
+    /** Total KV tokens the accelerator can hold, carved into
+     *  kv_budget_tokens / page_tokens physical pages. */
+    int64_t kv_budget_tokens = 4096;
+
+    /** Page size of the paged pool. */
+    int64_t page_tokens = 16;
+
+    /** Request-queue capacity; arrivals beyond it are rejected
+     *  (0 = unbounded). Preempted requests re-enter exempt from
+     *  the bound. */
+    int64_t max_queue_depth = 0;
+
+    /** Shape quantisation shared with the compile cache. */
+    models::BucketPolicy buckets;
+
+    /** Record per-step composition (replay tests, debugging). */
+    bool record_steps = false;
+
+    /** Per-request record retention (metrics.h): every record by
+     *  default; KeepRecords::Never keeps the streaming sketches
+     *  only (million-request sweeps). */
+    MetricsOptions metrics;
+
+    /** Safety valve against a miscosted model wedging the event
+     *  loop; a run hitting it reports hit_step_limit. */
+    int64_t max_steps = 1 << 22;
+
+    /** Cold-start weight streaming (empty plan = warm start). */
+    ColdStartOptions cold_start;
+};
+
+/** Composition of one executed step (record_steps only). */
+struct StepRecord
+{
+    double start_ms = 0.0;
+    double step_ms = 0.0;
+
+    /** Time this step spent waiting on weight residency during a
+     *  cold start (already included in step_ms; 0 once the stream
+     *  has finished, and on every warm run). */
+    double weights_wait_ms = 0.0;
+
+    /** Requests that ran a prefill-shaped pass in this step, in
+     *  admission order: first-time prefills and recompute
+     *  prefills of readmitted preempted sequences. */
+    std::vector<int64_t> prefill_ids;
+
+    /** Requests that decoded one token in this step. */
+    std::vector<int64_t> decode_ids;
+
+    /** Sequences preempted while making room for this step, in
+     *  preemption order. */
+    std::vector<int64_t> preempted_ids;
+
+    /** Pool occupancy when the step launched (pages_active +
+     *  pages_cached + pages_free == pool pages, recomputed by the
+     *  property suite). The batch holds pages_active × page_tokens
+     *  KV tokens during the step. */
+    int64_t pages_active = 0;
+    int64_t pages_cached = 0;
+    int64_t pages_free = 0;
+
+    /** Queued requests left behind when the step launched. */
+    int64_t queue_depth = 0;
+};
+
+/** A rejected request and why. FleetResult::rejected lists
+ *  rejections in (at_ms, id) order. */
+struct RejectedRequest
+{
+    int64_t id = 0;
+    double arrival_ms = 0.0;
+    RejectReason reason = RejectReason::QueueFull;
+
+    /** Simulated time the rejection was decided: the arrival
+     *  instant for TooLong/QueueFull arrivals, the expiry sweep for
+     *  DeadlineExpired. */
+    double at_ms = 0.0;
+};
+
+/** One replica's outcome of serving a trace (FleetResult::
+ *  replicas). */
+struct ReplicaResult
+{
+    ServingMetrics metrics;
+    std::vector<StepRecord> steps; ///< empty unless record_steps
+    std::vector<RejectedRequest> rejected;
+};
 
 /** Domain-check @p options (batch room, KV budget, page geometry,
  *  queue depth, step limit, bucket ladder). Shared by the
  *  ReplicaEngine and FleetScheduler constructors. */
-void validateSchedulerOptions(const SchedulerOptions &options);
+void validateReplicaOptions(const ReplicaOptions &options);
 
 class ReplicaEngine
 {
@@ -71,7 +226,7 @@ class ReplicaEngine
     /** @p options is copied; @p cost must outlive the engine (it
      *  may later be swapped via setCost, e.g. for a degraded-link
      *  cost model). */
-    ReplicaEngine(const SchedulerOptions &options,
+    ReplicaEngine(const ReplicaOptions &options,
                   StepCostModel &cost, int replica_id = 0);
 
     // ---- State queries -----------------------------------------
@@ -140,12 +295,14 @@ class ReplicaEngine
 
     /** True when the request could ever run to completion on this
      *  engine's geometry (bucket ladder + KV capacity). Identical
-     *  across engines sharing SchedulerOptions. */
+     *  across engines sharing ReplicaOptions. */
     bool servable(const Request &r) const;
 
-    /** Ingest an arrival: queue it, or record the rejection
-     *  (TooLong, Drained, DeadlineExpired, QueueFull — checked in
-     *  that order) in result(). */
+    /** Ingest an arrival: queue it, or record a QueueFull
+     *  rejection in result(). The caller has already refused the
+     *  rest (FleetRun): FatalError unless @p r is servable() and
+     *  its deadline has not passed, and the engine is not
+     *  draining. */
     void offer(const Request &r, SimTime now);
 
     /** Readmit a preempted or failed-over request at the front of
@@ -190,16 +347,15 @@ class ReplicaEngine
 
     /** Evacuate only the queue (graceful drain hand-off): resident
      *  sequences keep running to completion. */
-    std::vector<QueuedRequest> evacuateQueue();
+    std::vector<QueuedRequest> evacuateQueue()
+    {
+        return queue_.drainAll();
+    }
 
     /** Enter/leave drain mode: while draining, launchStep admits
-     *  nothing from the queue and offer() rejects arrivals as
-     *  Drained; residents run to completion. */
-    void setDraining(bool draining)
-    {
-        cutRun();
-        draining_ = draining;
-    }
+     *  nothing from the queue and offer() refuses arrivals;
+     *  residents run to completion. */
+    void setDraining(bool draining) { draining_ = draining; }
 
     /** Step-cost multiplier for a degraded (slowed) replica; must
      *  be positive. 1.0 = nominal. The in-flight step keeps its
@@ -219,8 +375,8 @@ class ReplicaEngine
 
     /** The engine's accumulated result (metrics, step records,
      *  rejections). Call finalize() first at end of run. */
-    ServingResult &result() { return result_; }
-    const ServingResult &result() const { return result_; }
+    ReplicaResult &result() { return result_; }
+    const ReplicaResult &result() const { return result_; }
 
     /** Stamp end-of-run aggregates (completed, in_flight,
      *  makespan, queue high-water, pool stats). */
@@ -283,10 +439,13 @@ class ReplicaEngine
     /** The accounting of @p k steps that repeat the in-flight one,
      *  shared by completeStep() and advanceRepeats(): a record per
      *  step, and k times the step's cost (busy time, step start) and
-     *  share (steps, batched sequences, page-steps, tokens). */
+     *  share (steps, batched sequences, page-steps, tokens). The
+     *  batch and the pool's active pages are read as they stand:
+     *  nothing moves them between a launch, or a run segment's
+     *  growth, and the commit. */
     void commitSteps(int64_t k);
 
-    SchedulerOptions options_;
+    ReplicaOptions options_;
 
     /** models::bucketBoundaries(options_.buckets), built once per
      *  engine (about a dozen entries): launchStep buckets every
@@ -321,8 +480,6 @@ class ReplicaEngine
     SimTime step_start_ = 0;
     SimTime step_ = 0;
     StepRecord pending_record_;
-    int64_t pending_batch_ = 0;
-    int64_t pending_pages_active_ = 0;
 
     // Decode run: the steps planned after the in-flight one.
     int64_t run_left_ = 0;
@@ -330,7 +487,7 @@ class ReplicaEngine
     // The running sum behind metrics.busy_ms.
     SimTime busy_time_ = 0;
 
-    ServingResult result_;
+    ReplicaResult result_;
 };
 
 } // namespace serving

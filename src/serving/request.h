@@ -86,9 +86,20 @@ struct Request
      *  whose deadline has passed is expired (shed) instead of
      *  wedging the queue; a resident one always runs to completion
      *  and merely counts a deadline miss if it finishes late —
-     *  work already paid for is never thrown away mid-decode. */
+     *  work already paid for is never thrown away mid-decode.
+     *  Snapped to the nanosecond grid on entry, as arrival_ms is,
+     *  so expiry (deadlinePassed) and the miss count
+     *  (RequestMetrics::missedDeadline) read one instant; a
+     *  deadline under 0.5 ns rounds to 0, none. */
     double deadline_ms = 0.0;
 };
+
+/** @p r carries a deadline and it is due by @p now on the clock. */
+inline bool
+deadlinePassed(const Request &r, SimTime now)
+{
+    return r.deadline_ms > 0.0 && toSimTime(r.deadline_ms) <= now;
+}
 
 /** Progress carried across a preemption or a replica failover,
  *  restored on readmission. The generated tokens themselves are
@@ -132,11 +143,6 @@ enum class RejectReason
     /** The request's deadline passed while it was still queued
      *  (overload shedding; never applied to resident sequences). */
     DeadlineExpired,
-
-    /** The scheduler (or its replica) entered drain mode — finish
-     *  residents, admit nothing — while the request was queued or
-     *  before it arrived. */
-    Drained,
 };
 
 } // namespace serving

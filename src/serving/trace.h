@@ -104,7 +104,7 @@ enum class TraceShape
  *  The stream is sorted and valid by construction: arrivals are
  *  non-decreasing (gaps are >= 0), ids are 0..n-1 in arrival
  *  order, and the options were domain-checked at construction —
- *  the properties sortAndValidateTrace() establishes for caller-
+ *  the properties FleetScheduler::run establishes for caller-
  *  supplied vectors, which is why the scheduler's generator
  *  overloads skip that O(n log n) pass. */
 class TraceGenerator
@@ -169,12 +169,14 @@ class ArrivalCursor
                                 : generator_->peek().arrival_ms);
     }
 
-    /** Consume the next request, its arrival_ms snapped to the
-     *  clock's nanosecond grid (request.h). !exhausted() only. */
+    /** Consume the next request, its arrival_ms and deadline_ms
+     *  snapped to the clock's nanosecond grid (request.h).
+     *  !exhausted() only. */
     Request take()
     {
         Request r = trace_ ? (*trace_)[index_++] : generator_->next();
         r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+        r.deadline_ms = toMs(toSimTime(r.deadline_ms));
         return r;
     }
 

@@ -184,7 +184,7 @@ TEST(AllocGuard, WarmBlockHitAllocatesNothing)
 TEST(AllocGuard, RepeatedLaunchReusesCostWithoutAllocating)
 {
     CountingCostModel cost;
-    serving::ReplicaEngine engine(serving::SchedulerOptions{}, cost);
+    serving::ReplicaEngine engine(serving::ReplicaOptions{}, cost);
     engine.offer(request(8, 16), 0);
     // The prefill and the first decode are costed afresh.
     serving::SimTime now = 0;

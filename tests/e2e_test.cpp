@@ -16,7 +16,7 @@
 #include "runtime/executor.h"
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
-#include "serving/scheduler.h"
+#include "serving/replica.h"
 #include "serving/weights.h"
 #include "sim/simulator.h"
 
@@ -155,7 +155,7 @@ goldenTrace()
 
 /** A fleet of one replica running @p options, with no faults. */
 serving::FleetOptions
-oneReplica(const serving::SchedulerOptions &options)
+oneReplica(const serving::ReplicaOptions &options)
 {
     serving::FleetOptions fleet;
     fleet.num_replicas = 1;
@@ -176,7 +176,7 @@ TEST(EndToEnd, GoldenServingTraceThroughFullStack)
     runtime::LlmExecutor executor(models::gpt2Config(),
                                   hls::u55c());
     serving::ExecutorCostModel cost(executor);
-    serving::SchedulerOptions options;
+    serving::ReplicaOptions options;
     options.max_batch = 4;
     options.kv_budget_tokens = 512;
     options.record_steps = true;
@@ -232,7 +232,7 @@ TEST(EndToEnd, GoldenServingTraceThroughFullStack)
 
 TEST(EndToEnd, DecodeBucketBoundaryCompilesNoExtraShape)
 {
-    // Context-length convention regression (scheduler.h): a
+    // Context-length convention regression (replica.h): a
     // sequence with g generated tokens attends input + g tokens.
     // R0 (input 15, output 2) decodes at context 16 — exactly on
     // the first bucket boundary — and must share R1's (input 8)
@@ -242,7 +242,7 @@ TEST(EndToEnd, DecodeBucketBoundaryCompilesNoExtraShape)
     runtime::LlmExecutor executor(models::gpt2Config(),
                                   hls::u55c());
     serving::ExecutorCostModel cost(executor);
-    serving::SchedulerOptions options;
+    serving::ReplicaOptions options;
     options.max_batch = 2;
     options.kv_budget_tokens = 512;
     options.record_steps = true;
@@ -279,7 +279,7 @@ TEST(EndToEnd, GoldenPagedSaturation)
     runtime::LlmExecutor executor(models::gpt2Config(),
                                   hls::u55c());
     serving::ExecutorCostModel cost(executor);
-    serving::SchedulerOptions options;
+    serving::ReplicaOptions options;
     options.max_batch = 5;
     options.kv_budget_tokens = 192;
     options.record_steps = true;
@@ -930,7 +930,7 @@ TEST(EndToEnd, GoldenColdStartTrace)
         runtime::LlmExecutor executor(models::gpt2Config(),
                                       hls::u55c());
         serving::ExecutorCostModel cost(executor);
-        serving::SchedulerOptions options;
+        serving::ReplicaOptions options;
         options.max_batch = 4;
         options.kv_budget_tokens = 512;
         options.record_steps = true;

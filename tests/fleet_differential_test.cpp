@@ -593,27 +593,80 @@ TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
     EXPECT_EQ(r.rounds, 3);
 }
 
+/** One replica whose every context sits in one bucket (1024). */
+serving::FleetOptions
+oneBucketOptions()
+{
+    serving::FleetOptions options = scriptOptions(1);
+    options.replica.buckets.min_len = 1024;
+    options.replica.buckets.max_len = 1024;
+    return options;
+}
+
+/** An oracle that costs every one-group step @p step_ms. */
+serving::AnalyticCostOptions
+constantCost(double step_ms)
+{
+    serving::AnalyticCostOptions constant;
+    constant.trigger_ms = step_ms;
+    constant.per_seq_ms = 0.0;
+    constant.per_query_token_ms = 0.0;
+    constant.per_kv_token_ms = 0.0;
+    return constant;
+}
+
 TEST(FleetDecodeRuns, ARunsTimesAreExactOnTheNanosecondClock)
 {
     // 1,000 steps of 0.1 ms, all in one bucket: busy time and the
     // last step's start are integer products on the clock, so they
     // read exactly 100 ms and 99.9 ms. (A double-ms clock summing
     // 0.1 a thousand times reads 99.9999999999986.)
-    serving::FleetOptions options = scriptOptions(1);
-    options.replica.buckets.min_len = 1024;
-    options.replica.buckets.max_len = 1024;
-    serving::AnalyticCostOptions constant;
-    constant.trigger_ms = 0.1;
-    constant.per_seq_ms = 0.0;
-    constant.per_query_token_ms = 0.0;
-    constant.per_kv_token_ms = 0.0;
-    auto r = expectMatchesReference(options, {makeRequest(0, 0.0, 8, 1000)},
-                                    nullptr, constant);
+    auto r = expectMatchesReference(oneBucketOptions(),
+                                    {makeRequest(0, 0.0, 8, 1000)},
+                                    nullptr, constantCost(0.1));
     EXPECT_EQ(r.metrics.steps, 1000);
     EXPECT_EQ(r.metrics.busy_ms, 100.0);
     ASSERT_EQ(r.replicas[0].steps.size(), 1000u);
     EXPECT_EQ(r.replicas[0].steps.back().start_ms, 99.9);
     EXPECT_EQ(r.rounds, 3);
+}
+
+TEST(FleetDecodeRuns, ADeadlineExpiresAtTheStepEndItRoundsTo)
+{
+    // 1 ms steps, one sequence per batch. Request 0 holds the batch
+    // until its second step ends at 2 ms. Request 1 queues behind it
+    // with a deadline 0.4 ns after that step end, which rounds to the
+    // step end itself: the sweep at 2 ms expires it before the
+    // launch there could admit it. Request 2 then decodes in a run.
+    serving::FleetOptions options = oneBucketOptions();
+    options.replica.max_batch = 1;
+    Request late = makeRequest(1, 0.5, 8, 4);
+    late.deadline_ms = 2.0000004;
+    auto r = expectMatchesReference(options,
+                                    {makeRequest(0, 0.0, 8, 2), late,
+                                     makeRequest(2, 3.0, 8, 40)},
+                                    nullptr, constantCost(1.0));
+    EXPECT_EQ(r.metrics.expired_deadline, 1);
+    ASSERT_EQ(r.rejected.size(), 1u);
+    EXPECT_EQ(r.rejected[0].id, 1);
+    EXPECT_EQ(r.rejected[0].at_ms, 2.0);
+    EXPECT_EQ(r.metrics.completed, 2);
+}
+
+TEST(FleetDecodeRuns, AFinishOnTheRoundedDeadlineIsNoMiss)
+{
+    // Request 0's 40th 1 ms step ends at 40 ms, the nanosecond its
+    // deadline, 0.4 ns earlier, rounds to: it finishes on its
+    // deadline, not past it, as an equally timed queued request would
+    // not yet have expired.
+    Request r0 = makeRequest(0, 0.0, 8, 40);
+    r0.deadline_ms = 39.9999996;
+    auto r = expectMatchesReference(oneBucketOptions(), {r0}, nullptr,
+                                    constantCost(1.0));
+    ASSERT_EQ(r.metrics.requests.size(), 1u);
+    EXPECT_EQ(r.metrics.requests[0].finish_ms, 40.0);
+    EXPECT_EQ(r.metrics.requests[0].deadline_ms, 40.0);
+    EXPECT_EQ(r.metrics.deadline_misses, 0);
 }
 
 // ---- One engine through a decode run: k steps completed at their
@@ -675,10 +728,10 @@ repeatEnd(const serving::ReplicaEngine &engine, int64_t k)
     return copy.wakeAt();
 }
 
-serving::SchedulerOptions
+serving::ReplicaOptions
 engineOptions()
 {
-    serving::SchedulerOptions o;
+    serving::ReplicaOptions o;
     o.max_batch = 4;
     o.kv_budget_tokens = 4096;
     o.record_steps = true;
@@ -750,9 +803,13 @@ expectSameProgress(serving::ReplicaEngine &a, serving::ReplicaEngine &b)
  *  two equal. The instant falls inside the k-th repeat, 1 ns before
  *  its end: the steps before it ended earlier, it has not.
  *  At k = 12 that is the run's last step, so the whole run is
- *  caught up and none of it is left. */
+ *  caught up and none of it is left. @p mutate, when given, is
+ *  applied to both engines once the run is planned, and must leave
+ *  it standing. */
 void
-expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
+expectAdvanceMatchesStepping(const serving::ReplicaOptions &options,
+                             void (*mutate)(serving::ReplicaEngine &) =
+                                 nullptr)
 {
     serving::AnalyticCostModel cost;
     for (int64_t k = 0; k <= 12; ++k) {
@@ -761,6 +818,13 @@ expectAdvanceMatchesStepping(const serving::SchedulerOptions &options)
         serving::ReplicaEngine advanced(options, cost);
         startRun(stepped);
         startRun(advanced);
+        if (mutate) {
+            serving::SimTime wake = advanced.wakeAt();
+            mutate(stepped);
+            mutate(advanced);
+            EXPECT_EQ(advanced.plannedRepeats(), 12);
+            EXPECT_EQ(advanced.wakeAt(), wake);
+        }
         serving::SimTime predicted_end = repeatEnd(advanced, k);
         stepRepeats(stepped, k);
         advanced.completeDue(predicted_end - 1);
@@ -790,7 +854,7 @@ TEST(FleetDecodeRuns, EngineAdvanceMatchesSteppedRepeatsAcrossPages)
     // decode (contexts 34, 35, 36) and cross a page boundary at
     // repeats 3, 7, 11 (context 34), 2, 6, 10 (35) and 1, 5, 9 (36),
     // so every k above ends in a different segment of the run.
-    serving::SchedulerOptions options = engineOptions();
+    serving::ReplicaOptions options = engineOptions();
     options.page_tokens = 4;
     expectAdvanceMatchesStepping(options);
 
@@ -881,7 +945,8 @@ TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
 {
     // Each engine call that can change the next launch ends the run
     // after the in-flight step: the engine wakes at that step's end
-    // (crash abandons the step, leaving the engine idle).
+    // (crash abandons the step, leaving the engine idle). Drain mode
+    // and queue evacuation cannot (the next case).
     serving::AnalyticCostModel cost, other;
     const std::vector<
         std::pair<const char *, void (*)(serving::ReplicaEngine &,
@@ -903,14 +968,6 @@ TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
              [](serving::ReplicaEngine &e, serving::StepCostModel &c) {
                  e.setCost(c);
              }},
-            {"setDraining",
-             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
-                 e.setDraining(true);
-             }},
-            {"evacuateQueue",
-             [](serving::ReplicaEngine &e, serving::StepCostModel &) {
-                 EXPECT_TRUE(e.evacuateQueue().empty());
-             }},
             {"crash",
              [](serving::ReplicaEngine &e, serving::StepCostModel &) {
                  EXPECT_EQ(e.crash().size(), 3u);
@@ -930,12 +987,59 @@ TEST(FleetDecodeRuns, EveryEngineMutatorCutsTheRun)
     }
 }
 
+TEST(FleetDecodeRuns, DrainAndQueueEvacuationLeaveTheRunStanding)
+{
+    // A run stands only while the queue is empty, and admission is
+    // all that drain mode changes, so entering or leaving it, or
+    // evacuating the empty queue, changes no launch of the run: it
+    // stands, and catching it up equals stepping it.
+    const std::vector<
+        std::pair<const char *, void (*)(serving::ReplicaEngine &)>>
+        mutators = {
+            {"setDraining(true)",
+             [](serving::ReplicaEngine &e) { e.setDraining(true); }},
+            {"setDraining(true), then (false)",
+             [](serving::ReplicaEngine &e) {
+                 e.setDraining(true);
+                 e.setDraining(false);
+             }},
+            {"evacuateQueue",
+             [](serving::ReplicaEngine &e) {
+                 EXPECT_TRUE(e.evacuateQueue().empty());
+             }},
+        };
+    for (const auto &[name, mutate] : mutators) {
+        SCOPED_TRACE(name);
+        expectAdvanceMatchesStepping(engineOptions(), mutate);
+    }
+}
+
+TEST(FleetDecodeRuns, OfferOfARequestTheFleetRefusesThrows)
+{
+    // The fleet refuses unservable and expired arrivals itself and
+    // routes none to a draining replica; an engine handed one anyway
+    // throws and queues nothing.
+    serving::AnalyticCostModel cost;
+    serving::ReplicaEngine engine(engineOptions(), cost);
+    EXPECT_THROW(engine.offer(makeRequest(0, 0.0, 2000, 4), 0),
+                 FatalError);
+    Request late = makeRequest(1, 0.0, 8, 4);
+    late.deadline_ms = 1.0;
+    EXPECT_THROW(engine.offer(late, 1'000'000), FatalError);
+    engine.offer(late, 999'999);
+    EXPECT_EQ(engine.queueDepth(), 1);
+    engine.setDraining(true);
+    EXPECT_THROW(engine.offer(makeRequest(2, 0.0, 8, 4), 0), FatalError);
+    EXPECT_EQ(engine.queueDepth(), 1);
+    EXPECT_TRUE(engine.result().rejected.empty());
+}
+
 /** startRun's residents on 4-token pages in a pool of @p total_pages:
  *  they hold 27 pages at the first decode. */
-serving::SchedulerOptions
+serving::ReplicaOptions
 tightPoolOptions(int64_t total_pages)
 {
-    serving::SchedulerOptions o = engineOptions();
+    serving::ReplicaOptions o = engineOptions();
     o.page_tokens = 4;
     o.kv_budget_tokens = 4 * total_pages;
     return o;
@@ -965,7 +1069,7 @@ TEST(FleetDecodeRuns, EngineRunEndsBeforeTheFreeListRunsShort)
     // reclaims a retained page, preempting nobody, with two.
     for (bool retained : {false, true}) {
         SCOPED_TRACE(retained ? "retained pages" : "no retained pages");
-        serving::SchedulerOptions options =
+        serving::ReplicaOptions options =
             tightPoolOptions(retained ? 32 : 30);
         serving::AnalyticCostModel cost;
         serving::ReplicaEngine stepped(options, cost);

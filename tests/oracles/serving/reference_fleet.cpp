@@ -173,7 +173,7 @@ struct Pool
     }
 };
 
-// ---- One replica (replica.h, scheduler.h) ---------------------------
+// ---- One replica (replica.h) ----------------------------------------
 
 struct Replica
 {
@@ -199,7 +199,7 @@ struct Replica
     int64_t step_pages = 0;
     StepRecord record;
 
-    ServingResult result;
+    ReplicaResult result;
 
     bool hasWork() const { return !batch.empty() || !queue.empty(); }
 
@@ -237,10 +237,13 @@ class ReferenceFleet
           ladder_(models::bucketBoundaries(options.replica.buckets)),
           arrivals_(std::move(trace))
     {
-        // Arrivals and fault instants on the nanosecond clock
-        // (request.h); arrivals snap before their (arrival, id) sort.
-        for (Request &r : arrivals_)
+        // Arrivals, deadlines and fault instants on the nanosecond
+        // clock (request.h); arrivals snap before their (arrival, id)
+        // sort.
+        for (Request &r : arrivals_) {
             r.arrival_ms = toMs(toSimTime(r.arrival_ms));
+            r.deadline_ms = toMs(toSimTime(r.deadline_ms));
+        }
         for (const FaultEvent &e : options.faults.events)
             faults_.push_back({toSimTime(e.at_ms), e});
         std::stable_sort(arrivals_.begin(), arrivals_.end(),
@@ -804,7 +807,7 @@ class ReferenceFleet
     }
 
     const FleetOptions &options_;
-    const SchedulerOptions &opts_;
+    const ReplicaOptions &opts_;
     StepCostModel &cost_;
     StepCostModel *degraded_cost_;
     std::vector<int64_t> ladder_;

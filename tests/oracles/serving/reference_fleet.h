@@ -3,7 +3,7 @@
  * Reference fleet: a plain serving loop that wakes at every step end,
  * every arrival, every fault, every reload window's end and every
  * retry-buffer instant, written from the rules documented in
- * serving/scheduler.h, replica.h, kv_pool.h and fleet.h. It is the
+ * serving/request.h, replica.h, kv_pool.h and fleet.h. It is the
  * differential oracle of FleetScheduler, whose decode runs skip the
  * instants where only a repeated decode step completes.
  *
@@ -33,8 +33,9 @@ namespace serving {
 /** Serve @p trace under @p options (fault plan included) one step end
  *  at a time. @p degraded_cost, when non-null, costs steps on a
  *  replica under DegradeStart. FleetResult::rounds counts the instants
- *  the loop woke at. The trace must be valid (sortAndValidateTrace's
- *  rules); it is served in (arrival, id) order. */
+ *  the loop woke at. The trace must be valid (FleetScheduler::run's
+ *  rules); it is served in (arrival, id) order, its arrivals and
+ *  deadlines snapped to the nanosecond grid. */
 FleetResult runReferenceFleet(const FleetOptions &options,
                               StepCostModel &cost,
                               StepCostModel *degraded_cost,

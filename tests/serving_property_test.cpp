@@ -17,7 +17,7 @@
 
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
-#include "serving/scheduler.h"
+#include "serving/replica.h"
 #include "serving/trace.h"
 
 using namespace streamtensor;
@@ -28,7 +28,7 @@ namespace {
 struct SeededRun
 {
     std::vector<Request> trace;
-    serving::SchedulerOptions options;
+    serving::ReplicaOptions options;
     serving::FleetResult result;
 };
 

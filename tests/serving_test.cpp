@@ -18,7 +18,7 @@
 #include "serving/fleet.h"
 #include "serving/metrics.h"
 #include "serving/queue.h"
-#include "serving/scheduler.h"
+#include "serving/replica.h"
 #include "serving/trace.h"
 #include "support/error.h"
 
@@ -61,10 +61,10 @@ makeRequest(int64_t id, double arrival_ms, int64_t input_len,
     return r;
 }
 
-serving::SchedulerOptions
+serving::ReplicaOptions
 recordingOptions(int64_t max_batch, int64_t kv_budget)
 {
-    serving::SchedulerOptions options;
+    serving::ReplicaOptions options;
     options.max_batch = max_batch;
     options.kv_budget_tokens = kv_budget;
     options.record_steps = true;
@@ -76,12 +76,12 @@ recordingOptions(int64_t max_batch, int64_t kv_budget)
 int64_t
 kvTokens(const serving::StepRecord &s)
 {
-    return s.pages_active * serving::SchedulerOptions{}.page_tokens;
+    return s.pages_active * serving::ReplicaOptions{}.page_tokens;
 }
 
 /** A fleet of one replica running @p options, with no faults. */
 serving::FleetOptions
-oneReplica(const serving::SchedulerOptions &options)
+oneReplica(const serving::ReplicaOptions &options)
 {
     serving::FleetOptions fleet;
     fleet.num_replicas = 1;
@@ -489,7 +489,7 @@ TEST(SchedulerReplay, KvBudgetHeadOfLineAdmission)
 TEST(SchedulerReplay, QueueFullRejectsArrivals)
 {
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions options = recordingOptions(1, 4096);
+    serving::ReplicaOptions options = recordingOptions(1, 4096);
     options.max_queue_depth = 1;
     serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
@@ -510,7 +510,7 @@ TEST(SchedulerReplay, QueueFullRejectsArrivals)
 TEST(SchedulerReplay, MidStepDeadlineFreesQueueSlot)
 {
     // The loop wakes at every arrival instant, not only at step
-    // boundaries (the timing rule in scheduler.h). Unit step
+    // boundaries (the event loop in fleet.h). Unit step
     // cost, max_batch = 1 and a one-slot queue: R0 runs steps
     // [0,1) .. [3,4); R1 arrives at 0.5 and holds the queue slot
     // with a deadline of 1.2. R2 arrives mid-step at 1.5 and is too
@@ -525,7 +525,7 @@ TEST(SchedulerReplay, MidStepDeadlineFreesQueueSlot)
     unit.per_kv_token_ms = 0.0;
     serving::AnalyticCostModel cost(unit);
 
-    serving::SchedulerOptions options = recordingOptions(1, 4096);
+    serving::ReplicaOptions options = recordingOptions(1, 4096);
     options.max_queue_depth = 1;
 
     Request r0 = makeRequest(0, 0.0, 8, 4);
@@ -640,7 +640,7 @@ TEST(SchedulerReplay, SeededTraceReplaysBitIdentically)
 
     auto runOnce = [&] {
         serving::AnalyticCostModel cost;
-        serving::SchedulerOptions options =
+        serving::ReplicaOptions options =
             recordingOptions(4, 1024);
         serving::FleetScheduler scheduler(oneReplica(options), cost);
         return scheduler.run(trace);
@@ -677,7 +677,7 @@ TEST(SchedulerReplay, BatchingBeatsSerialServingOnMakespan)
 
     auto makespan = [&](int64_t max_batch) {
         serving::AnalyticCostModel cost;
-        serving::SchedulerOptions options;
+        serving::ReplicaOptions options;
         options.max_batch = max_batch;
         options.kv_budget_tokens = 1 << 20;
         serving::FleetScheduler scheduler(oneReplica(options), cost);
@@ -700,7 +700,7 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
     EXPECT_THROW(scheduler.run({makeRequest(0, 0.0, 8, 1),
                                 makeRequest(0, 1.0, 8, 1)}),
                  FatalError);
-    serving::SchedulerOptions bad;
+    serving::ReplicaOptions bad;
     bad.max_batch = 0;
     EXPECT_THROW(serving::FleetScheduler(oneReplica(bad), cost), FatalError);
 
@@ -724,9 +724,9 @@ TEST(Scheduler, RejectsBadPageGeometryInEveryEntryPoint)
     // instead of dividing by zero — also when a ReplicaEngine is
     // built directly, without a fleet validating first.
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions zero_page = recordingOptions(2, 4096);
+    serving::ReplicaOptions zero_page = recordingOptions(2, 4096);
     zero_page.page_tokens = 0;
-    serving::SchedulerOptions sub_page = recordingOptions(2, 8);
+    serving::ReplicaOptions sub_page = recordingOptions(2, 8);
     for (const auto &bad : {zero_page, sub_page}) {
         EXPECT_THROW(serving::ReplicaEngine(bad, cost), FatalError);
         serving::FleetOptions fleet;
@@ -743,9 +743,9 @@ TEST(Scheduler, HostileBucketPolicyIsFatal)
     // instead of at the first step (or, for an over-long one,
     // allocating millions of rungs).
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions shrinking = recordingOptions(2, 4096);
+    serving::ReplicaOptions shrinking = recordingOptions(2, 4096);
     shrinking.buckets.growth_num = 1;
-    serving::SchedulerOptions endless = recordingOptions(2, 4096);
+    serving::ReplicaOptions endless = recordingOptions(2, 4096);
     endless.buckets.min_len = 1;
     endless.buckets.growth_den = int64_t{1} << 40;
     endless.buckets.growth_num = endless.buckets.growth_den + 1;
@@ -759,7 +759,7 @@ TEST(Scheduler, HostileBucketPolicyIsFatal)
 
     // A ratio whose product overflowed int64_t saturates at
     // max_len: the fleet builds and serves.
-    serving::SchedulerOptions huge = recordingOptions(2, 4096);
+    serving::ReplicaOptions huge = recordingOptions(2, 4096);
     huge.buckets.growth_num = std::numeric_limits<int64_t>::max() / 4;
     huge.buckets.growth_den = 1;
     huge.buckets.max_len = std::numeric_limits<int64_t>::max() / 2;
@@ -773,7 +773,7 @@ TEST(Scheduler, KvPoolBeyondInt32PagesIsRejected)
     // KvPool ids its pages by int32_t; a budget with more pages
     // is refused before the pool is sized.
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions huge = recordingOptions(2, 4096);
+    serving::ReplicaOptions huge = recordingOptions(2, 4096);
     huge.page_tokens = 1;
     huge.kv_budget_tokens =
         int64_t{std::numeric_limits<int32_t>::max()} + 1;
@@ -1175,7 +1175,7 @@ TEST(SchedulerReplay, RejectionOrderInterleavesReasonsAtOneInstant)
     // (arrival, id) order — interleaved by id, not grouped by
     // reason or by ingest batching.
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions options = recordingOptions(1, 64);
+    serving::ReplicaOptions options = recordingOptions(1, 64);
     options.max_queue_depth = 1;
     serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
@@ -1247,7 +1247,7 @@ TEST(Scheduler, StepLimitSplitsAccountingViews)
     // it still held; per-request metrics cover completions only,
     // while step aggregates cover every executed step.
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions options = recordingOptions(4, 4096);
+    serving::ReplicaOptions options = recordingOptions(4, 4096);
     options.max_steps = 3;
     serving::FleetScheduler scheduler(oneReplica(options), cost);
     std::vector<Request> trace;
@@ -1278,7 +1278,7 @@ TEST(Scheduler, StepLimitSplitsAccountingViews)
 
 // ---------------------------------------------------------------
 // Preemption under a bounded queue; drain / deadline / step-limit
-// interaction (the doc contract in SchedulerOptions).
+// interaction (the doc contract in ReplicaOptions).
 // ---------------------------------------------------------------
 
 TEST(SchedulerReplay, PreemptionLandsWhileQueueAtCapacity)
@@ -1290,7 +1290,7 @@ TEST(SchedulerReplay, PreemptionLandsWhileQueueAtCapacity)
     // back in the queue (not be dropped or trip the invariant)
     // and nobody gets rejected.
     serving::AnalyticCostModel cost;
-    serving::SchedulerOptions options = recordingOptions(2, 64);
+    serving::ReplicaOptions options = recordingOptions(2, 64);
     options.max_queue_depth = 2;
     serving::FleetScheduler scheduler(oneReplica(options), cost);
     auto result = scheduler.run({
@@ -1335,7 +1335,7 @@ TEST(Scheduler, DeadlineStepLimitInteraction)
     unit.per_kv_token_ms = 0.0;
     serving::AnalyticCostModel cost(unit);
 
-    serving::SchedulerOptions options = recordingOptions(1, 4096);
+    serving::ReplicaOptions options = recordingOptions(1, 4096);
 
     Request r0 = makeRequest(0, 0.0, 8, 4);
     r0.deadline_ms = 2.0; // resident: never expired, counts a miss
@@ -1560,7 +1560,6 @@ TEST(ServingMetricsTest, MergeEqualsOneAccumulatorFedTheUnion)
     feedStep(b, 2.0, 3, 6);
     b.recordCompletion(other, keep);
     b.countRejection(serving::RejectReason::DeadlineExpired);
-    b.countRejection(serving::RejectReason::Drained);
     b.countRejection(serving::RejectReason::QueueFull);
     b.max_queue_depth = 5;
     b.peak_pages_active = 6;
@@ -1583,7 +1582,6 @@ TEST(ServingMetricsTest, MergeEqualsOneAccumulatorFedTheUnion)
     for (auto reason : {serving::RejectReason::QueueFull,
                         serving::RejectReason::TooLong,
                         serving::RejectReason::DeadlineExpired,
-                        serving::RejectReason::Drained,
                         serving::RejectReason::QueueFull})
         u.countRejection(reason);
     u.in_flight = 1;
@@ -1669,7 +1667,7 @@ TEST(ServingMetricsTest, MergeRejectsMismatchedPoolGeometry)
     EXPECT_THROW(a.merge(b), FatalError);
 }
 
-// ---- Cold-start weight gating (scheduler.h ColdStartOptions):
+// ---- Cold-start weight gating (replica.h ColdStartOptions):
 // ---- steps launched before the stream finishes stretch by the
 // ---- exact residency wait; once it lands, steps match warm
 // ---- bit-for-bit. ----
@@ -1678,7 +1676,7 @@ TEST(ServingSchedulerTest, ColdStartGatingExactAgainstWarm)
 {
     serving::AnalyticCostModel cost;
     auto base = [] {
-        serving::SchedulerOptions o;
+        serving::ReplicaOptions o;
         o.max_batch = 2;
         o.kv_budget_tokens = 256;
         o.record_steps = true;
