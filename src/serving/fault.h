@@ -46,10 +46,12 @@ enum class FaultKind
     Crash,
 
     /** The replica rejoins with fresh serving state (empty pool,
-     *  empty queue). Crash already cleared transient degradations;
-     *  slow/degrade/drain events landing while the replica was
-     *  down still update its knobs, so a recovery inside a
-     *  standing slowdown window comes back slow. */
+     *  empty queue) once FleetOptions recovery_reload_ms has
+     *  elapsed — at once when it is 0. Crash already cleared
+     *  transient degradations; slow/degrade/drain events landing
+     *  while the replica was down still update its knobs, so a
+     *  recovery inside a standing slowdown window comes back slow.
+     *  No-op on a replica that is up or mid-reload. */
     Recover,
 
     /** Steps on the replica cost `factor`× their modeled time (a
@@ -83,8 +85,10 @@ enum class FaultKind
      *  lost), its KV dies with the old weights, and it leaves
      *  service for FleetOptions recovery_reload_ms while the new
      *  artifact re-streams from storage. It rejoins automatically
-     *  when the reload window elapses — no Recover event needed.
-     *  No-op on a replica that is down (or mid-reload). */
+     *  when the reload window elapses — no Recover event needed —
+     *  and at once when the window is 0, so later events at the
+     *  swap's instant find it up. No-op on a replica that is down
+     *  (or mid-reload). */
     Swap,
 };
 

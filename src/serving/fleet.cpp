@@ -57,16 +57,14 @@ struct FleetRun
     SimTime backoff;
     SimTime reload_window;
 
-    int n;
     std::vector<ReplicaEngine> engines;
-    std::vector<bool> up;
-    std::vector<SimTime> up_since;
 
-    /** Instant each replica's in-flight weight reload completes
-     *  (kNever = none pending). A replica mid-reload is down:
-     *  up[] stays false until the window elapses, so it takes no
-     *  launches and routing skips it. */
-    std::vector<SimTime> reload_ready;
+    /** Instant each replica is up from: it takes launches and
+     *  routing sees it while up_at <= now. A Recover or Swap sets
+     *  it to the end of its reload window, so the replica rejoins
+     *  by the passage of time alone; a Crash sets it to kNever.
+     *  While up, it is also the start of the current up-time. */
+    std::vector<SimTime> up_at;
     FaultInjector injector;
     FleetResult result;
 
@@ -86,7 +84,7 @@ struct FleetRun
 
     /** The replicas phase 6 launched this round (scratch for
      *  stageRuns). */
-    std::vector<int> launched;
+    std::vector<size_t> launched;
 
     SimTime now = 0;
 
@@ -98,45 +96,25 @@ struct FleetRun
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
           backoff(toSimTime(options_in.retry_backoff_ms)),
           reload_window(toSimTime(options_in.recovery_reload_ms)),
-          n(options_in.num_replicas),
           injector(options_in.faults)
     {
-        launched.reserve(static_cast<size_t>(n));
-        engines.reserve(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i)
-            engines.emplace_back(options.replica, cost, i);
-        up.assign(static_cast<size_t>(n), true);
-        up_since.assign(static_cast<size_t>(n), 0);
-        reload_ready.assign(static_cast<size_t>(n), kNever);
-        result.metrics.replica_up_ms.assign(
-            static_cast<size_t>(n), 0.0);
+        auto n = static_cast<size_t>(options.num_replicas);
+        launched.reserve(n);
+        engines.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            engines.emplace_back(options.replica, cost,
+                                 static_cast<int>(i));
+        up_at.assign(n, 0);
+        result.metrics.replica_up_ms.assign(n, 0.0);
     }
 
-    /** Take @p idx out of service for the reload window of weight
-     *  re-streaming; it rejoins via completeReloads(). Counted
-     *  here so both call sites (recover, swap) stay in lockstep. */
-    void startReload(size_t idx)
-    {
-        FleetMetrics &fm = result.metrics;
-        reload_ready[idx] = later(now, reload_window);
-        ++fm.reloads;
-        fm.reload_ms_total += toMs(reload_window);
-    }
+    bool isUp(size_t idx) const { return up_at[idx] <= now; }
 
-    /** Bring every replica whose reload window has elapsed back
-     *  into service (id order). Runs at the top of the faults
-     *  phase — a reload completing exactly at a fault instant
-     *  precedes that instant's events — and again after them, so
-     *  a zero-window reload rejoins within its own round. */
-    void completeReloads()
+    /** Charge one weight-reload window (recover or swap). */
+    void chargeReload()
     {
-        for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
-            if (up[i] || reload_ready[i] > now)
-                continue;
-            up[i] = true;
-            up_since[i] = now;
-            reload_ready[i] = kNever;
-        }
+        ++result.metrics.reloads;
+        result.metrics.reload_ms_total += toMs(reload_window);
     }
 
     /** The routing rule (fleet.h): the eligible replica with the
@@ -146,15 +124,15 @@ struct FleetRun
     {
         int best = -1;
         int64_t best_load = 0, best_depth = 0;
-        for (int i = 0; i < n; ++i) {
-            const ReplicaEngine &eng = engines[static_cast<size_t>(i)];
-            if (!up[static_cast<size_t>(i)] || eng.draining())
+        for (size_t i = 0; i < engines.size(); ++i) {
+            const ReplicaEngine &eng = engines[i];
+            if (!isUp(i) || eng.draining())
                 continue;
             int64_t load = eng.kvLoadTokens();
             int64_t depth = eng.queueDepth();
             if (best < 0 || load < best_load ||
                 (load == best_load && depth < best_depth)) {
-                best = i;
+                best = static_cast<int>(i);
                 best_load = load;
                 best_depth = depth;
             }
@@ -231,7 +209,7 @@ struct FleetRun
     /** Route every due retry-buffer entry to an eligible replica.
      *  Readmission is front-insertion, so dispatching in *reverse*
      *  (ready, id) order leaves earlier requests nearer the head
-     *  on a shared target. readmit() changes neither up[] nor
+     *  on a shared target. readmit() changes neither up_at nor
      *  draining(), so with no eligible replica now there is none
      *  for any due entry: the buffer stays as it is, in O(1). */
     void redispatchDue()
@@ -248,27 +226,38 @@ struct FleetRun
             engines[static_cast<size_t>(pickReplica())].readmit(*it);
     }
 
+    /** Take the up replica @p idx out of service until @p until
+     *  (a crash or a swap): charge its up-time, count an in-flight
+     *  step as aborted, clear drain mode, and return its evacuated
+     *  requests with their progress. */
+    std::vector<QueuedRequest> takeDown(size_t idx, SimTime until)
+    {
+        FleetMetrics &fm = result.metrics;
+        ReplicaEngine &eng = engines[idx];
+        fm.replica_up_ms[idx] += toMs(now - up_at[idx]);
+        up_at[idx] = until;
+        if (eng.busy())
+            ++fm.aborted_steps;
+        eng.setDraining(false);
+        return eng.crash();
+    }
+
     void applyFault(const FaultEvent &e)
     {
         FleetMetrics &fm = result.metrics;
         auto idx = static_cast<size_t>(e.replica);
         ReplicaEngine &eng = engines[idx];
         switch (e.kind) {
-        case FaultKind::Crash: {
-            if (!up[idx])
-                break; // already down: tolerant no-op
-            up[idx] = false;
-            fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
+        case FaultKind::Crash:
+            if (!isUp(idx))
+                break; // down or mid-reload: tolerant no-op
             ++fm.crashes;
-            if (eng.busy())
-                ++fm.aborted_steps;
             // A crash wipes transient state; standing slow /
             // degrade / drain windows re-apply only via their own
             // events landing while the replica is down.
-            eng.setDraining(false);
             eng.setSlowFactor(1.0);
             eng.setCost(cost);
-            for (auto &ev : eng.crash()) {
+            for (auto &ev : takeDown(idx, kNever)) {
                 ev.state.failovers += 1;
                 ++fm.failovers;
                 if (ev.state.failovers > options.max_retries) {
@@ -279,22 +268,18 @@ struct FleetRun
                 }
             }
             break;
-        }
         case FaultKind::Recover:
             // Tolerant no-op when up — or mid-reload: a second
             // Recover must not restart (or shortcut) the window.
-            if (up[idx] || reload_ready[idx] < kNever)
+            if (up_at[idx] < kNever)
                 break;
             ++fm.recoveries;
-            if (reload_window > 0) {
-                // The replica spends the reload window
-                // re-streaming weights from storage before it is
-                // eligible again; completeReloads() rejoins it.
-                startReload(idx);
-            } else {
-                up[idx] = true;
-                up_since[idx] = now;
-            }
+            // The replica re-streams its weights from storage for
+            // the reload window before it is eligible again; a
+            // zero window rejoins it at once.
+            up_at[idx] = later(now, reload_window);
+            if (reload_window > 0)
+                chargeReload();
             break;
         case FaultKind::SlowStart:
             // Takes effect at the next launch; an in-flight step
@@ -315,7 +300,7 @@ struct FleetRun
             eng.setCost(cost);
             break;
         case FaultKind::DrainStart:
-            if (up[idx] && !eng.draining()) {
+            if (isUp(idx) && !eng.draining()) {
                 eng.setDraining(true);
                 ++fm.drains;
                 // Graceful: the queue re-routes immediately, no
@@ -328,36 +313,20 @@ struct FleetRun
         case FaultKind::DrainEnd:
             eng.setDraining(false);
             break;
-        case FaultKind::Swap: {
-            if (!up[idx])
+        case FaultKind::Swap:
+            if (!isUp(idx))
                 break; // down or mid-reload: tolerant no-op
-            up[idx] = false;
-            fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
             ++fm.swaps;
-            if (eng.busy())
-                ++fm.aborted_steps;
-            eng.setDraining(false);
+            chargeReload();
             // Graceful evacuation: operator-initiated, so no
             // retry attempt is consumed and no backoff applies —
             // but KV dies with the old weights, so resumed
-            // requests recompute their prefix elsewhere.
-            for (auto &ev : eng.crash())
+            // requests recompute their prefix elsewhere. A zero
+            // window rejoins at once, as for Recover.
+            for (auto &ev : takeDown(idx, later(now, reload_window)))
                 parkPending(now, std::move(ev));
-            startReload(idx);
             break;
         }
-        }
-    }
-
-    void faultsPhase()
-    {
-        // Reloads elapsing exactly at a fault instant complete
-        // before that instant's events; the trailing pass lets a
-        // zero-window reload (instant swap) rejoin immediately.
-        completeReloads();
-        for (const auto &e : injector.drainDue(now))
-            applyFault(e);
-        completeReloads();
     }
 
     void arrivalsPhase()
@@ -379,10 +348,9 @@ struct FleetRun
     void finalizeRun()
     {
         FleetMetrics &fm = result.metrics;
-        for (int i = 0; i < n; ++i) {
-            auto idx = static_cast<size_t>(i);
-            if (up[idx])
-                fm.replica_up_ms[idx] += toMs(now - up_since[idx]);
+        for (size_t idx = 0; idx < engines.size(); ++idx) {
+            if (isUp(idx))
+                fm.replica_up_ms[idx] += toMs(now - up_at[idx]);
             ReplicaEngine &eng = engines[idx];
             eng.finalize(now);
             // Replica-id merge order keeps the merged sketches
@@ -436,8 +404,8 @@ struct FleetRun
                 eng.cutRun();
             }
         }
-        for (int i : launched)
-            budget -= engines[static_cast<size_t>(i)].planRun(
+        for (size_t i : launched)
+            budget -= engines[i].planRun(
                 deadline_queued ? 0 : budget);
         launched.clear();
         return {committed, work_left || !pending.empty() ||
@@ -459,8 +427,8 @@ struct FleetRun
             next_t = std::min(next_t, arrivals.nextArrival());
         for (size_t i = 0; i < engines.size(); ++i) {
             next_t = std::min(next_t, engines[i].wakeAt());
-            if (reload_ready[i] > now)
-                next_t = std::min(next_t, reload_ready[i]);
+            if (up_at[i] > now)
+                next_t = std::min(next_t, up_at[i]);
         }
         constexpr int64_t last_id = std::numeric_limits<int64_t>::max();
         auto ready = pending.upper_bound({now, last_id});
@@ -507,8 +475,10 @@ struct FleetRun
 
             // 2. Fault events, in plan firing order — before
             // arrivals, so an arrival at a crash instant sees the
-            // replica down.
-            faultsPhase();
+            // replica down. A reload window ending at this instant
+            // ends before its events (up_at <= now).
+            for (const auto &e : injector.drainDue(now))
+                applyFault(e);
 
             // 3. Arrivals, in (arrival, id) order.
             arrivalsPhase();
@@ -525,17 +495,16 @@ struct FleetRun
 
             // 6. Launch a step on every idle up replica (id
             // order), then plan decode runs.
-            for (int i = 0; i < n; ++i) {
-                auto idx = static_cast<size_t>(i);
+            for (size_t idx = 0; idx < engines.size(); ++idx) {
                 auto &eng = engines[idx];
-                if (!up[idx] || eng.busy())
+                if (!isUp(idx) || eng.busy())
                     continue;
                 eng.launchStep(now);
                 ST_ASSERT(eng.busy() || !eng.hasWork() ||
                               eng.draining(),
                           "idle up replica refused its work");
                 if (eng.busy())
-                    launched.push_back(i);
+                    launched.push_back(idx);
             }
             auto [total_steps, work_left] = stageRuns();
             if (total_steps >= options.replica.max_steps &&

@@ -176,11 +176,12 @@ struct FleetOptions
      *  a Recover event starts the replica re-streaming its
      *  weights from storage, and it takes work again only this
      *  many ms later (derive it from a storage tier via
-     *  WeightStreamPlan::streamMs(), or pin any constant). 0
-     *  keeps the pre-streaming instant recovery, bit-identically.
-     *  Reload time counts as down time (uptimeFraction) and is
-     *  tallied in FleetMetrics::reload_ms_total. FaultKind::Swap
-     *  (hot model swap) charges the same window. */
+     *  WeightStreamPlan::streamMs(), or pin any constant).
+     *  FaultKind::Swap (hot model swap) charges the same window.
+     *  With 0 the replica rejoins at the instant of the Recover or
+     *  Swap, so later events at that instant find it up. Reload
+     *  time counts as down time (uptimeFraction) and is tallied in
+     *  FleetMetrics::reload_ms_total. */
     double recovery_reload_ms = 0.0;
 
     /** Has one value; kept only because e2e_stack sets it. */

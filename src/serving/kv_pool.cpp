@@ -79,24 +79,33 @@ KvPool::bind(int64_t seq_id, int64_t prefix_id, int64_t prefix_len)
              "sequence already bound");
 }
 
+KvPool::GrowthPlan
+KvPool::planGrowth(const Seq &seq, int64_t want) const
+{
+    GrowthPlan plan;
+    int64_t full_prefix = prefixPages(seq);
+    for (auto pos = static_cast<int64_t>(seq.pages.size()); pos < want;
+         ++pos) {
+        if (pos < full_prefix) {
+            auto hit = prefix_table_.find(pageKey(seq.prefix_id, pos));
+            if (hit != prefix_table_.end()) {
+                // Shared: no fresh allocation.
+                if (pages_[static_cast<size_t>(hit->second)].cached)
+                    ++plan.revives;
+                continue;
+            }
+        }
+        ++plan.allocs;
+    }
+    return plan;
+}
+
 int64_t
 KvPool::missingPages(int64_t seq_id, int64_t tokens) const
 {
     auto it = seqs_.find(seq_id);
     ST_CHECK(it != seqs_.end(), "sequence not bound");
-    const Seq &seq = it->second;
-    int64_t held = static_cast<int64_t>(seq.pages.size());
-    int64_t want = pagesFor(tokens);
-    int64_t full_prefix =
-        seq.prefix_id ? seq.prefix_len / options_.page_tokens : 0;
-    int64_t missing = 0;
-    for (int64_t pos = held; pos < want; ++pos) {
-        if (pos < full_prefix &&
-            prefix_table_.count(pageKey(seq.prefix_id, pos)))
-            continue; // shared: no fresh allocation
-        ++missing;
-    }
-    return missing;
+    return planGrowth(it->second, pagesFor(tokens)).allocs;
 }
 
 int32_t
@@ -134,34 +143,17 @@ KvPool::grow(int64_t seq_id, int64_t tokens)
     ST_CHECK(want <= options_.total_pages,
              "sequence larger than the whole pool");
 
-    int64_t full_prefix =
-        seq.prefix_id ? seq.prefix_len / options_.page_tokens : 0;
-
-    // Plan (lookup only): count fresh allocations and the retained
-    // pages this growth revives — revived pages must not also be
-    // counted as reclaimable capacity.
-    int64_t allocs = 0;
-    int64_t cached_revives = 0;
-    for (int64_t pos = held; pos < want; ++pos) {
-        if (pos < full_prefix) {
-            auto hit =
-                prefix_table_.find(pageKey(seq.prefix_id, pos));
-            if (hit != prefix_table_.end()) {
-                if (pages_[static_cast<size_t>(hit->second)]
-                        .cached)
-                    ++cached_revives;
-                continue;
-            }
-        }
-        ++allocs;
-    }
-    if (allocs > freePages() + cachedPages() - cached_revives)
+    // Revived pages must not also be counted as reclaimable
+    // capacity.
+    GrowthPlan plan = planGrowth(seq, want);
+    if (plan.allocs > freePages() + cachedPages() - plan.revives)
         return false;
 
     // Commit in two passes over the new positions. Every hit is
     // revived first, so the eviction in the second pass can never
     // reclaim a page this very growth references; the second pass
     // fills the remaining positions with fresh pages, in order.
+    int64_t full_prefix = prefixPages(seq);
     constexpr int32_t unfilled = -1;
     seq.pages.resize(static_cast<size_t>(want), unfilled);
     for (int64_t pos = held; pos < full_prefix && pos < want; ++pos) {

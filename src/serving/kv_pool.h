@@ -189,6 +189,24 @@ class KvPool
         std::vector<int32_t> pages;
     };
 
+    /** Growing a sequence from its held pages to @p want pages:
+     *  the fresh allocations, and the retained pages it revives
+     *  from the prefix table. Lookup only: missingPages() and
+     *  grow() both read it. */
+    struct GrowthPlan
+    {
+        int64_t allocs = 0;
+        int64_t revives = 0;
+    };
+    GrowthPlan planGrowth(const Seq &seq, int64_t want) const;
+
+    /** Leading page positions that hold only shared prefix. */
+    int64_t prefixPages(const Seq &seq) const
+    {
+        return seq.prefix_id ? seq.prefix_len / options_.page_tokens
+                             : 0;
+    }
+
     /** Pop a free page, reclaiming the oldest retained page when
      *  the free list is empty. Caller guarantees availability. */
     int32_t allocPage();

@@ -578,6 +578,31 @@ TEST(FleetDecodeRuns, AFaultThatChangesNothingLeavesTheRunStanding)
     EXPECT_EQ(with.rounds, without.rounds);
 }
 
+TEST(FleetDecodeRuns, AnEventAfterAZeroWindowSwapSeesTheReplicaUp)
+{
+    // With no reload window, a swap of replica 0 at 10 ms rejoins it
+    // at once, as a zero-window Recover does: a crash or a drain of
+    // replica 0 at the same instant still finds it up.
+    serving::FleetOptions options = scriptOptions(2);
+    options.faults.events = {{10.0, 0, serving::FaultKind::Swap, 1.0},
+                             {10.0, 0, serving::FaultKind::Crash, 1.0}};
+    const std::vector<Request> trace = {makeRequest(0, 0.0, 8, 60),
+                                        makeRequest(1, 0.0, 8, 60)};
+    auto crashed = expectMatchesReference(options, trace);
+    EXPECT_EQ(crashed.metrics.swaps, 1);
+    EXPECT_EQ(crashed.metrics.crashes, 1);
+    EXPECT_EQ(crashed.metrics.completed, 2);
+    for (const auto &s : crashed.replicas[0].steps)
+        EXPECT_LT(s.start_ms, 10.0);
+    EXPECT_DOUBLE_EQ(crashed.metrics.replica_up_ms[0], 10.0);
+
+    options.faults.events[1].kind = serving::FaultKind::DrainStart;
+    auto drained = expectMatchesReference(options, trace);
+    EXPECT_EQ(drained.metrics.swaps, 1);
+    EXPECT_EQ(drained.metrics.drains, 1);
+    EXPECT_EQ(drained.metrics.completed, 2);
+}
+
 TEST(FleetDecodeRuns, OneRunSpansEveryPageOfItsBucket)
 {
     // Input 300 sits in bucket 432, and so do the decode contexts

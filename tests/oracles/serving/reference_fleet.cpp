@@ -284,7 +284,6 @@ class ReferenceFleet
             while (next_fault_ < faults_.size() &&
                    faults_[next_fault_].first <= now_)
                 applyFault(faults_[next_fault_++].second);
-            rejoinReloaded();
             while (next_arrival_ < arrivals_.size() &&
                    toSimTime(arrivals_[next_arrival_].arrival_ms) <= now_)
                 dispatch(arrivals_[next_arrival_++]);
@@ -649,23 +648,31 @@ class ReferenceFleet
         rep.draining = false;
     }
 
+    void rejoin(Replica &rep)
+    {
+        rep.up = true;
+        rep.up_since = now_;
+        rep.reload_until = kNever;
+    }
+
+    /** Charge a reload window; a zero window rejoins at once, so
+     *  later events at this instant see the replica up. */
     void startReload(Replica &rep)
     {
         SimTime window = toSimTime(options_.recovery_reload_ms);
-        rep.reload_until = now_ + window;
         ++result_.metrics.reloads;
         result_.metrics.reload_ms_total += toMs(window);
+        if (window == 0)
+            rejoin(rep);
+        else
+            rep.reload_until = now_ + window;
     }
 
     void rejoinReloaded()
     {
-        for (Replica &rep : replicas_) {
-            if (rep.up || rep.reload_until > now_)
-                continue;
-            rep.up = true;
-            rep.up_since = now_;
-            rep.reload_until = kNever;
-        }
+        for (Replica &rep : replicas_)
+            if (!rep.up && rep.reload_until <= now_)
+                rejoin(rep);
     }
 
     void applyFault(const FaultEvent &e)
@@ -693,12 +700,10 @@ class ReferenceFleet
             if (rep.up || rep.reload_until < kNever)
                 break;
             ++fm.recoveries;
-            if (toSimTime(options_.recovery_reload_ms) > 0) {
+            if (toSimTime(options_.recovery_reload_ms) > 0)
                 startReload(rep);
-            } else {
-                rep.up = true;
-                rep.up_since = now_;
-            }
+            else
+                rejoin(rep);
             break;
         case FaultKind::SlowStart:
             rep.slow = e.factor;

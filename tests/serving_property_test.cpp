@@ -424,6 +424,17 @@ runFleetSeed(uint64_t seed, bool with_faults)
         fault_options.drain_prob = 0.35;
         run.options.faults =
             serving::seededFaultPlan(fault_options);
+        // A quarter of the seeds charge recoveries and swaps a
+        // weight reload; a third hot-swap a replica mid-run, so
+        // swaps run both with a reload window and with none.
+        if (seed % 4 == 1)
+            run.options.recovery_reload_ms =
+                20.0 + 10.0 * static_cast<double>(seed % 5);
+        if (seed % 3 == 1)
+            run.options.faults.events.push_back(
+                {150.0, static_cast<int>(seed) %
+                            run.options.num_replicas,
+                 serving::FaultKind::Swap, 1.0});
     }
 
     serving::AnalyticCostModel cost;
@@ -433,28 +444,36 @@ runFleetSeed(uint64_t seed, bool with_faults)
 }
 
 /** Down windows per replica, replayed from the plan with the
- *  fleet's tolerant semantics (crash on a down replica is a
- *  no-op), at the instants the events fire: on the nanosecond
- *  grid. */
+ *  fleet's tolerant semantics at the instants the events fire, on
+ *  the nanosecond grid: a crash takes an up replica down until a
+ *  Recover, which then keeps it down for the reload window; a swap
+ *  takes an up replica down for the reload window alone. Events on
+ *  a replica that is down or reloading are no-ops, and a zero
+ *  window rejoins at once. */
 std::map<int, std::vector<std::pair<double, double>>>
 downWindows(const serving::FleetOptions &options)
 {
     serving::FaultInjector injector(options.faults);
+    const serving::SimTime reload =
+        serving::toSimTime(options.recovery_reload_ms);
+    const double never = std::numeric_limits<double>::infinity();
     std::map<int, std::vector<std::pair<double, double>>> windows;
-    std::map<int, bool> up;
-    auto events = injector.drainDue(serving::kNever);
-    for (const auto &e : events) {
-        bool &is_up = up.try_emplace(e.replica, true)
-                          .first->second;
-        double at = serving::toMs(serving::toSimTime(e.at_ms));
-        if (e.kind == serving::FaultKind::Crash && is_up) {
-            is_up = false;
-            windows[e.replica].push_back(
-                {at, std::numeric_limits<double>::infinity()});
+    std::map<int, serving::SimTime> up_from;
+    for (const auto &e : injector.drainDue(serving::kNever)) {
+        serving::SimTime &from =
+            up_from.try_emplace(e.replica, 0).first->second;
+        serving::SimTime at = serving::toSimTime(e.at_ms);
+        auto &list = windows[e.replica];
+        if (e.kind == serving::FaultKind::Crash && from <= at) {
+            from = serving::kNever;
+            list.push_back({serving::toMs(at), never});
         } else if (e.kind == serving::FaultKind::Recover &&
-                   !is_up) {
-            is_up = true;
-            windows[e.replica].back().second = at;
+                   from == serving::kNever) {
+            from = at + reload;
+            list.back().second = serving::toMs(from);
+        } else if (e.kind == serving::FaultKind::Swap && from <= at) {
+            from = at + reload;
+            list.push_back({serving::toMs(at), serving::toMs(from)});
         }
     }
     return windows;
@@ -544,6 +563,18 @@ checkFleetInvariants(const FleetSeededRun &run)
                     << ") inside down window [" << down << ", "
                     << recover << ")";
         }
+    }
+
+    // --- Up-time: each replica is up for the makespan less its
+    // down windows clipped to the makespan.
+    for (size_t i = 0; i < result.replicas.size(); ++i) {
+        double down_ms = 0.0;
+        for (const auto &[down, up] : windows[static_cast<int>(i)])
+            down_ms += std::min(up, fm.makespan_ms) -
+                       std::min(down, fm.makespan_ms);
+        EXPECT_NEAR(fm.replica_up_ms[i], fm.makespan_ms - down_ms,
+                    1e-9 * fm.makespan_ms)
+            << "replica " << i;
     }
 
     // --- Metric consistency.
@@ -658,6 +689,7 @@ TEST(FleetPropertyCoverage, SeedsExerciseEveryFaultKind)
 {
     int64_t crashes = 0, recoveries = 0, slowdowns = 0;
     int64_t drains = 0, failovers = 0, lost = 0;
+    int64_t reloads = 0, swaps_reloading = 0, swaps_instant = 0;
     int64_t completed_with_failover = 0;
     for (uint64_t seed = 0; seed < 100; ++seed) {
         FleetSeededRun run = runFleetSeed(seed, true);
@@ -667,6 +699,10 @@ TEST(FleetPropertyCoverage, SeedsExerciseEveryFaultKind)
         slowdowns += fm.slowdowns;
         drains += fm.drains;
         failovers += fm.failovers;
+        reloads += fm.reloads - fm.swaps;
+        (run.options.recovery_reload_ms > 0.0 ? swaps_reloading
+                                               : swaps_instant) +=
+            fm.swaps;
         lost += fm.requests_lost;
         for (const auto &r : fm.requests)
             completed_with_failover += r.failovers > 0 ? 1 : 0;
@@ -676,6 +712,11 @@ TEST(FleetPropertyCoverage, SeedsExerciseEveryFaultKind)
     EXPECT_GT(slowdowns, 0);
     EXPECT_GT(drains, 0);
     EXPECT_GT(failovers, 0);
+    // Recoveries into a reload window, and swaps both with a
+    // reload window and with none.
+    EXPECT_GT(reloads, 0);
+    EXPECT_GT(swaps_reloading, 0);
+    EXPECT_GT(swaps_instant, 0);
     // Crash survivors that finished on another replica — the
     // failover path end to end, not just the bookkeeping.
     EXPECT_GT(completed_with_failover, 0);
